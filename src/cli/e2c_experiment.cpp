@@ -38,7 +38,6 @@
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "viz/bar_chart.hpp"
-#include "viz/bar_chart_svg.hpp"
 
 namespace {
 
@@ -246,10 +245,10 @@ int main(int argc, char** argv) {
     }
 
     if (serve_mode) {
-      // Validated (exit 2 on an unknown name) and installed before any worker
-      // forks; workers inherit the setting.
-      sched::set_default_sched_impl(sched::parse_sched_impl(sched_impl));
       exp::ServeOptions serve_options;
+      // Validated here (exit 2 on an unknown name); the workers build their
+      // policies with it.
+      serve_options.sched_impl = sched::parse_sched_impl(sched_impl);
       serve_options.socket_path = serve_socket;
       serve_options.workers = serve_workers;
       serve_options.backlog = backlog;
@@ -309,15 +308,8 @@ int main(int argc, char** argv) {
       const util::IniFile ini = util::IniFile::parse(config_text, positional[0]);
       outputs = exp::outputs_from_ini(ini);
       result = exp::submit_job(submit_socket, config_text, options.progress);
-      if (outputs.csv_path) {
-        util::write_csv_file(*outputs.csv_path, exp::result_csv(result));
-      }
-      if (outputs.chart_svg_path) {
-        viz::save_bar_chart_svg(exp::completion_chart(result, outputs.title),
-                                *outputs.chart_svg_path);
-      }
     } else {
-      sched::set_default_sched_impl(sched::parse_sched_impl(sched_impl));
+      const sched::SchedImpl impl = sched::parse_sched_impl(sched_impl);
       if (positional.size() > 1) {
         // std::stoul would accept "-1" (wrapping to SIZE_MAX workers) and exit
         // 1 on junk; validate like e2c_run's numeric options instead.
@@ -329,9 +321,12 @@ int main(int argc, char** argv) {
       }
       const util::IniFile ini = util::IniFile::load(positional[0]);
       outputs = exp::outputs_from_ini(ini);
+      exp::ExperimentSpec spec = exp::spec_from_ini(ini);
+      spec.sched_impl = impl;
       options.drain_on_signals = options.backend == exp::Backend::kProcs;
-      result = exp::run_experiment_file(ini, options);
+      result = exp::run_experiment(spec, options);
     }
+    exp::write_outputs(result, outputs);
 
     // A drained sweep has holes, and completion_chart requires every cell;
     // print what completed plus the health line so the run is still useful.

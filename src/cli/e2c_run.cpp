@@ -365,9 +365,8 @@ int run(const Options& options) {
     print_usage();
     return 0;
   }
-  // Validated (exit 2 on an unknown name) and installed before any policy is
-  // constructed — policies capture the default at construction.
-  sched::set_default_sched_impl(sched::parse_sched_impl(options.sched_impl));
+  // Validated up front: an unknown name exits 2 before any work starts.
+  const sched::SchedImpl impl = sched::parse_sched_impl(options.sched_impl);
   if (options.list_policies) {
     std::cout << "registered scheduling policies:\n";
     for (const std::string& name : sched::PolicyRegistry::instance().names()) {
@@ -532,7 +531,7 @@ int run(const Options& options) {
 
   viz::SimulationController controller([&] {
     auto simulation =
-        std::make_unique<sched::Simulation>(system, sched::make_policy(options.policy));
+        std::make_unique<sched::Simulation>(system, sched::make_policy(options.policy, impl));
     simulation->load(trace);
     if (!tenant_names.empty()) simulation->set_tenant_names(tenant_names);
     return simulation;

@@ -226,7 +226,7 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
   return nullptr;
 }
 
-[[noreturn]] void serve_worker_main(int cmd_fd, int res_fd) {
+[[noreturn]] void serve_worker_main(int cmd_fd, int res_fd, sched::SchedImpl impl) {
   // Only the supervisor reacts to drain signals; a Ctrl-C on the foreground
   // process group must not kill in-flight units mid-drain.
   ::signal(SIGINT, SIG_IGN);
@@ -262,6 +262,7 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
           CachedJob job;
           job.key = load.job_key;
           job.spec = spec_from_ini(util::IniFile::parse(load.ini_text, "serve job"));
+          job.spec.sched_impl = impl;
           job.system = std::make_shared<const sched::SystemConfig>(job.spec.system);
           job.machine_types = machine_types_of(*job.system);
           job.slots = build_slots(job.spec);
@@ -292,8 +293,8 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
             trace = std::make_shared<const workload::Workload>(detail::generate_trace(
                 job->spec, job->machine_types, slot.intensity, unit.rep));
           }
-          sched::Simulation& simulation =
-              lease_simulation(job->system, sched::make_policy(slot.policy));
+          sched::Simulation& simulation = lease_simulation(
+              job->system, sched::make_policy(slot.policy, job->spec.sched_impl));
           simulation.load(trace);
           simulation.run();
           WorkerUnitResult result;
@@ -366,7 +367,7 @@ struct ServeJob {
 };
 
 void spawn_serve_worker(ServeWorker& worker, std::vector<ServeWorker>& workers,
-                        const std::vector<int>& close_in_child) {
+                        const std::vector<int>& close_in_child, sched::SchedImpl impl) {
   worker.cmd = std::make_unique<util::Pipe>();
   worker.res = std::make_unique<util::Pipe>();
   const pid_t pid = ::fork();
@@ -386,7 +387,7 @@ void spawn_serve_worker(ServeWorker& worker, std::vector<ServeWorker>& workers,
     for (const int fd : close_in_child) ::close(fd);
     worker.cmd->close_write();
     worker.res->close_read();
-    serve_worker_main(worker.cmd->read_fd(), worker.res->write_fd());
+    serve_worker_main(worker.cmd->read_fd(), worker.res->write_fd(), impl);
   }
   worker.pid = pid;
   worker.cmd->close_read();
@@ -708,7 +709,9 @@ std::size_t run_serve(const ServeOptions& options) {
   try {
     {
       const std::vector<int> extra = child_close_list();
-      for (ServeWorker& worker : workers) spawn_serve_worker(worker, workers, extra);
+      for (ServeWorker& worker : workers) {
+        spawn_serve_worker(worker, workers, extra, options.sched_impl);
+      }
     }
 
     for (;;) {
@@ -722,7 +725,7 @@ std::size_t run_serve(const ServeOptions& options) {
         for (ServeWorker& worker : workers) {
           if (worker.alive) continue;
           if (!extra) extra = child_close_list();
-          spawn_serve_worker(worker, workers, *extra);
+          spawn_serve_worker(worker, workers, *extra, options.sched_impl);
           say("respawned worker (pid " + std::to_string(worker.pid) + ")");
         }
       }

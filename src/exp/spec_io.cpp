@@ -237,19 +237,7 @@ ExperimentResult run_experiment_file(const std::string& path, std::size_t worker
   return run_experiment_file(util::IniFile::load(path), workers, progress);
 }
 
-ExperimentResult run_experiment_file(const util::IniFile& ini, std::size_t workers,
-                                     const ProgressFn& progress) {
-  RunOptions options;
-  options.workers = workers;
-  options.progress = progress;
-  return run_experiment_file(ini, options);
-}
-
-ExperimentResult run_experiment_file(const util::IniFile& ini,
-                                     const RunOptions& options) {
-  const ExperimentSpec spec = spec_from_ini(ini);
-  const ExperimentOutputs outputs = outputs_from_ini(ini);
-  ExperimentResult result = run_experiment(spec, options);
+void write_outputs(const ExperimentResult& result, const ExperimentOutputs& outputs) {
   if (outputs.csv_path) {
     util::write_csv_file(*outputs.csv_path, result_csv(result));
   }
@@ -257,6 +245,15 @@ ExperimentResult run_experiment_file(const util::IniFile& ini,
     viz::save_bar_chart_svg(completion_chart(result, outputs.title),
                             *outputs.chart_svg_path);
   }
+}
+
+ExperimentResult run_experiment_file(const util::IniFile& ini, std::size_t workers,
+                                     const ProgressFn& progress) {
+  RunOptions options;
+  options.workers = workers;
+  options.progress = progress;
+  ExperimentResult result = run_experiment(spec_from_ini(ini), options);
+  write_outputs(result, outputs_from_ini(ini));
   return result;
 }
 

@@ -72,19 +72,15 @@ struct ExperimentOutputs {
 /// Reads the [output] section.
 [[nodiscard]] ExperimentOutputs outputs_from_ini(const util::IniFile& ini);
 
+/// Writes the CSV and completion chart \p outputs names for \p result.
+void write_outputs(const ExperimentResult& result, const ExperimentOutputs& outputs);
+
 /// Runs an already-parsed config end to end — runs the sweep, writes the
-/// configured outputs, and returns the result. Callers that need the
-/// [output] section for their own reporting (e2c_experiment) parse the INI
-/// once and pass it here instead of having the file re-read. \p progress
-/// (optional) fires after each cell (see exp::ProgressFn).
+/// configured outputs, and returns the result. \p progress (optional) fires
+/// after each cell (see exp::ProgressFn).
 [[nodiscard]] ExperimentResult run_experiment_file(const util::IniFile& ini,
                                                    std::size_t workers = 0,
                                                    const ProgressFn& progress = {});
-
-/// Full-options variant: backend selection, per-cell timeouts, journal and
-/// resume all come from \p options (e2c_experiment's flag surface).
-[[nodiscard]] ExperimentResult run_experiment_file(const util::IniFile& ini,
-                                                   const RunOptions& options);
 
 /// Convenience: load a config file and run it end to end.
 [[nodiscard]] ExperimentResult run_experiment_file(const std::string& path,

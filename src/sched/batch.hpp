@@ -29,7 +29,7 @@ namespace e2c::sched {
 /// throughput; long tasks can starve under load.
 class MinMinPolicy final : public Policy {
  public:
-  explicit MinMinPolicy(SchedImpl impl = default_sched_impl()) : impl_(impl) {}
+  explicit MinMinPolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MM"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
@@ -44,7 +44,7 @@ class MinMinPolicy final : public Policy {
 /// completion-time minimizer. Prioritizes tasks about to miss.
 class MaxUrgencyPolicy final : public Policy {
  public:
-  explicit MaxUrgencyPolicy(SchedImpl impl = default_sched_impl()) : impl_(impl) {}
+  explicit MaxUrgencyPolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MMU"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
@@ -59,7 +59,7 @@ class MaxUrgencyPolicy final : public Policy {
 /// minimizer.
 class SoonestDeadlinePolicy final : public Policy {
  public:
-  explicit SoonestDeadlinePolicy(SchedImpl impl = default_sched_impl()) : impl_(impl) {}
+  explicit SoonestDeadlinePolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MSD"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;

@@ -1,7 +1,6 @@
 #include "sched/elare.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -13,7 +12,7 @@ ElarePolicy::ElarePolicy(double energy_weight, SchedImpl impl)
                 "ELARE: energy_weight must be in [0, 1]");
 }
 
-double ElarePolicy::fairness_factor(const SchedulingContext&, const workload::TaskDef&) const {
+double ElarePolicy::fairness_factor(const SchedulingContext&, hetero::TaskTypeId) const {
   return 1.0;
 }
 
@@ -53,7 +52,7 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
 
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const workload::TaskDef& task = *pending[i];
-      const double factor = fairness_factor(context, task);
+      const double factor = fairness_factor(context, task.type);
       for (std::size_t j = 0; j < context.machines().size(); ++j) {
         const MachineView& m = context.machines()[j];
         if (m.free_slots == 0) continue;
@@ -78,60 +77,68 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
   }
 }
 
-/// Incremental mapper, decision-equivalent to schedule_reference.
+/// Index mapper, decision-equivalent to schedule_reference.
 ///
-/// Three observations make the hot path cheap without changing a single
-/// pick:
-///  - The normalization maxima range over (pending task, machine-with-slot)
-///    pairs, but both exec_energy and completion depend on the task only
-///    through its *type*. The maxima are therefore maxima over
-///    (live type, machine) — O(types x machines) per round instead of
-///    O(pending x machines) — where a type is live while any uncommitted
-///    task of it remains (deferred tasks keep normalizing, exactly like the
-///    reference's still-pending infeasible tasks). max is exact over
-///    doubles, so the reduced value set gives the bit-identical base.
-///  - The unfactored pair score is also a pure function of (type, machine),
-///    so it lives in a per-type pair table rebuilt only when a
-///    normalization base or the free-slot set changed; after an ordinary
-///    commit only the committed machine's column is recomputed.
-///  - A task's cached best feasible pair stays the argmin while the pair
-///    tables' epoch is unchanged and its machine is not the committed one:
-///    the committed machine's completion (hence score, energy_weight < 1)
-///    only grew, and infeasibility is monotone within an invocation.
+/// Both the score and the feasibility bound of a (task, machine) pair
+/// depend on the task only through its type: the projected completion C and
+/// the energy are functions of (type, machine), and the fairness factor is
+/// per type. Each round therefore works on (live type x machine-with-slot)
+/// tables, O(types x machines), where a type is live while any uncommitted
+/// task of it remains (infeasible tasks keep normalizing, exactly like the
+/// reference's still-pending ones). max is exact over doubles, so the
+/// reduced value set gives the bit-identical normalization bases.
 ///
-/// Fairness factors multiply the whole pair score with an
-/// invocation-constant positive per-task value, so they are computed once
-/// per task; the per-pair comparison still uses the factored score so
-/// rounding ties resolve exactly like the reference.
+/// The reference commits the first minimum in (queue position, machine)
+/// order over feasible pairs. With S* the lowest score over pairs (t, j)
+/// that at least one uncommitted task of type t can meet (deadline >=
+/// C[t][j]), that is: the earliest task, by sequence number, feasible for
+/// some pair of its type scoring exactly S*, on the lowest such machine.
+/// Per S*-pair the earliest feasible task is the first one its type's
+/// arrival-ordered list yields after skipping tasks infeasible for that
+/// pair (and ones already committed), so a pick walks only past those. A
+/// pair whose walk finds nobody is exhausted for the rest of the
+/// invocation: C only grows and the uncommitted set only shrinks.
 void ElarePolicy::schedule_fast(SchedulingContext& context,
                                 std::vector<Assignment>& assignments) {
-  constexpr std::size_t kNoMachine = std::numeric_limits<std::size_t>::max();
   assignments.clear();
-  const auto& queue = context.batch_queue();
+  const TaskIndexQueue& queue = context.batch_index();
   const auto& machines = context.machines();
-  const std::size_t task_count = queue.size();
   const std::size_t machine_count = machines.size();
-  const std::size_t type_count = context.eet().task_type_count();
+  const std::size_t type_count = queue.type_count();
   ElareMapperScratch& s = scratch_;
 
-  s.state.assign(task_count, MapSlot::kActive);
-  s.factor.assign(task_count, -1.0);
-  s.best_machine.assign(task_count, kNoMachine);
-  s.best_score.assign(task_count, 0.0);
-  s.epoch.assign(task_count, 0);
-  s.type_count.assign(type_count, 0);
-  for (const workload::TaskDef* task : queue) ++s.type_count[task->type];
-  s.pair_completion.assign(type_count * machine_count, 0.0);
-  s.pair_score.assign(type_count * machine_count, 0.0);
+  // Tables are indexed by type id but only the queued types' entries are
+  // written and read, so a round costs O(queued types x machines) however
+  // large the EET is.
+  const std::span<const hetero::TaskTypeId> types = queue.live_types();
+  s.live.resize(type_count);
+  s.factor.resize(type_count);
+  s.pair_completion.resize(type_count * machine_count);
+  s.pair_score.resize(type_count * machine_count);
+  s.exhausted.resize(type_count * machine_count);
+  for (const hetero::TaskTypeId t : types) {
+    s.live[t] = queue.count(t);
+    s.factor[t] = fairness_factor(context, t);
+    std::fill_n(s.exhausted.begin() + static_cast<std::ptrdiff_t>(t * machine_count),
+                machine_count, std::uint8_t{0});
+  }
+  s.committed.clear();
 
-  std::size_t active = task_count;
-  std::uint32_t table_epoch = 0;  // epoch 0 never matches a cache entry
-  double prev_max_energy = -1.0;
-  double prev_max_completion = -1.0;
-  std::size_t dirty_machine = kNoMachine;  // machine committed last round
-  bool slots_changed = false;              // a machine ran out of slots
+  const auto committed = [&](std::uint32_t seq) {
+    return std::binary_search(s.committed.begin(), s.committed.end(), seq);
+  };
+  // Earliest uncommitted task of type t that meets \p completion.
+  const auto first_feasible = [&](std::size_t t, core::SimTime completion) {
+    std::int32_t node = queue.head(t);
+    while (node != TaskIndexQueue::kNil &&
+           (completion > queue.def(node).deadline || committed(queue.seq(node)))) {
+      node = queue.next(node);
+    }
+    return node;
+  };
 
-  while (active > 0) {
+  std::size_t pending = queue.size();
+  while (pending > 0) {
     // Normalization bases over (live type, machine-with-slot) pairs; the
     // same value set the reference's pending x machines rescan maximizes.
     double max_energy = 0.0;
@@ -141,8 +148,8 @@ void ElarePolicy::schedule_fast(SchedulingContext& context,
       const MachineView& m = machines[j];
       if (m.free_slots == 0) continue;
       any_slot = true;
-      for (std::size_t t = 0; t < type_count; ++t) {
-        if (s.type_count[t] == 0) continue;
+      for (const hetero::TaskTypeId t : types) {
+        if (s.live[t] == 0) continue;
         const double exec = context.eet().eet_unchecked(t, m.type);
         max_energy = std::max(max_energy, exec * m.busy_watts);
         max_completion = std::max(max_completion, m.ready_time + exec);
@@ -150,101 +157,90 @@ void ElarePolicy::schedule_fast(SchedulingContext& context,
     }
     if (!any_slot || max_energy <= 0.0 || max_completion <= 0.0) break;
 
-    // Refresh the pair tables. A changed base (or slot set) re-scores every
-    // pair; otherwise only the committed machine's column moved.
-    const bool full_rebuild = max_energy != prev_max_energy ||
-                              max_completion != prev_max_completion || slots_changed ||
-                              table_epoch == 0;
-    const auto score_pair = [&](std::size_t t, std::size_t j) {
-      const MachineView& m = machines[j];
-      const double exec = context.eet().eet_unchecked(t, m.type);
-      const core::SimTime completion = m.ready_time + exec;
-      s.pair_completion[t * machine_count + j] = completion;
-      // Same expression shape as the reference's score (divisions block
-      // FMA contraction), evaluated on identical operands.
-      s.pair_score[t * machine_count + j] =
-          energy_weight_ * (exec * m.busy_watts) / max_energy +
-          (1.0 - energy_weight_) * completion / max_completion;
-    };
-    if (full_rebuild) {
-      ++table_epoch;
-      for (std::size_t t = 0; t < type_count; ++t) {
-        if (s.type_count[t] == 0) continue;
-        for (std::size_t j = 0; j < machine_count; ++j) {
-          if (machines[j].free_slots == 0) continue;
-          score_pair(t, j);
-        }
-      }
-    } else if (dirty_machine != kNoMachine) {
-      for (std::size_t t = 0; t < type_count; ++t) {
-        if (s.type_count[t] == 0) continue;
-        score_pair(t, dirty_machine);
+    for (const hetero::TaskTypeId t : types) {
+      if (s.live[t] == 0) continue;
+      for (std::size_t j = 0; j < machine_count; ++j) {
+        const MachineView& m = machines[j];
+        if (m.free_slots == 0) continue;
+        const double exec = context.eet().eet_unchecked(t, m.type);
+        const core::SimTime completion = m.ready_time + exec;
+        s.pair_completion[t * machine_count + j] = completion;
+        // Same expression shape as the reference's score (divisions block
+        // FMA contraction), evaluated on identical operands.
+        s.pair_score[t * machine_count + j] =
+            s.factor[t] * (energy_weight_ * (exec * m.busy_watts) / max_energy +
+                           (1.0 - energy_weight_) * completion / max_completion);
       }
     }
-    prev_max_energy = max_energy;
-    prev_max_completion = max_completion;
 
-    std::size_t best_task = task_count;
-    std::size_t best_machine = machine_count;
+    // Lowest score over pairs not yet known to be exhausted; then the
+    // earliest task feasible for any pair at that score. If every pair at
+    // the score is exhausted, retry at the next score.
+    std::int32_t pick = TaskIndexQueue::kNil;
+    std::size_t pick_type = 0;
     double best_score = 0.0;
-
-    for (std::size_t i = 0; i < task_count; ++i) {
-      if (s.state[i] != MapSlot::kActive) continue;
-      const workload::TaskDef& task = *queue[i];
-      const bool stale = s.epoch[i] != table_epoch ||
-                         (!full_rebuild && s.best_machine[i] == dirty_machine);
-      if (stale) {
-        if (s.factor[i] < 0.0) s.factor[i] = fairness_factor(context, task);
-        const double factor = s.factor[i];
-        const double* pair_score = &s.pair_score[task.type * machine_count];
-        const double* pair_completion = &s.pair_completion[task.type * machine_count];
-        std::size_t pick = machine_count;
-        double pick_score = 0.0;
+    for (;;) {
+      bool found = false;
+      for (const hetero::TaskTypeId t : types) {
+        if (s.live[t] == 0) continue;
         for (std::size_t j = 0; j < machine_count; ++j) {
-          if (machines[j].free_slots == 0) continue;
-          if (pair_completion[j] > task.deadline) continue;  // infeasible pair
-          const double score = factor * pair_score[j];
-          if (pick == machine_count || score < pick_score) {
-            pick = j;
-            pick_score = score;
+          const std::size_t pair = t * machine_count + j;
+          if (machines[j].free_slots == 0 || s.exhausted[pair] != 0) continue;
+          if (!found || s.pair_score[pair] < best_score) {
+            best_score = s.pair_score[pair];
+            found = true;
           }
         }
-        if (pick == machine_count) {  // infeasible everywhere: defer (prune)
-          s.state[i] = MapSlot::kDeferred;
-          --active;
-          continue;
-        }
-        s.best_machine[i] = pick;
-        s.best_score[i] = pick_score;
-        s.epoch[i] = table_epoch;
       }
-      if (best_task == task_count || s.best_score[i] < best_score) {
-        best_task = i;
-        best_machine = s.best_machine[i];
-        best_score = s.best_score[i];
+      if (!found) break;
+      for (const hetero::TaskTypeId t : types) {
+        if (s.live[t] == 0) continue;
+        for (std::size_t j = 0; j < machine_count; ++j) {
+          const std::size_t pair = t * machine_count + j;
+          if (machines[j].free_slots == 0 || s.exhausted[pair] != 0 ||
+              s.pair_score[pair] != best_score) {
+            continue;
+          }
+          const std::int32_t node = first_feasible(t, s.pair_completion[pair]);
+          if (node == TaskIndexQueue::kNil) {
+            s.exhausted[pair] = 1;
+          } else if (pick == TaskIndexQueue::kNil || queue.seq(node) < queue.seq(pick)) {
+            pick = node;
+            pick_type = t;
+          }
+        }
+      }
+      if (pick != TaskIndexQueue::kNil) break;
+    }
+    if (pick == TaskIndexQueue::kNil) break;  // every remaining task is infeasible
+
+    const workload::TaskDef& task = queue.def(pick);
+    std::size_t best_machine = 0;
+    for (std::size_t j = 0; j < machine_count; ++j) {
+      const std::size_t pair = pick_type * machine_count + j;
+      if (machines[j].free_slots != 0 && s.pair_score[pair] == best_score &&
+          s.pair_completion[pair] <= task.deadline) {
+        best_machine = j;
+        break;
       }
     }
-    if (best_task == task_count) break;  // every remaining task is infeasible
-
-    const workload::TaskDef& task = *queue[best_task];
     assignments.push_back(Assignment{task.id, machines[best_machine].id});
-    const std::size_t slots_before = machines[best_machine].free_slots;
     context.commit(task, best_machine);
-    s.state[best_task] = MapSlot::kCommitted;
-    --active;
-    --s.type_count[task.type];
-    dirty_machine = best_machine;
-    slots_changed = slots_before != kUnlimitedSlots && slots_before <= 1;
+    s.committed.insert(
+        std::upper_bound(s.committed.begin(), s.committed.end(), queue.seq(pick)),
+        queue.seq(pick));
+    --s.live[pick_type];
+    --pending;
   }
 }
 
 double FelarePolicy::fairness_factor(const SchedulingContext& context,
-                                     const workload::TaskDef& task) const {
+                                     hetero::TaskTypeId type) const {
   // A type completing only 40% on time gets factor ~0.4+eps: its score
   // shrinks, so its tasks win ties against well-served types. The floor
   // keeps starved types from monopolizing the mapper outright.
   constexpr double kFloor = 0.2;
-  const double rate = context.type_ontime_rate(task.type);
+  const double rate = context.type_ontime_rate(type);
   return std::max(kFloor, rate);
 }
 

@@ -21,9 +21,10 @@
 /// constants below are this implementation's (documented) choices.
 ///
 /// Two implementations are selectable at construction (see SchedImpl): the
-/// incremental fast path (cached best pairs, incrementally maintained
-/// normalization maxima — DESIGN.md §8) and the original full-rescan
-/// reference, retained as the decision-equivalence oracle.
+/// fast path over the per-type batch-queue index (per-(type, machine) pair
+/// tables, no per-task work beyond the few tasks a pick walks past —
+/// DESIGN.md §8) and the original full-rescan reference, retained as the
+/// decision-equivalence oracle.
 #pragma once
 
 #include "sched/mapper_scratch.hpp"
@@ -36,21 +37,22 @@ class ElarePolicy : public Policy {
  public:
   /// \param energy_weight weight of the energy term in [0, 1]; the latency
   /// term gets 1 - energy_weight. The published evaluation balances the two.
-  explicit ElarePolicy(double energy_weight = 0.5,
-                       SchedImpl impl = default_sched_impl());
+  explicit ElarePolicy(double energy_weight = 0.5, SchedImpl impl = SchedImpl::kFast);
 
   [[nodiscard]] std::string name() const override { return "ELARE"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
 
  protected:
-  /// Fairness discount multiplier for a task's score; 1.0 in plain ELARE,
-  /// overridden by FELARE. The fast path caches the factor per task for the
-  /// duration of one invocation, so overrides must not depend on the
-  /// machine projections (which change as the mapper commits picks) — both
-  /// built-ins depend only on invocation-constant inputs.
+  /// Fairness discount multiplier (> 0) for the score of every task of
+  /// \p type; 1.0 in plain ELARE, overridden by FELARE. The factor is per
+  /// task type: the fast path scores (type, machine) pairs, never single
+  /// tasks, and computes the factor once per type per invocation, so
+  /// overrides must not depend on the machine projections (which change as
+  /// the mapper commits picks) — both built-ins depend only on the type's
+  /// observed on-time rate.
   [[nodiscard]] virtual double fairness_factor(const SchedulingContext& context,
-                                               const workload::TaskDef& task) const;
+                                               hetero::TaskTypeId type) const;
 
  private:
   void schedule_reference(SchedulingContext& context, std::vector<Assignment>& out);
@@ -64,14 +66,13 @@ class ElarePolicy : public Policy {
 /// Fair ELARE: boosts task types with the worst observed on-time rate.
 class FelarePolicy final : public ElarePolicy {
  public:
-  explicit FelarePolicy(double energy_weight = 0.5,
-                        SchedImpl impl = default_sched_impl())
+  explicit FelarePolicy(double energy_weight = 0.5, SchedImpl impl = SchedImpl::kFast)
       : ElarePolicy(energy_weight, impl) {}
   [[nodiscard]] std::string name() const override { return "FELARE"; }
 
  protected:
   [[nodiscard]] double fairness_factor(const SchedulingContext& context,
-                                       const workload::TaskDef& task) const override;
+                                       hetero::TaskTypeId type) const override;
 };
 
 }  // namespace e2c::sched

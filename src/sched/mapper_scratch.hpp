@@ -1,11 +1,11 @@
 /// \file mapper_scratch.hpp
 /// \brief Per-policy scratch state for the incremental batch mappers.
 ///
-/// The fast mappers (DESIGN.md §8) cache per-task / per-type best-pair
-/// picks across the rounds of one schedule() invocation. The backing
-/// vectors live on the policy instance so steady-state invocations reuse
-/// their capacity instead of re-allocating every scheduler round (policies
-/// are per-simulation and single-threaded, like the simulation itself).
+/// The fast mappers (DESIGN.md §8) keep per-type and per-pair tables across
+/// the rounds of one schedule() invocation. The backing vectors live on the
+/// policy instance so steady-state invocations reuse their capacity instead
+/// of re-allocating every scheduler round (policies are per-simulation and
+/// single-threaded, like the simulation itself).
 #pragma once
 
 #include <cstddef>
@@ -35,18 +35,16 @@ struct BatchMapperScratch {
 };
 
 /// Scratch for ELARE/FELARE: scores mix energy and completion against
-/// per-invocation normalization maxima, and feasibility depends on each
-/// task's deadline, so the cache is per task on top of per-(type, machine)
-/// pair tables.
+/// per-round normalization maxima, but both depend on the task only through
+/// its type, so every table is per (type, machine) pair and nothing is per
+/// task (see ElarePolicy::schedule_fast).
 struct ElareMapperScratch {
-  std::vector<MapSlot> state;          ///< per batch-queue entry
-  std::vector<double> factor;          ///< fairness factor, lazily cached (<0 = unset)
-  std::vector<std::size_t> best_machine;  ///< cached best feasible pair
-  std::vector<double> best_score;
-  std::vector<std::uint32_t> epoch;    ///< pair-table generation the cache matches
-  std::vector<std::size_t> type_count; ///< uncommitted tasks per type (live types)
-  std::vector<double> pair_completion; ///< [type * machines + machine]
-  std::vector<double> pair_score;      ///< unfactored score of the pair
+  std::vector<std::size_t> live;        ///< uncommitted tasks per type
+  std::vector<double> factor;           ///< fairness factor per type
+  std::vector<double> pair_completion;  ///< [type * machines + machine]
+  std::vector<double> pair_score;       ///< factored score of the pair
+  std::vector<std::uint8_t> exhausted;  ///< 1: no uncommitted task can meet the pair
+  std::vector<std::uint32_t> committed; ///< sequence numbers mapped so far, sorted
 };
 
 }  // namespace e2c::sched

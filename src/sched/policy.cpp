@@ -7,10 +7,6 @@ namespace e2c::sched {
 
 namespace {
 
-// Startup-written, read-only afterwards (parallel experiment workers create
-// policies concurrently, but never while a CLI is still parsing flags).
-SchedImpl g_default_sched_impl = SchedImpl::kFast;
-
 template <typename Score>
 std::size_t argmin_with_space(const SchedulingContext& context, Score score) {
   const auto& machines = context.machines();
@@ -29,9 +25,18 @@ std::size_t argmin_with_space(const SchedulingContext& context, Score score) {
 
 }  // namespace
 
-SchedImpl default_sched_impl() noexcept { return g_default_sched_impl; }
-
-void set_default_sched_impl(SchedImpl impl) noexcept { g_default_sched_impl = impl; }
+const TaskIndexQueue& SchedulingContext::batch_index() const {
+  if (index_ != nullptr) return *index_;
+  if (!owned_) {
+    // Pushed in vector order, so sequence order is vector order.
+    owned_ = std::make_unique<OwnedIndex>();
+    owned_->defs.reserve(batch_queue_.size());
+    for (const workload::TaskDef* task : batch_queue_) owned_->defs.push_back(*task);
+    owned_->index.reset(owned_->defs, eet_->task_type_count());
+    for (std::size_t i = 0; i < owned_->defs.size(); ++i) owned_->index.push_back(i);
+  }
+  return owned_->index;
+}
 
 std::vector<std::string> sched_impl_names() { return {"fast", "reference"}; }
 

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/sim_time.hpp"
 #include "hetero/eet_matrix.hpp"
 #include "hetero/pet_matrix.hpp"
+#include "sched/task_index_queue.hpp"
 #include "workload/task.hpp"
 
 namespace e2c::sched {
@@ -36,13 +38,10 @@ struct Assignment {
 /// the decision-equivalence oracle. Both emit the identical assignment
 /// sequence — kReference exists so anyone can A/B the two on their own
 /// workload (`--sched-impl`) and so the differential tests have an oracle.
+/// The choice is an explicit constructor / make_policy argument (kFast by
+/// default) that the experiment spec and the service options carry to
+/// every worker; there is no process-wide default.
 enum class SchedImpl { kFast, kReference };
-
-/// The process-wide default implementation new batch policies pick up
-/// (kFast unless overridden). Set once at startup (CLI flag), read from
-/// worker threads afterwards.
-[[nodiscard]] SchedImpl default_sched_impl() noexcept;
-void set_default_sched_impl(SchedImpl impl) noexcept;
 
 /// Registered implementation names, selection order: {"fast", "reference"}.
 [[nodiscard]] std::vector<std::string> sched_impl_names();
@@ -76,10 +75,20 @@ struct MachineView {
 inline constexpr std::size_t kUnlimitedSlots = std::numeric_limits<std::size_t>::max();
 
 /// Everything a policy may consult while deciding. The context is a
-/// per-invocation copy: policies are free to mutate machine views through
-/// commit() and to reorder/filter their own working copies of the queue.
+/// per-invocation copy of the machine views: policies are free to mutate
+/// them through commit() and to reorder/filter their own working copies of
+/// the queue.
+///
+/// The batch queue is offered two ways. batch_queue() is the arrival-ordered
+/// vector every policy can walk; batch_index() is the per-type index (task
+/// counts per type, each type's tasks in arrival order, sequence numbers
+/// ordering tasks across types) for mappers whose scores depend only on the
+/// task type. A context built by the simulation wraps its live index and
+/// builds the vector only if a policy asks for it; a context built from a
+/// vector (tests, tools) builds the index only if a policy asks for that.
 class SchedulingContext {
  public:
+  /// Context over an explicit arrival-ordered batch queue.
   SchedulingContext(core::SimTime now, const hetero::EetMatrix& eet,
                     std::vector<MachineView> machines,
                     std::vector<const workload::TaskDef*> batch_queue,
@@ -90,6 +99,19 @@ class SchedulingContext {
         pet_(pet),
         machines_(std::move(machines)),
         batch_queue_(std::move(batch_queue)),
+        type_ontime_rate_(std::move(type_ontime_rate)) {}
+
+  /// Context over a live batch-queue index, which must outlive the context
+  /// and stay unchanged while it is in use. Nothing is copied.
+  SchedulingContext(core::SimTime now, const hetero::EetMatrix& eet,
+                    std::vector<MachineView> machines, const TaskIndexQueue& batch_index,
+                    std::vector<double> type_ontime_rate,
+                    const hetero::PetMatrix* pet = nullptr)
+      : now_(now),
+        eet_(&eet),
+        pet_(pet),
+        machines_(std::move(machines)),
+        index_(&batch_index),
         type_ontime_rate_(std::move(type_ontime_rate)) {}
 
   /// Current simulated time.
@@ -104,9 +126,14 @@ class SchedulingContext {
   }
 
   /// Unmapped tasks in arrival order (the batch queue of Fig. 1).
-  [[nodiscard]] const std::vector<const workload::TaskDef*>& batch_queue() const noexcept {
-    return batch_queue_;
+  [[nodiscard]] const std::vector<const workload::TaskDef*>& batch_queue() const {
+    return index_ != nullptr ? index_->ordered() : batch_queue_;
   }
+
+  /// The same tasks as batch_queue(), indexed by task type (see
+  /// TaskIndexQueue): a type's tasks in arrival order, sequence numbers
+  /// ordering tasks across types.
+  [[nodiscard]] const TaskIndexQueue& batch_index() const;
 
   /// Expected execution time of \p task on machine view \p m. Machine views
   /// and task records are validated against the EET shape at construction,
@@ -163,13 +190,11 @@ class SchedulingContext {
 
   /// Hands the context's buffers back to the caller after schedule() so a
   /// per-round driver (Simulation::run_scheduler) can recycle their capacity
-  /// instead of reallocating three vectors on every scheduler invocation.
+  /// instead of reallocating two vectors on every scheduler invocation.
   /// The context must not be used afterwards.
   void release_buffers(std::vector<MachineView>& machines,
-                       std::vector<const workload::TaskDef*>& batch_queue,
                        std::vector<double>& type_ontime_rate) noexcept {
     machines = std::move(machines_);
-    batch_queue = std::move(batch_queue_);
     type_ontime_rate = std::move(type_ontime_rate_);
   }
 
@@ -178,7 +203,17 @@ class SchedulingContext {
   const hetero::EetMatrix* eet_;
   const hetero::PetMatrix* pet_ = nullptr;
   std::vector<MachineView> machines_;
+  /// The index of a vector-built context, over its own copy of the
+  /// definitions (positions in the vector are the task indices).
+  struct OwnedIndex {
+    std::vector<workload::TaskDef> defs;
+    TaskIndexQueue index;
+  };
+  /// Exactly one of the two queue forms is the source: index_ when set,
+  /// batch_queue_ otherwise, whose index is built into owned_ on first use.
+  const TaskIndexQueue* index_ = nullptr;
   std::vector<const workload::TaskDef*> batch_queue_;
+  mutable std::unique_ptr<OwnedIndex> owned_;
   std::vector<double> type_ontime_rate_;
 };
 
@@ -186,6 +221,15 @@ class SchedulingContext {
 enum class PolicyMode { kImmediate, kBatch };
 
 /// Base class for all scheduling policies.
+///
+/// Two contracts hold for every policy:
+///  - schedule_into() runs only when at least one machine view has a free
+///    slot (see schedule_into below); a round where none has one is counted
+///    in Simulation::scheduler_invocations() without calling the policy.
+///  - Score hooks that subclasses override to reshape a built-in mapper are
+///    per task type, not per task: ElarePolicy::fairness_factor(context,
+///    type) is evaluated once per type per invocation, because the fast
+///    mapper scores (type, machine) pairs and never single tasks.
 class Policy {
  public:
   virtual ~Policy() = default;
@@ -202,6 +246,12 @@ class Policy {
   /// reference a task from the batch queue and a machine with a free
   /// (projected) slot. Tasks not assigned stay in the batch queue for the
   /// next invocation (or cancellation).
+  ///
+  /// The simulation calls this only when the batch queue is non-empty and at
+  /// least one machine view has a free slot. A round in which every machine
+  /// is full (or offline) still counts as a scheduler invocation, but the
+  /// policy is not called: it could not map anything, so a policy must not
+  /// rely on being called to advance its own state.
   ///
   /// The out-parameter is the hot-path form: the simulation lends the same
   /// scratch vector to every invocation, so a steady-state scheduler round

@@ -46,9 +46,8 @@ Simulation::Simulation(std::shared_ptr<const SystemConfig> config,
 
   // Immediate policies always run with unbounded machine queues (Fig. 3:
   // "machine queue size is limited to infinite for immediate policies").
-  const std::size_t capacity = policy_->mode() == PolicyMode::kImmediate
-                                   ? machines::kUnboundedQueue
-                                   : cfg().machine_queue_capacity;
+  queue_capacity_ = policy_->mode() == PolicyMode::kImmediate ? machines::kUnboundedQueue
+                                                              : cfg().machine_queue_capacity;
 
   machines_.reserve(cfg().machines.size());
   for (std::size_t i = 0; i < cfg().machines.size(); ++i) {
@@ -57,7 +56,7 @@ Simulation::Simulation(std::shared_ptr<const SystemConfig> config,
                   "Simulation: machine '" + instance.name +
                       "' references a type outside the EET matrix");
     machines_.push_back(std::make_unique<machines::Machine>(
-        engine_, i, instance.name, instance.type, instance.power, capacity));
+        engine_, i, instance.name, instance.type, instance.power, queue_capacity_));
     machines_.back()->set_listener(this);
     // state_ is a member of a non-movable class: its address is stable.
     machines_.back()->set_task_state(&state_);
@@ -184,7 +183,7 @@ void Simulation::init_task_state() {
       group_of_[member] = static_cast<std::uint32_t>(g);
     }
   }
-  batch_queue_.reset(state_.size());
+  batch_queue_.reset(state_.defs, cfg().eet.task_type_count());
 }
 
 void Simulation::schedule_control_events() {
@@ -273,7 +272,7 @@ void Simulation::reset(std::unique_ptr<Policy> policy) {
   in_flight_.clear();
   group_of_.clear();
   groups_.clear();
-  batch_queue_.reset(0);
+  batch_queue_.reset({}, cfg().eet.task_type_count());
   missed_order_.clear();
   counters_ = SimulationCounters{};
   scheduler_invocations_ = 0;
@@ -306,7 +305,7 @@ bool Simulation::finished() const noexcept {
 std::vector<workload::TaskId> Simulation::batch_queue_ids() const {
   std::vector<workload::TaskId> ids;
   ids.reserve(batch_queue_.size());
-  batch_queue_.for_each([&](std::size_t index) { ids.push_back(state_.id(index)); });
+  for (const workload::TaskDef* task : batch_queue_.ordered()) ids.push_back(task->id);
   return ids;
 }
 
@@ -429,14 +428,14 @@ void Simulation::run_scheduler() {
   if (batch_queue_.empty()) return;
   ++scheduler_invocations_;
 
-  // The three context buffers are scratch members: run_scheduler fires once
-  // per batch round, and reusing their capacity avoids three heap
-  // allocations per round on the hot path.
+  // The two context buffers are scratch members: run_scheduler fires once
+  // per batch round, and reusing their capacity avoids two heap allocations
+  // per round on the hot path.
   std::vector<MachineView>& views = views_scratch_;
   views.clear();
   views.reserve(machines_.size());
-  const bool unbounded = policy_->mode() == PolicyMode::kImmediate ||
-                         cfg().machine_queue_capacity == machines::kUnboundedQueue;
+  const bool unbounded = queue_capacity_ == machines::kUnboundedQueue;
+  bool any_slot = false;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     const machines::Machine& machine = *machines_[m];
     MachineView view;
@@ -445,30 +444,31 @@ void Simulation::run_scheduler() {
     // Projected ready time includes work whose payload is still in flight.
     view.ready_time = machine.ready_time() + in_flight_exec_[m];
     const std::size_t used = machine.queue_length() + in_flight_count_[m];
-    if (!machine.online() || (!unbounded && used >= cfg().machine_queue_capacity)) {
+    if (!machine.online() || (!unbounded && used >= queue_capacity_)) {
       view.free_slots = 0;
     } else {
-      view.free_slots =
-          unbounded ? kUnlimitedSlots : cfg().machine_queue_capacity - used;
+      view.free_slots = unbounded ? kUnlimitedSlots : queue_capacity_ - used;
+      any_slot = true;
     }
     view.idle_watts = machine.power().idle_watts;
     view.busy_watts = machine.power().busy_watts;
     view.availability = machine.availability(engine_.now());
     views.push_back(view);
   }
-
-  std::vector<const workload::TaskDef*>& queue_view = queue_view_scratch_;
-  queue_view.clear();
-  queue_view.reserve(batch_queue_.size());
-  batch_queue_.for_each([&](std::size_t index) { queue_view.push_back(&state_.def(index)); });
+  // Every machine is full or offline: no policy can map anything (the
+  // schedule_into contract), so the round is counted but the policy is not
+  // called. At overload most arrivals post such a round.
+  if (!any_slot) return;
 
   // Maintained incrementally by record_outcome(); identical to recomputing
   // type_ontime_rate(t) for every type here, without the O(types) sweep.
   std::vector<double>& rates = rates_scratch_;
 
-  SchedulingContext context(engine_.now(), cfg().eet, std::move(views),
-                            std::move(queue_view), std::move(rates),
-                            cfg().pet ? &*cfg().pet : nullptr);
+  // The context wraps the live batch-queue index: no per-round copy of the
+  // queue (policies that want the arrival-ordered vector get the index's
+  // cached merge).
+  SchedulingContext context(engine_.now(), cfg().eet, std::move(views), batch_queue_,
+                            std::move(rates), cfg().pet ? &*cfg().pet : nullptr);
   // Lent like the context buffers above: schedule_into clears and refills
   // it, so a steady-state scheduler round makes zero allocator calls.
   std::vector<Assignment>& assignments = assignments_scratch_;
@@ -479,10 +479,10 @@ void Simulation::run_scheduler() {
     // policy must not leave them moved-out-empty, or the next
     // record_outcome() writes rates_scratch_[type] past a zero-size
     // vector (reset() only re-fills, it does not re-size).
-    context.release_buffers(views_scratch_, queue_view_scratch_, rates_scratch_);
+    context.release_buffers(views_scratch_, rates_scratch_);
     throw;
   }
-  context.release_buffers(views_scratch_, queue_view_scratch_, rates_scratch_);
+  context.release_buffers(views_scratch_, rates_scratch_);
   for (const Assignment& assignment : assignments) apply_assignment(assignment);
 }
 
@@ -500,10 +500,9 @@ void Simulation::apply_assignment(const Assignment& assignment) {
     return "policy '" + policy_name_ + "' overflowed queue of machine '" +
            machine.name() + "'";
   });
-  const bool bounded = policy_->mode() != PolicyMode::kImmediate &&
-                       cfg().machine_queue_capacity != machines::kUnboundedQueue;
-  require_input(!bounded || machine.queue_length() + in_flight_count_[assignment.machine] <
-                                cfg().machine_queue_capacity,
+  require_input(queue_capacity_ == machines::kUnboundedQueue ||
+                    machine.queue_length() + in_flight_count_[assignment.machine] <
+                        queue_capacity_,
                 [&] {
                   return "policy '" + policy_name_ +
                          "' overflowed reserved (in-flight) capacity of machine '" +

@@ -313,15 +313,18 @@ class Simulation final : public machines::MachineListener {
   std::unordered_map<workload::TaskId, std::size_t> index_map_;
   /// Pending deadline-check event per task index (kNoEvent when none).
   std::vector<core::EventId> deadline_event_;
-  /// Batch queue over task indices: O(1) membership/removal, arrival order
-  /// preserved (see TaskIndexQueue).
+  /// Batch queue over task indices: O(1) membership/removal, per-type lists
+  /// in arrival order (see TaskIndexQueue).
   TaskIndexQueue batch_queue_;
   std::vector<workload::TaskId> missed_order_;
+
+  /// Waiting-slot capacity of every machine queue, fixed at construction:
+  /// kUnboundedQueue for immediate policies, the configured size otherwise.
+  std::size_t queue_capacity_ = 0;
 
   // Per-round scheduler scratch, recycled through SchedulingContext's
   // release_buffers() so run_scheduler() allocates nothing at steady state.
   std::vector<MachineView> views_scratch_;
-  std::vector<const workload::TaskDef*> queue_view_scratch_;
   std::vector<double> rates_scratch_;
   std::vector<Assignment> assignments_scratch_;
 

@@ -1,97 +1,204 @@
 /// \file task_index_queue.hpp
-/// \brief Order-preserving O(1) membership queue over dense task indices.
+/// \brief The batch queue: per-type, arrival-ordered intrusive lists over
+/// dense task indices.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
+#include "workload/task.hpp"
 
 namespace e2c::sched {
 
-/// The batch queue's backing structure: an intrusive doubly-linked list
-/// threaded through two flat arrays indexed by task index (tasks are dense
-/// 0..n-1). push_back/erase/contains are O(1) and iteration preserves
-/// arrival (insertion) order — replacing the vector + std::find/erase paths
-/// that made every deadline drop, assignment and replica cancel O(queue).
+/// The batch queue's backing structure. Tasks are dense indices 0..n-1 into
+/// a bound definitions span; each enqueued task sits in the intrusive
+/// doubly-linked list of its task type, threaded through two flat arrays,
+/// and carries an insertion sequence number. push_back/erase/contains are
+/// O(1), a type's list is in arrival (insertion) order, and the sequence
+/// numbers order tasks across types — so a mapper whose scores depend only
+/// on the task type (ELARE/FELARE) walks a few short per-type lists instead
+/// of the whole queue, while the full arrival order is a merge by sequence.
 ///
-/// A task index may re-enter the queue after leaving it (fault retries).
+/// A task index may re-enter the queue after leaving it (fault retries); it
+/// then takes a fresh sequence number and sorts last, exactly as the old
+/// single arrival-ordered list appended it at the tail.
 class TaskIndexQueue {
  public:
-  /// Sizes the structure for task indices [0, count) and empties it.
-  void reset(std::size_t count) {
-    next_.assign(count, kNil);
-    prev_.assign(count, kNil);
-    member_.assign(count, 0);
-    head_ = kNil;
-    tail_ = kNil;
+  /// List terminator returned by head() and next().
+  static constexpr std::int32_t kNil = -1;
+
+  /// Binds the queue to \p defs (task index i is defs[i]) with one list per
+  /// task type in [0, type_count), and empties it.
+  void reset(std::span<const workload::TaskDef> defs, std::size_t type_count) {
+    require(defs.size() <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
+            "TaskIndexQueue::reset: too many tasks");
+    defs_ = defs;
+    next_.assign(defs.size(), kNil);
+    prev_.assign(defs.size(), kNil);
+    seq_.assign(defs.size(), 0);
+    lists_.assign(type_count, List{});
+    live_types_.clear();
+    next_seq_ = 1;
     size_ = 0;
+    ordered_.clear();
+    ordered_valid_ = true;
   }
 
-  /// Appends \p index. Requires index < capacity and not already enqueued.
+  /// Appends \p index at the tail of its type's list. Requires index < the
+  /// bound task count, a type below type_count() and not already enqueued.
   void push_back(std::size_t index) {
-    require(index < member_.size(), "TaskIndexQueue::push_back: index out of range");
-    require(member_[index] == 0, "TaskIndexQueue::push_back: index already enqueued");
+    require(index < seq_.size(), "TaskIndexQueue::push_back: index out of range");
+    require(seq_[index] == 0, "TaskIndexQueue::push_back: index already enqueued");
+    const hetero::TaskTypeId type = defs_[index].type;
+    require(type < lists_.size(), "TaskIndexQueue::push_back: task type out of range");
+    // 0 marks "not enqueued", so the counter may not wrap: 2^32 - 1 pushes
+    // per reset() is the queue's capacity.
+    require(next_seq_ != 0, "TaskIndexQueue::push_back: sequence numbers exhausted");
+    List& list = lists_[type];
     const auto node = static_cast<std::int32_t>(index);
-    member_[index] = 1;
+    seq_[index] = next_seq_++;
     next_[index] = kNil;
-    prev_[index] = tail_;
-    if (tail_ != kNil) {
-      next_[static_cast<std::size_t>(tail_)] = node;
+    prev_[index] = list.tail;
+    if (list.tail != kNil) {
+      next_[static_cast<std::size_t>(list.tail)] = node;
     } else {
-      head_ = node;
+      list.head = node;
     }
-    tail_ = node;
+    list.tail = node;
+    if (list.count++ == 0) {
+      list.live_slot = live_types_.size();
+      live_types_.push_back(type);
+    }
     ++size_;
+    ordered_valid_ = false;
   }
 
   /// Unlinks \p index; returns false when it is not in the queue.
   bool erase(std::size_t index) {
-    if (index >= member_.size() || member_[index] == 0) return false;
+    if (!contains(index)) return false;
+    List& list = lists_[defs_[index].type];
     const std::int32_t before = prev_[index];
     const std::int32_t after = next_[index];
     if (before != kNil) {
       next_[static_cast<std::size_t>(before)] = after;
     } else {
-      head_ = after;
+      list.head = after;
     }
     if (after != kNil) {
       prev_[static_cast<std::size_t>(after)] = before;
     } else {
-      tail_ = before;
+      list.tail = before;
     }
-    member_[index] = 0;
+    seq_[index] = 0;
     next_[index] = kNil;
     prev_[index] = kNil;
+    if (--list.count == 0) {
+      const hetero::TaskTypeId moved = live_types_.back();
+      live_types_[list.live_slot] = moved;
+      lists_[moved].live_slot = list.live_slot;
+      live_types_.pop_back();
+    }
     --size_;
+    ordered_valid_ = false;
     return true;
   }
 
   [[nodiscard]] bool contains(std::size_t index) const noexcept {
-    return index < member_.size() && member_[index] != 0;
+    return index < seq_.size() && seq_[index] != 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-  /// Calls \p fn with each enqueued task index, oldest first.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::int32_t node = head_; node != kNil;
-         node = next_[static_cast<std::size_t>(node)]) {
-      fn(static_cast<std::size_t>(node));
+  /// Number of per-type lists.
+  [[nodiscard]] std::size_t type_count() const noexcept { return lists_.size(); }
+
+  /// The task types with at least one enqueued task, in no particular
+  /// order: what a per-type scan visits, however many types exist.
+  [[nodiscard]] std::span<const hetero::TaskTypeId> live_types() const noexcept {
+    return live_types_;
+  }
+
+  /// Enqueued tasks of \p type.
+  [[nodiscard]] std::size_t count(hetero::TaskTypeId type) const { return lists_[type].count; }
+
+  /// Oldest enqueued task index of \p type, or kNil.
+  [[nodiscard]] std::int32_t head(hetero::TaskTypeId type) const { return lists_[type].head; }
+
+  /// The task enqueued after \p node in the same type's list, or kNil.
+  [[nodiscard]] std::int32_t next(std::int32_t node) const {
+    return next_[static_cast<std::size_t>(node)];
+  }
+
+  /// Insertion sequence number of an enqueued task (lower = earlier).
+  [[nodiscard]] std::uint32_t seq(std::int32_t node) const {
+    return seq_[static_cast<std::size_t>(node)];
+  }
+
+  /// Definition of task \p node.
+  [[nodiscard]] const workload::TaskDef& def(std::int32_t node) const {
+    return defs_[static_cast<std::size_t>(node)];
+  }
+
+  /// Every enqueued task, oldest first: the per-type lists merged by
+  /// sequence number. Built on first use after a push/erase and cached, so
+  /// callers that never ask for the full order never pay for it. Like every
+  /// other member it must not be called concurrently with any other.
+  [[nodiscard]] const std::vector<const workload::TaskDef*>& ordered() const {
+    if (!ordered_valid_) {
+      merge();
+      ordered_valid_ = true;
     }
+    return ordered_;
   }
 
  private:
-  static constexpr std::int32_t kNil = -1;
+  struct List {
+    std::int32_t head = kNil;
+    std::int32_t tail = kNil;
+    std::size_t count = 0;
+    std::size_t live_slot = 0;  ///< position in live_types_ while count > 0
+  };
+  /// Rebuilds ordered_ by merging the live types' lists, one cursor (next
+  /// node) per list, always taking the cursor with the lowest sequence
+  /// number. The linear scan for it is O(size x live lists); the benchmark
+  /// workloads merge at most a few dozen lists, where a heap saves nothing.
+  void merge() const {
+    ordered_.clear();
+    ordered_.reserve(size_);
+    cursors_.clear();
+    for (const hetero::TaskTypeId type : live_types_) cursors_.push_back(lists_[type].head);
+    while (!cursors_.empty()) {
+      std::size_t oldest = 0;
+      for (std::size_t c = 1; c < cursors_.size(); ++c) {
+        if (seq(cursors_[c]) < seq(cursors_[oldest])) oldest = c;
+      }
+      ordered_.push_back(&def(cursors_[oldest]));
+      cursors_[oldest] = next(cursors_[oldest]);
+      if (cursors_[oldest] == kNil) {
+        cursors_[oldest] = cursors_.back();
+        cursors_.pop_back();
+      }
+    }
+  }
+
+  std::span<const workload::TaskDef> defs_;
   std::vector<std::int32_t> next_;
   std::vector<std::int32_t> prev_;
-  std::vector<std::uint8_t> member_;
-  std::int32_t head_ = kNil;
-  std::int32_t tail_ = kNil;
+  std::vector<std::uint32_t> seq_;  ///< 0 = not enqueued
+  std::vector<List> lists_;
+  std::vector<hetero::TaskTypeId> live_types_;
+  std::uint32_t next_seq_ = 1;
   std::size_t size_ = 0;
+  // Arrival-order cache behind ordered(); the merge cursors are kept only
+  // to recycle their capacity.
+  mutable std::vector<const workload::TaskDef*> ordered_;
+  mutable std::vector<std::int32_t> cursors_;
+  mutable bool ordered_valid_ = true;
 };
 
 }  // namespace e2c::sched

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -112,6 +117,165 @@ TEST(Felare, EqualRatesBehaveLikeElare) {
   for (std::size_t i = 0; i < felare.size(); ++i) {
     EXPECT_EQ(felare[i].task, elare[i].task);
     EXPECT_EQ(felare[i].machine, elare[i].machine);
+  }
+}
+
+TEST(TaskIndexQueue, PerTypeListsKeepArrivalOrderAndRetriesSortLast) {
+  using e2c::sched::TaskIndexQueue;
+  const std::vector<e2c::workload::TaskDef> defs = {
+      queued_task(10, 0), queued_task(11, 1), queued_task(12, 0), queued_task(13, 1),
+      queued_task(14, 0)};
+  TaskIndexQueue queue;
+  queue.reset(defs, 2);
+  for (std::size_t i = 0; i < defs.size(); ++i) queue.push_back(i);
+  // Task 12 leaves (a fault abort) and re-enters behind everything else.
+  EXPECT_TRUE(queue.erase(2));
+  EXPECT_FALSE(queue.erase(2));
+  EXPECT_FALSE(queue.contains(2));
+  queue.push_back(2);
+
+  EXPECT_EQ(queue.size(), 5u);
+  EXPECT_EQ(queue.count(0), 3u);
+  EXPECT_EQ(queue.count(1), 2u);
+  const auto walk = [&](std::size_t type) {
+    std::vector<e2c::workload::TaskId> ids;
+    for (std::int32_t node = queue.head(type); node != TaskIndexQueue::kNil;
+         node = queue.next(node)) {
+      ids.push_back(queue.def(node).id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(walk(0), (std::vector<e2c::workload::TaskId>{10, 14, 12}));
+  EXPECT_EQ(walk(1), (std::vector<e2c::workload::TaskId>{11, 13}));
+  EXPECT_GT(queue.seq(2), queue.seq(4));
+
+  std::vector<e2c::workload::TaskId> ordered;
+  for (const auto* task : queue.ordered()) ordered.push_back(task->id);
+  EXPECT_EQ(ordered, (std::vector<e2c::workload::TaskId>{10, 11, 13, 14, 12}));
+}
+
+// Drives a queue over \p type_count types through random pushes, erases and
+// re-pushes, checking it against the single arrival-ordered list the index
+// replaced: pushes append, erases remove from anywhere, retries append again.
+void check_against_arrival_list(std::size_t type_count) {
+  SCOPED_TRACE(type_count);
+  constexpr std::size_t kTasks = 300;
+  std::mt19937 rng(12345);
+  std::vector<e2c::workload::TaskDef> defs;
+  for (std::size_t i = 0; i < kTasks; ++i) defs.push_back(queued_task(i, rng() % type_count));
+  e2c::sched::TaskIndexQueue queue;
+  queue.reset(defs, type_count);
+  std::vector<std::size_t> model;
+  for (int step = 0; step < 5000; ++step) {
+    const std::size_t index = rng() % kTasks;
+    const auto it = std::find(model.begin(), model.end(), index);
+    if (it == model.end()) {
+      queue.push_back(index);
+      model.push_back(index);
+    } else {
+      EXPECT_TRUE(queue.erase(index));
+      model.erase(it);
+    }
+    if (step % 97 != 0) continue;
+    ASSERT_EQ(queue.ordered().size(), model.size()) << "step " << step;
+    for (std::size_t k = 0; k < model.size(); ++k) {
+      ASSERT_EQ(queue.ordered()[k], &defs[model[k]]) << "step " << step;
+    }
+    std::vector<std::size_t> counts(type_count, 0);
+    for (const std::size_t i : model) ++counts[defs[i].type];
+    std::vector<std::size_t> live;
+    for (std::size_t t = 0; t < type_count; ++t) {
+      EXPECT_EQ(queue.count(t), counts[t]);
+      if (counts[t] > 0) live.push_back(t);
+    }
+    std::vector<std::size_t> reported(queue.live_types().begin(), queue.live_types().end());
+    std::sort(reported.begin(), reported.end());
+    EXPECT_EQ(reported, live);
+  }
+}
+
+TEST(TaskIndexQueue, MatchesAnArrivalOrderedListUnderRandomChurn) {
+  check_against_arrival_list(5);   // few lists, long ones
+  check_against_arrival_list(40);  // many lists, short ones
+}
+
+TEST(TaskIndexQueue, RejectsDuplicatesAndUnknownTypes) {
+  const std::vector<e2c::workload::TaskDef> defs = {queued_task(1, 0), queued_task(2, 3)};
+  e2c::sched::TaskIndexQueue queue;
+  queue.reset(defs, 2);
+  queue.push_back(0);
+  EXPECT_THROW(queue.push_back(0), e2c::InvariantError);
+  EXPECT_THROW(queue.push_back(1), e2c::InvariantError);  // type 3 of 2
+  EXPECT_THROW(queue.push_back(2), e2c::InvariantError);  // index out of range
+}
+
+TEST(SchedulingContext, VectorBuiltIndexFollowsVectorOrder) {
+  const auto a = queued_task(7, 1);
+  const auto b = queued_task(3, 0);
+  const auto c = queued_task(5, 1);
+  auto context = power_context({&a, &b, &c});
+  const e2c::sched::TaskIndexQueue& index = context.batch_index();
+  EXPECT_EQ(index.size(), 3u);
+  EXPECT_EQ(index.count(0), 1u);
+  EXPECT_EQ(index.count(1), 2u);
+  const std::int32_t first = index.head(1);
+  ASSERT_NE(first, e2c::sched::TaskIndexQueue::kNil);
+  EXPECT_EQ(index.def(first).id, 7u);
+  EXPECT_EQ(index.def(index.next(first)).id, 5u);
+  EXPECT_LT(index.seq(index.head(1)), index.seq(index.head(0)));
+  EXPECT_EQ(context.batch_queue().size(), 3u);  // the vector itself is unchanged
+  EXPECT_EQ(context.batch_queue()[0]->id, 7u);
+}
+
+TEST(Elare, ExactTieAcrossTypesGoesToEarliestArrival) {
+  // T1 and T2 share an EET row: every (type, machine) pair ties exactly, so
+  // the reference's first-minimum rule maps in arrival order whatever the
+  // type, and so must the index mapper.
+  const EetMatrix matrix({"T1", "T2"}, {"m0", "m1"}, {{4.0, 6.0}, {4.0, 6.0}});
+  const auto first = queued_task(9, 1, 100.0);
+  const auto second = queued_task(2, 0, 100.0);
+  const auto third = queued_task(4, 1, 100.0);
+  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+    auto context = e2c::test::make_context(matrix, {&first, &second, &third}, 1);
+    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    ASSERT_EQ(assignments.size(), 2u);  // two machines, one slot each
+    EXPECT_EQ(assignments[0].task, 9u);
+    EXPECT_EQ(assignments[1].task, 2u);
+  }
+}
+
+TEST(Elare, ExactTieAcrossMachinesGoesToLowerIndex) {
+  // Two machines of one type, both idle: every pair ties, so each task goes
+  // to the lowest-indexed machine that still has a slot.
+  const EetMatrix matrix({"T1"}, {"m0"}, {{4.0}});
+  const auto first = queued_task(1, 0, 100.0);
+  const auto second = queued_task(2, 0, 100.0);
+  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+    std::vector<MachineView> machines(2);
+    machines[0] = {5, 0, 0.0, 1, 10.0, 100.0};
+    machines[1] = {6, 0, 0.0, 1, 10.0, 100.0};
+    SchedulingContext context(0.0, matrix, std::move(machines), {&first, &second}, {});
+    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    ASSERT_EQ(assignments.size(), 2u);
+    EXPECT_EQ(assignments[0].task, 1u);
+    EXPECT_EQ(assignments[0].machine, 5u);
+    EXPECT_EQ(assignments[1].task, 2u);
+    EXPECT_EQ(assignments[1].machine, 6u);
+  }
+}
+
+TEST(Elare, PairInfeasibleForEarlierTaskSkipsToLaterOne) {
+  // One type, one machine: the older task's deadline is already out of
+  // reach, the newer one's is not. The walk passes the older task and maps
+  // the newer; the older stays queued.
+  const EetMatrix matrix({"T1"}, {"m0"}, {{5.0}});
+  const auto doomed = queued_task(1, 0, 4.0);
+  const auto fine = queued_task(2, 0, 50.0);
+  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+    auto context = e2c::test::make_context(matrix, {&doomed, &fine});
+    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    ASSERT_EQ(assignments.size(), 1u);
+    EXPECT_EQ(assignments[0].task, 2u);
   }
 }
 

@@ -17,11 +17,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "exp/scenario.hpp"
+#include "net/comm_model.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
 #include "workload/generator.hpp"
@@ -57,17 +60,9 @@ class Fnv1a {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-std::uint64_t run_digest(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
-                         double rho = 1.3, double duration = 40.0) {
-  const auto machine_types = e2c::exp::machine_types_of(config);
-  const auto generator = e2c::workload::config_for_offered_load(
-      config.eet, machine_types, rho, duration, /*seed=*/20230607);
-  const auto workload = e2c::workload::generate_workload(config.eet, generator);
-
-  Simulation simulation(std::move(config), std::move(policy));
-  simulation.load(workload);
-  simulation.run();
-
+/// Every observable of a finished run: the complete per-task outcome records,
+/// the outcome counters, the clock, the event count and the energy.
+std::uint64_t digest_of(const Simulation& simulation) {
   Fnv1a digest;
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
@@ -98,6 +93,19 @@ std::uint64_t run_digest(SystemConfig config, std::unique_ptr<e2c::sched::Policy
   digest.add_u64(simulation.engine().processed_count());
   digest.add_double(simulation.total_energy_joules());
   return digest.value();
+}
+
+std::uint64_t run_digest(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
+                         double rho = 1.3, double duration = 40.0) {
+  const auto machine_types = e2c::exp::machine_types_of(config);
+  const auto generator = e2c::workload::config_for_offered_load(
+      config.eet, machine_types, rho, duration, /*seed=*/20230607);
+  const auto workload = e2c::workload::generate_workload(config.eet, generator);
+
+  Simulation simulation(std::move(config), std::move(policy));
+  simulation.load(workload);
+  simulation.run();
+  return digest_of(simulation);
 }
 
 SystemConfig plain_system() { return e2c::exp::heterogeneous_classroom(2); }
@@ -249,23 +257,172 @@ TEST(RunDigest, DeepQueueBatchGoldens) {
   }
 }
 
-// End-to-end decision equivalence: a full simulation digested under the fast
-// mappers must match the same simulation under the reference mappers, for
-// every batch policy and both queue regimes.
+/// The per-task outcome columns a mapper decision reaches: which machine,
+/// when, how it ended and what it cost. Compared task by task so a divergence
+/// names the first task that differs, on top of the full run digest.
+struct TaskOutcome {
+  e2c::workload::TaskStatus status = e2c::workload::TaskStatus::kPending;
+  std::uint32_t machine = 0;
+  double assignment_time = 0.0;
+  double start_time = 0.0;
+  double completion_time = 0.0;
+  double missed_time = 0.0;
+  std::uint32_t retries = 0;
+  double useful_seconds = 0.0;
+  double lost_seconds = 0.0;
+  double checkpoint_overhead_seconds = 0.0;
+  double machine_seconds = 0.0;
+  bool operator==(const TaskOutcome&) const = default;
+};
+
+struct RunOutcome {
+  std::vector<TaskOutcome> tasks;
+  std::uint64_t digest = 0;  ///< digest_of() the finished run
+  std::uint64_t scheduler_invocations = 0;
+  std::size_t requeued = 0;
+};
+
+RunOutcome run_outcome(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
+                       double deadline_lo, double deadline_hi) {
+  const auto machine_types = e2c::exp::machine_types_of(config);
+  auto generator = e2c::workload::config_for_offered_load(
+      config.eet, machine_types, /*rho=*/4.0, /*duration=*/60.0, /*seed=*/20230607);
+  generator.deadline_factor_lo = deadline_lo;
+  generator.deadline_factor_hi = deadline_hi;
+  const auto workload = e2c::workload::generate_workload(config.eet, generator);
+
+  Simulation simulation(std::move(config), std::move(policy));
+  simulation.load(workload);
+  simulation.run();
+
+  RunOutcome outcome;
+  const auto& state = simulation.task_state();
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    outcome.tasks.push_back(TaskOutcome{state.status[i], state.machine[i],
+                                        state.assignment_time[i], state.start_time[i],
+                                        state.completion_time[i], state.missed_time[i],
+                                        state.retries[i], state.useful_seconds[i],
+                                        state.lost_seconds[i],
+                                        state.checkpoint_overhead_seconds[i],
+                                        state.machine_seconds[i]});
+  }
+  outcome.digest = digest_of(simulation);
+  outcome.scheduler_invocations = simulation.scheduler_invocations();
+  outcome.requeued = simulation.counters().requeued;
+  return outcome;
+}
+
+SystemConfig with_retries(SystemConfig config) {
+  config.faults.enabled = true;
+  config.faults.mtbf = 20.0;
+  config.faults.mttr = 2.0;
+  config.faults.seed = 7;
+  config.faults.retry.backoff_base = 0.25;
+  return config;
+}
+
+SystemConfig with_replicas(SystemConfig config) {
+  config = with_retries(std::move(config));
+  config.faults.recovery.strategy = e2c::fault::RecoveryStrategy::kReplicate;
+  config.faults.recovery.replicas = 2;
+  return config;
+}
+
+SystemConfig with_transfers(SystemConfig config) {
+  config.comm = e2c::net::CommModel::uniform(config.eet.task_type_count(),
+                                            config.eet.machine_type_count(),
+                                            /*payload_mb=*/40.0, e2c::net::LinkSpec{0.05, 100.0});
+  return config;
+}
+
+// T1 and T3 share one EET row, so their (type, machine) pairs score exactly
+// alike and every pick between them falls to arrival order.
+SystemConfig duplicate_row_system(std::size_t capacity) {
+  e2c::hetero::EetMatrix eet({"T1", "T2", "T3", "T4"}, {"x86-cpu", "gpu", "fpga", "asic"},
+                             {{12.0, 2.5, 6.0, 1.2},
+                              {6.0, 3.0, 2.0, 14.0},
+                              {12.0, 2.5, 6.0, 1.2},
+                              {4.0, 6.0, 4.5, 9.0}});
+  return e2c::sched::make_default_system(std::move(eet), capacity);
+}
+
+// Every classroom machine twice: the twins score exactly alike whenever
+// their ready times agree, so machine ties fall to the lower index.
+SystemConfig twin_machine_system(std::size_t capacity) {
+  SystemConfig config = e2c::exp::heterogeneous_classroom(capacity);
+  const std::size_t count = config.machines.size();
+  for (std::size_t m = 0; m < count; ++m) {
+    e2c::sched::MachineInstance twin = config.machines[m];
+    twin.name += "-twin";
+    config.machines.push_back(twin);
+  }
+  return config;
+}
+
+// End-to-end decision equivalence: a full simulation under the fast mappers
+// must match the same simulation under the reference mappers — the full run
+// digest and every task's record — for every batch policy. The fast ELARE/FELARE path keeps its per-type
+// batch-queue index across scheduler invocations, so the scenarios push that
+// index through every way the queue changes between rounds:
+//  - queue capacities 1/2/8/16, and deadlines of 40-80x the mean EET that
+//    keep hundreds of tasks queued (the overload shape);
+//  - fault retries, which re-enter a task at the tail so queue order is no
+//    longer task-index order;
+//  - replication, whose co-location skip leaves an assigned task queued;
+//  - payload transfers, which hold reserved slots across rounds;
+//  - an EET with duplicate rows, so pairs of different types tie exactly,
+//    and duplicate machines, so pairs on different machines do.
+// FELARE's on-time rates move as tasks finish, so its fairness factors differ
+// from round to round in every scenario.
 TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
   using e2c::sched::SchedImpl;
-  for (const std::size_t capacity : {std::size_t{2}, std::size_t{16}}) {
+  struct Case {
+    std::string name;
+    std::function<SystemConfig()> make;
+    double deadline_lo = 2.0;
+    double deadline_hi = 4.0;
+    bool faults = false;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}, std::size_t{8},
+                                     std::size_t{16}}) {
+    cases.push_back({"capacity" + std::to_string(capacity),
+                     [capacity] { return e2c::exp::heterogeneous_classroom(capacity); }});
+  }
+  cases.push_back({"deep-queue", [] { return e2c::exp::heterogeneous_classroom(2); }, 40.0,
+                   80.0});
+  cases.push_back({"retries",
+                   [] { return with_retries(e2c::exp::heterogeneous_classroom(2)); }, 10.0,
+                   20.0, true});
+  cases.push_back({"replicate",
+                   [] { return with_replicas(e2c::exp::heterogeneous_classroom(2)); }, 10.0,
+                   20.0, true});
+  cases.push_back({"transfers",
+                   [] { return with_transfers(e2c::exp::heterogeneous_classroom(2)); }, 10.0,
+                   20.0});
+  cases.push_back({"duplicate-rows", [] { return duplicate_row_system(2); }, 10.0, 20.0});
+  cases.push_back({"twin-machines", [] { return twin_machine_system(1); }});
+  cases.push_back({"duplicate-rows-faults",
+                   [] { return with_retries(duplicate_row_system(8)); }, 10.0, 20.0, true});
+
+  for (const Case& c : cases) {
     for (const std::string& policy : e2c::sched::batch_policy_names()) {
-      e2c::sched::set_default_sched_impl(SchedImpl::kFast);
-      const std::uint64_t fast =
-          run_digest(e2c::exp::heterogeneous_classroom(capacity),
-                     e2c::sched::make_policy(policy), /*rho=*/4.0, /*duration=*/60.0);
-      e2c::sched::set_default_sched_impl(SchedImpl::kReference);
-      const std::uint64_t reference =
-          run_digest(e2c::exp::heterogeneous_classroom(capacity),
-                     e2c::sched::make_policy(policy), /*rho=*/4.0, /*duration=*/60.0);
-      e2c::sched::set_default_sched_impl(SchedImpl::kFast);
-      EXPECT_EQ(fast, reference) << policy << " capacity " << capacity;
+      SCOPED_TRACE(c.name + " " + policy);
+      const RunOutcome fast = run_outcome(
+          c.make(), e2c::sched::make_policy(policy, SchedImpl::kFast), c.deadline_lo,
+          c.deadline_hi);
+      const RunOutcome reference = run_outcome(
+          c.make(), e2c::sched::make_policy(policy, SchedImpl::kReference), c.deadline_lo,
+          c.deadline_hi);
+      if (c.faults) {
+        EXPECT_GT(fast.requeued, 0u) << "scenario never retried a task";
+      }
+      EXPECT_EQ(fast.scheduler_invocations, reference.scheduler_invocations);
+      ASSERT_EQ(fast.tasks.size(), reference.tasks.size());
+      for (std::size_t i = 0; i < fast.tasks.size(); ++i) {
+        ASSERT_EQ(fast.tasks[i], reference.tasks[i]) << "first divergence at task row " << i;
+      }
+      EXPECT_EQ(fast.digest, reference.digest);
     }
   }
 }

@@ -325,6 +325,61 @@ TEST(Simulation, DeadlineDropOfRunningTaskRetriggersScheduler) {
   EXPECT_TRUE(simulation.batch_queue_ids().empty());
 }
 
+// Batch policy that counts its invocations and maps tasks in arrival order
+// onto the first machine with a free slot.
+class CountingBatchPolicy : public e2c::sched::Policy {
+ public:
+  explicit CountingBatchPolicy(std::size_t& calls) : calls_(calls) {}
+  [[nodiscard]] std::string name() const override { return "Counting"; }
+  [[nodiscard]] e2c::sched::PolicyMode mode() const override {
+    return e2c::sched::PolicyMode::kBatch;
+  }
+  void schedule_into(e2c::sched::SchedulingContext& context,
+                     std::vector<e2c::sched::Assignment>& out) override {
+    ++calls_;
+    out.clear();
+    for (const TaskDef* task : context.batch_queue()) {
+      for (std::size_t m = 0; m < context.machines().size(); ++m) {
+        if (context.machines()[m].free_slots == 0) continue;
+        out.push_back(e2c::sched::Assignment{task->id, context.machines()[m].id});
+        context.commit(*task, m);
+        break;
+      }
+    }
+  }
+
+ private:
+  std::size_t& calls_;
+};
+
+TEST(Simulation, ZeroSlotRoundCountsButSkipsPolicy) {
+  // One machine, one waiting slot, 10 s tasks arriving every second. A runs
+  // from t=0 and B takes the slot at t=1, so the rounds C and D post at t=2
+  // and t=3 find every machine full: they count as scheduler invocations but
+  // must not reach the policy. A's completion at t=10 frees the slot for C,
+  // B's at t=20 for D; later completions find the batch queue empty.
+  EetMatrix eet({"T1"}, {"m0"}, {{10.0}});
+  SystemConfig system = e2c::sched::make_default_system(std::move(eet), 1);
+  std::size_t calls = 0;
+  Simulation simulation(std::move(system), std::make_unique<CountingBatchPolicy>(calls));
+  const double never = e2c::core::kTimeInfinity;
+  simulation.load(Workload({make_task(0, 0, 0.0, never), make_task(1, 0, 1.0, never),
+                            make_task(2, 0, 2.0, never), make_task(3, 0, 3.0, never)}));
+
+  // Process every event up to and including t=3 (D's arrival and its round).
+  while (simulation.engine().peek_next() && simulation.engine().peek_next()->time <= 3.0) {
+    ASSERT_TRUE(simulation.step());
+  }
+  EXPECT_EQ(simulation.batch_queue_ids().size(), 2u);  // C and D wait
+  EXPECT_EQ(simulation.scheduler_invocations(), 4u);
+  EXPECT_EQ(calls, 2u);
+
+  simulation.run();
+  EXPECT_EQ(simulation.counters().completed, 4u);
+  EXPECT_EQ(simulation.scheduler_invocations(), 6u);
+  EXPECT_EQ(calls, 4u);
+}
+
 TEST(Simulation, BatchQueueVisibleDuringStepping) {
   SystemConfig system = two_machine_system(/*queue_capacity=*/1);
   Simulation simulation(system, e2c::sched::make_policy("MM"));
