@@ -115,6 +115,21 @@ TEST(EetMatrix, FromCsvRejectsMalformed) {
   EXPECT_THROW((void)EetMatrix::from_csv_text("task_type,m1\nT1,1,2\n"), e2c::InputError);
 }
 
+TEST(EetMatrix, FromCsvRowErrorsNameTheLine) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)EetMatrix::from_csv_text(text);
+    } catch (const e2c::InputError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of("task_type,m1,m2\nT1,1,2\nT2,3\n"),
+            "EET CSV: wrong field count at line 3");
+  EXPECT_EQ(error_of("task_type,m1,m2\nT1,1,2\nT2,3,fast\n"),
+            "EET CSV: non-numeric entry 'fast' at line 3");
+}
+
 TEST(EetMatrix, SaveAndLoadFile) {
   const std::string path = testing::TempDir() + "/e2c_eet_test.csv";
   sample_matrix().save_csv(path);

@@ -135,6 +135,25 @@ TEST(FaultTrace, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(FaultTrace, RowErrorsPinExactText) {
+  const auto error_of = [](const std::string& rows) -> std::string {
+    try {
+      (void)e2c::fault::fault_trace_from_csv_text("machine,fail_time,repair_time\n0,1,2\n" +
+                                                  rows);
+    } catch (const InputError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of("1,3\n"), "fault trace CSV: too few fields at line 3");
+  EXPECT_EQ(error_of("-1,3,4\n"), "fault trace CSV: bad machine '-1' at line 3");
+  EXPECT_EQ(error_of("1,t,4\n"), "fault trace CSV: bad fail_time 't' at line 3");
+  EXPECT_EQ(error_of("1,3,later\n"), "fault trace CSV: bad repair_time 'later' at line 3");
+  EXPECT_EQ(error_of("1,-3,4\n"), "fault trace CSV: fail_time must be >= 0 at line 3");
+  EXPECT_EQ(error_of("1,5,4\n"),
+            "fault trace CSV: repair_time must be after fail_time at line 3");
+}
+
 TEST(FaultTrace, RejectsRepairBeforeFail) {
   EXPECT_THROW((void)e2c::fault::fault_trace_from_csv_text(
                    "machine,fail_time,repair_time\n0,5,5\n"),

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -26,6 +29,21 @@ TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double dea
   return task;
 }
 
+/// The InputError message \p fn throws ("" when it does not throw), so the
+/// tests pin the exact text and locators, not only the exception type.
+std::string input_error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const e2c::InputError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+std::string csv_error(const std::string& text) {
+  return input_error_of([&] { (void)Workload::from_csv_text(text, sample_eet()); });
+}
+
 TEST(Workload, SortsByArrival) {
   Workload workload({make_task(1, 0, 5.0, 10.0), make_task(2, 1, 1.0, 9.0),
                      make_task(3, 0, 3.0, 8.0)});
@@ -41,12 +59,49 @@ TEST(Workload, TieBrokenById) {
   EXPECT_EQ(workload.tasks()[0].id, 4u);
 }
 
+TEST(Workload, SortedInputWithLastRowOutOfOrderComesOutSorted) {
+  std::vector<TaskDef> defs;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    defs.push_back(make_task(id, 0, 1.0 + static_cast<double>(id), 20.0));
+  }
+  defs.push_back(make_task(8, 1, 0.5, 20.0));  // earliest arrival, listed last
+  const Workload workload(std::move(defs));
+  ASSERT_EQ(workload.size(), 9u);
+  EXPECT_EQ(workload.tasks()[0].id, 8u);
+  for (std::size_t i = 1; i < workload.size(); ++i) {
+    EXPECT_EQ(workload.tasks()[i].id, i - 1);
+    EXPECT_LT(workload.tasks()[i - 1].arrival, workload.tasks()[i].arrival);
+  }
+}
+
+TEST(Workload, SortedInputWithEqualArrivalsIsUnchanged) {
+  const std::vector<TaskDef> defs = {make_task(3, 0, 1.0, 9.0), make_task(5, 1, 1.0, 8.0),
+                                     make_task(9, 0, 1.0, 7.0), make_task(2, 1, 2.0, 6.0),
+                                     make_task(4, 0, 2.0, 5.0)};
+  const Workload workload(defs);
+  ASSERT_EQ(workload.size(), defs.size());
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    EXPECT_EQ(workload.tasks()[i].id, defs[i].id);
+    EXPECT_EQ(workload.tasks()[i].type, defs[i].type);
+    EXPECT_EQ(workload.tasks()[i].arrival, defs[i].arrival);
+    EXPECT_EQ(workload.tasks()[i].deadline, defs[i].deadline);
+  }
+}
+
 TEST(Workload, RejectsDeadlineBeforeArrival) {
-  EXPECT_THROW(Workload({make_task(1, 0, 5.0, 4.0)}), e2c::InputError);
+  EXPECT_EQ(input_error_of([] { Workload({make_task(1, 0, 5.0, 4.0)}); }),
+            "workload: task 1 has a deadline before its arrival");
+  // The offender is named even behind valid tasks that need sorting.
+  EXPECT_EQ(input_error_of([] {
+              Workload({make_task(2, 0, 3.0, 9.0), make_task(7, 0, 6.0, 5.5),
+                        make_task(0, 0, 1.0, 4.0)});
+            }),
+            "workload: task 7 has a deadline before its arrival");
 }
 
 TEST(Workload, RejectsNegativeArrival) {
-  EXPECT_THROW(Workload({make_task(1, 0, -1.0, 4.0)}), e2c::InputError);
+  EXPECT_EQ(input_error_of([] { Workload({make_task(1, 0, -1.0, 4.0)}); }),
+            "workload: task 1 has a negative arrival time");
 }
 
 TEST(Workload, ValidateAgainstEnforcesEetCompatibility) {
@@ -99,15 +154,31 @@ TEST(Workload, CsvRejectsUnknownTaskType) {
 }
 
 TEST(Workload, CsvRejectsMalformedRows) {
-  const EetMatrix eet = sample_eet();
-  EXPECT_THROW((void)Workload::from_csv_text("", eet), e2c::InputError);
-  EXPECT_THROW((void)Workload::from_csv_text("task_id\n", eet), e2c::InputError);
-  EXPECT_THROW((void)Workload::from_csv_text(
-                   "task_id,task_type,arrival_time\nx,T1,1\n", eet),
-               e2c::InputError);
-  EXPECT_THROW((void)Workload::from_csv_text(
-                   "task_id,task_type,arrival_time\n0,T1,abc\n", eet),
-               e2c::InputError);
+  EXPECT_EQ(csv_error(""), "workload CSV: file is empty");
+  EXPECT_EQ(csv_error("task_id\n"),
+            "workload CSV: expected header task_id,task_type,arrival_time[,deadline] "
+            "(line 1)");
+  EXPECT_EQ(csv_error("task_id,task_type,arrival_time\n0,T1,1\n1,T2\n"),
+            "workload CSV: too few fields at line 3");
+  EXPECT_EQ(csv_error("task_id,task_type,arrival_time\nx,T1,1\n"),
+            "workload CSV: bad task_id 'x' at line 2");
+  EXPECT_EQ(csv_error("task_id,task_type,arrival_time\n-4,T1,1\n"),
+            "workload CSV: bad task_id '-4' at line 2");
+  EXPECT_EQ(csv_error("task_id,task_type,arrival_time\n0,T1,abc\n"),
+            "workload CSV: bad arrival_time 'abc' at line 2");
+  EXPECT_EQ(csv_error("task_id,task_type,arrival_time,deadline\n0,T1,1,2\n1,T2,3,soon\n"),
+            "workload CSV: bad deadline 'soon' at line 3");
+}
+
+TEST(Workload, CsvErrorsCarryPathAndLine) {
+  const std::string path = testing::TempDir() + "/e2c_workload_bad.csv";
+  {
+    std::ofstream out(path);
+    out << "task_id,task_type,arrival_time\n0,T1,1\n\n1,T2,oops\n";
+  }
+  EXPECT_EQ(input_error_of([&] { (void)Workload::load_csv(path, sample_eet()); }),
+            "workload CSV: bad arrival_time 'oops' at " + path + ":4");
+  std::remove(path.c_str());
 }
 
 TEST(Workload, CsvRoundTrip) {

@@ -3,8 +3,11 @@
 // on that — a trace generated once per (intensity, replication) is shared by
 // every policy cell. These FNV-1a digests pin the exact traces for fixed
 // seeds across intensities, so the share-once refactor (and any future
-// generator edit) cannot silently change what experiments run. An
-// intentional generator change must update the constants below.
+// generator edit) cannot silently change what experiments run. Beyond the
+// aggregate Poisson uniform-mix presets they cover per-type arrival streams
+// (poisson, burst and normal merged by time), a non-uniform type mix and a
+// multi-tenant merge. An intentional generator change must update the
+// constants below.
 #include <bit>
 #include <cstdint>
 
@@ -12,6 +15,7 @@
 
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
+#include "exp/tenants.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -27,14 +31,7 @@ void fnv1a(std::uint64_t& hash, std::uint64_t value) {
   }
 }
 
-std::uint64_t trace_digest(Intensity intensity, std::size_t replication) {
-  const auto system = exp::heterogeneous_classroom();
-  const auto machine_types = exp::machine_types_of(system);
-  const workload::GeneratorConfig config = workload::config_for_intensity(
-      system.eet, machine_types, intensity, /*duration=*/60.0,
-      exp::workload_seed(/*base_seed=*/42, intensity, replication));
-  const workload::Workload trace = workload::generate_workload(system.eet, config);
-
+std::uint64_t digest_of(const workload::Workload& trace) {
   std::uint64_t hash = 14695981039346656037ULL;
   fnv1a(hash, trace.size());
   for (const workload::TaskDef& def : trace.tasks()) {
@@ -44,6 +41,19 @@ std::uint64_t trace_digest(Intensity intensity, std::size_t replication) {
     fnv1a(hash, std::bit_cast<std::uint64_t>(def.deadline));
   }
   return hash;
+}
+
+workload::GeneratorConfig classroom_config(Intensity intensity, std::size_t replication) {
+  const auto system = exp::heterogeneous_classroom();
+  return workload::config_for_intensity(
+      system.eet, exp::machine_types_of(system), intensity, /*duration=*/60.0,
+      exp::workload_seed(/*base_seed=*/42, intensity, replication));
+}
+
+std::uint64_t trace_digest(Intensity intensity, std::size_t replication) {
+  const auto system = exp::heterogeneous_classroom();
+  return digest_of(
+      workload::generate_workload(system.eet, classroom_config(intensity, replication)));
 }
 
 struct Golden {
@@ -71,6 +81,42 @@ TEST(WorkloadDigest, GeneratedTracesMatchGoldens) {
 
 TEST(WorkloadDigest, DigestIsReproducibleWithinProcess) {
   EXPECT_EQ(trace_digest(Intensity::kHigh, 0), trace_digest(Intensity::kHigh, 0));
+}
+
+TEST(WorkloadDigest, PerTypeMixedArrivalKindsMatchGolden) {
+  // One stream per task type, cycling poisson / burst / normal, merged by
+  // arrival time: the per-type path's split order and merge are pinned.
+  const auto system = exp::heterogeneous_classroom();
+  workload::GeneratorConfig config = classroom_config(Intensity::kMedium, 0);
+  const workload::ArrivalKind kinds[] = {workload::ArrivalKind::kPoisson,
+                                         workload::ArrivalKind::kBurst,
+                                         workload::ArrivalKind::kNormal};
+  for (std::size_t type = 0; type < system.eet.task_type_count(); ++type) {
+    config.per_type_arrivals.push_back(
+        {kinds[type % 3], 0.2 * static_cast<double>(type + 1)});
+  }
+  const std::uint64_t digest =
+      digest_of(workload::generate_workload(system.eet, config));
+  EXPECT_EQ(digest, 0xdf4922794ebc128dULL) << "digest 0x" << std::hex << digest;
+}
+
+TEST(WorkloadDigest, NonUniformTypeWeightsMatchGolden) {
+  const auto system = exp::heterogeneous_classroom();
+  workload::GeneratorConfig config = classroom_config(Intensity::kHigh, 1);
+  config.type_weights = {5.0, 0.0, 1.0, 2.5, 0.5};
+  const std::uint64_t digest =
+      digest_of(workload::generate_workload(system.eet, config));
+  EXPECT_EQ(digest, 0xd3f80d00687a400fULL) << "digest 0x" << std::hex << digest;
+}
+
+TEST(WorkloadDigest, MultiTenantMergeMatchesGolden) {
+  const auto system = exp::heterogeneous_classroom();
+  const std::vector<exp::TenantSpec> tenants = {
+      {"tenantA", 0.6, 60.0, 11}, {"tenantB", 0.3, 40.0, 12}, {"tenantC", 0.9, 60.0, 13}};
+  const workload::Workload trace = exp::make_multi_tenant_workload(system, tenants);
+  std::uint64_t digest = digest_of(trace);
+  for (const workload::TaskDef& def : trace.tasks()) fnv1a(digest, def.tenant);
+  EXPECT_EQ(digest, 0xd9cd4e3bd1b62747ULL) << "digest 0x" << std::hex << digest;
 }
 
 }  // namespace
