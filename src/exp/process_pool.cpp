@@ -110,7 +110,7 @@ bool cell_matches(const char* env, const Slot& slot) {
   for (;;) {
     std::optional<std::string> frame;
     try {
-      frame = util::read_frame(cmd_fd);
+      frame = util::read_frame(cmd_fd, util::kMaxChannelFrame);
     } catch (...) {
       ::_exit(0);
     }
@@ -388,7 +388,8 @@ ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
           bool dead = false;
           if ((fds[i].revents & POLLIN) != 0) {
             try {
-              const auto frame = util::read_frame(worker.res->read_fd());
+              const auto frame =
+                  util::read_frame(worker.res->read_fd(), util::kMaxChannelFrame);
               if (frame.has_value()) {
                 util::ByteReader reader(*frame);
                 const std::uint32_t slot = reader.u32();

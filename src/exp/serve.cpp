@@ -47,6 +47,10 @@ using Clock = std::chrono::steady_clock;
 /// lacks the key — the two sides must stay in lockstep.
 constexpr std::size_t kWorkerJobCacheCap = 4;
 
+/// Payload cap for a client's submit frame: INI text, so 1 MiB is ample.
+/// Any client can connect, so its length prefix is not trusted.
+constexpr std::size_t kMaxSubmitFrame = std::size_t{1} << 20;
+
 /// One (policy, intensity) cell in (policy-major, intensity-minor) order —
 /// the same slot layout as the process backend, so the client reassembles
 /// cells into the canonical order by slot index alone.
@@ -241,7 +245,7 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
   for (;;) {
     bool got = false;
     try {
-      got = util::read_frame_into(cmd_fd, frame);
+      got = util::read_frame_into(cmd_fd, frame, util::kMaxChannelFrame);
     } catch (...) {
       ::_exit(0);
     }
@@ -590,7 +594,7 @@ std::size_t run_serve(const ServeOptions& options) {
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
     try {
-      if (!util::read_frame_into(fd.get(), frame)) return;
+      if (!util::read_frame_into(fd.get(), frame, kMaxSubmitFrame)) return;
       if (peek_job_frame(frame) != JobFrame::kSubmit) return;
       JobSubmit submit = decode_job_submit(frame);
       if (draining || jobs.size() >= backlog) {
@@ -821,7 +825,8 @@ std::size_t run_serve(const ServeOptions& options) {
             bool dead = false;
             if ((fds[i].revents & POLLIN) != 0) {
               try {
-                if (util::read_frame_into(worker->res->read_fd(), frame)) {
+                if (util::read_frame_into(worker->res->read_fd(), frame,
+                                          util::kMaxChannelFrame)) {
                   handle_worker_result(*worker);
                 } else {
                   dead = true;
@@ -931,7 +936,7 @@ ExperimentResult submit_job(const std::string& socket_path, const std::string& i
   std::vector<std::optional<CellResult>> cells;
   SweepHealth health;
   for (bool done = false; !done;) {
-    if (!util::read_frame_into(fd.get(), frame)) {
+    if (!util::read_frame_into(fd.get(), frame, util::kMaxChannelFrame)) {
       throw IoError("--submit: service closed the connection mid-job (did it crash?)");
     }
     switch (peek_job_frame(frame)) {

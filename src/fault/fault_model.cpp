@@ -219,21 +219,25 @@ std::vector<FaultTraceEntry> trace_from_table(const util::CsvTable& table) {
   for (std::size_t r = 1; r < table.row_count(); ++r) {
     const auto& row = table.rows[r];
     require_input(row.size() >= 3,
-                  "fault trace CSV: too few fields at " + table.where(r));
+                  [&] { return "fault trace CSV: too few fields at " + table.where(r); });
     const auto machine = util::parse_int(row[0]);
-    require_input(machine.has_value() && *machine >= 0,
-                  "fault trace CSV: bad machine '" + row[0] + "' at " + table.where(r));
+    require_input(machine.has_value() && *machine >= 0, [&] {
+      return "fault trace CSV: bad machine '" + row[0] + "' at " + table.where(r);
+    });
     const auto fail = util::parse_double(row[1]);
-    require_input(fail.has_value(),
-                  "fault trace CSV: bad fail_time '" + row[1] + "' at " + table.where(r));
+    require_input(fail.has_value(), [&] {
+      return "fault trace CSV: bad fail_time '" + row[1] + "' at " + table.where(r);
+    });
     const auto repair = util::parse_double(row[2]);
-    require_input(repair.has_value(), "fault trace CSV: bad repair_time '" + row[2] +
-                                          "' at " + table.where(r));
-    require_input(*fail >= 0.0,
-                  "fault trace CSV: fail_time must be >= 0 at " + table.where(r));
-    require_input(*repair > *fail,
-                  "fault trace CSV: repair_time must be after fail_time at " +
-                      table.where(r));
+    require_input(repair.has_value(), [&] {
+      return "fault trace CSV: bad repair_time '" + row[2] + "' at " + table.where(r);
+    });
+    require_input(*fail >= 0.0, [&] {
+      return "fault trace CSV: fail_time must be >= 0 at " + table.where(r);
+    });
+    require_input(*repair > *fail, [&] {
+      return "fault trace CSV: repair_time must be after fail_time at " + table.where(r);
+    });
     entries.push_back(FaultTraceEntry{static_cast<std::size_t>(*machine), *fail, *repair,
                                       table.where(r)});
   }

@@ -148,14 +148,15 @@ EetMatrix eet_from_doc(const util::CsvDoc& doc) {
   for (std::size_t r = 1; r < doc.row_count(); ++r) {
     const auto row = doc.row(r);
     require_input(row.size() == header.size(),
-                  "EET CSV: wrong field count at " + doc.where(r));
+                  [&] { return "EET CSV: wrong field count at " + doc.where(r); });
     task_names.emplace_back(util::trim(row[0]));
     std::vector<double> row_values;
     row_values.reserve(row.size() - 1);
     for (std::size_t c = 1; c < row.size(); ++c) {
       const auto value = util::parse_double(row[c]);
-      require_input(value.has_value(), "EET CSV: non-numeric entry '" + std::string(row[c]) +
-                                           "' at " + doc.where(r));
+      require_input(value.has_value(), [&] {
+        return "EET CSV: non-numeric entry '" + std::string(row[c]) + "' at " + doc.where(r);
+      });
       row_values.push_back(*value);
     }
     values.push_back(std::move(row_values));

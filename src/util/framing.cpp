@@ -100,9 +100,9 @@ void write_frame(int fd, std::string_view payload) {
   write_all(fd, framed.data(), framed.size());
 }
 
-std::optional<std::string> read_frame(int fd) {
+std::optional<std::string> read_frame(int fd, std::size_t max_payload) {
   std::string payload;
-  if (!read_frame_into(fd, payload)) return std::nullopt;
+  if (!read_frame_into(fd, payload, max_payload)) return std::nullopt;
   return payload;
 }
 
@@ -132,7 +132,7 @@ void write_frame_zc(int fd, std::string_view payload) {
   }
 }
 
-bool read_frame_into(int fd, std::string& payload) {
+bool read_frame_into(int fd, std::string& payload, std::size_t max_payload) {
   std::uint32_t size = 0;
   const std::size_t header = read_upto(fd, reinterpret_cast<char*>(&size), sizeof size);
   if (header == 0) {
@@ -140,6 +140,10 @@ bool read_frame_into(int fd, std::string& payload) {
     return false;  // clean EOF between frames
   }
   if (header < sizeof size) throw IoError("pipe: peer closed mid-frame header");
+  if (size > max_payload) {
+    throw IoError("frame: payload of " + std::to_string(size) + " bytes exceeds the " +
+                  std::to_string(max_payload) + "-byte limit");
+  }
   payload.resize(size);
   if (read_upto(fd, payload.data(), size) < size) {
     throw IoError("pipe: peer closed mid-frame payload");

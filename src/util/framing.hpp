@@ -9,6 +9,7 @@
 /// doubles, which is what the byte-identical-results guarantee needs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -71,10 +72,17 @@ class ByteReader {
 /// that as the peer having died).
 void write_frame(int fd, std::string_view payload);
 
+/// Payload cap for frames between processes of one binary: worker command
+/// and result channels, process-pool pipes, and service replies to a
+/// submitting client. Far above any real frame (an INI text or one cell's
+/// metrics); it only stops a corrupt length prefix from sizing the buffer.
+inline constexpr std::size_t kMaxChannelFrame = std::size_t{64} << 20;  // 64 MiB
+
 /// Reads one length-prefixed frame from \p fd (blocking). Returns nullopt on
 /// clean EOF before any byte of the frame; throws e2c::IoError when the peer
-/// hangs up mid-frame (a truncated frame is how a crashed writer looks).
-[[nodiscard]] std::optional<std::string> read_frame(int fd);
+/// hangs up mid-frame (a truncated frame is how a crashed writer looks) or
+/// announces a payload larger than \p max_payload.
+[[nodiscard]] std::optional<std::string> read_frame(int fd, std::size_t max_payload);
 
 /// Zero-copy variant of write_frame: the 4-byte length header and \p payload
 /// go out in one writev() — the payload is never copied into a combined
@@ -90,10 +98,11 @@ void write_frame_zc(int fd, std::string_view payload);
 /// Recycled-buffer variant of read_frame: reads the next frame's payload
 /// into \p payload (replacing its contents, reusing its capacity). Returns
 /// false on clean EOF before any byte of the frame; throws e2c::IoError on a
-/// mid-frame hangup. The steady-state serve loop calls this with one
+/// mid-frame hangup, or before allocating anything when the length prefix
+/// exceeds \p max_payload. The steady-state serve loop calls this with one
 /// long-lived buffer per connection, so frame reads stop allocating once
 /// the buffer has grown to the session's largest frame.
-[[nodiscard]] bool read_frame_into(int fd, std::string& payload);
+[[nodiscard]] bool read_frame_into(int fd, std::string& payload, std::size_t max_payload);
 
 /// Lowercase hex armor for embedding binary payloads in line-oriented files.
 [[nodiscard]] std::string hex_encode(std::string_view bytes);

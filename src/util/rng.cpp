@@ -84,9 +84,13 @@ double Rng::lognormal(double mu, double sigma) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return next_double() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
+double Rng::weight_total(const std::vector<double>& weights) noexcept {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
+  return total;
+}
+
+std::size_t Rng::weighted_index(const std::vector<double>& weights, double total) noexcept {
   if (total <= 0.0) {
     return static_cast<std::size_t>(
         uniform_int(0, static_cast<std::int64_t>(weights.size()) - 1));

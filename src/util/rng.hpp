@@ -55,9 +55,15 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Zero total weight falls back to uniform choice. Requires non-empty,
-  /// non-negative weights.
-  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights) noexcept;
+  /// \p total must be weight_total(weights); callers drawing many indices
+  /// from one vector sum it once. Zero total weight falls back to uniform
+  /// choice. Requires non-empty weights; negative weights count as zero.
+  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights,
+                                           double total) noexcept;
+
+  /// Sum of the positive entries of \p weights (what weighted_index draws
+  /// against).
+  [[nodiscard]] static double weight_total(const std::vector<double>& weights) noexcept;
 
   /// Returns a new independent generator derived from this one's stream.
   /// Splitting is deterministic: the Nth split of a given generator is the

@@ -53,16 +53,12 @@ double system_capacity(const hetero::EetMatrix& eet,
 
 namespace {
 
-/// One (arrival time, type) pair prior to id assignment.
-struct PendingArrival {
-  core::SimTime time;
-  hetero::TaskTypeId type;
-};
+// Both modes draw each task's arrival time and type; generate_workload then
+// stamps ids and deadlines in arrival order.
 
 /// Aggregate mode: one arrival stream, types drawn from the weighted mix.
-std::vector<PendingArrival> aggregate_arrivals(const hetero::EetMatrix& eet,
-                                               const GeneratorConfig& config,
-                                               util::Rng& rng) {
+std::vector<TaskDef> aggregate_arrivals(const hetero::EetMatrix& eet,
+                                        const GeneratorConfig& config, util::Rng& rng) {
   require_input(config.rate > 0.0, "generator: rate must be > 0");
   const std::size_t types = eet.task_type_count();
   std::vector<double> weights = config.type_weights;
@@ -74,22 +70,23 @@ std::vector<PendingArrival> aggregate_arrivals(const hetero::EetMatrix& eet,
   util::Rng types_rng = rng.split();
   const std::vector<core::SimTime> times =
       generate_arrivals(config.arrival, config.rate, config.duration, arrivals_rng);
-  std::vector<PendingArrival> arrivals;
-  arrivals.reserve(times.size());
+  const double weight_total = util::Rng::weight_total(weights);
+  std::vector<TaskDef> tasks;
+  tasks.reserve(times.size());
   for (core::SimTime t : times) {
-    arrivals.push_back(PendingArrival{t, types_rng.weighted_index(weights)});
+    tasks.push_back(
+        TaskDef{.type = types_rng.weighted_index(weights, weight_total), .arrival = t});
   }
-  return arrivals;
+  return tasks;
 }
 
 /// Per-type mode (the paper's "arrival distribution for each task type"):
 /// independent streams, merged by time.
-std::vector<PendingArrival> per_type_arrivals(const hetero::EetMatrix& eet,
-                                              const GeneratorConfig& config,
-                                              util::Rng& rng) {
+std::vector<TaskDef> per_type_arrivals(const hetero::EetMatrix& eet,
+                                       const GeneratorConfig& config, util::Rng& rng) {
   require_input(config.per_type_arrivals.size() == eet.task_type_count(),
                 "generator: per_type_arrivals needs one spec per task type");
-  std::vector<PendingArrival> arrivals;
+  std::vector<TaskDef> tasks;
   for (std::size_t type = 0; type < config.per_type_arrivals.size(); ++type) {
     const TypeArrivalSpec& spec = config.per_type_arrivals[type];
     require_input(spec.rate > 0.0, "generator: per-type rate must be > 0 (type " +
@@ -97,14 +94,13 @@ std::vector<PendingArrival> per_type_arrivals(const hetero::EetMatrix& eet,
     util::Rng stream_rng = rng.split();
     for (core::SimTime t :
          generate_arrivals(spec.kind, spec.rate, config.duration, stream_rng)) {
-      arrivals.push_back(PendingArrival{t, type});
+      tasks.push_back(TaskDef{.type = type, .arrival = t});
     }
   }
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [](const PendingArrival& a, const PendingArrival& b) {
-                     return a.time < b.time;
-                   });
-  return arrivals;
+  std::stable_sort(tasks.begin(), tasks.end(), [](const TaskDef& a, const TaskDef& b) {
+    return a.arrival < b.arrival;
+  });
+  return tasks;
 }
 
 }  // namespace
@@ -116,23 +112,25 @@ Workload generate_workload(const hetero::EetMatrix& eet, const GeneratorConfig& 
                 "generator: deadline factors must satisfy 0 < lo <= hi");
 
   util::Rng rng(config.seed);
-  const std::vector<PendingArrival> arrivals = config.per_type_arrivals.empty()
-                                                   ? aggregate_arrivals(eet, config, rng)
-                                                   : per_type_arrivals(eet, config, rng);
+  std::vector<TaskDef> tasks = config.per_type_arrivals.empty()
+                                   ? aggregate_arrivals(eet, config, rng)
+                                   : per_type_arrivals(eet, config, rng);
   util::Rng deadlines_rng = rng.split();
 
-  std::vector<TaskDef> tasks;
-  tasks.reserve(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    TaskDef task;
+  // Mean EET per type, once per trace instead of once per task.
+  std::vector<double> row_means(eet.task_type_count());
+  for (std::size_t type = 0; type < row_means.size(); ++type) {
+    row_means[type] = eet.row_mean(type);
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    TaskDef& task = tasks[i];
     task.id = static_cast<TaskId>(i);
-    task.type = arrivals[i].type;
-    task.arrival = arrivals[i].time;
     const double factor =
         deadlines_rng.uniform(config.deadline_factor_lo, config.deadline_factor_hi);
-    task.deadline = task.arrival + factor * eet.row_mean(task.type);
-    tasks.push_back(task);
+    task.deadline = task.arrival + factor * row_means[task.type];
   }
+  // Arrival times never decrease and ids ascend, so the trace is already
+  // in (arrival, id) order and the Workload constructor does not sort.
   return Workload(std::move(tasks));
 }
 

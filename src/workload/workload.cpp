@@ -11,16 +11,23 @@
 namespace e2c::workload {
 
 Workload::Workload(std::vector<TaskDef> defs) : defs_(std::move(defs)) {
-  std::stable_sort(defs_.begin(), defs_.end(), [](const TaskDef& a, const TaskDef& b) {
+  const auto by_arrival_then_id = [](const TaskDef& a, const TaskDef& b) {
     if (a.arrival != b.arrival) return a.arrival < b.arrival;
     return a.id < b.id;
-  });
+  };
+  // Generators and saved traces arrive in order already; a stable sort of
+  // sorted input is the identity, so skipping it changes nothing.
+  if (!std::is_sorted(defs_.begin(), defs_.end(), by_arrival_then_id)) {
+    std::stable_sort(defs_.begin(), defs_.end(), by_arrival_then_id);
+  }
   for (const TaskDef& task : defs_) {
-    require_input(task.deadline >= task.arrival,
-                  "workload: task " + std::to_string(task.id) +
-                      " has a deadline before its arrival");
-    require_input(task.arrival >= 0.0, "workload: task " + std::to_string(task.id) +
-                                           " has a negative arrival time");
+    require_input(task.deadline >= task.arrival, [&] {
+      return "workload: task " + std::to_string(task.id) +
+             " has a deadline before its arrival";
+    });
+    require_input(task.arrival >= 0.0, [&] {
+      return "workload: task " + std::to_string(task.id) + " has a negative arrival time";
+    });
     max_type_ = std::max(max_type_, task.type);
   }
 }
@@ -34,10 +41,10 @@ void Workload::validate_against(const hetero::EetMatrix& eet) const {
   // Out of range: find the first offender (arrival order) so the message
   // points at the same task the per-record scan used to.
   for (const TaskDef& task : defs_) {
-    require_input(task.type < eet.task_type_count(),
-                  "workload: task " + std::to_string(task.id) +
-                      " references task type id " + std::to_string(task.type) +
-                      " that is not defined within the EET matrix");
+    require_input(task.type < eet.task_type_count(), [&] {
+      return "workload: task " + std::to_string(task.id) + " references task type id " +
+             std::to_string(task.type) + " that is not defined within the EET matrix";
+    });
   }
 }
 
@@ -68,14 +75,17 @@ Workload workload_from_doc(const util::CsvDoc& doc, const hetero::EetMatrix& eet
   defs.reserve(doc.row_count() - 1);
   for (std::size_t r = 1; r < doc.row_count(); ++r) {
     const auto row = doc.row(r);
-    require_input(row.size() >= 3, "workload CSV: too few fields at " + doc.where(r));
+    require_input(row.size() >= 3,
+                  [&] { return "workload CSV: too few fields at " + doc.where(r); });
     const auto id = util::parse_int(row[0]);
-    require_input(id.has_value() && *id >= 0,
-                  "workload CSV: bad task_id '" + std::string(row[0]) + "' at " + doc.where(r));
+    require_input(id.has_value() && *id >= 0, [&] {
+      return "workload CSV: bad task_id '" + std::string(row[0]) + "' at " + doc.where(r);
+    });
     const std::string_view type_name = util::trim(row[1]);
     const auto arrival = util::parse_double(row[2]);
-    require_input(arrival.has_value(), "workload CSV: bad arrival_time '" +
-                                           std::string(row[2]) + "' at " + doc.where(r));
+    require_input(arrival.has_value(), [&] {
+      return "workload CSV: bad arrival_time '" + std::string(row[2]) + "' at " + doc.where(r);
+    });
 
     TaskDef task;
     task.id = static_cast<TaskId>(*id);
@@ -89,8 +99,9 @@ Workload workload_from_doc(const util::CsvDoc& doc, const hetero::EetMatrix& eet
     task.arrival = *arrival;
     if (has_deadline && row.size() >= 4 && !util::trim(row[3]).empty()) {
       const auto deadline = util::parse_double(row[3]);
-      require_input(deadline.has_value(), "workload CSV: bad deadline '" +
-                                              std::string(row[3]) + "' at " + doc.where(r));
+      require_input(deadline.has_value(), [&] {
+        return "workload CSV: bad deadline '" + std::string(row[3]) + "' at " + doc.where(r);
+      });
       task.deadline = *deadline;
     }
     defs.push_back(task);

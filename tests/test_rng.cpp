@@ -116,7 +116,8 @@ TEST(Rng, WeightedIndexProportions) {
   const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
   std::vector<int> counts(4, 0);
   const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
+  const double total = Rng::weight_total(weights);
+  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights, total)];
   EXPECT_EQ(counts[2], 0);  // zero weight never picked
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
@@ -127,8 +128,14 @@ TEST(Rng, WeightedIndexAllZeroFallsBackToUniform) {
   Rng rng(37);
   const std::vector<double> weights{0.0, 0.0, 0.0};
   std::set<std::size_t> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(rng.weighted_index(weights));
+  for (int i = 0; i < 200; ++i) seen.insert(rng.weighted_index(weights, 0.0));
   EXPECT_EQ(seen.size(), 3u);
+}
+
+TEST(Rng, WeightTotalIgnoresNegativeWeights) {
+  EXPECT_EQ(Rng::weight_total({1.0, 3.0, 0.0, 6.0}), 10.0);
+  EXPECT_EQ(Rng::weight_total({0.5, -2.0, 0.25}), 0.75);
+  EXPECT_EQ(Rng::weight_total({0.0, 0.0}), 0.0);
 }
 
 TEST(Rng, SplitIsDeterministic) {

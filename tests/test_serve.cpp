@@ -106,20 +106,39 @@ pid_t start_service(const std::string& socket_path,
   return pid;
 }
 
+/// A raw client connection to \p socket_path, or -1 when nothing accepts.
+int connect_raw(const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (socket_path.size() >= sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 /// True when something is accepting connections on \p socket_path. The
 /// supervisor sees the probe as a client that hung up before submitting
 /// and just drops it.
 bool service_up(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) return false;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_raw(socket_path);
   if (fd < 0) return false;
-  const bool up =
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0;
   ::close(fd);
-  return up;
+  return true;
+}
+
+/// Peak resident set (VmHWM) of process \p pid in kB, or 0 if unreadable.
+std::size_t peak_rss_kb(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
 }
 
 /// Blocks until the service accepts connections (or ~5 s pass): submitting
@@ -254,6 +273,32 @@ TEST(Serve, TwoConcurrentClientsByteIdenticalToDirectRuns) {
   // A repeat submission hits the warm caches and must not drift.
   const auto again = exp::submit_job(socket_path, text_a);
   EXPECT_EQ(csv_of(again), expected_a);
+
+  stop_service(service);
+}
+
+TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
+  const std::string text = config_text(7);
+  const std::string expected = csv_of(direct_run(text));
+  const std::string socket_path = temp_path("serve_oversize.sock");
+  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  wait_for_service(socket_path);
+
+  // A length prefix announcing ~4 GB and no payload. The supervisor must
+  // reject it from the header alone and hang up, not size a buffer to it.
+  const int fd = connect_raw(socket_path);
+  ASSERT_GE(fd, 0);
+  const std::uint32_t huge = 0xF0000000u;
+  ASSERT_EQ(::write(fd, &huge, sizeof huge), static_cast<ssize_t>(sizeof huge));
+  char byte = 0;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);  // dropped: EOF, no reply frame
+  ::close(fd);
+
+  // The service keeps serving, and never grew toward the announced size.
+  EXPECT_EQ(csv_of(exp::submit_job(socket_path, text)), expected);
+  const std::size_t peak_kb = peak_rss_kb(service);
+  EXPECT_GT(peak_kb, 0u);
+  EXPECT_LT(peak_kb, std::size_t{1} << 20) << "service VmHWM " << peak_kb << " kB";
 
   stop_service(service);
 }

@@ -109,7 +109,9 @@ TEST(Workload, ValidateAgainstEnforcesEetCompatibility) {
   Workload ok({make_task(1, 1, 0.0, 5.0)});
   EXPECT_NO_THROW(ok.validate_against(eet));
   Workload bad({make_task(1, 7, 0.0, 5.0)});  // type 7 not in the EET
-  EXPECT_THROW(bad.validate_against(eet), e2c::InputError);
+  EXPECT_EQ(input_error_of([&] { bad.validate_against(eet); }),
+            "workload: task 1 references task type id 7 that is not defined within the "
+            "EET matrix");
 }
 
 TEST(Workload, TypeHistogram) {

@@ -12,8 +12,8 @@
 # benchmark at reduced depths, validates that the JSON artifacts contain the
 # expected keys, and fails if the fresh fast/reference scheduler speedup drops
 # below 70% of the committed BENCH_sched_hotpath.json baseline for MM or
-# ELARE. It also runs the repository benchmark's self-tests and a 2 s
-# `overload` run whose digest must equal the recorded one. The
+# ELARE. It also runs the repository benchmark's self-tests and 2 s
+# `overload` and `megarun` runs whose digests must equal the recorded ones. The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)). Speedup ratios compare two
@@ -100,20 +100,25 @@ run_bench_smoke() {
   local e2cbench_dir="${BUILD_ROOT}/e2cbench"
   echo "=== bench: repository benchmark self-tests ==="
   (cd "${ROOT}" && CARGO_TARGET_DIR="${e2cbench_dir}" python3 e2cbench/run.py --selftest)
-  echo "=== bench: overload digest (2 s) ==="
-  # Seed 1's overload digest (events, outcome counters, scheduler rounds),
-  # pre-recorded so the run compares against it instead of recording its
-  # own: a mapper or calendar change that moves any simulated output fails.
+  # Seed 1's digests (events, outcome counters, scheduler rounds), pre-
+  # recorded so each run compares against them instead of recording its
+  # own: a mapper or calendar change that moves any simulated output fails
+  # overload, and megarun's 2M-task trace also pins the generator path.
   mkdir -p "${e2cbench_dir}/digests"
-  echo "c83a886c949ab5d3" > "${e2cbench_dir}/digests/overload-1.digest"
-  local overload_result
-  overload_result="$(cd "${ROOT}" && CARGO_TARGET_DIR="${e2cbench_dir}" \
-    python3 e2cbench/run.py --workload overload --seed 1 --seconds 2 | tail -n 1)"
-  grep -q '"correct": true' <<<"${overload_result}" || {
-    echo "bench smoke: overload run incorrect or digest moved: ${overload_result}" >&2
-    exit 1
-  }
-  echo "overload digest ok"
+  local pinned workload digest result
+  for pinned in overload:c83a886c949ab5d3 megarun:45ee4baafdaec235; do
+    workload="${pinned%%:*}"
+    digest="${pinned#*:}"
+    echo "=== bench: ${workload} digest (2 s) ==="
+    echo "${digest}" > "${e2cbench_dir}/digests/${workload}-1.digest"
+    result="$(cd "${ROOT}" && CARGO_TARGET_DIR="${e2cbench_dir}" \
+      python3 e2cbench/run.py --workload "${workload}" --seed 1 --seconds 2 | tail -n 1)"
+    grep -q '"correct": true' <<<"${result}" || {
+      echo "bench smoke: ${workload} run incorrect or digest moved: ${result}" >&2
+      exit 1
+    }
+    echo "${workload} digest ok"
+  done
 
   local exp_out="${dir}/BENCH_experiment_throughput.json"
   local exp_baseline="${ROOT}/BENCH_experiment_throughput.json"
