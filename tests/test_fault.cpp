@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -97,6 +98,24 @@ TEST(MachineFailure, SetOnlineIsNoOpWhileFailed) {
   machine.repair(2.0);
   EXPECT_TRUE(machine.online());
   EXPECT_TRUE(machine.has_queue_space());
+}
+
+TEST(MachineFailure, MisuseErrorsPinExactText) {
+  Engine engine;
+  Machine machine(engine, 0, "m0", 0, MachineTypeSpec{"test", 10.0, 110.0}, 0);
+  const auto error_of = [](auto&& action) -> std::string {
+    try {
+      action();
+    } catch (const e2c::InvariantError& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of([&] { machine.repair(1.0); }),
+            "Machine::repair: machine 'm0' is not failed");
+  (void)machine.fail(2.0);
+  EXPECT_EQ(error_of([&] { (void)machine.fail(3.0); }),
+            "Machine::fail: machine 'm0' is not online");
 }
 
 TEST(MachineFailure, AvailabilityReflectsDowntime) {
@@ -496,6 +515,60 @@ TEST(FaultSimulation, InFlightTransferToFailedMachineIsRefunded) {
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_EQ(state.retries[0], 1u);
   EXPECT_EQ(state.machine[0], 1u);
+  EXPECT_EQ(simulation.in_flight_count(0), 0u);
+  EXPECT_EQ(simulation.in_flight_count(1), 0u);
+}
+
+TEST(FaultSimulation, CrashEvictsOnlyItsOwnTransfersInIdOrder) {
+  // Tasks 5 then 4 reserve m0 (T1 runs 1 s there, 10 s on m1) and task 3
+  // reserves m1, all mid-transfer when m0 crashes at 0.5. The crash refunds
+  // m0's two reservations and retries them by ascending id even though they
+  // were reserved in descending order; m1's transfer rides it out.
+  EetMatrix eet({"T1", "T2"}, {"m0", "m1"}, {{1.0, 10.0}, {10.0, 1.0}});
+  SystemConfig system = e2c::sched::make_default_system(std::move(eet));
+  system.comm = e2c::net::CommModel::uniform(2, 2, 200.0,
+                                             e2c::net::LinkSpec{0.0, 100.0});  // 2 s
+  system.faults = trace_faults({{0, 0.5, 1000.0}});
+  Simulation simulation(system, e2c::sched::make_policy("MECT"));
+
+  struct RetryLog : e2c::core::EngineObserver {
+    std::vector<std::string> retries;
+    void on_event(const e2c::core::EventRecord& record) override {
+      if (record.label.rfind("retry task=", 0) == 0) retries.push_back(record.label);
+    }
+  } log;
+  simulation.engine().add_observer(&log);
+  simulation.load(Workload({make_task(5, 0, 0.0, 1e9), make_task(4, 0, 0.1, 1e9),
+                            make_task(3, 1, 0.2, 1e9)}));
+  const auto& state = simulation.task_state();
+  ASSERT_EQ(state.id(0), 5u);
+  ASSERT_EQ(state.id(1), 4u);
+  ASSERT_EQ(state.id(2), 3u);
+
+  simulation.engine().run_until(0.4);
+  EXPECT_EQ(simulation.in_flight_count(0), 2u);
+  EXPECT_EQ(simulation.in_flight_count(1), 1u);
+  EXPECT_EQ(state.machine[0], 0u);
+  EXPECT_EQ(state.machine[1], 0u);
+
+  simulation.engine().run_until(0.6);
+  EXPECT_EQ(simulation.in_flight_count(0), 0u);
+  EXPECT_EQ(simulation.in_flight_count(1), 1u);
+  EXPECT_EQ(state.status[0], TaskStatus::kRetryWait);
+  EXPECT_EQ(state.status[1], TaskStatus::kRetryWait);
+  EXPECT_EQ(state.status[2], TaskStatus::kTransferring);
+  EXPECT_EQ(state.machine[2], 1u);
+
+  simulation.run();
+  simulation.engine().remove_observer(&log);
+  EXPECT_EQ(log.retries, (std::vector<std::string>{"retry task=4", "retry task=5"}));
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    EXPECT_EQ(state.status[i], TaskStatus::kCompleted) << "task " << state.id(i);
+  }
+  EXPECT_EQ(state.retries[0], 1u);
+  EXPECT_EQ(state.retries[1], 1u);
+  EXPECT_EQ(state.retries[2], 0u);
+  EXPECT_DOUBLE_EQ(state.start_time[2], 2.2);  // transfer 0.2 -> 2.2, undisturbed
   EXPECT_EQ(simulation.in_flight_count(0), 0u);
   EXPECT_EQ(simulation.in_flight_count(1), 0u);
 }

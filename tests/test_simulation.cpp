@@ -267,6 +267,18 @@ TEST(Simulation, RejectsDuplicateTaskIds) {
       e2c::InputError);
 }
 
+TEST(Simulation, DuplicateTaskIdErrorPinsExactText) {
+  // Non-dense ids take the id->row map path, which names the repeated id.
+  Simulation simulation(two_machine_system(), e2c::sched::make_policy("FCFS"));
+  try {
+    simulation.load(Workload({make_task(7, 0, 0.0, 5.0), make_task(9, 0, 0.5, 5.0),
+                              make_task(7, 1, 1.0, 6.0)}));
+    FAIL() << "duplicate id accepted";
+  } catch (const e2c::InputError& error) {
+    EXPECT_STREQ(error.what(), "Simulation: duplicate task id 7");
+  }
+}
+
 TEST(Simulation, RejectsWorkloadOutsideEet) {
   Simulation simulation(two_machine_system(), e2c::sched::make_policy("FCFS"));
   EXPECT_THROW(simulation.load(Workload({make_task(0, 7, 0.0, 5.0)})), e2c::InputError);
