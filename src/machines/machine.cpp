@@ -45,8 +45,8 @@ void Machine::set_online(bool online, core::SimTime now) {
 }
 
 std::vector<std::size_t> Machine::fail(core::SimTime now) {
-  require(state_ == MachineState::kOnline, "Machine::fail: machine '" + name_ +
-                                               "' is not online");
+  require(state_ == MachineState::kOnline,
+          [this] { return "Machine::fail: machine '" + name_ + "' is not online"; });
   std::vector<std::size_t> evicted;
   evicted.reserve(queue_.size() + 1);
   if (running_) {
@@ -74,8 +74,8 @@ std::vector<std::size_t> Machine::fail(core::SimTime now) {
 }
 
 void Machine::repair(core::SimTime now) {
-  require(state_ == MachineState::kFailed, "Machine::repair: machine '" + name_ +
-                                               "' is not failed");
+  require(state_ == MachineState::kFailed,
+          [this] { return "Machine::repair: machine '" + name_ + "' is not failed"; });
   require(!failure_spans_.empty(), "Machine::repair: no open failure span");
   failure_spans_.back().end = now;
   state_ = MachineState::kOnline;
@@ -166,8 +166,12 @@ void Machine::start_next() {
   run.exec_seconds = entry.exec_seconds + cold_penalty;
   // Committed checkpoints travel with the task as a work fraction, so a
   // restart on a *different* machine resumes the remaining fraction at that
-  // machine's own speed.
-  run.base_fraction = std::clamp(task_state_->completed_fraction[entry.task], 0.0, 1.0);
+  // machine's own speed. Without the checkpoint columns nothing was ever
+  // committed, so every start is from scratch.
+  run.base_fraction =
+      task_state_->has_checkpoint_column()
+          ? std::clamp(task_state_->completed_fraction[entry.task], 0.0, 1.0)
+          : 0.0;
   run.work_total = (1.0 - run.base_fraction) * run.exec_seconds;
   run.started_at = now;
   run.finish_at = now + projected_run_seconds(run);
@@ -255,9 +259,11 @@ void Machine::on_checkpoint_commit() {
   task_state_->checkpoint_overhead_seconds[task] +=
       io_channel_ ? std::max(0.0, now - run.phase_started_at) : checkpoint_->cost;
   run.io_transfer = fault::kNoTransfer;
+  require(task_state_->has_checkpoint_column(),
+          "Machine::on_checkpoint_commit: task state has no checkpoint columns");
   task_state_->completed_fraction[task] =
       std::min(1.0, run.base_fraction + run.work_committed / run.exec_seconds);
-  if (task_state_->has_checkpoint_column()) task_state_->checkpoint_times[task].push_back(now);
+  task_state_->checkpoint_times[task].push_back(now);
   checkpoint_marks_.push_back(CheckpointMark{task_state_->id(task), now});
   begin_work_segment();
 }
@@ -284,7 +290,7 @@ void Machine::on_completion() {
   // The final (uncheckpointed) work segment is useful too: it completed.
   task_state_->useful_seconds[task] += std::max(0.0, run.work_total - run.work_committed);
   task_state_->machine_seconds[task] += elapsed;
-  task_state_->completed_fraction[task] = 1.0;
+  if (task_state_->has_checkpoint_column()) task_state_->completed_fraction[task] = 1.0;
   task_state_->status[task] = workload::TaskStatus::kCompleted;
   task_state_->completion_time[task] = now;
 

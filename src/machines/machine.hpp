@@ -129,7 +129,9 @@ class Machine {
   /// When set with interval > 0, executions interleave work segments with
   /// checkpoint writes and record committed progress on the task so a later
   /// run resumes instead of restarting from zero. Not owned; must outlive the
-  /// machine's activity. Pass nullptr to disable (resubmit semantics).
+  /// machine's activity. Pass nullptr to disable (resubmit semantics). The
+  /// task state must have its checkpoint columns enabled before the first
+  /// commit (Simulation does so for every checkpoint run).
   void set_checkpoint_spec(const CheckpointSpec* spec) noexcept { checkpoint_ = spec; }
 
   /// Attaches the shared checkpoint-I/O channel. When set (alongside a

@@ -81,7 +81,7 @@ Simulation::Simulation(std::shared_ptr<const SystemConfig> config,
   completed_by_type_.assign(cfg().eet.task_type_count(), 0);
   terminal_by_type_.assign(cfg().eet.task_type_count(), 0);
   rates_scratch_.assign(cfg().eet.task_type_count(), 1.0);
-  in_flight_count_.assign(machines_.size(), 0);
+  in_flight_.resize(machines_.size());
   in_flight_exec_.assign(machines_.size(), 0.0);
   booting_.assign(machines_.size(), false);
   pending_fault_event_.assign(machines_.size(), core::kNoEvent);
@@ -170,17 +170,20 @@ void Simulation::init_task_state() {
   if (!dense_ids_) {
     index_map_.reserve(state_.size());
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      require_input(index_map_.emplace(state_.id(i), i).second,
-                    "Simulation: duplicate task id " + std::to_string(state_.id(i)));
+      require_input(index_map_.emplace(state_.id(i), i).second, [&] {
+        return "Simulation: duplicate task id " + std::to_string(state_.id(i));
+      });
     }
   }
   deadline_event_.assign(state_.size(), core::kNoEvent);
-  retry_event_.assign(state_.size(), core::kNoEvent);
-  in_flight_.assign(state_.size(), InFlight{});
-  group_of_.assign(state_.size(), kNoGroup);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (std::size_t member : groups_[g].members) {
-      group_of_[member] = static_cast<std::uint32_t>(g);
+  retry_event_.assign(injector_ ? state_.size() : 0, core::kNoEvent);
+  group_of_.clear();
+  if (!groups_.empty()) {
+    group_of_.assign(state_.size(), kNoGroup);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      for (std::size_t member : groups_[g].members) {
+        group_of_[member] = static_cast<std::uint32_t>(g);
+      }
     }
   }
   batch_queue_.reset(state_.defs, cfg().eet.task_type_count());
@@ -269,7 +272,6 @@ void Simulation::reset(std::unique_ptr<Policy> policy) {
   index_map_.clear();
   deadline_event_.clear();
   retry_event_.clear();
-  in_flight_.clear();
   group_of_.clear();
   groups_.clear();
   batch_queue_.reset({}, cfg().eet.task_type_count());
@@ -282,7 +284,7 @@ void Simulation::reset(std::unique_ptr<Policy> policy) {
   // scratch buffer moved-out, and reset() promises just-constructed state.
   rates_scratch_.assign(cfg().eet.task_type_count(), 1.0);
   sampling_rng_ = util::Rng(cfg().sampling_seed);
-  std::fill(in_flight_count_.begin(), in_flight_count_.end(), 0);
+  for (std::vector<Reservation>& reservations : in_flight_) reservations.clear();
   std::fill(in_flight_exec_.begin(), in_flight_exec_.end(), 0.0);
   std::fill(booting_.begin(), booting_.end(), false);
   std::fill(pending_fault_event_.begin(), pending_fault_event_.end(), core::kNoEvent);
@@ -383,13 +385,8 @@ void Simulation::on_deadline(std::size_t index) {
     case workload::TaskStatus::kTransferring: {
       // Deadline while the payload was still in flight: the task was mapped,
       // so this counts as dropped; release the reserved queue slot.
-      InFlight& reservation = in_flight_[index];
-      require(reservation.event != core::kNoEvent,
-              "deadline: transferring task has no reservation");
-      engine_.cancel(reservation.event);
-      --in_flight_count_[reservation.machine];
-      in_flight_exec_[reservation.machine] -= reservation.exec_seconds;
-      reservation = InFlight{};
+      engine_.cancel(
+          release_reservation(index, "deadline: transferring task has no reservation").event);
       state_.status[index] = workload::TaskStatus::kDropped;
       state_.missed_time[index] = engine_.now();
       mark_terminal(index);
@@ -443,7 +440,7 @@ void Simulation::run_scheduler() {
     view.type = machine.type();
     // Projected ready time includes work whose payload is still in flight.
     view.ready_time = machine.ready_time() + in_flight_exec_[m];
-    const std::size_t used = machine.queue_length() + in_flight_count_[m];
+    const std::size_t used = machine.queue_length() + in_flight_[m].size();
     if (!machine.online() || (!unbounded && used >= queue_capacity_)) {
       view.free_slots = 0;
     } else {
@@ -501,7 +498,7 @@ void Simulation::apply_assignment(const Assignment& assignment) {
            machine.name() + "'";
   });
   require_input(queue_capacity_ == machines::kUnboundedQueue ||
-                    machine.queue_length() + in_flight_count_[assignment.machine] <
+                    machine.queue_length() + in_flight_[assignment.machine].size() <
                         queue_capacity_,
                 [&] {
                   return "policy '" + policy_name_ +
@@ -547,8 +544,7 @@ void Simulation::apply_assignment(const Assignment& assignment) {
         core::EventLabel("transfer done task=", state_.id(index), " machine=",
                          machine.name().c_str()),
         [this, index] { on_transfer_complete(index); });
-    in_flight_[index] = InFlight{machine.id(), exec, event};
-    ++in_flight_count_[machine.id()];
+    in_flight_[machine.id()].push_back(Reservation{index, exec, event});
     in_flight_exec_[machine.id()] += exec;
   } else {
     machine.enqueue(index, exec);
@@ -560,12 +556,22 @@ void Simulation::on_transfer_complete(std::size_t index) {
   // firing event always finds its reservation intact.
   require(state_.status[index] == workload::TaskStatus::kTransferring,
           "transfer completed for a task no longer transferring");
-  require(in_flight_[index].event != core::kNoEvent, "transfer: missing reservation");
-  const InFlight in_flight = in_flight_[index];
-  in_flight_[index] = InFlight{};
-  --in_flight_count_[in_flight.machine];
-  in_flight_exec_[in_flight.machine] -= in_flight.exec_seconds;
-  machines_[in_flight.machine]->enqueue(index, in_flight.exec_seconds);
+  const Reservation reservation = release_reservation(index, "transfer: missing reservation");
+  machines_[state_.machine[index]]->enqueue(index, reservation.exec_seconds);
+}
+
+Simulation::Reservation Simulation::release_reservation(std::size_t index,
+                                                        const char* missing) {
+  const std::uint32_t m = state_.machine[index];
+  require(m < in_flight_.size(), missing);
+  std::vector<Reservation>& reservations = in_flight_[m];
+  const auto it = std::find_if(reservations.begin(), reservations.end(),
+                               [index](const Reservation& r) { return r.task == index; });
+  require(it != reservations.end(), missing);
+  const Reservation reservation = *it;
+  reservations.erase(it);
+  in_flight_exec_[m] -= reservation.exec_seconds;
+  return reservation;
 }
 
 void Simulation::schedule_next_failure(std::size_t m, double from) {
@@ -593,24 +599,20 @@ void Simulation::on_machine_failure(std::size_t m, double repair_time) {
 
   // Abort the committed work: running task first, then local queue, then
   // payloads still in flight toward the crashed machine (sorted by id so the
-  // retry order is stable regardless of how reservations are stored).
+  // retry order is stable regardless of how reservations are stored, and
+  // refunded in that order so in_flight_exec_ rounds the same way).
   std::vector<std::size_t> evicted = machine.fail(engine_.now());
-  std::vector<std::size_t> transferring;
-  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
-    if (in_flight_[i].event != core::kNoEvent && in_flight_[i].machine == m) {
-      transferring.push_back(i);
-    }
+  std::vector<Reservation>& transferring = in_flight_[m];
+  std::sort(transferring.begin(), transferring.end(),
+            [this](const Reservation& a, const Reservation& b) {
+              return state_.id(a.task) < state_.id(b.task);
+            });
+  for (const Reservation& reservation : transferring) {
+    engine_.cancel(reservation.event);
+    in_flight_exec_[m] -= reservation.exec_seconds;
+    evicted.push_back(reservation.task);
   }
-  std::sort(transferring.begin(), transferring.end(), [this](std::size_t a, std::size_t b) {
-    return state_.id(a) < state_.id(b);
-  });
-  for (std::size_t i : transferring) {
-    engine_.cancel(in_flight_[i].event);
-    --in_flight_count_[m];
-    in_flight_exec_[m] -= in_flight_[i].exec_seconds;
-    in_flight_[i] = InFlight{};
-    evicted.push_back(i);
-  }
+  transferring.clear();
   // Schedule the repair before aborting tasks: if an abort ends the last
   // live task, mark_terminal drains this event so run() ends promptly.
   pending_fault_event_[m] = engine_.schedule_at(
@@ -679,8 +681,8 @@ std::size_t Simulation::online_machine_count() const noexcept {
 }
 
 std::size_t Simulation::in_flight_count(hetero::MachineId machine) const {
-  require_input(machine < in_flight_count_.size(), "in_flight_count: machine out of range");
-  return in_flight_count_[machine];
+  require_input(machine < in_flight_.size(), "in_flight_count: machine out of range");
+  return in_flight_[machine].size();
 }
 
 const mem::ModelCache* Simulation::model_cache(hetero::MachineId machine) const {
@@ -734,7 +736,7 @@ void Simulation::scale_in() {
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     const machines::Machine& machine = *machines_[m];
     if (machine.online() && !machine.busy() && machine.queue_length() == 0 &&
-        in_flight_count_[m] == 0) {
+        in_flight_[m].empty()) {
       idle.push_back(m);
     }
   }
@@ -816,13 +818,8 @@ void Simulation::cancel_replica_siblings(ReplicaGroup& group, workload::TaskId w
         break;
       }
       case workload::TaskStatus::kTransferring: {
-        InFlight& reservation = in_flight_[member];
-        require(reservation.event != core::kNoEvent,
-                "replica cancel: missing transfer reservation");
-        engine_.cancel(reservation.event);
-        --in_flight_count_[reservation.machine];
-        in_flight_exec_[reservation.machine] -= reservation.exec_seconds;
-        reservation = InFlight{};
+        engine_.cancel(
+            release_reservation(member, "replica cancel: missing transfer reservation").event);
         break;
       }
       case workload::TaskStatus::kInMachineQueue:

@@ -311,7 +311,10 @@ class Simulation final : public machines::MachineListener {
   /// with arbitrary ids (hand-written CSVs, replica clones).
   bool dense_ids_ = false;
   std::unordered_map<workload::TaskId, std::size_t> index_map_;
-  /// Pending deadline-check event per task index (kNoEvent when none).
+  /// Pending deadline-check event per task index (kNoEvent when none). The
+  /// one per-task column of the Simulation that every run allocates;
+  /// retry_event_, group_of_ and in_flight_ below exist only for the
+  /// features that use them.
   std::vector<core::EventId> deadline_event_;
   /// Batch queue over task indices: O(1) membership/removal, per-type lists
   /// in arrival order (see TaskIndexQueue).
@@ -336,18 +339,24 @@ class Simulation final : public machines::MachineListener {
   // Stochastic execution sampling stream (unused without a PET).
   util::Rng sampling_rng_;
 
-  // Per-task in-flight transfer reservations (comm model only), indexed like
-  // task rows; event == kNoEvent means no reservation. The transfer-complete
-  // event id lets a machine failure (or deadline) cancel the arrival so a
-  // later re-assignment cannot race a stale event.
-  struct InFlight {
-    hetero::MachineId machine = 0;
+  // In-flight transfer reservations (comm model only): one list per
+  // machine, so a list's size is the queue slots it holds and memory scales
+  // with payloads in flight, not with the trace. The transfer-complete event
+  // id lets a machine failure (or deadline) cancel the arrival so a later
+  // re-assignment cannot race a stale event. A list is bounded by the queue
+  // capacity (batch policies) and kept in reservation order; a crash, the
+  // one path that walks it, sorts it by task id first.
+  struct Reservation {
+    std::size_t task = 0;  ///< task row index
     double exec_seconds = 0.0;
     core::EventId event = core::kNoEvent;
   };
-  std::vector<InFlight> in_flight_;
-  std::vector<std::size_t> in_flight_count_;
-  std::vector<double> in_flight_exec_;
+  std::vector<std::vector<Reservation>> in_flight_;
+  std::vector<double> in_flight_exec_;  ///< per machine: sum of exec_seconds
+  /// Removes the reservation of transferring task \p task_index from its
+  /// machine's list and refunds its execution time; \p missing is the
+  /// invariant message when there is none.
+  Reservation release_reservation(std::size_t task_index, const char* missing);
 
   // Autoscaler state.
   std::vector<bool> booting_;
@@ -357,7 +366,8 @@ class Simulation final : public machines::MachineListener {
   // so the calendar can be drained once every task is terminal.
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<core::EventId> pending_fault_event_;
-  /// Pending retry-ready event per task index (kNoEvent when none).
+  /// Pending retry-ready event per task index (kNoEvent when none); sized
+  /// only when faults are enabled, the one way a task enters retry wait.
   std::vector<core::EventId> retry_event_;
 
   // Recovery-strategy state. The checkpoint spec lives here (Simulation is
@@ -375,7 +385,8 @@ class Simulation final : public machines::MachineListener {
     bool resolved = false;             ///< outcome already counted
   };
   std::vector<ReplicaGroup> groups_;
-  /// Replica-group index per task index (kNoGroup when unreplicated).
+  /// Replica-group index per task index (kNoGroup when unreplicated); empty
+  /// unless the run replicates (groups_ non-empty).
   std::vector<std::uint32_t> group_of_;
   void resolve_replica_group(ReplicaGroup& group, std::size_t task_index);
   void cancel_replica_siblings(ReplicaGroup& group, workload::TaskId winner_id);

@@ -20,9 +20,13 @@
 ///  - machine:     kNoMachine
 ///  - replica_of:  kNoTaskId
 ///
-/// The `replica_of` and `checkpoint_times` columns are lazy: empty unless
-/// the run uses replication / checkpointing, so the common path never
-/// touches (or allocates) them.
+/// The `replica_of`, `checkpoint_times` and `completed_fraction` columns
+/// are lazy: empty unless the run uses replication / checkpointing, so the
+/// common path never touches (or allocates) them. Without checkpoints a
+/// task always starts from fraction 0, which is all `completed_fraction`
+/// would record. `retries`, `lost_seconds` and `checkpoint_overhead_seconds`
+/// stay dense even though only fault runs move them off zero: the reports
+/// and the run-digest goldens read them per task on every run.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +64,6 @@ struct TaskStateSoA {
   // --- recovery record ---
   // The waste decomposition the reports export: for every machine the task
   // touched, useful + lost + checkpoint_overhead == machine_seconds.
-  std::vector<double> completed_fraction;
   std::vector<double> useful_seconds;
   std::vector<double> lost_seconds;
   std::vector<double> checkpoint_overhead_seconds;
@@ -69,6 +72,8 @@ struct TaskStateSoA {
   // --- lazy columns (empty unless the feature is active) ---
   std::vector<TaskId> replica_of;  ///< primary's id, kNoTaskId for non-replicas
   std::vector<std::vector<core::SimTime>> checkpoint_times;  ///< commit instants
+  /// Committed work fraction a restart resumes from (sized with checkpoint_times).
+  std::vector<double> completed_fraction;
 
   /// Number of task rows.
   [[nodiscard]] std::size_t size() const noexcept { return status.size(); }
@@ -101,22 +106,25 @@ struct TaskStateSoA {
     completion_time.assign(n, core::kTimeUnset);
     missed_time.assign(n, core::kTimeUnset);
     retries.assign(n, 0);
-    completed_fraction.assign(n, 0.0);
     useful_seconds.assign(n, 0.0);
     lost_seconds.assign(n, 0.0);
     checkpoint_overhead_seconds.assign(n, 0.0);
     machine_seconds.assign(n, 0.0);
     replica_of.clear();
     checkpoint_times.clear();
+    completed_fraction.clear();
   }
 
   /// Sizes the replica_of column (all kNoTaskId). Called once per run when
   /// the replicate strategy is active.
   void enable_replica_column() { replica_of.assign(size(), kNoTaskId); }
 
-  /// Sizes the checkpoint_times column. Called once per run when the
-  /// checkpoint strategy is active.
-  void enable_checkpoint_column() { checkpoint_times.assign(size(), {}); }
+  /// Sizes the checkpoint columns (checkpoint_times empty, completed_fraction
+  /// 0). Called once per run when the checkpoint strategy is active.
+  void enable_checkpoint_column() {
+    checkpoint_times.assign(size(), {});
+    completed_fraction.assign(size(), 0.0);
+  }
 
   [[nodiscard]] bool has_replica_column() const noexcept { return !replica_of.empty(); }
   [[nodiscard]] bool has_checkpoint_column() const noexcept {

@@ -145,4 +145,48 @@ TEST(TaskStateEquivalence, ReplicatedCountersMatchStatusScan) {
   }
 }
 
+TEST(TaskStateLayout, CheckpointColumnsAreLazy) {
+  // bind() sizes only the dense columns; the checkpoint pair appears
+  // together, and only on request.
+  std::vector<TaskDef> trace(3);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = i;
+  e2c::workload::TaskStateSoA state;
+  state.bind(trace);
+  ASSERT_EQ(state.size(), 3u);
+  EXPECT_EQ(state.useful_seconds.size(), 3u);
+  EXPECT_TRUE(state.completed_fraction.empty());
+  EXPECT_TRUE(state.checkpoint_times.empty());
+  EXPECT_FALSE(state.has_checkpoint_column());
+
+  state.enable_checkpoint_column();
+  EXPECT_TRUE(state.has_checkpoint_column());
+  ASSERT_EQ(state.checkpoint_times.size(), 3u);
+  ASSERT_EQ(state.completed_fraction.size(), 3u);
+  for (double fraction : state.completed_fraction) EXPECT_EQ(fraction, 0.0);
+
+  state.reset();
+  EXPECT_TRUE(state.completed_fraction.empty());
+  EXPECT_FALSE(state.has_checkpoint_column());
+}
+
+TEST(TaskStateLayout, OnlyCheckpointRunsAllocateCheckpointColumns) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto resubmit = run_randomized(seed, RecoveryStrategy::kResubmit);
+    EXPECT_TRUE(resubmit->task_state().completed_fraction.empty()) << "seed " << seed;
+    EXPECT_FALSE(resubmit->task_state().has_checkpoint_column()) << "seed " << seed;
+
+    const auto checkpoint = run_randomized(seed, RecoveryStrategy::kCheckpoint);
+    const auto& state = checkpoint->task_state();
+    ASSERT_EQ(state.completed_fraction.size(), state.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      // A completed task's fraction is 1; any other never exceeds it.
+      if (state.completed(i)) {
+        EXPECT_EQ(state.completed_fraction[i], 1.0) << "seed " << seed << " task " << i;
+      } else {
+        EXPECT_LE(state.completed_fraction[i], 1.0) << "seed " << seed << " task " << i;
+      }
+    }
+  }
+}
+
 }  // namespace

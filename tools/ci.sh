@@ -13,7 +13,9 @@
 # expected keys, and fails if the fresh fast/reference scheduler speedup drops
 # below 70% of the committed BENCH_sched_hotpath.json baseline for MM or
 # ELARE. It also runs the repository benchmark's self-tests and 2 s
-# `overload` and `megarun` runs whose digests must equal the recorded ones. The
+# `overload` and `megarun` runs whose digests must equal the recorded ones;
+# the megarun run also fails above a 300 MB peak RSS (its 2M-task columns
+# make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)). Speedup ratios compare two
@@ -118,6 +120,17 @@ run_bench_smoke() {
       exit 1
     }
     echo "${workload} digest ok"
+    if [[ "${workload}" == megarun ]]; then
+      # Per-task state is ~133 B over 2M tasks (~266 MB peak); a column
+      # that goes dense again for every run shows up here.
+      python3 -c 'import json, sys
+rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]
+print("megarun peak_rss_mb %.1f (ceiling 300)" % rss)
+sys.exit(0 if rss <= 300 else 1)' "${result}" || {
+        echo "bench smoke: megarun peak RSS above the 300 MB ceiling" >&2
+        exit 1
+      }
+    fi
   done
 
   local exp_out="${dir}/BENCH_experiment_throughput.json"
