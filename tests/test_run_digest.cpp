@@ -27,6 +27,7 @@
 #include "net/comm_model.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -283,10 +284,10 @@ struct RunOutcome {
 };
 
 RunOutcome run_outcome(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
-                       double deadline_lo, double deadline_hi) {
+                       double deadline_lo, double deadline_hi, double duration = 60.0) {
   const auto machine_types = e2c::exp::machine_types_of(config);
   auto generator = e2c::workload::config_for_offered_load(
-      config.eet, machine_types, /*rho=*/4.0, /*duration=*/60.0, /*seed=*/20230607);
+      config.eet, machine_types, /*rho=*/4.0, duration, /*seed=*/20230607);
   generator.deadline_factor_lo = deadline_lo;
   generator.deadline_factor_hi = deadline_hi;
   const auto workload = e2c::workload::generate_workload(config.eet, generator);
@@ -359,6 +360,24 @@ SystemConfig twin_machine_system(std::size_t capacity) {
   return config;
 }
 
+// The sweep workload's catalog shape: 1024 task types with a random
+// inconsistent EET on four machines, so a round's queue touches a handful
+// of types out of a thousand; with faults and checkpoint recovery.
+SystemConfig sparse_catalog_system() {
+  e2c::util::Rng rng(0xE2CBE4C11);
+  std::vector<std::string> task_names;
+  std::vector<std::string> machine_names;
+  for (int t = 0; t < 1024; ++t) task_names.push_back("T" + std::to_string(t));
+  for (int m = 0; m < 4; ++m) machine_names.push_back("M" + std::to_string(m));
+  SystemConfig config = with_retries(e2c::sched::make_default_system(
+      e2c::hetero::EetMatrix::random(std::move(task_names), std::move(machine_names),
+                                     /*base=*/2.0, /*task_range=*/4.0,
+                                     /*machine_range=*/4.0, /*inconsistent=*/true, rng),
+      /*machine_queue_capacity=*/2));
+  config.faults.recovery.strategy = e2c::fault::RecoveryStrategy::kCheckpoint;
+  return config;
+}
+
 // End-to-end decision equivalence: a full simulation under the fast mappers
 // must match the same simulation under the reference mappers — the full run
 // digest and every task's record — for every batch policy. The fast ELARE/FELARE path keeps its per-type
@@ -371,7 +390,9 @@ SystemConfig twin_machine_system(std::size_t capacity) {
 //  - replication, whose co-location skip leaves an assigned task queued;
 //  - payload transfers, which hold reserved slots across rounds;
 //  - an EET with duplicate rows, so pairs of different types tie exactly,
-//    and duplicate machines, so pairs on different machines do.
+//    and duplicate machines, so pairs on different machines do;
+//  - a 1024-type catalog with faults and checkpoints, so per-type scratch
+//    outlives the few types any one round queues.
 // FELARE's on-time rates move as tasks finish, so its fairness factors differ
 // from round to round in every scenario.
 TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
@@ -382,6 +403,7 @@ TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
     double deadline_lo = 2.0;
     double deadline_hi = 4.0;
     bool faults = false;
+    double duration = 60.0;
   };
   std::vector<Case> cases;
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}, std::size_t{8},
@@ -404,16 +426,17 @@ TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
   cases.push_back({"twin-machines", [] { return twin_machine_system(1); }});
   cases.push_back({"duplicate-rows-faults",
                    [] { return with_retries(duplicate_row_system(8)); }, 10.0, 20.0, true});
+  cases.push_back({"sparse-catalog-checkpoint", sparse_catalog_system, 2.0, 4.0, true, 600.0});
 
   for (const Case& c : cases) {
     for (const std::string& policy : e2c::sched::batch_policy_names()) {
       SCOPED_TRACE(c.name + " " + policy);
       const RunOutcome fast = run_outcome(
           c.make(), e2c::sched::make_policy(policy, SchedImpl::kFast), c.deadline_lo,
-          c.deadline_hi);
+          c.deadline_hi, c.duration);
       const RunOutcome reference = run_outcome(
           c.make(), e2c::sched::make_policy(policy, SchedImpl::kReference), c.deadline_lo,
-          c.deadline_hi);
+          c.deadline_hi, c.duration);
       if (c.faults) {
         EXPECT_GT(fast.requeued, 0u) << "scenario never retried a task";
       }

@@ -5,6 +5,7 @@
 // arrival, lower machine index) are where incremental mappers usually drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -17,6 +18,7 @@
 #include "sched/batch.hpp"
 #include "sched/elare.hpp"
 #include "sched/policy.hpp"
+#include "sched/task_index_queue.hpp"
 #include "workload/task.hpp"
 
 namespace {
@@ -24,6 +26,7 @@ namespace {
 using e2c::sched::Assignment;
 using e2c::sched::MachineView;
 using e2c::sched::SchedulingContext;
+using e2c::sched::TaskIndexQueue;
 
 struct FuzzScenario {
   e2c::hetero::EetMatrix eet;
@@ -32,7 +35,12 @@ struct FuzzScenario {
   std::vector<double> ontime_rates;
   std::optional<e2c::hetero::PetMatrix> pet;
 
-  [[nodiscard]] SchedulingContext make_context() const {
+  /// A context over \p index when given (the simulation's path: the index
+  /// must be bound to this scenario's tasks), else over the task vector.
+  [[nodiscard]] SchedulingContext make_context(const TaskIndexQueue* index = nullptr) const {
+    if (index != nullptr) {
+      return SchedulingContext(0.0, eet, machines, *index, ontime_rates, pet ? &*pet : nullptr);
+    }
     std::vector<const e2c::workload::TaskDef*> queue;
     queue.reserve(tasks.size());
     for (const auto& task : tasks) queue.push_back(&task);
@@ -41,10 +49,34 @@ struct FuzzScenario {
   }
 };
 
+/// Appends 1 to 8 machine views of random types, ready times and slot counts.
+void add_machines(FuzzScenario& scenario, std::size_t machine_types, std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> machine_count_dist(1, 8);
+  std::uniform_int_distribution<int> coin(0, 1);
+  const std::size_t machine_count = machine_count_dist(rng);
+  std::uniform_int_distribution<std::size_t> pick_machine_type(0, machine_types - 1);
+  std::uniform_int_distribution<int> ready_int(0, 12);
+  std::uniform_int_distribution<int> slot_kind(0, 9);
+  std::uniform_real_distribution<double> busy_watts(50.0, 200.0);
+  for (std::size_t j = 0; j < machine_count; ++j) {
+    MachineView view;
+    view.id = j;
+    view.type = pick_machine_type(rng);
+    view.ready_time = static_cast<double>(ready_int(rng));
+    // Slot mix: mostly small bounded queues, some exhausted, some unbounded.
+    const int kind = slot_kind(rng);
+    if (kind == 0) view.free_slots = 0;
+    else if (kind <= 2) view.free_slots = e2c::sched::kUnlimitedSlots;
+    else view.free_slots = static_cast<std::size_t>(1 + kind % 4);
+    view.idle_watts = 10.0;
+    view.busy_watts = coin(rng) == 1 ? 100.0 : busy_watts(rng);
+    scenario.machines.push_back(view);
+  }
+}
+
 FuzzScenario random_scenario(std::mt19937_64& rng) {
   std::uniform_int_distribution<std::size_t> type_count_dist(1, 6);
   std::uniform_int_distribution<std::size_t> machine_type_dist(1, 4);
-  std::uniform_int_distribution<std::size_t> machine_count_dist(1, 8);
   std::uniform_int_distribution<std::size_t> task_count_dist(0, 40);
   std::uniform_int_distribution<int> coin(0, 1);
   std::uniform_int_distribution<int> percent(0, 99);
@@ -76,25 +108,7 @@ FuzzScenario random_scenario(std::mt19937_64& rng) {
                         {},
                         std::nullopt};
 
-  const std::size_t machine_count = machine_count_dist(rng);
-  std::uniform_int_distribution<std::size_t> pick_machine_type(0, machine_types - 1);
-  std::uniform_int_distribution<int> ready_int(0, 12);
-  std::uniform_int_distribution<int> slot_kind(0, 9);
-  std::uniform_real_distribution<double> busy_watts(50.0, 200.0);
-  for (std::size_t j = 0; j < machine_count; ++j) {
-    MachineView view;
-    view.id = j;
-    view.type = pick_machine_type(rng);
-    view.ready_time = static_cast<double>(ready_int(rng));
-    // Slot mix: mostly small bounded queues, some exhausted, some unbounded.
-    const int kind = slot_kind(rng);
-    if (kind == 0) view.free_slots = 0;
-    else if (kind <= 2) view.free_slots = e2c::sched::kUnlimitedSlots;
-    else view.free_slots = static_cast<std::size_t>(1 + kind % 4);
-    view.idle_watts = 10.0;
-    view.busy_watts = coin(rng) == 1 ? 100.0 : busy_watts(rng);
-    scenario.machines.push_back(view);
-  }
+  add_machines(scenario, machine_types, rng);
 
   const std::size_t task_count = task_count_dist(rng);
   std::uniform_int_distribution<std::size_t> pick_task_type(0, task_types - 1);
@@ -121,10 +135,86 @@ FuzzScenario random_scenario(std::mt19937_64& rng) {
   return scenario;
 }
 
+/// A large catalog queried sparsely, the shape of the sweep workload: 64 to
+/// 1024 task types on 1 to 4 machine types. EETs come from {1, 2, 3, 4}, so
+/// pairs of different types and machines score exactly alike.
+e2c::hetero::EetMatrix random_catalog(std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> type_count_dist(64, 1024);
+  std::uniform_int_distribution<std::size_t> machine_type_dist(1, 4);
+  std::uniform_int_distribution<int> discrete_eet(1, 4);
+  const std::size_t task_types = type_count_dist(rng);
+  const std::size_t machine_types = machine_type_dist(rng);
+  std::vector<std::vector<double>> cells(task_types, std::vector<double>(machine_types));
+  std::vector<std::string> task_names;
+  std::vector<std::string> machine_names;
+  for (std::size_t t = 0; t < task_types; ++t) {
+    task_names.push_back("t" + std::to_string(t));
+    for (double& cell : cells[t]) cell = static_cast<double>(discrete_eet(rng));
+  }
+  for (std::size_t m = 0; m < machine_types; ++m) {
+    machine_names.push_back("m" + std::to_string(m));
+  }
+  return e2c::hetero::EetMatrix(task_names, machine_names, cells);
+}
+
+/// One scheduling round over \p catalog: fresh machine views and a queue of
+/// at most 40 tasks drawn from 1 to 5 of its types, ~80% of them with tight
+/// (often infeasible) deadlines.
+FuzzScenario sparse_round(const e2c::hetero::EetMatrix& catalog, std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> hot_count_dist(1, 5);
+  std::uniform_int_distribution<std::size_t> task_count_dist(0, 40);
+  std::uniform_int_distribution<e2c::hetero::TaskTypeId> catalog_type(
+      0, catalog.task_type_count() - 1);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<int> tight_deadline(1, 25);
+  std::uniform_real_distribution<double> rate(0.0, 1.0);
+
+  FuzzScenario scenario{catalog, {}, {}, {}, std::nullopt};
+  add_machines(scenario, catalog.machine_type_count(), rng);
+
+  std::vector<e2c::hetero::TaskTypeId> hot(hot_count_dist(rng));
+  for (auto& type : hot) type = catalog_type(rng);
+  scenario.ontime_rates.assign(catalog.task_type_count(), 1.0);
+  for (const auto type : hot) {
+    if (coin(rng) == 1) scenario.ontime_rates[type] = rate(rng);
+  }
+  std::uniform_int_distribution<std::size_t> pick_hot(0, hot.size() - 1);
+  const std::size_t task_count = task_count_dist(rng);
+  for (std::size_t i = 0; i < task_count; ++i) {
+    e2c::workload::TaskDef task;
+    task.id = i + 1;
+    task.type = hot[pick_hot(rng)];
+    task.arrival = static_cast<double>(i);
+    task.deadline = percent(rng) < 80 ? static_cast<double>(tight_deadline(rng)) : 1e9;
+    scenario.tasks.push_back(task);
+  }
+  return scenario;
+}
+
+/// Binds \p index to the scenario's tasks the way a simulation fills it:
+/// tasks enter in a shuffled order and some leave and re-enter at the tail
+/// (fault retries), so queue order is not task-index order.
+void fill_index(const FuzzScenario& scenario, TaskIndexQueue& index, std::mt19937_64& rng) {
+  index.reset(scenario.tasks, scenario.eet.task_type_count());
+  std::vector<std::size_t> order(scenario.tasks.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), rng);
+  for (const std::size_t i : order) index.push_back(i);
+  std::uniform_int_distribution<int> percent(0, 99);
+  for (const std::size_t i : order) {
+    if (percent(rng) < 20) {
+      index.erase(i);
+      index.push_back(i);
+    }
+  }
+}
+
 void expect_same_decisions(const FuzzScenario& scenario, e2c::sched::Policy& fast,
-                           e2c::sched::Policy& reference, std::size_t trial) {
-  SchedulingContext fast_context = scenario.make_context();
-  SchedulingContext reference_context = scenario.make_context();
+                           e2c::sched::Policy& reference, std::size_t trial,
+                           const TaskIndexQueue* index = nullptr) {
+  SchedulingContext fast_context = scenario.make_context(index);
+  SchedulingContext reference_context = scenario.make_context(index);
   const std::vector<Assignment> got = fast.schedule(fast_context);
   const std::vector<Assignment> want = reference.schedule(reference_context);
   ASSERT_EQ(got.size(), want.size())
@@ -188,6 +278,50 @@ TEST(SchedEquivalenceFuzz, ElareMappersMatchReference) {
     MapperPair& felare = pairs[2 * (trial % 4) + 1];
     expect_same_decisions(scenario, *elare.fast, *elare.reference, trial);
     expect_same_decisions(scenario, *felare.fast, *felare.reference, trial);
+  }
+}
+
+// The sweep shape: a large catalog of which a shallow queue touches a few
+// types. One fast instance per mapper serves every round of every catalog,
+// so the per-type scratch an earlier invocation wrote (for types that are
+// not queued now, or under a catalog of another size) is still there when
+// the next one runs. Every other round runs over a live TaskIndexQueue, as
+// in a simulation.
+TEST(SchedEquivalenceFuzz, SparseLargeCatalogsMatchReference) {
+  using e2c::sched::SchedImpl;
+  std::vector<MapperPair> pairs;
+  pairs.push_back({std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kFast),
+                   std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kReference)});
+  pairs.push_back({std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kFast),
+                   std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kReference)});
+  pairs.push_back(
+      {std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kFast),
+       std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kReference)});
+  for (const double weight : {0.0, 0.5, 1.0}) {
+    pairs.push_back(
+        {std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kFast),
+         std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kReference)});
+    pairs.push_back(
+        {std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kFast),
+         std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kReference)});
+  }
+
+  std::mt19937_64 rng(0xE2CF0224ULL);
+  TaskIndexQueue index;
+  constexpr std::size_t kCatalogs = 40;
+  constexpr std::size_t kRounds = 10;
+  for (std::size_t c = 0; c < kCatalogs; ++c) {
+    const e2c::hetero::EetMatrix catalog = random_catalog(rng);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      const std::size_t trial = c * kRounds + round;
+      const FuzzScenario scenario = sparse_round(catalog, rng);
+      const bool indexed = round % 2 == 1;
+      if (indexed) fill_index(scenario, index, rng);
+      for (MapperPair& pair : pairs) {
+        expect_same_decisions(scenario, *pair.fast, *pair.reference, trial,
+                              indexed ? &index : nullptr);
+      }
+    }
   }
 }
 
