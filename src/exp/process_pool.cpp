@@ -349,7 +349,10 @@ ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
       }
 
       // Poll timeout: the nearest of cell deadline, backoff release, or a
-      // 200 ms responsiveness cap (drain requests must not wait long).
+      // 200 ms responsiveness cap (drain requests must not wait long). A
+      // release only matters while some worker is dead or idle to take the
+      // cell; with every worker busy, a result frame or hang-up wakes the
+      // poll first, and clamping to an already-passed release would spin.
       int timeout_ms = 200;
       const auto clamp_timeout = [&](Clock::time_point when) {
         const auto remaining =
@@ -367,7 +370,11 @@ ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
           }
         }
       }
-      for (const ReadyCell& cell : ready) clamp_timeout(cell.release);
+      const bool can_dispatch = std::any_of(workers.begin(), workers.end(),
+                                            [](const Worker& w) { return !w.alive || !w.busy; });
+      if (can_dispatch) {
+        for (const ReadyCell& cell : ready) clamp_timeout(cell.release);
+      }
 
       std::vector<pollfd> fds;
       std::vector<Worker*> fd_owner;

@@ -3,11 +3,13 @@
 // worker-side E2C_EXP_TEST_* env hooks (see process_pool.cpp) so crashes,
 // hangs and slow cells are deterministic — no real faults needed.
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -117,6 +119,37 @@ TEST(ProcessPool, MatchesThreadsBackendByteForByte) {
   EXPECT_EQ(isolated.health.completed_cells, 4u);
   EXPECT_EQ(isolated.health.failed_cells, 0u);
   EXPECT_EQ(isolated.health.retries, 0u);
+}
+
+double cpu_seconds(const rusage& usage) {
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// Cells waiting for a busy worker must not turn the supervisor's poll() into
+// a busy loop: with one worker and four 200 ms cells, the supervisor should
+// sleep until the worker answers, not burn a core for the whole sweep.
+TEST(ProcessPool, SupervisorSleepsWhileEveryWorkerIsBusy) {
+  const ScopedEnv delay("E2C_EXP_TEST_CELL_DELAY_MS", "200");
+  exp::RunOptions options;
+  options.workers = 1;
+  options.backend = exp::Backend::kProcs;
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = exp::run_experiment(small_spec(), options);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+
+  EXPECT_EQ(result.health.completed_cells, 4u);
+  EXPECT_GE(wall, 0.8);  // four cells, one after another
+  const double cpu = cpu_seconds(after) - cpu_seconds(before);
+  EXPECT_LT(cpu, 0.25 * wall) << "supervisor used " << cpu << " CPU-s in " << wall
+                              << " s wall";
 }
 
 TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {
