@@ -74,22 +74,30 @@ constexpr std::size_t kStale = std::numeric_limits<std::size_t>::max();
 /// invocation (ready times only grow, the slot set only shrinks), so the
 /// reference would re-reject them every round anyway.
 ///
-/// Per invocation: O(types x machines) refreshes amortized over rounds plus
-/// an O(pending) selection scan per round, vs the reference's
-/// O(pending x machines) per round.
+/// The per-type tables are sized to the catalog but touched only for the
+/// queued (live) types: those are marked stale on entry and are the only
+/// ones invalidated after a commit. Entries of other types may hold values
+/// from earlier invocations; they are never read, because only queued
+/// tasks' types are looked up.
+///
+/// Per invocation: O(live types x machines) refreshes amortized over rounds
+/// plus an O(pending + live types) scan per round, however large the
+/// catalog, vs the reference's O(pending x machines) per round.
 template <typename Key>
 void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch& scratch,
                         std::vector<Assignment>& assignments) {
   assignments.clear();
   const auto& queue = context.batch_queue();
+  const std::span<const hetero::TaskTypeId> live_types = context.batch_index().live_types();
   const auto& machines = context.machines();
   const std::size_t task_count = queue.size();
   const std::size_t machine_count = machines.size();
   const std::size_t type_count = context.eet().task_type_count();
 
   scratch.state.assign(task_count, MapSlot::kActive);
-  scratch.type_machine.assign(type_count, kStale);
-  scratch.type_completion.assign(type_count, 0.0);
+  scratch.type_machine.resize(type_count);
+  scratch.type_completion.resize(type_count);
+  for (const hetero::TaskTypeId t : live_types) scratch.type_machine[t] = kStale;
   std::size_t active = task_count;
 
   const auto refresh_type = [&](hetero::TaskTypeId type) {
@@ -141,7 +149,7 @@ void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch&
     --active;
     // Only the committed machine's projection changed (and only for the
     // worse), so caches pointing elsewhere stay valid.
-    for (std::size_t t = 0; t < type_count; ++t) {
+    for (const hetero::TaskTypeId t : live_types) {
       if (scratch.type_machine[t] == best_machine) scratch.type_machine[t] = kStale;
     }
   }

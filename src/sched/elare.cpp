@@ -98,6 +98,13 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
 /// pair (and ones already committed), so a pick walks only past those. A
 /// pair whose walk finds nobody is exhausted for the rest of the
 /// invocation: C only grows and the uncommitted set only shrinks.
+///
+/// Scores are fixed between commits, so each commit sorts its P candidate
+/// pairs (live type, machine with a slot, not exhausted) by score once and
+/// walks the equal-score groups upwards, stopping at the first group that
+/// yields a task: O(P log P) per commit, where re-finding the minimum after
+/// each exhausted score level cost O(P) per level. Sorting with `<` and
+/// grouping with `==` on the same doubles reproduces that search exactly.
 void ElarePolicy::schedule_fast(SchedulingContext& context,
                                 std::vector<Assignment>& assignments) {
   assignments.clear();
@@ -157,60 +164,46 @@ void ElarePolicy::schedule_fast(SchedulingContext& context,
     }
     if (!any_slot || max_energy <= 0.0 || max_completion <= 0.0) break;
 
+    s.candidates.clear();
     for (const hetero::TaskTypeId t : types) {
       if (s.live[t] == 0) continue;
       for (std::size_t j = 0; j < machine_count; ++j) {
         const MachineView& m = machines[j];
         if (m.free_slots == 0) continue;
+        const std::size_t pair = t * machine_count + j;
         const double exec = context.eet().eet_unchecked(t, m.type);
         const core::SimTime completion = m.ready_time + exec;
-        s.pair_completion[t * machine_count + j] = completion;
+        s.pair_completion[pair] = completion;
         // Same expression shape as the reference's score (divisions block
         // FMA contraction), evaluated on identical operands.
-        s.pair_score[t * machine_count + j] =
+        s.pair_score[pair] =
             s.factor[t] * (energy_weight_ * (exec * m.busy_watts) / max_energy +
                            (1.0 - energy_weight_) * completion / max_completion);
+        if (s.exhausted[pair] == 0) s.candidates.push_back({s.pair_score[pair], pair});
       }
     }
+    std::sort(s.candidates.begin(), s.candidates.end(),
+              [](const ScoredPair& a, const ScoredPair& b) { return a.score < b.score; });
 
-    // Lowest score over pairs not yet known to be exhausted; then the
-    // earliest task feasible for any pair at that score. If every pair at
-    // the score is exhausted, retry at the next score.
+    // Walk the equal-score groups from the lowest: in each, the earliest
+    // task feasible for any of its pairs; a group whose pairs are all
+    // exhausted hands the search to the next score.
     std::int32_t pick = TaskIndexQueue::kNil;
     std::size_t pick_type = 0;
     double best_score = 0.0;
-    for (;;) {
-      bool found = false;
-      for (const hetero::TaskTypeId t : types) {
-        if (s.live[t] == 0) continue;
-        for (std::size_t j = 0; j < machine_count; ++j) {
-          const std::size_t pair = t * machine_count + j;
-          if (machines[j].free_slots == 0 || s.exhausted[pair] != 0) continue;
-          if (!found || s.pair_score[pair] < best_score) {
-            best_score = s.pair_score[pair];
-            found = true;
-          }
+    for (std::size_t g = 0; g < s.candidates.size() && pick == TaskIndexQueue::kNil;) {
+      best_score = s.candidates[g].score;
+      for (; g < s.candidates.size() && s.candidates[g].score == best_score; ++g) {
+        const std::size_t pair = s.candidates[g].pair;
+        const std::size_t t = pair / machine_count;
+        const std::int32_t node = first_feasible(t, s.pair_completion[pair]);
+        if (node == TaskIndexQueue::kNil) {
+          s.exhausted[pair] = 1;
+        } else if (pick == TaskIndexQueue::kNil || queue.seq(node) < queue.seq(pick)) {
+          pick = node;
+          pick_type = t;
         }
       }
-      if (!found) break;
-      for (const hetero::TaskTypeId t : types) {
-        if (s.live[t] == 0) continue;
-        for (std::size_t j = 0; j < machine_count; ++j) {
-          const std::size_t pair = t * machine_count + j;
-          if (machines[j].free_slots == 0 || s.exhausted[pair] != 0 ||
-              s.pair_score[pair] != best_score) {
-            continue;
-          }
-          const std::int32_t node = first_feasible(t, s.pair_completion[pair]);
-          if (node == TaskIndexQueue::kNil) {
-            s.exhausted[pair] = 1;
-          } else if (pick == TaskIndexQueue::kNil || queue.seq(node) < queue.seq(pick)) {
-            pick = node;
-            pick_type = t;
-          }
-        }
-      }
-      if (pick != TaskIndexQueue::kNil) break;
     }
     if (pick == TaskIndexQueue::kNil) break;  // every remaining task is infeasible
 

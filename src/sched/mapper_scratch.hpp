@@ -2,10 +2,13 @@
 /// \brief Per-policy scratch state for the incremental batch mappers.
 ///
 /// The fast mappers (DESIGN.md §8) keep per-type and per-pair tables across
-/// the rounds of one schedule() invocation. The backing vectors live on the
-/// policy instance so steady-state invocations reuse their capacity instead
-/// of re-allocating every scheduler round (policies are per-simulation and
-/// single-threaded, like the simulation itself).
+/// the rounds of one schedule() invocation. The tables span the whole task
+/// catalog, but an invocation resets and reads only the entries of the
+/// types its queue holds, so its cost does not grow with the catalog. The
+/// backing vectors live on the policy instance so steady-state invocations
+/// reuse their capacity instead of re-allocating every scheduler round
+/// (policies are per-simulation and single-threaded, like the simulation
+/// itself).
 #pragma once
 
 #include <cstddef>
@@ -34,10 +37,17 @@ struct BatchMapperScratch {
   std::vector<double> type_completion;   ///< completion on the cached machine
 };
 
+/// A (type, machine) pair, as type * machines + machine, with its score.
+struct ScoredPair {
+  double score;
+  std::size_t pair;
+};
+
 /// Scratch for ELARE/FELARE: scores mix energy and completion against
 /// per-round normalization maxima, but both depend on the task only through
 /// its type, so every table is per (type, machine) pair and nothing is per
-/// task (see ElarePolicy::schedule_fast).
+/// task (see ElarePolicy::schedule_fast). The tables are indexed over the
+/// whole catalog but written and read only for the queued types.
 struct ElareMapperScratch {
   std::vector<std::size_t> live;        ///< uncommitted tasks per type
   std::vector<double> factor;           ///< fairness factor per type
@@ -45,6 +55,7 @@ struct ElareMapperScratch {
   std::vector<double> pair_score;       ///< factored score of the pair
   std::vector<std::uint8_t> exhausted;  ///< 1: no uncommitted task can meet the pair
   std::vector<std::uint32_t> committed; ///< sequence numbers mapped so far, sorted
+  std::vector<ScoredPair> candidates;   ///< this commit's unexhausted pairs, by score
 };
 
 }  // namespace e2c::sched
