@@ -101,10 +101,8 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
 ///
 /// Scores are fixed between commits, so each commit sorts its P candidate
 /// pairs (live type, machine with a slot, not exhausted) by score once and
-/// walks the equal-score groups upwards, stopping at the first group that
-/// yields a task: O(P log P) per commit, where re-finding the minimum after
-/// each exhausted score level cost O(P) per level. Sorting with `<` and
-/// grouping with `==` on the same doubles reproduces that search exactly.
+/// walks the equal-score groups upwards; the first group that yields a
+/// task is S*. A commit costs O(P log P) plus the tasks walked past.
 void ElarePolicy::schedule_fast(SchedulingContext& context,
                                 std::vector<Assignment>& assignments) {
   assignments.clear();

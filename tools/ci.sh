@@ -13,9 +13,9 @@
 # expected keys, and fails if the fresh fast/reference scheduler speedup drops
 # below 70% of the committed BENCH_sched_hotpath.json baseline for MM or
 # ELARE. It also runs the repository benchmark's self-tests and 2 s
-# `overload` and `megarun` runs whose digests must equal the recorded ones;
-# the megarun run also fails above a 300 MB peak RSS (its 2M-task columns
-# make RSS deterministic for the pinned seed). The
+# `overload`, `megarun` and `sweep` runs whose digests must equal the
+# recorded ones; the megarun run also fails above a 300 MB peak RSS (its
+# 2M-task columns make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)). Speedup ratios compare two
@@ -105,10 +105,12 @@ run_bench_smoke() {
   # Seed 1's digests (events, outcome counters, scheduler rounds), pre-
   # recorded so each run compares against them instead of recording its
   # own: a mapper or calendar change that moves any simulated output fails
-  # overload, and megarun's 2M-task trace also pins the generator path.
+  # overload, megarun's 2M-task trace also pins the generator path, and
+  # sweep pins MM and ELARE over a 1024-type catalog with faults and
+  # checkpoints.
   mkdir -p "${e2cbench_dir}/digests"
   local pinned workload digest result
-  for pinned in overload:c83a886c949ab5d3 megarun:45ee4baafdaec235; do
+  for pinned in overload:c83a886c949ab5d3 megarun:45ee4baafdaec235 sweep:14a900e8a7e99f21; do
     workload="${pinned%%:*}"
     digest="${pinned#*:}"
     echo "=== bench: ${workload} digest (2 s) ==="
