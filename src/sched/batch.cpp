@@ -60,6 +60,8 @@ void iterative_map_reference(SchedulingContext& context, Key key,
 /// Sentinel for a stale per-type cache entry (distinct from machines.size(),
 /// which a refresh produces when no machine has a free slot).
 constexpr std::size_t kStale = std::numeric_limits<std::size_t>::max();
+/// Transient mark of a queued type not yet listed in live_types.
+constexpr std::size_t kUnlisted = kStale - 1;
 
 /// Incremental mapper, decision-equivalent to iterative_map_reference.
 ///
@@ -75,10 +77,10 @@ constexpr std::size_t kStale = std::numeric_limits<std::size_t>::max();
 /// reference would re-reject them every round anyway.
 ///
 /// The per-type tables are sized to the catalog but touched only for the
-/// queued (live) types: those are marked stale on entry and are the only
-/// ones invalidated after a commit. Entries of other types may hold values
-/// from earlier invocations; they are never read, because only queued
-/// tasks' types are looked up.
+/// queued (live) types: those are listed from the queue and marked stale on
+/// entry, and are the only ones invalidated after a commit. Entries of
+/// other types may hold values from earlier invocations; they are never
+/// read, because only queued tasks' types are looked up.
 ///
 /// Per invocation: O(live types x machines) refreshes amortized over rounds
 /// plus an O(pending + live types) scan per round, however large the
@@ -88,7 +90,6 @@ void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch&
                         std::vector<Assignment>& assignments) {
   assignments.clear();
   const auto& queue = context.batch_queue();
-  const std::span<const hetero::TaskTypeId> live_types = context.batch_index().live_types();
   const auto& machines = context.machines();
   const std::size_t task_count = queue.size();
   const std::size_t machine_count = machines.size();
@@ -97,7 +98,16 @@ void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch&
   scratch.state.assign(task_count, MapSlot::kActive);
   scratch.type_machine.resize(type_count);
   scratch.type_completion.resize(type_count);
-  for (const hetero::TaskTypeId t : live_types) scratch.type_machine[t] = kStale;
+  // List each queued type once, marking it stale: O(pending), like the
+  // state reset above, and no index of the queue is built.
+  std::vector<hetero::TaskTypeId>& live_types = scratch.live_types;
+  live_types.clear();
+  for (const workload::TaskDef* task : queue) scratch.type_machine[task->type] = kUnlisted;
+  for (const workload::TaskDef* task : queue) {
+    if (scratch.type_machine[task->type] != kUnlisted) continue;
+    scratch.type_machine[task->type] = kStale;
+    live_types.push_back(task->type);
+  }
   std::size_t active = task_count;
 
   const auto refresh_type = [&](hetero::TaskTypeId type) {

@@ -99,10 +99,13 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
 /// pair whose walk finds nobody is exhausted for the rest of the
 /// invocation: C only grows and the uncommitted set only shrinks.
 ///
-/// Scores are fixed between commits, so each commit sorts its P candidate
-/// pairs (live type, machine with a slot, not exhausted) by score once and
-/// walks the equal-score groups upwards; the first group that yields a
-/// task is S*. A commit costs O(P log P) plus the tasks walked past.
+/// Scores are fixed between commits. Each commit collects its P candidate
+/// pairs (live type, machine with a slot, not exhausted) and their lowest
+/// score, and probes that score's group in one pass: O(P) when it yields a
+/// task, the usual case on deep queues. Only when every pair in it is
+/// exhausted (large catalogs whose queued tasks are mostly infeasible) does
+/// the commit sort the candidates and walk the higher equal-score groups
+/// upwards until one yields: O(P log P), not O(P) per exhausted level.
 void ElarePolicy::schedule_fast(SchedulingContext& context,
                                 std::vector<Assignment>& assignments) {
   assignments.clear();
@@ -163,6 +166,7 @@ void ElarePolicy::schedule_fast(SchedulingContext& context,
     if (!any_slot || max_energy <= 0.0 || max_completion <= 0.0) break;
 
     s.candidates.clear();
+    double lowest = 0.0;
     for (const hetero::TaskTypeId t : types) {
       if (s.live[t] == 0) continue;
       for (std::size_t j = 0; j < machine_count; ++j) {
@@ -171,35 +175,47 @@ void ElarePolicy::schedule_fast(SchedulingContext& context,
         const std::size_t pair = t * machine_count + j;
         const double exec = context.eet().eet_unchecked(t, m.type);
         const core::SimTime completion = m.ready_time + exec;
-        s.pair_completion[pair] = completion;
         // Same expression shape as the reference's score (divisions block
         // FMA contraction), evaluated on identical operands.
-        s.pair_score[pair] =
+        const double score =
             s.factor[t] * (energy_weight_ * (exec * m.busy_watts) / max_energy +
                            (1.0 - energy_weight_) * completion / max_completion);
-        if (s.exhausted[pair] == 0) s.candidates.push_back({s.pair_score[pair], pair});
+        s.pair_completion[pair] = completion;
+        s.pair_score[pair] = score;
+        if (s.exhausted[pair] != 0) continue;
+        if (s.candidates.empty() || score < lowest) lowest = score;
+        s.candidates.push_back({score, pair});
       }
     }
-    std::sort(s.candidates.begin(), s.candidates.end(),
-              [](const ScoredPair& a, const ScoredPair& b) { return a.score < b.score; });
 
-    // Walk the equal-score groups from the lowest: in each, the earliest
-    // task feasible for any of its pairs; a group whose pairs are all
-    // exhausted hands the search to the next score.
+    // The earliest task feasible for any pair of the lowest-scoring group
+    // that has one; a pair whose walk finds nobody is marked exhausted.
     std::int32_t pick = TaskIndexQueue::kNil;
     std::size_t pick_type = 0;
-    double best_score = 0.0;
-    for (std::size_t g = 0; g < s.candidates.size() && pick == TaskIndexQueue::kNil;) {
-      best_score = s.candidates[g].score;
-      for (; g < s.candidates.size() && s.candidates[g].score == best_score; ++g) {
-        const std::size_t pair = s.candidates[g].pair;
-        const std::size_t t = pair / machine_count;
-        const std::int32_t node = first_feasible(t, s.pair_completion[pair]);
-        if (node == TaskIndexQueue::kNil) {
-          s.exhausted[pair] = 1;
-        } else if (pick == TaskIndexQueue::kNil || queue.seq(node) < queue.seq(pick)) {
-          pick = node;
-          pick_type = t;
+    const auto probe = [&](std::size_t pair) {
+      const std::size_t t = pair / machine_count;
+      const std::int32_t node = first_feasible(t, s.pair_completion[pair]);
+      if (node == TaskIndexQueue::kNil) {
+        s.exhausted[pair] = 1;
+      } else if (pick == TaskIndexQueue::kNil || queue.seq(node) < queue.seq(pick)) {
+        pick = node;
+        pick_type = t;
+      }
+    };
+    double best_score = lowest;
+    for (const ScoredPair& c : s.candidates) {
+      if (c.score == best_score) probe(c.pair);
+    }
+    if (pick == TaskIndexQueue::kNil) {
+      // Every pair at the lowest score is exhausted: sort the candidates
+      // once and walk the higher equal-score groups upwards (the lowest
+      // group comes first and is skipped).
+      std::sort(s.candidates.begin(), s.candidates.end(),
+                [](const ScoredPair& a, const ScoredPair& b) { return a.score < b.score; });
+      for (std::size_t g = 0; g < s.candidates.size() && pick == TaskIndexQueue::kNil;) {
+        best_score = s.candidates[g].score;
+        for (; g < s.candidates.size() && s.candidates[g].score == best_score; ++g) {
+          if (s.exhausted[s.candidates[g].pair] == 0) probe(s.candidates[g].pair);
         }
       }
     }

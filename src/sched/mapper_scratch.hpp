@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "hetero/types.hpp"
+
 namespace e2c::sched {
 
 /// Lifecycle of a batch-queue entry within one schedule() invocation.
@@ -32,9 +34,10 @@ enum class MapSlot : std::uint8_t {
 /// Scratch for the MM/MMU/MSD family: the best (machine, completion) pair
 /// is a function of the task *type* alone, so the cache is per type.
 struct BatchMapperScratch {
-  std::vector<MapSlot> state;            ///< per batch-queue entry
-  std::vector<std::size_t> type_machine; ///< cached argmin machine, or sentinels
-  std::vector<double> type_completion;   ///< completion on the cached machine
+  std::vector<MapSlot> state;                 ///< per batch-queue entry
+  std::vector<std::size_t> type_machine;      ///< cached argmin machine, or sentinels
+  std::vector<double> type_completion;        ///< completion on the cached machine
+  std::vector<hetero::TaskTypeId> live_types; ///< queued types, each once
 };
 
 /// A (type, machine) pair, as type * machines + machine, with its score.
@@ -55,7 +58,8 @@ struct ElareMapperScratch {
   std::vector<double> pair_score;       ///< factored score of the pair
   std::vector<std::uint8_t> exhausted;  ///< 1: no uncommitted task can meet the pair
   std::vector<std::uint32_t> committed; ///< sequence numbers mapped so far, sorted
-  std::vector<ScoredPair> candidates;   ///< this commit's unexhausted pairs, by score
+  std::vector<ScoredPair> candidates;   ///< this commit's unexhausted pairs; sorted
+                                        ///< by score once the lowest is exhausted
 };
 
 }  // namespace e2c::sched
