@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -166,15 +167,33 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzzTest,
                          testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
+// Which priority classes the model test schedules. Uniform spreads events
+// over all five classes; deadline-heavy makes ~70% of them kDeadline, the
+// shape of an oversubscribed run where every queued task holds a deadline
+// timer and most are cancelled.
+enum class PriorityMix { kUniform, kDeadlineHeavy };
+
+EventPriority draw_priority(e2c::util::Rng& rng, PriorityMix mix) {
+  if (mix == PriorityMix::kDeadlineHeavy) {
+    if (rng.next_double() < 0.7) return EventPriority::kDeadline;
+    constexpr EventPriority kOthers[] = {EventPriority::kCompletion, EventPriority::kArrival,
+                                         EventPriority::kSchedule, EventPriority::kControl};
+    return kOthers[rng.uniform_int(0, 3)];
+  }
+  return static_cast<EventPriority>(rng.uniform_int(0, 4));
+}
+
 // Property test against the calendar's previous implementation: an ordered
 // std::map keyed by (time, priority, sequence) — the exact structure the
 // d-ary heap replaced. The heap must be observationally indistinguishable:
 // same pop order, same size() after every step, same cancel() results.
-class EventQueueMapModelTest : public testing::TestWithParam<std::uint64_t> {};
+class EventQueueMapModelTest
+    : public testing::TestWithParam<std::tuple<std::uint64_t, PriorityMix>> {};
 
 TEST_P(EventQueueMapModelTest, BehavesLikeOrderedMapCalendar) {
   using Key = std::tuple<double, int, std::uint64_t>;  // time, priority, seq
-  e2c::util::Rng rng(GetParam());
+  const auto [seed, mix] = GetParam();
+  e2c::util::Rng rng(seed);
   EventQueue queue;
   std::map<Key, e2c::core::EventId> model;
   std::map<e2c::core::EventId, Key> key_of;  // live events only
@@ -185,9 +204,11 @@ TEST_P(EventQueueMapModelTest, BehavesLikeOrderedMapCalendar) {
     const double action = rng.next_double();
     if (action < 0.50 || model.empty()) {
       // Times drawn from a small lattice force heavy (time, priority) ties,
-      // exercising the sequence tiebreaker rather than luck.
+      // exercising the sequence tiebreaker rather than luck, and put events
+      // of different classes at one instant (completion before deadline,
+      // deadline before arrival).
       const double time = static_cast<double>(rng.uniform_int(0, 19)) * 0.5;
-      const auto priority = static_cast<EventPriority>(rng.uniform_int(0, 4));
+      const auto priority = draw_priority(rng, mix);
       const auto id = queue.schedule(time, priority, "", {});
       const Key key{time, static_cast<int>(priority), seq++};
       model.emplace(key, id);
@@ -231,8 +252,64 @@ TEST_P(EventQueueMapModelTest, BehavesLikeOrderedMapCalendar) {
   EXPECT_TRUE(queue.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueMapModelTest,
-                         testing::Values(11u, 12u, 13u, 14u, 15u, 16u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, EventQueueMapModelTest,
+    testing::Combine(testing::Values(11u, 12u, 13u, 14u, 15u, 16u),
+                     testing::Values(PriorityMix::kUniform, PriorityMix::kDeadlineHeavy)),
+    [](const auto& instance) {
+      return std::to_string(std::get<0>(instance.param)) +
+             (std::get<1>(instance.param) == PriorityMix::kUniform ? "_uniform" : "_deadline_heavy");
+    });
+
+TEST(EventQueue, CancelRootLastAndInteriorNodesKeepOrder) {
+  // 39 deadline events pushed in level order with each time above its
+  // parent's, so no push sifts and a 4-ary heap holds event i at index i.
+  // Node 1's subtree (1, 5-8, 21-36) gets times above 100, the rest stays
+  // below, so the heap is valid yet not sorted by index.
+  const auto in_subtree_of_1 = [](std::size_t index) {
+    while (index > 4) index = (index - 1) / 4;
+    return index == 1;
+  };
+  using Key = std::tuple<double, int, std::uint64_t>;  // time, priority, seq
+  EventQueue queue;
+  std::vector<std::pair<Key, e2c::core::EventId>> expected;
+  std::vector<e2c::core::EventId> ids;
+  std::uint64_t seq = 0;
+  const auto push = [&](double time, EventPriority priority) {
+    const auto id = queue.schedule(time, priority, "", {});
+    expected.push_back({Key{time, static_cast<int>(priority), seq++}, id});
+    return id;
+  };
+  for (std::size_t i = 0; i < 39; ++i) {
+    const double time = static_cast<double>(i) + (in_subtree_of_1(i) ? 100.0 : 0.0);
+    ids.push_back(push(time, EventPriority::kDeadline));
+  }
+  // Other classes tie with deadlines at one instant: the completion goes
+  // first, the arrival after.
+  (void)push(105.0, EventPriority::kCompletion);
+  (void)push(37.0, EventPriority::kArrival);
+  (void)push(0.0, EventPriority::kSchedule);
+  const auto cancel = [&](e2c::core::EventId id) {
+    ASSERT_TRUE(queue.cancel(id));
+    expected.erase(std::find_if(expected.begin(), expected.end(),
+                                [id](const auto& entry) { return entry.second == id; }));
+    EXPECT_EQ(queue.size(), expected.size());
+  };
+  cancel(ids[38]);  // the most recently pushed node: the hole is the last slot
+  cancel(ids[5]);   // interior (children 21-24); its replacement, event 37
+                    // at time 37 < 101, must sift up past node 1
+  cancel(ids[0]);   // the root; its replacement sifts down
+  EXPECT_FALSE(queue.cancel(ids[5]));
+  std::sort(expected.begin(), expected.end());
+  for (const auto& [key, id] : expected) {
+    ASSERT_FALSE(queue.empty());
+    EXPECT_DOUBLE_EQ(*queue.next_time(), std::get<0>(key));
+    const auto popped = queue.pop();
+    EXPECT_EQ(popped.id, id);
+    EXPECT_EQ(static_cast<int>(popped.priority), std::get<1>(key));
+  }
+  EXPECT_TRUE(queue.empty());
+}
 
 TEST(EventQueue, TombstoneCompactionBoundsHeapGrowth) {
   // Cancel-heavy workloads (deadline drops, replica cancels, fault drains)
