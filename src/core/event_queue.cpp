@@ -59,15 +59,16 @@ EventId EventQueue::schedule(SimTime time, EventPriority priority, EventLabel la
   // can validate a stale id in O(1) without any id→slot lookup table.
   const EventId id =
       (static_cast<EventId>(slot.generation) << 32) | (slot_index + 1);
+  const std::size_t lane = priority == EventPriority::kDeadline ? kDeadlineLane : kMainLane;
   slot.id = id;
   slot.live = true;
+  slot.lane = static_cast<std::uint8_t>(lane);
   slot.label = label;
   slot.fn = fn;
 
-  heap_.push_back(
-      HeapNode{make_key(time, priority, next_sequence_++), time, slot_index, slot.generation});
-  sift_up(heap_.size() - 1);
-  ++live_;
+  Lane& heap = lanes_[lane];
+  heap.push_back(HeapNode{make_key(time, priority, next_sequence_++), time, slot_index});
+  sift_up(heap, heap.size() - 1);
   return id;
 }
 
@@ -75,64 +76,50 @@ bool EventQueue::cancel(EventId id) {
   if (id == kNoEvent) return false;
   const std::uint32_t slot_index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu) - 1;
   if (slot_index >= slots_.size()) return false;
-  Slot& slot = slots_[slot_index];
+  const Slot& slot = slots_[slot_index];
   if (!slot.live || slot.id != id) return false;
-  // Free the slot now: the generation bump turns the slot's heap node into a
-  // tombstone and the slot can be reused immediately. The payload is left in
-  // place — it is trivially destructible by construction, and the next
-  // schedule() into this slot overwrites it wholesale.
-  slot.live = false;
-  ++slot.generation;
-  free_slots_.push_back(slot_index);
-  --live_;
-  ++tombstones_;
-  prune_top();
-  maybe_compact();
+  const std::size_t lane = slot.lane;
+  const std::size_t index = slot.position;
+  release(slot_index);
+  remove_at(lane, index);
   return true;
 }
 
+std::size_t EventQueue::front_lane() const noexcept {
+  const Lane& main = lanes_[kMainLane];
+  const Lane& deadlines = lanes_[kDeadlineLane];
+  if (deadlines.empty()) return kMainLane;
+  if (main.empty()) return kDeadlineLane;
+  return deadlines.front().precedes(main.front()) ? kDeadlineLane : kMainLane;
+}
+
 std::optional<SimTime> EventQueue::next_time() const noexcept {
-  if (live_ == 0) return std::nullopt;
-  return heap_.front().time;  // prune_top keeps the root live
+  if (empty()) return std::nullopt;
+  return lanes_[front_lane()].front().time;
 }
 
 std::optional<EventRecord> EventQueue::peek() const {
-  if (live_ == 0) return std::nullopt;
-  const HeapNode& top = heap_.front();
+  if (empty()) return std::nullopt;
+  const HeapNode& top = lanes_[front_lane()].front();
   const Slot& slot = slots_[top.slot];
   return EventRecord{slot.id, top.time, top.priority(), slot.label.str()};
 }
 
 EventQueue::PoppedEvent EventQueue::pop() {
-  e2c::require(live_ != 0, "EventQueue::pop on empty queue");
-  const HeapNode top = heap_.front();
-  Slot& slot = slots_[top.slot];
-  PoppedEvent popped{slot.id, top.time, top.priority(), slot.label, slot.fn};
-  slot.live = false;
-  ++slot.generation;
-  free_slots_.push_back(top.slot);
-  --live_;
-  remove_root();
-  prune_top();
-  return popped;
+  e2c::require(!empty(), "EventQueue::pop on empty queue");
+  const HeapNode top = take_front();
+  const Slot& slot = slots_[top.slot];
+  return PoppedEvent{slot.id, top.time, top.priority(), slot.label, slot.fn};
 }
 
 EventQueue::LeanEvent EventQueue::pop_lean() {
-  e2c::require(live_ != 0, "EventQueue::pop on empty queue");
-  const HeapNode top = heap_.front();
-  Slot& slot = slots_[top.slot];
-  LeanEvent popped{top.time, slot.fn};
-  slot.live = false;
-  ++slot.generation;
-  free_slots_.push_back(top.slot);
-  --live_;
-  remove_root();
-  prune_top();
-  return popped;
+  e2c::require(!empty(), "EventQueue::pop on empty queue");
+  const HeapNode top = take_front();
+  return LeanEvent{top.time, slots_[top.slot].fn};
 }
 
 void EventQueue::clear() noexcept {
-  heap_.clear();
+  for (Lane& heap : lanes_) heap.clear();
   free_slots_.clear();
   // Keep the slots (the slab is the arena — reuse it across resets) but bump
   // the generation of every live one so ids handed out before the clear can
@@ -145,53 +132,54 @@ void EventQueue::clear() noexcept {
     }
     free_slots_.push_back(i);
   }
-  live_ = 0;
-  tombstones_ = 0;
 }
 
-void EventQueue::remove_root() noexcept {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+EventQueue::HeapNode EventQueue::take_front() noexcept {
+  const std::size_t lane = front_lane();
+  const HeapNode top = lanes_[lane].front();
+  release(top.slot);
+  remove_at(lane, 0);
+  return top;
 }
 
-void EventQueue::prune_top() noexcept {
-  // With no tombstones anywhere every node is live; skip the slot lookup
-  // that node_live would do on each pop.
-  if (tombstones_ == 0) return;
-  while (!heap_.empty() && !node_live(heap_.front())) {
-    remove_root();
-    --tombstones_;
+void EventQueue::release(std::uint32_t slot_index) noexcept {
+  // The payload is left in place — it is trivially destructible by
+  // construction, and the next schedule() into this slot overwrites it.
+  Slot& slot = slots_[slot_index];
+  slot.live = false;
+  ++slot.generation;
+  free_slots_.push_back(slot_index);
+}
+
+void EventQueue::remove_at(std::size_t lane, std::size_t index) noexcept {
+  Lane& heap = lanes_[lane];
+  const HeapNode last = heap.back();
+  heap.pop_back();
+  if (index == heap.size()) return;  // the hole was the last node
+  // The replacement comes from another subtree, so it may belong above the
+  // hole as well as below it.
+  heap[index] = last;
+  if (index > 0 && last.precedes(heap[(index - 1) / kArity])) {
+    sift_up(heap, index);
+  } else {
+    sift_down(heap, index);
   }
 }
 
-void EventQueue::maybe_compact() {
-  // Rebuild once tombstones dominate; the slack constant keeps small queues
-  // from compacting on every cancel. O(n) Floyd heapify, amortized O(1).
-  if (tombstones_ <= live_ + 64) return;
-  std::size_t kept = 0;
-  for (const HeapNode& node : heap_) {
-    if (node_live(node)) heap_[kept++] = node;
-  }
-  heap_.resize(kept);
-  tombstones_ = 0;
-  for (std::size_t i = heap_.size() / kArity + 1; i-- > 0;) sift_down(i);
-}
-
-void EventQueue::sift_up(std::size_t index) noexcept {
-  const HeapNode node = heap_[index];
+void EventQueue::sift_up(Lane& heap, std::size_t index) noexcept {
+  const HeapNode node = heap[index];
   while (index > 0) {
     const std::size_t parent = (index - 1) / kArity;
-    if (!node.precedes(heap_[parent])) break;
-    heap_[index] = heap_[parent];
+    if (!node.precedes(heap[parent])) break;
+    place(heap, index, heap[parent]);
     index = parent;
   }
-  heap_[index] = node;
+  place(heap, index, node);
 }
 
-void EventQueue::sift_down(std::size_t index) noexcept {
-  const HeapNode node = heap_[index];
-  const std::size_t count = heap_.size();
+void EventQueue::sift_down(Lane& heap, std::size_t index) noexcept {
+  const HeapNode node = heap[index];
+  const std::size_t count = heap.size();
   while (true) {
     const std::size_t first_child = index * kArity + 1;
     if (first_child >= count) break;
@@ -199,13 +187,13 @@ void EventQueue::sift_down(std::size_t index) noexcept {
     const std::size_t last_child =
         first_child + kArity < count ? first_child + kArity : count;
     for (std::size_t child = first_child + 1; child < last_child; ++child) {
-      if (heap_[child].precedes(heap_[best])) best = child;
+      if (heap[child].precedes(heap[best])) best = child;
     }
-    if (!heap_[best].precedes(node)) break;
-    heap_[index] = heap_[best];
+    if (!heap[best].precedes(node)) break;
+    place(heap, index, heap[best]);
     index = best;
   }
-  heap_[index] = node;
+  place(heap, index, node);
 }
 
 }  // namespace e2c::core

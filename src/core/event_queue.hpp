@@ -1,6 +1,6 @@
 /// \file event_queue.hpp
-/// \brief Pending-event calendar: cache-friendly d-ary heap with
-/// generation-stamped lazy cancellation.
+/// \brief Pending-event calendar: two cache-friendly d-ary heaps (deadline
+/// timers and everything else) with in-place cancellation.
 #pragma once
 
 #include <cstdint>
@@ -20,29 +20,31 @@ namespace e2c::core {
 /// internal layout: any correct heap produces the bit-identical event order
 /// the run-digest tests pin down.
 ///
-/// Implementation: a 4-ary min-heap of small key nodes over a slab of
-/// fixed-size slots that own the payloads (label + inline callback). Slots
-/// are recycled through a free list — no per-event allocation once the slab
-/// reached the run's in-system high-water mark. cancel() is O(1) lazy: the
-/// slot is freed immediately (payload cleared, generation bumped) and the
-/// heap node becomes a tombstone that pop() discards when it surfaces. The
-/// heap top is always live, so peek()/next_time() stay const and exact;
-/// size() counts live events only (the GUI's pending-event panel). When
-/// tombstones outnumber live entries the heap is compacted in place, so
-/// cancel-heavy workloads (deadline drops, replica cancels, fault drains)
-/// cannot grow the heap without bound.
+/// Implementation: two 4-ary min-heaps ("lanes") of small key nodes over one
+/// slab of fixed-size slots that own the payloads (label + inline callback).
+/// Deadline checks get a lane of their own: they are the one class whose
+/// pending count grows with the batch queue (one timer per queued task) and
+/// the one class that is mostly cancelled, so keeping them apart keeps the
+/// arrival/completion/scheduler heap shallow. pop() takes the lower of the
+/// two roots under the same key compare, so the pop order is that of one
+/// heap. Slots are recycled through a free list — no per-event allocation
+/// once the slab reached the run's in-system high-water mark. Each slot
+/// records its node's index in its lane, so cancel() removes the node in
+/// place (O(log n): the lane's last node fills the hole and sifts up or
+/// down) and the heaps only ever hold pending events.
 ///
 /// Event ids encode their own slot reference — (generation << 32) |
 /// (slot + 1), never kNoEvent — so cancel() decodes and validates in O(1)
 /// with zero auxiliary lookup structure (the id→slot hash map this replaced
-/// cost an allocation-heavy insert+erase per event).
+/// cost an allocation-heavy insert+erase per event); the generation bump on
+/// every release rejects ids of events that already fired or were cancelled.
 class EventQueue {
  public:
   /// Inserts an event; returns its unique id (never kNoEvent).
   EventId schedule(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
 
   /// Removes a pending event. Returns false if the id is unknown or the
-  /// event already fired. O(1): the payload dies now, the heap node later.
+  /// event already fired. O(log n) in the event's lane.
   bool cancel(EventId id);
 
   /// Time of the earliest pending event, or nullopt when empty.
@@ -71,26 +73,29 @@ class EventQueue {
   };
   [[nodiscard]] LeanEvent pop_lean();
 
-  /// Number of pending (live) events.
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return lanes_[kMainLane].size() + lanes_[kDeadlineLane].size();
+  }
 
   /// True when no events are pending.
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
   /// Discards all pending events (used by reset).
   void clear() noexcept;
 
-  /// Heap nodes currently allocated, including tombstones — introspection
-  /// for the compaction tests; not part of the calendar's semantics.
-  [[nodiscard]] std::size_t debug_heap_size() const noexcept { return heap_.size(); }
+  /// Heap nodes currently allocated across both lanes — introspection for
+  /// the tests; cancellation is in place, so it always equals size().
+  [[nodiscard]] std::size_t debug_heap_size() const noexcept {
+    return lanes_[kMainLane].size() + lanes_[kDeadlineLane].size();
+  }
 
  private:
   static constexpr std::size_t kArity = 4;
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// One heap element: the full ordering key plus a generation-stamped
-  /// reference into the slot pool. Keys live in the node so sift compares
-  /// never touch the (colder, payload-bearing) slots.
+  /// One heap element: the full ordering key plus a reference into the slot
+  /// pool. Keys live in the node so sift compares never touch the (colder,
+  /// payload-bearing) slots.
   ///
   /// The (time, priority, sequence) order is packed into one 128-bit
   /// integer — monotone-transformed time bits in the high half, priority
@@ -107,7 +112,6 @@ class EventQueue {
     OrderKey key;
     SimTime time;  ///< kept unpacked: next_time()/pop() read it verbatim
     std::uint32_t slot;
-    std::uint32_t generation;
 
     [[nodiscard]] bool precedes(const HeapNode& other) const noexcept {
       return key < other.key;
@@ -117,6 +121,7 @@ class EventQueue {
           static_cast<std::uint64_t>(key) >> kPriorityShift);
     }
   };
+  static_assert(sizeof(HeapNode) == 32, "two heap nodes per cache line");
 
   /// Sequence bits below the priority byte; 2^56 events is centuries of
   /// simulated work, and schedule() checks the bound anyway.
@@ -126,32 +131,44 @@ class EventQueue {
   [[nodiscard]] static OrderKey make_key(SimTime time, EventPriority priority,
                                          std::uint64_t sequence) noexcept;
 
-  /// Payload storage; generation detects stale heap nodes after slot reuse.
+  /// Payload storage. The generation is bumped on every release, so ids
+  /// handed out for an earlier use of the slot no longer match it.
   struct Slot {
     EventId id = kNoEvent;
     std::uint32_t generation = 0;
+    std::uint32_t position = 0;  ///< index of the slot's node in its lane
     bool live = false;
+    std::uint8_t lane = 0;
     EventLabel label;
     EventFn fn;
   };
+  static_assert(sizeof(Slot) == 128, "slot bookkeeping fits the padding before fn");
 
-  void sift_up(std::size_t index) noexcept;
-  void sift_down(std::size_t index) noexcept;
-  [[nodiscard]] bool node_live(const HeapNode& node) const noexcept {
-    const Slot& slot = slots_[node.slot];
-    return slot.live && slot.generation == node.generation;
+  static constexpr std::size_t kMainLane = 0;
+  static constexpr std::size_t kDeadlineLane = 1;
+  using Lane = std::vector<HeapNode>;
+
+  /// Lane whose root is the earliest pending event. Requires !empty().
+  [[nodiscard]] std::size_t front_lane() const noexcept;
+  /// Frees the earliest event's slot and unlinks its node; returns the node.
+  /// The slot's payload stays readable until the next schedule().
+  HeapNode take_front() noexcept;
+  /// Marks a slot free and bumps its generation.
+  void release(std::uint32_t slot_index) noexcept;
+  /// Removes the node at \p index of \p lane: the lane's last node fills
+  /// the hole and sifts whichever way restores the heap order.
+  void remove_at(std::size_t lane, std::size_t index) noexcept;
+  /// Writes \p node to \p index of \p heap and records the index in its slot.
+  void place(Lane& heap, std::size_t index, const HeapNode& node) noexcept {
+    heap[index] = node;
+    slots_[node.slot].position = static_cast<std::uint32_t>(index);
   }
-  /// Drops tombstones off the heap top so the root is always live.
-  void prune_top() noexcept;
-  /// Rebuilds the heap from its live nodes once tombstones dominate.
-  void maybe_compact();
-  void remove_root() noexcept;
+  void sift_up(Lane& heap, std::size_t index) noexcept;
+  void sift_down(Lane& heap, std::size_t index) noexcept;
 
-  std::vector<HeapNode> heap_;
+  Lane lanes_[2];
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;  ///< dead nodes still inside heap_
   std::uint64_t next_sequence_ = 1;
 };
 
