@@ -72,6 +72,9 @@ struct CheckpointMark {
 struct FailureSpan {
   core::SimTime start = 0.0;
   core::SimTime end = core::kTimeInfinity;
+  /// Failed seconds of all earlier spans, summed left to right — the
+  /// running total failed_seconds() would have reached before this span.
+  double failed_before = 0.0;
 };
 
 /// Accumulated activity/energy figures for one machine.
@@ -198,7 +201,8 @@ class Machine {
     return failure_spans_;
   }
 
-  /// Seconds spent failed over [0, horizon].
+  /// Seconds spent failed over [0, horizon]. O(log spans): the scheduler
+  /// asks for every machine's availability on every round.
   [[nodiscard]] double failed_seconds(core::SimTime horizon) const;
 
   /// Observed availability over [0, horizon]: 1 - failed/horizon. 1.0 for a
