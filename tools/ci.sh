@@ -13,8 +13,8 @@
 # expected keys, and fails if the fresh fast/reference scheduler speedup drops
 # below 70% of the committed BENCH_sched_hotpath.json baseline for MM or
 # ELARE. It also runs the repository benchmark's self-tests and 2 s
-# `overload`, `megarun` and `sweep` runs whose digests must equal the
-# recorded ones; the megarun run also fails above a 300 MB peak RSS (its
+# `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
+# the recorded ones; the megarun run also fails above a 300 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
@@ -105,12 +105,14 @@ run_bench_smoke() {
   # Seed 1's digests (events, outcome counters, scheduler rounds), pre-
   # recorded so each run compares against them instead of recording its
   # own: a mapper or calendar change that moves any simulated output fails
-  # overload, megarun's 2M-task trace also pins the generator path, and
-  # sweep pins MM and ELARE over a 1024-type catalog with faults and
-  # checkpoints.
+  # overload, megarun's 2M-task trace also pins the generator path, sweep
+  # pins MM and ELARE over a 1024-type catalog with faults and
+  # checkpoints, and serve pins the result CSVs and simulations of the
+  # resident service's two warm configs.
   mkdir -p "${e2cbench_dir}/digests"
   local pinned workload digest result
-  for pinned in overload:c83a886c949ab5d3 megarun:45ee4baafdaec235 sweep:14a900e8a7e99f21; do
+  for pinned in overload:c83a886c949ab5d3 megarun:45ee4baafdaec235 sweep:14a900e8a7e99f21 \
+                serve:9e20a7bbfc573fa6; do
     workload="${pinned%%:*}"
     digest="${pinned#*:}"
     echo "=== bench: ${workload} digest (2 s) ==="
