@@ -134,7 +134,7 @@ void EventQueue::clear() noexcept {
   }
 }
 
-EventQueue::HeapNode EventQueue::take_front() noexcept {
+EventQueue::HeapNode EventQueue::take_front() {
   const std::size_t lane = front_lane();
   const HeapNode top = lanes_[lane].front();
   release(top.slot);
@@ -142,13 +142,14 @@ EventQueue::HeapNode EventQueue::take_front() noexcept {
   return top;
 }
 
-void EventQueue::release(std::uint32_t slot_index) noexcept {
+void EventQueue::release(std::uint32_t slot_index) {
   // The payload is left in place — it is trivially destructible by
   // construction, and the next schedule() into this slot overwrites it.
+  // The push comes first: if it throws, the queue is unchanged.
+  free_slots_.push_back(slot_index);
   Slot& slot = slots_[slot_index];
   slot.live = false;
   ++slot.generation;
-  free_slots_.push_back(slot_index);
 }
 
 void EventQueue::remove_at(std::size_t lane, std::size_t index) noexcept {

@@ -152,9 +152,9 @@ class EventQueue {
   [[nodiscard]] std::size_t front_lane() const noexcept;
   /// Frees the earliest event's slot and unlinks its node; returns the node.
   /// The slot's payload stays readable until the next schedule().
-  HeapNode take_front() noexcept;
+  HeapNode take_front();
   /// Marks a slot free and bumps its generation.
-  void release(std::uint32_t slot_index) noexcept;
+  void release(std::uint32_t slot_index);
   /// Removes the node at \p index of \p lane: the lane's last node fills
   /// the hole and sifts whichever way restores the heap order.
   void remove_at(std::size_t lane, std::size_t index) noexcept;
