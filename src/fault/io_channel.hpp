@@ -15,7 +15,8 @@
 /// transfers changes (a transfer starts, finishes, or is cancelled by a
 /// machine crash), the channel settles every active transfer's remaining
 /// bytes at the old rate and re-stamps its completion event at the new rate —
-/// cancel + reschedule is cheap on the generation-stamped calendar (PR 3).
+/// cancel + reschedule is cheap on the calendar, which removes a cancelled
+/// event in place in O(log n).
 ///
 /// Two admission strategies (IoStrategy):
 ///  - selfish: every transfer is admitted immediately and fair-shares;
