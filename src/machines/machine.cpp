@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "util/error.hpp"
 
@@ -70,12 +69,7 @@ std::vector<std::size_t> Machine::fail(core::SimTime now) {
 
   accumulated_online_ += std::max(0.0, now - online_since_);
   state_ = MachineState::kFailed;
-  const double failed_before =
-      failure_spans_.empty()
-          ? 0.0
-          : failure_spans_.back().failed_before +
-                (failure_spans_.back().end - failure_spans_.back().start);
-  failure_spans_.push_back(FailureSpan{now, core::kTimeInfinity, failed_before});
+  failure_spans_.push_back(FailureSpan{now, core::kTimeInfinity});
   return evicted;
 }
 
@@ -89,16 +83,12 @@ void Machine::repair(core::SimTime now) {
 }
 
 double Machine::failed_seconds(core::SimTime horizon) const {
-  // Spans are disjoint and in time order, so every span before the last one
-  // that starts below the horizon also ends below it and counts in full:
-  // its prefix sum is the running total of a left-to-right scan, and adding
-  // the last span's clamped length reproduces that scan bit for bit.
-  const auto after = std::partition_point(
-      failure_spans_.begin(), failure_spans_.end(),
-      [horizon](const FailureSpan& span) { return span.start < horizon; });
-  if (after == failure_spans_.begin()) return 0.0;
-  const FailureSpan& last = *std::prev(after);
-  return last.failed_before + (std::min(last.end, horizon) - last.start);
+  double total = 0.0;
+  for (const FailureSpan& span : failure_spans_) {
+    if (span.start >= horizon) break;
+    total += std::min(span.end, horizon) - span.start;
+  }
+  return total;
 }
 
 double Machine::availability(core::SimTime horizon) const {

@@ -72,9 +72,6 @@ struct CheckpointMark {
 struct FailureSpan {
   core::SimTime start = 0.0;
   core::SimTime end = core::kTimeInfinity;
-  /// Failed seconds of all earlier spans, summed left to right — the
-  /// running total failed_seconds() would have reached before this span.
-  double failed_before = 0.0;
 };
 
 /// Accumulated activity/energy figures for one machine.
@@ -201,8 +198,7 @@ class Machine {
     return failure_spans_;
   }
 
-  /// Seconds spent failed over [0, horizon]. O(log spans): the scheduler
-  /// asks for every machine's availability on every round.
+  /// Seconds spent failed over [0, horizon].
   [[nodiscard]] double failed_seconds(core::SimTime horizon) const;
 
   /// Observed availability over [0, horizon]: 1 - failed/horizon. 1.0 for a

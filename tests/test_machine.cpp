@@ -3,14 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "workload/task_state.hpp"
 
 namespace {
@@ -233,59 +229,6 @@ TEST(Machine, SlotFreedFiredWhenQueuedTaskStarts) {
   const auto initial = listener.slots_freed.size();
   engine.run();  // task 0 completes, task 1 starts -> another slot event
   EXPECT_GT(listener.slots_freed.size(), initial);
-}
-
-// The linear scan failed_seconds() used before spans carried their prefix
-// sums, kept verbatim as the reference the indexed lookup must match bit for
-// bit (availability views feed mapper decisions, so a last-ulp drift would
-// move run digests).
-double failed_seconds_by_scan(const std::vector<e2c::machines::FailureSpan>& spans,
-                              double horizon) {
-  double total = 0.0;
-  for (const auto& span : spans) {
-    if (span.start >= horizon) break;
-    total += std::min(span.end, horizon) - span.start;
-  }
-  return total;
-}
-
-TEST(Machine, FailedSecondsMatchesLinearScanBitForBit) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    e2c::util::Rng rng(seed);
-    Engine engine;
-    Machine machine(engine, 0, "m1", 0, power_spec(), kUnboundedQueue);
-    double now = 0.0;
-    const auto check = [&](double horizon) {
-      const double expected = failed_seconds_by_scan(machine.failure_spans(), horizon);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(machine.failed_seconds(horizon)),
-                std::bit_cast<std::uint64_t>(expected))
-          << "seed=" << seed << " horizon=" << horizon
-          << " spans=" << machine.failure_spans().size();
-    };
-    const int cycles = static_cast<int>(rng.uniform_int(0, 40));
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      // Irregular up and down times (some zero-length) keep the partial
-      // sums inexact in binary, so any reassociation would show.
-      now += rng.next_double() < 0.1 ? 0.0 : rng.uniform(0.0, 7.3);
-      const double down_from = now;
-      (void)machine.fail(now);
-      check(now + 0.0);  // inside the open span, at its start
-      check(now + 0.3);
-      now += rng.next_double() < 0.1 ? 0.0 : rng.uniform(0.0, 3.1);
-      machine.repair(now);
-      check(down_from);                      // span start
-      check(0.5 * (down_from + now));        // inside
-      check(now);                            // span end
-      check(now + rng.uniform(0.0, 1.0));    // between spans
-    }
-    // Every horizon over the whole history, the far side of it included.
-    for (int probe = 0; probe < 64; ++probe) check(rng.uniform(-1.0, now + 10.0));
-    check(0.0);
-    check(e2c::core::kTimeInfinity);
-    (void)machine.fail(now + 1.0);  // an open span clamps at the horizon
-    check(now + 0.5);
-    check(now + 4.25);
-  }
 }
 
 }  // namespace
