@@ -84,12 +84,6 @@ class EventQueue {
   /// Discards all pending events (used by reset).
   void clear() noexcept;
 
-  /// Heap nodes currently allocated across both lanes — introspection for
-  /// the tests; cancellation is in place, so it always equals size().
-  [[nodiscard]] std::size_t debug_heap_size() const noexcept {
-    return lanes_[kMainLane].size() + lanes_[kDeadlineLane].size();
-  }
-
  private:
   static constexpr std::size_t kArity = 4;
 
