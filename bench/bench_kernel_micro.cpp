@@ -9,6 +9,7 @@
 #include "exp/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/owned_queue.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -62,14 +63,13 @@ void BM_PolicyDecision(benchmark::State& state, const char* policy_name) {
     task.deadline = 60.0 + static_cast<double>(i);
     tasks.push_back(task);
   }
-  std::vector<const workload::TaskDef*> queue;
-  for (const auto& task : tasks) queue.push_back(&task);
+  const test::OwnedQueue queue(system.eet, std::move(tasks));
   std::vector<sched::MachineView> machines;
   for (std::size_t m = 0; m < 4; ++m) {
     machines.push_back({m, m, 0.0, 64, 10.0, 100.0});
   }
   for (auto _ : state) {
-    sched::SchedulingContext context(0.0, system.eet, machines, queue, {});
+    sched::SchedulingContext context(0.0, system.eet, machines, queue.index(), {});
     benchmark::DoNotOptimize(policy->schedule(context));
   }
 }

@@ -1,12 +1,12 @@
 // Scheduler hot-path benchmark: batch-mapper throughput, fast vs reference.
 //
 // Part 1 drives Policy::schedule() directly on synthetic SchedulingContexts
-// at batch-queue depths 100 / 1k / 10k for every dual-implementation batch
-// mapper (MM, MMU, MSD, ELARE, FELARE), timing whole scheduler invocations
-// and the mapping rounds inside them. Before timing, each (policy, depth)
-// cell asserts that the fast and reference mappers emit the identical
-// assignment sequence — a benchmark of two implementations that diverge
-// would be meaningless.
+// at batch-queue depths 100 / 1k / 10k for every batch mapper that has a
+// full-rescan reference (MM, MMU, MSD, ELARE, FELARE; the references live in
+// tests/support), timing whole scheduler invocations and the mapping rounds
+// inside them. Before timing, each (policy, depth) cell asserts that the
+// fast and reference mappers emit the identical assignment sequence — a
+// benchmark of two implementations that diverge would be meaningless.
 //
 // Part 2 runs full simulations (MM and ELARE, both implementations) at
 // overload so the end-to-end events/s impact of the mapper rewrite is
@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -28,11 +27,11 @@
 
 #include "exp/scenario.hpp"
 #include "hetero/eet_matrix.hpp"
-#include "sched/batch.hpp"
-#include "sched/elare.hpp"
 #include "sched/policy.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/owned_queue.hpp"
+#include "support/reference_mappers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -42,7 +41,6 @@ namespace {
 using e2c::sched::Assignment;
 using e2c::sched::MachineView;
 using e2c::sched::Policy;
-using e2c::sched::SchedImpl;
 using e2c::sched::SchedulingContext;
 
 constexpr std::size_t kMachineCount = 12;
@@ -50,19 +48,17 @@ constexpr std::size_t kSlotsPerMachine = 4;
 
 /// A reusable scheduling scenario: schedule() mutates its context (machine
 /// projections), so every invocation gets a fresh context stamped from this
-/// template. The stamping cost is O(depth) pointer copies, identical for
+/// template. The batch queue is built once, outside the timed loops; a
+/// stamp copies only the machine views and on-time rates, identically for
 /// both implementations.
 struct BenchScenario {
   e2c::hetero::EetMatrix eet;
   std::vector<MachineView> machines;
-  std::vector<e2c::workload::TaskDef> tasks;
+  std::unique_ptr<const e2c::test::OwnedQueue> queue;
   std::vector<double> ontime_rates;
 
   [[nodiscard]] SchedulingContext make_context() const {
-    std::vector<const e2c::workload::TaskDef*> queue;
-    queue.reserve(tasks.size());
-    for (const auto& task : tasks) queue.push_back(&task);
-    return SchedulingContext(0.0, eet, machines, std::move(queue), ontime_rates);
+    return SchedulingContext(0.0, eet, machines, queue->index(), ontime_rates);
   }
 };
 
@@ -99,6 +95,7 @@ BenchScenario make_scenario(std::size_t depth) {
 
   // Half the deadlines are tight enough that commits push them infeasible
   // mid-invocation — the deferral path a deep queue at overload exercises.
+  std::vector<e2c::workload::TaskDef> tasks;
   for (std::size_t i = 0; i < depth; ++i) {
     e2c::workload::TaskDef task;
     task.id = i + 1;
@@ -106,8 +103,9 @@ BenchScenario make_scenario(std::size_t depth) {
         rng.uniform_int(0, static_cast<std::int64_t>(scenario.eet.task_type_count()) - 1));
     task.arrival = static_cast<double>(i) * 0.01;
     task.deadline = rng.bernoulli(0.5) ? rng.uniform(20.0, 80.0) : 1e9;
-    scenario.tasks.push_back(task);
+    tasks.push_back(task);
   }
+  scenario.queue = std::make_unique<const e2c::test::OwnedQueue>(scenario.eet, std::move(tasks));
 
   for (std::size_t t = 0; t < scenario.eet.task_type_count(); ++t) {
     scenario.ontime_rates.push_back(rng.uniform(0.3, 1.0));
@@ -115,25 +113,14 @@ BenchScenario make_scenario(std::size_t depth) {
   return scenario;
 }
 
-struct MapperSpec {
+/// One side of the comparison: the production mapper from the registry, or
+/// its full-rescan reference.
+struct Impl {
   const char* name;
-  std::function<std::unique_ptr<Policy>(SchedImpl)> make;
+  std::unique_ptr<Policy> (*make)(const std::string& policy);
 };
-
-const std::vector<MapperSpec>& mapper_specs() {
-  static const std::vector<MapperSpec> specs = {
-      {"MM", [](SchedImpl i) { return std::make_unique<e2c::sched::MinMinPolicy>(i); }},
-      {"MMU",
-       [](SchedImpl i) { return std::make_unique<e2c::sched::MaxUrgencyPolicy>(i); }},
-      {"MSD",
-       [](SchedImpl i) { return std::make_unique<e2c::sched::SoonestDeadlinePolicy>(i); }},
-      {"ELARE",
-       [](SchedImpl i) { return std::make_unique<e2c::sched::ElarePolicy>(0.5, i); }},
-      {"FELARE",
-       [](SchedImpl i) { return std::make_unique<e2c::sched::FelarePolicy>(0.5, i); }},
-  };
-  return specs;
-}
+constexpr Impl kFast{"fast", &e2c::sched::make_policy};
+constexpr Impl kReference{"reference", &e2c::test::make_reference_policy};
 
 struct ScheduleRow {
   std::string policy;
@@ -147,14 +134,14 @@ struct ScheduleRow {
   double rounds_per_sec = 0.0;
 };
 
-ScheduleRow time_schedule(const MapperSpec& spec, SchedImpl impl,
+ScheduleRow time_schedule(const std::string& name, const Impl& impl,
                           const BenchScenario& scenario, std::size_t depth) {
   ScheduleRow row;
-  row.policy = spec.name;
-  row.impl = e2c::sched::sched_impl_name(impl);
+  row.policy = name;
+  row.impl = impl.name;
   row.depth = depth;
 
-  const auto policy = spec.make(impl);
+  const auto policy = impl.make(name);
   {  // warm-up: fault in scratch allocations outside the timed region
     SchedulingContext context = scenario.make_context();
     (void)policy->schedule(context);
@@ -180,9 +167,9 @@ ScheduleRow time_schedule(const MapperSpec& spec, SchedImpl impl,
 
 /// Decision equivalence inside the bench: a speedup between two mappers that
 /// disagree would be measuring the wrong thing.
-void check_equivalence(const MapperSpec& spec, const BenchScenario& scenario) {
-  const auto fast = spec.make(SchedImpl::kFast);
-  const auto reference = spec.make(SchedImpl::kReference);
+void check_equivalence(const std::string& name, const BenchScenario& scenario) {
+  const auto fast = kFast.make(name);
+  const auto reference = kReference.make(name);
   SchedulingContext fast_context = scenario.make_context();
   SchedulingContext reference_context = scenario.make_context();
   const auto got = fast->schedule(fast_context);
@@ -192,7 +179,7 @@ void check_equivalence(const MapperSpec& spec, const BenchScenario& scenario) {
     same = got[k].task == want[k].task && got[k].machine == want[k].machine;
   }
   if (!same) {
-    throw e2c::InvariantError(std::string("fast/reference divergence in ") + spec.name);
+    throw e2c::InvariantError("fast/reference divergence in " + name);
   }
 }
 
@@ -206,7 +193,7 @@ struct EndToEndRow {
   double events_per_sec = 0.0;
 };
 
-EndToEndRow run_end_to_end(const MapperSpec& spec, SchedImpl impl) {
+EndToEndRow run_end_to_end(const std::string& name, const Impl& impl) {
   e2c::sched::SystemConfig config = e2c::exp::heterogeneous_classroom(2);
   const auto machine_types = e2c::exp::machine_types_of(config);
   // Overload (rho 4) keeps a deep batch queue in front of the mapper for the
@@ -216,11 +203,11 @@ EndToEndRow run_end_to_end(const MapperSpec& spec, SchedImpl impl) {
   const auto workload = e2c::workload::generate_workload(config.eet, generator);
 
   EndToEndRow row;
-  row.policy = spec.name;
-  row.impl = e2c::sched::sched_impl_name(impl);
+  row.policy = name;
+  row.impl = impl.name;
   row.tasks = workload.size();
 
-  e2c::sched::Simulation simulation(std::move(config), spec.make(impl));
+  e2c::sched::Simulation simulation(std::move(config), impl.make(name));
   simulation.load(workload);
   const auto start = std::chrono::steady_clock::now();
   simulation.run();
@@ -313,15 +300,14 @@ int main(int argc, char** argv) {
     std::vector<ScheduleRow> schedule_rows;
     std::vector<Speedup> speedups;
     std::cout << "==== schedule() throughput: rounds/sec by mapper, impl, depth ====\n";
-    for (const MapperSpec& spec : mapper_specs()) {
+    for (const std::string& name : e2c::test::reference_policy_names()) {
       for (const std::size_t depth : depths) {
         const BenchScenario scenario = make_scenario(depth);
-        check_equivalence(spec, scenario);
-        const ScheduleRow fast = time_schedule(spec, SchedImpl::kFast, scenario, depth);
-        const ScheduleRow reference =
-            time_schedule(spec, SchedImpl::kReference, scenario, depth);
+        check_equivalence(name, scenario);
+        const ScheduleRow fast = time_schedule(name, kFast, scenario, depth);
+        const ScheduleRow reference = time_schedule(name, kReference, scenario, depth);
         Speedup speedup;
-        speedup.policy = spec.name;
+        speedup.policy = name;
         speedup.depth = depth;
         speedup.speedup = reference.rounds_per_sec > 0.0
                               ? fast.rounds_per_sec / reference.rounds_per_sec
@@ -333,7 +319,7 @@ int main(int argc, char** argv) {
                     << "\n";
           schedule_rows.push_back(row);
         }
-        std::cout << "  -> " << spec.name << " depth=" << depth << " speedup=" << speedup.speedup
+        std::cout << "  -> " << name << " depth=" << depth << " speedup=" << speedup.speedup
                   << "x\n";
         speedups.push_back(speedup);
       }
@@ -341,10 +327,9 @@ int main(int argc, char** argv) {
 
     std::vector<EndToEndRow> end_to_end;
     std::cout << "==== end-to-end events/sec at overload (rho=4) ====\n";
-    for (const MapperSpec& spec : mapper_specs()) {
-      if (std::string(spec.name) != "MM" && std::string(spec.name) != "ELARE") continue;
-      for (const SchedImpl impl : {SchedImpl::kFast, SchedImpl::kReference}) {
-        const EndToEndRow row = run_end_to_end(spec, impl);
+    for (const std::string name : {"MM", "ELARE"}) {
+      for (const Impl& impl : {kFast, kReference}) {
+        const EndToEndRow row = run_end_to_end(name, impl);
         std::cout << row.policy << " impl=" << row.impl << " tasks=" << row.tasks
                   << " events=" << row.events
                   << " events/sec=" << static_cast<std::uint64_t>(row.events_per_sec)

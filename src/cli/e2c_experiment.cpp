@@ -33,7 +33,6 @@
 
 #include "exp/serve.hpp"
 #include "exp/spec_io.hpp"
-#include "sched/policy.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -44,9 +43,9 @@ namespace {
 /// Every flag the binary understands — the roster behind unknown-flag
 /// nearest-match suggestions.
 const std::vector<std::string> kKnownFlags = {
-    "--help",      "--sched-impl",    "--progress", "--backend",
-    "--cell-timeout", "--max-retries", "--journal",  "--resume",
-    "--serve",     "--submit",        "--serve-workers", "--backlog",
+    "--help",    "--progress", "--backend", "--cell-timeout", "--max-retries",
+    "--journal", "--resume",   "--serve",   "--submit",       "--serve-workers",
+    "--backlog",
 };
 
 std::string read_text_file(const std::string& path) {
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
   using namespace e2c;
   try {
     std::vector<std::string> positional;
-    std::string sched_impl = "fast";
     bool help = false;
     bool progress = false;
     exp::RunOptions options;
@@ -86,9 +84,7 @@ int main(int argc, char** argv) {
         help = true;
         break;
       }
-      if (arg == "--sched-impl") {
-        sched_impl = flag_value(i, arg);
-      } else if (arg == "--progress") {
+      if (arg == "--progress") {
         progress = true;
       } else if (arg == "--backend") {
         options.backend = exp::parse_backend(flag_value(i, arg));
@@ -150,11 +146,11 @@ int main(int argc, char** argv) {
     }
     const bool serve_mode = !serve_socket.empty();
     const bool submit_mode = !submit_socket.empty();
-    if (help || (!serve_mode && !submit_mode && positional.empty())) {
+    if (help) {
       std::cout
-          << "usage: e2c_experiment CONFIG.ini [workers] [--sched-impl fast|reference]\n"
-             "         [--backend threads|procs] [--cell-timeout S] [--max-retries N]\n"
-             "         [--journal PATH] [--resume] [--progress]\n"
+          << "usage: e2c_experiment CONFIG.ini [workers] [--backend threads|procs]\n"
+             "         [--cell-timeout S] [--max-retries N] [--journal PATH] [--resume]\n"
+             "         [--progress]\n"
              "       e2c_experiment --serve SOCKET [--serve-workers N] [--backlog N]\n"
              "         [--cell-timeout S] [--max-retries N] [--journal PREFIX]\n"
              "       e2c_experiment --submit SOCKET CONFIG.ini [--progress]\n"
@@ -179,8 +175,10 @@ int main(int argc, char** argv) {
              "                    (default 4)\n"
              "Exit codes: 0 success, 1 internal error, 2 invalid input,\n"
              "3 I/O error.\n";
-      return argc < 2 ? 2 : 0;
+      return 0;
     }
+    require_input(serve_mode || submit_mode || !positional.empty(),
+                  "CONFIG.ini is required (see --help)");
 
     // Mode exclusivity and per-mode flag validation: every flag must mean
     // something in the chosen mode, or the invocation is rejected (exit 2)
@@ -222,12 +220,14 @@ int main(int argc, char** argv) {
       require_input(options.journal_path.empty() && !options.resume,
                     "--journal/--resume do not apply to --submit: the service "
                     "journals each job under its own --journal PREFIX (--submit)");
-      require_input(sched_impl == "fast",
-                    "--sched-impl does not apply to --submit: the scheduler "
-                    "implementation is chosen when the service starts (--sched-impl)");
     }
 
     if (!serve_mode && !submit_mode) {
+      if (positional.size() > 2) {
+        throw InputError("unexpected argument '" + positional[2] +
+                         "': a direct run takes CONFIG.ini and an optional workers "
+                         "count (see --help)");
+      }
       // Supervision knobs only mean something on the process backend; reject
       // silently-ignored flags the same way e2c_run rejects recovery flags
       // without a fault source.
@@ -246,9 +246,6 @@ int main(int argc, char** argv) {
 
     if (serve_mode) {
       exp::ServeOptions serve_options;
-      // Validated here (exit 2 on an unknown name); the workers build their
-      // policies with it.
-      serve_options.sched_impl = sched::parse_sched_impl(sched_impl);
       serve_options.socket_path = serve_socket;
       serve_options.workers = serve_workers;
       serve_options.backlog = backlog;
@@ -309,7 +306,6 @@ int main(int argc, char** argv) {
       outputs = exp::outputs_from_ini(ini);
       result = exp::submit_job(submit_socket, config_text, options.progress);
     } else {
-      const sched::SchedImpl impl = sched::parse_sched_impl(sched_impl);
       if (positional.size() > 1) {
         // std::stoul would accept "-1" (wrapping to SIZE_MAX workers) and exit
         // 1 on junk; validate like e2c_run's numeric options instead.
@@ -322,7 +318,6 @@ int main(int argc, char** argv) {
       const util::IniFile ini = util::IniFile::load(positional[0]);
       outputs = exp::outputs_from_ini(ini);
       exp::ExperimentSpec spec = exp::spec_from_ini(ini);
-      spec.sched_impl = impl;
       options.drain_on_signals = options.backend == exp::Backend::kProcs;
       result = exp::run_experiment(spec, options);
     }

@@ -43,7 +43,6 @@ struct Options {
   std::string workload_path;
   std::optional<std::string> generate_intensity;
   std::string policy = "FCFS";
-  std::string sched_impl = "fast";
   std::size_t queue_size = 2;
   std::uint64_t seed = 42;
   double duration = 200.0;
@@ -111,9 +110,6 @@ Scheduling:
   --policy NAME         scheduling policy (default FCFS); see --list-policies
   --queue-size N        machine queue size for batch policies (default 2,
                         0 = unbounded; immediate policies are always unbounded)
-  --sched-impl NAME     batch-mapper implementation: fast | reference
-                        (default fast; both emit identical decisions —
-                        reference is the plain full-rescan oracle)
 
 Visualization:
   --live                animate the run in the terminal
@@ -203,7 +199,6 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (arg == "--workload") options.workload_path = need_value(i++, arg);
     else if (arg == "--generate") options.generate_intensity = need_value(i++, arg);
     else if (arg == "--policy") options.policy = need_value(i++, arg);
-    else if (arg == "--sched-impl") options.sched_impl = need_value(i++, arg);
     else if (arg == "--pet") options.pet_kind = need_value(i++, arg);
     else if (arg == "--autoscale") options.autoscale = true;
     else if (arg == "--summary") options.summary_out = need_value(i++, arg);
@@ -365,8 +360,6 @@ int run(const Options& options) {
     print_usage();
     return 0;
   }
-  // Validated up front: an unknown name exits 2 before any work starts.
-  const sched::SchedImpl impl = sched::parse_sched_impl(options.sched_impl);
   if (options.list_policies) {
     std::cout << "registered scheduling policies:\n";
     for (const std::string& name : sched::PolicyRegistry::instance().names()) {
@@ -531,7 +524,7 @@ int run(const Options& options) {
 
   viz::SimulationController controller([&] {
     auto simulation =
-        std::make_unique<sched::Simulation>(system, sched::make_policy(options.policy, impl));
+        std::make_unique<sched::Simulation>(system, sched::make_policy(options.policy));
     simulation->load(trace);
     if (!tenant_names.empty()) simulation->set_tenant_names(tenant_names);
     return simulation;

@@ -60,12 +60,13 @@ MethodAnswer solve_method(const QuizScenario& scenario, const std::string& metho
     view.free_slots = scenario.tasks.size();
     machines.push_back(view);
   }
-  std::vector<const workload::TaskDef*> queue;
-  queue.reserve(scenario.tasks.size());
-  for (const workload::TaskDef& task : scenario.tasks) queue.push_back(&task);
+  // The scenario's task vector is the queue's storage: listed in order, so
+  // queue order is arrival order and nothing is copied.
+  sched::TaskIndexQueue queue;
+  queue.reset(scenario.tasks, scenario.eet.task_type_count());
+  for (std::size_t i = 0; i < scenario.tasks.size(); ++i) queue.push_back(i);
 
-  sched::SchedulingContext context(0.0, scenario.eet, std::move(machines),
-                                   std::move(queue), {});
+  sched::SchedulingContext context(0.0, scenario.eet, std::move(machines), queue, {});
   const auto policy = sched::make_policy(method);
   const std::vector<sched::Assignment> assignments = policy->schedule(context);
 

@@ -105,7 +105,7 @@ reports::Metrics run_single(const ExperimentSpec& spec, const std::string& polic
   const workload::Workload trace = workload::generate_workload(
       spec.system.eet, generator_for(spec, machine_types, intensity, replication));
 
-  sched::Simulation simulation(spec.system, sched::make_policy(policy_name, spec.sched_impl));
+  sched::Simulation simulation(spec.system, sched::make_policy(policy_name));
   simulation.load(trace);
   simulation.run();
   return reports::compute_metrics(simulation);
@@ -115,7 +115,7 @@ reports::Metrics run_single(const ExperimentSpec& spec, const std::string& polic
 /// replications, loading traces that are shared read-only across cells.
 CellResult run_cell_shared(
     const std::shared_ptr<const sched::SystemConfig>& system,
-    const std::string& policy_name, sched::SchedImpl impl, workload::Intensity intensity,
+    const std::string& policy_name, workload::Intensity intensity,
     const std::vector<std::shared_ptr<const workload::Workload>>& traces) {
   CellResult cell;
   cell.policy = policy_name;
@@ -124,7 +124,7 @@ CellResult run_cell_shared(
   std::unique_ptr<sched::Simulation> simulation;
   for (const auto& trace : traces) {
     // A fresh policy instance per replication: policies may carry state.
-    std::unique_ptr<sched::Policy> policy = sched::make_policy(policy_name, impl);
+    std::unique_ptr<sched::Policy> policy = sched::make_policy(policy_name);
     if (!simulation) {
       simulation = std::make_unique<sched::Simulation>(system, std::move(policy));
     } else {
@@ -243,9 +243,9 @@ ExperimentResult run_experiment_threads(const ExperimentSpec& spec,
       const workload::Intensity intensity = spec.intensities[i];
       for (std::size_t rep = 0; rep < reps; ++rep) {
         if (options.plane == DataPlane::kShared) {
-          tasks.push_back([system, policy, impl = spec.sched_impl, trace = traces[i][rep]] {
+          tasks.push_back([system, policy, trace = traces[i][rep]] {
             sched::Simulation& simulation =
-                lease_simulation(system, sched::make_policy(policy, impl));
+                lease_simulation(system, sched::make_policy(policy));
             simulation.load(trace);
             simulation.run();
             return reports::compute_metrics(simulation);
@@ -348,7 +348,7 @@ CellResult compute_cell(const ExperimentSpec& spec, const std::string& policy,
         workload::generate_workload(spec.system.eet,
                                     generator_for(spec, machine_types, intensity, rep))));
   }
-  return run_cell_shared(system, policy, spec.sched_impl, intensity, traces);
+  return run_cell_shared(system, policy, intensity, traces);
 }
 
 }  // namespace detail

@@ -32,9 +32,6 @@ struct ExperimentSpec {
   workload::ArrivalKind arrival = workload::ArrivalKind::kPoisson;
   double deadline_factor_lo = 2.0;
   double deadline_factor_hi = 4.0;
-  /// Mapper implementation of the batch policies. Decision-equivalent by
-  /// contract, so it is not part of spec_digest().
-  sched::SchedImpl sched_impl = sched::SchedImpl::kFast;
 };
 
 /// Terminal state of one sweep cell. A cell fails on the process backend

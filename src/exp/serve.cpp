@@ -230,7 +230,7 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
   return nullptr;
 }
 
-[[noreturn]] void serve_worker_main(int cmd_fd, int res_fd, sched::SchedImpl impl) {
+[[noreturn]] void serve_worker_main(int cmd_fd, int res_fd) {
   // Only the supervisor reacts to drain signals; a Ctrl-C on the foreground
   // process group must not kill in-flight units mid-drain.
   ::signal(SIGINT, SIG_IGN);
@@ -266,7 +266,6 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
           CachedJob job;
           job.key = load.job_key;
           job.spec = spec_from_ini(util::IniFile::parse(load.ini_text, "serve job"));
-          job.spec.sched_impl = impl;
           job.system = std::make_shared<const sched::SystemConfig>(job.spec.system);
           job.machine_types = machine_types_of(*job.system);
           job.slots = build_slots(job.spec);
@@ -297,8 +296,8 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
             trace = std::make_shared<const workload::Workload>(detail::generate_trace(
                 job->spec, job->machine_types, slot.intensity, unit.rep));
           }
-          sched::Simulation& simulation = lease_simulation(
-              job->system, sched::make_policy(slot.policy, job->spec.sched_impl));
+          sched::Simulation& simulation =
+              lease_simulation(job->system, sched::make_policy(slot.policy));
           simulation.load(trace);
           simulation.run();
           WorkerUnitResult result;
@@ -371,7 +370,7 @@ struct ServeJob {
 };
 
 void spawn_serve_worker(ServeWorker& worker, std::vector<ServeWorker>& workers,
-                        const std::vector<int>& close_in_child, sched::SchedImpl impl) {
+                        const std::vector<int>& close_in_child) {
   worker.cmd = std::make_unique<util::Pipe>();
   worker.res = std::make_unique<util::Pipe>();
   const pid_t pid = ::fork();
@@ -391,7 +390,7 @@ void spawn_serve_worker(ServeWorker& worker, std::vector<ServeWorker>& workers,
     for (const int fd : close_in_child) ::close(fd);
     worker.cmd->close_write();
     worker.res->close_read();
-    serve_worker_main(worker.cmd->read_fd(), worker.res->write_fd(), impl);
+    serve_worker_main(worker.cmd->read_fd(), worker.res->write_fd());
   }
   worker.pid = pid;
   worker.cmd->close_read();
@@ -714,7 +713,7 @@ std::size_t run_serve(const ServeOptions& options) {
     {
       const std::vector<int> extra = child_close_list();
       for (ServeWorker& worker : workers) {
-        spawn_serve_worker(worker, workers, extra, options.sched_impl);
+        spawn_serve_worker(worker, workers, extra);
       }
     }
 
@@ -729,7 +728,7 @@ std::size_t run_serve(const ServeOptions& options) {
         for (ServeWorker& worker : workers) {
           if (worker.alive) continue;
           if (!extra) extra = child_close_list();
-          spawn_serve_worker(worker, workers, *extra, options.sched_impl);
+          spawn_serve_worker(worker, workers, *extra);
           say("respawned worker (pid " + std::to_string(worker.pid) + ")");
         }
       }

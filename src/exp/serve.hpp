@@ -43,8 +43,6 @@ struct ServeOptions {
   double backoff_base = 0.05;   ///< delay (s) before the first requeue
   double backoff_factor = 2.0;  ///< multiplier per further requeue
   double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
-  /// Mapper implementation every worker builds its batch policies with.
-  sched::SchedImpl sched_impl = sched::SchedImpl::kFast;
   /// Per-job crash-safe journals at "<prefix>.job<id>" (the PR-7 format,
   /// readable by exp::read_journal). Empty disables journaling.
   std::string journal_prefix;

@@ -1,61 +1,10 @@
 #include "sched/batch.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace e2c::sched {
 
 namespace {
-
-/// Reference iterative batch mapper shared by MM/MMU/MSD. \p key computes
-/// the selection score of a task given its best completion time; the task
-/// with the smallest score is mapped each round (ties break to the earlier
-/// arrival, which is the batch-queue order).
-///
-/// Tasks whose best-case completion already misses their deadline are
-/// *deferred* (left in the batch queue), following the task-pruning line of
-/// the E2C authors (Gentry/Denninnart/Mokhtari et al.): mapping doomed work
-/// only burns machine time that on-time tasks need, and the deferred task is
-/// cancelled by its deadline event anyway. Without this, MMU in particular
-/// inverts at high load — the most-negative-slack (already doomed) tasks
-/// count as "most urgent" and starve the feasible ones.
-///
-/// This is the decision-equivalence oracle for iterative_map_fast below:
-/// O(rounds x pending x machines), kept verbatim and selectable via
-/// SchedImpl::kReference.
-template <typename Key>
-void iterative_map_reference(SchedulingContext& context, Key key,
-                             std::vector<Assignment>& assignments) {
-  assignments.clear();
-  std::vector<const workload::TaskDef*> pending = context.batch_queue();
-
-  while (!pending.empty()) {
-    std::size_t best_task = pending.size();
-    std::size_t best_machine = context.machines().size();
-    double best_key = 0.0;
-
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const workload::TaskDef& task = *pending[i];
-      const std::size_t machine_index = argmin_completion(context, task);
-      if (machine_index >= context.machines().size()) continue;  // no slot anywhere
-      const core::SimTime completion =
-          context.completion_time(task, context.machines()[machine_index]);
-      if (completion > task.deadline) continue;  // infeasible: defer (prune)
-      const double k = key(task, completion);
-      if (best_task == pending.size() || k < best_key) {
-        best_task = i;
-        best_machine = machine_index;
-        best_key = k;
-      }
-    }
-    if (best_task == pending.size()) break;  // saturated or only infeasible left
-
-    const workload::TaskDef& task = *pending[best_task];
-    assignments.push_back(Assignment{task.id, context.machines()[best_machine].id});
-    context.commit(task, best_machine);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best_task));
-  }
-}
 
 /// Sentinel for a stale per-type cache entry (distinct from machines.size(),
 /// which a refresh produces when no machine has a free slot).
@@ -63,18 +12,27 @@ constexpr std::size_t kStale = std::numeric_limits<std::size_t>::max();
 /// Transient mark of a queued type not yet listed in live_types.
 constexpr std::size_t kUnlisted = kStale - 1;
 
-/// Incremental mapper, decision-equivalent to iterative_map_reference.
+/// Iterative batch mapper shared by MM/MMU/MSD. \p key computes the
+/// selection score of a task given its best completion time; the task with
+/// the smallest score is mapped each round (ties break to the earlier
+/// arrival, which is the batch-queue order). Tasks whose best-case
+/// completion already misses their deadline are deferred (see batch.hpp):
+/// without that, MMU inverts at high load, because the most-negative-slack
+/// (already doomed) tasks count as "most urgent" and starve feasible ones.
 ///
-/// The best (machine, completion) pair of a task is a function of its *type*
-/// alone — every task of a type shares one EET row — so the argmin over
-/// machines is cached per type. After a commit only the committed machine's
+/// The mapper is incremental, and decision-equivalent to the full rescan
+/// (every round, every pending task against every machine) that the tests
+/// keep as their oracle (tests/support/reference_mappers.cpp). The best
+/// (machine, completion) pair of a task is a function of its *type* alone —
+/// every task of a type shares one EET row — so the argmin over machines is
+/// cached per type. After a commit only the committed machine's
 /// projection changed, and it changed for the worse (ready_time grew, a slot
 /// was consumed), so a cached pair on any *other* machine is still the
 /// argmin; only types cached on the committed machine re-scan the machines.
 /// Tasks whose best-case completion misses their deadline are skip-marked
 /// permanently: their best completion is monotone non-decreasing within an
 /// invocation (ready times only grow, the slot set only shrinks), so the
-/// reference would re-reject them every round anyway.
+/// rescan would re-reject them every round anyway.
 ///
 /// The per-type tables are sized to the catalog but touched only for the
 /// queued (live) types: those are listed from the queue and marked stale on
@@ -84,10 +42,10 @@ constexpr std::size_t kUnlisted = kStale - 1;
 ///
 /// Per invocation: O(live types x machines) refreshes amortized over rounds
 /// plus an O(pending + live types) scan per round, however large the
-/// catalog, vs the reference's O(pending x machines) per round.
+/// catalog, vs the rescan's O(pending x machines) per round.
 template <typename Key>
-void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch& scratch,
-                        std::vector<Assignment>& assignments) {
+void iterative_map(SchedulingContext& context, Key key, BatchMapperScratch& scratch,
+                   std::vector<Assignment>& assignments) {
   assignments.clear();
   const auto& queue = context.batch_queue();
   const auto& machines = context.machines();
@@ -165,38 +123,30 @@ void iterative_map_fast(SchedulingContext& context, Key key, BatchMapperScratch&
   }
 }
 
-template <typename Key>
-void iterative_map(SchedulingContext& context, SchedImpl impl, BatchMapperScratch& scratch,
-                   Key key, std::vector<Assignment>& out) {
-  impl == SchedImpl::kReference ? iterative_map_reference(context, key, out)
-                                : iterative_map_fast(context, key, scratch, out);
-}
-
 }  // namespace
 
 void MinMinPolicy::schedule_into(SchedulingContext& context, std::vector<Assignment>& out) {
-  iterative_map(context, impl_, scratch_,
-                [](const workload::TaskDef&, core::SimTime completion) {
-                  return completion;
-                },
-                out);
+  iterative_map(
+      context, [](const workload::TaskDef&, core::SimTime completion) { return completion; },
+      scratch_, out);
 }
 
 void MaxUrgencyPolicy::schedule_into(SchedulingContext& context,
                                      std::vector<Assignment>& out) {
   // Smallest slack first == max urgency.
-  iterative_map(context, impl_, scratch_,
-                [](const workload::TaskDef& task, core::SimTime completion) {
-                  return task.deadline - completion;
-                },
-                out);
+  iterative_map(
+      context,
+      [](const workload::TaskDef& task, core::SimTime completion) {
+        return task.deadline - completion;
+      },
+      scratch_, out);
 }
 
 void SoonestDeadlinePolicy::schedule_into(SchedulingContext& context,
                                           std::vector<Assignment>& out) {
-  iterative_map(context, impl_, scratch_,
-                [](const workload::TaskDef& task, core::SimTime) { return task.deadline; },
-                out);
+  iterative_map(
+      context, [](const workload::TaskDef& task, core::SimTime) { return task.deadline; },
+      scratch_, out);
 }
 
 }  // namespace e2c::sched

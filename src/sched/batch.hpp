@@ -13,10 +13,10 @@
 /// work stays in the batch queue and is cancelled at its deadline instead of
 /// occupying a machine until the drop.
 ///
-/// Each policy carries two implementations selected at construction (see
-/// SchedImpl): the incremental fast path and the original full-rescan
-/// reference. They emit identical assignment sequences by construction;
-/// the run-digest goldens and the differential fuzz test enforce it.
+/// The mapper is incremental (DESIGN.md §8). The original full-rescan
+/// mapper lives on as the tests' decision-equivalence oracle
+/// (tests/support); the run-digest goldens and the differential fuzz test
+/// hold the two to identical assignment sequences.
 #pragma once
 
 #include "sched/mapper_scratch.hpp"
@@ -29,13 +29,11 @@ namespace e2c::sched {
 /// throughput; long tasks can starve under load.
 class MinMinPolicy final : public Policy {
  public:
-  explicit MinMinPolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MM"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
 
  private:
-  SchedImpl impl_;
   BatchMapperScratch scratch_;
 };
 
@@ -44,13 +42,11 @@ class MinMinPolicy final : public Policy {
 /// completion-time minimizer. Prioritizes tasks about to miss.
 class MaxUrgencyPolicy final : public Policy {
  public:
-  explicit MaxUrgencyPolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MMU"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
 
  private:
-  SchedImpl impl_;
   BatchMapperScratch scratch_;
 };
 
@@ -59,13 +55,11 @@ class MaxUrgencyPolicy final : public Policy {
 /// minimizer.
 class SoonestDeadlinePolicy final : public Policy {
  public:
-  explicit SoonestDeadlinePolicy(SchedImpl impl = SchedImpl::kFast) : impl_(impl) {}
   [[nodiscard]] std::string name() const override { return "MSD"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
 
  private:
-  SchedImpl impl_;
   BatchMapperScratch scratch_;
 };
 

@@ -6,8 +6,7 @@
 
 namespace e2c::sched {
 
-ElarePolicy::ElarePolicy(double energy_weight, SchedImpl impl)
-    : energy_weight_(energy_weight), impl_(impl) {
+ElarePolicy::ElarePolicy(double energy_weight) : energy_weight_(energy_weight) {
   require_input(energy_weight >= 0.0 && energy_weight <= 1.0,
                 "ELARE: energy_weight must be in [0, 1]");
 }
@@ -16,68 +15,10 @@ double ElarePolicy::fairness_factor(const SchedulingContext&, hetero::TaskTypeId
   return 1.0;
 }
 
-void ElarePolicy::schedule_into(SchedulingContext& context, std::vector<Assignment>& out) {
-  impl_ == SchedImpl::kReference ? schedule_reference(context, out)
-                                 : schedule_fast(context, out);
-}
-
-/// The original full-rescan mapper, kept verbatim as the decision-
-/// equivalence oracle for schedule_fast: O(rounds x pending x machines)
-/// twice over (normalization rescan plus pair scan) per invocation.
-void ElarePolicy::schedule_reference(SchedulingContext& context,
-                                     std::vector<Assignment>& assignments) {
-  assignments.clear();
-  std::vector<const workload::TaskDef*> pending = context.batch_queue();
-
-  // Normalization bases so the energy and latency terms are comparable:
-  // the worst (largest) energy and completion values over all pairs in this
-  // invocation. Recomputed per round because commits move ready times.
-  while (!pending.empty()) {
-    double max_energy = 0.0;
-    core::SimTime max_completion = 0.0;
-    bool any_slot = false;
-    for (const workload::TaskDef* task : pending) {
-      for (const MachineView& m : context.machines()) {
-        if (m.free_slots == 0) continue;
-        any_slot = true;
-        max_energy = std::max(max_energy, context.exec_energy(*task, m));
-        max_completion = std::max(max_completion, context.completion_time(*task, m));
-      }
-    }
-    if (!any_slot || max_energy <= 0.0 || max_completion <= 0.0) break;
-
-    std::size_t best_task = pending.size();
-    std::size_t best_machine = context.machines().size();
-    double best_score = 0.0;
-
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const workload::TaskDef& task = *pending[i];
-      const double factor = fairness_factor(context, task.type);
-      for (std::size_t j = 0; j < context.machines().size(); ++j) {
-        const MachineView& m = context.machines()[j];
-        if (m.free_slots == 0) continue;
-        const core::SimTime completion = context.completion_time(task, m);
-        if (completion > task.deadline) continue;  // infeasible: defer, don't waste
-        const double score = factor * (energy_weight_ * context.exec_energy(task, m) /
-                                           max_energy +
-                                       (1.0 - energy_weight_) * completion / max_completion);
-        if (best_task == pending.size() || score < best_score) {
-          best_task = i;
-          best_machine = j;
-          best_score = score;
-        }
-      }
-    }
-    if (best_task == pending.size()) break;  // every remaining task is infeasible
-
-    const workload::TaskDef& task = *pending[best_task];
-    assignments.push_back(Assignment{task.id, context.machines()[best_machine].id});
-    context.commit(task, best_machine);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best_task));
-  }
-}
-
-/// Index mapper, decision-equivalent to schedule_reference.
+/// Index mapper, decision-equivalent to the full-rescan reference the tests
+/// keep as their oracle (tests/support/reference_mappers.cpp), which scans
+/// every pending task against every machine with a slot twice per round
+/// (normalization bases, then the pair scan).
 ///
 /// Both the score and the feasibility bound of a (task, machine) pair
 /// depend on the task only through its type: the projected completion C and
@@ -106,7 +47,7 @@ void ElarePolicy::schedule_reference(SchedulingContext& context,
 /// exhausted (large catalogs whose queued tasks are mostly infeasible) does
 /// the commit sort the candidates and walk the higher equal-score groups
 /// upwards until one yields: O(P log P), not O(P) per exhausted level.
-void ElarePolicy::schedule_fast(SchedulingContext& context,
+void ElarePolicy::schedule_into(SchedulingContext& context,
                                 std::vector<Assignment>& assignments) {
   assignments.clear();
   const TaskIndexQueue& queue = context.batch_index();

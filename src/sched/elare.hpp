@@ -20,11 +20,11 @@
 /// The structure follows the published description; the exact normalization
 /// constants below are this implementation's (documented) choices.
 ///
-/// Two implementations are selectable at construction (see SchedImpl): the
-/// fast path over the per-type batch-queue index (per-(type, machine) pair
-/// tables, no per-task work beyond the few tasks a pick walks past —
-/// DESIGN.md §8) and the original full-rescan reference, retained as the
-/// decision-equivalence oracle.
+/// The mapper works over the per-type batch-queue index (per-(type, machine)
+/// pair tables, no per-task work beyond the few tasks a pick walks past —
+/// DESIGN.md §8). The original full-rescan mapper lives on as the tests'
+/// decision-equivalence oracle (tests/support), which reads the scoring
+/// hooks below, so it also checks a subclass that overrides them.
 #pragma once
 
 #include "sched/mapper_scratch.hpp"
@@ -37,16 +37,18 @@ class ElarePolicy : public Policy {
  public:
   /// \param energy_weight weight of the energy term in [0, 1]; the latency
   /// term gets 1 - energy_weight. The published evaluation balances the two.
-  explicit ElarePolicy(double energy_weight = 0.5, SchedImpl impl = SchedImpl::kFast);
+  explicit ElarePolicy(double energy_weight = 0.5);
 
   [[nodiscard]] std::string name() const override { return "ELARE"; }
   [[nodiscard]] PolicyMode mode() const override { return PolicyMode::kBatch; }
   void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) override;
 
- protected:
+  /// Weight of the energy term in [0, 1]; the latency term gets the rest.
+  [[nodiscard]] double energy_weight() const noexcept { return energy_weight_; }
+
   /// Fairness discount multiplier (> 0) for the score of every task of
   /// \p type; 1.0 in plain ELARE, overridden by FELARE. The factor is per
-  /// task type: the fast path scores (type, machine) pairs, never single
+  /// task type: the mapper scores (type, machine) pairs, never single
   /// tasks, and computes the factor once per type per invocation, so
   /// overrides must not depend on the machine projections (which change as
   /// the mapper commits picks) — both built-ins depend only on the type's
@@ -55,22 +57,15 @@ class ElarePolicy : public Policy {
                                                hetero::TaskTypeId type) const;
 
  private:
-  void schedule_reference(SchedulingContext& context, std::vector<Assignment>& out);
-  void schedule_fast(SchedulingContext& context, std::vector<Assignment>& out);
-
   double energy_weight_;
-  SchedImpl impl_;
   ElareMapperScratch scratch_;
 };
 
 /// Fair ELARE: boosts task types with the worst observed on-time rate.
 class FelarePolicy final : public ElarePolicy {
  public:
-  explicit FelarePolicy(double energy_weight = 0.5, SchedImpl impl = SchedImpl::kFast)
-      : ElarePolicy(energy_weight, impl) {}
+  explicit FelarePolicy(double energy_weight = 0.5) : ElarePolicy(energy_weight) {}
   [[nodiscard]] std::string name() const override { return "FELARE"; }
-
- protected:
   [[nodiscard]] double fairness_factor(const SchedulingContext& context,
                                        hetero::TaskTypeId type) const override;
 };

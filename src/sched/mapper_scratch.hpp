@@ -49,7 +49,7 @@ struct ScoredPair {
 /// Scratch for ELARE/FELARE: scores mix energy and completion against
 /// per-round normalization maxima, but both depend on the task only through
 /// its type, so every table is per (type, machine) pair and nothing is per
-/// task (see ElarePolicy::schedule_fast). The tables are indexed over the
+/// task (see ElarePolicy::schedule_into). The tables are indexed over the
 /// whole catalog but written and read only for the queued types.
 struct ElareMapperScratch {
   std::vector<std::size_t> live;        ///< uncommitted tasks per type

@@ -1,8 +1,5 @@
 #include "sched/policy.hpp"
 
-#include "util/error.hpp"
-#include "util/string_util.hpp"
-
 namespace e2c::sched {
 
 namespace {
@@ -24,34 +21,6 @@ std::size_t argmin_with_space(const SchedulingContext& context, Score score) {
 }
 
 }  // namespace
-
-const TaskIndexQueue& SchedulingContext::batch_index() const {
-  if (index_ != nullptr) return *index_;
-  if (!owned_) {
-    // Pushed in vector order, so sequence order is vector order.
-    owned_ = std::make_unique<OwnedIndex>();
-    owned_->defs.reserve(batch_queue_.size());
-    for (const workload::TaskDef* task : batch_queue_) owned_->defs.push_back(*task);
-    owned_->index.reset(owned_->defs, eet_->task_type_count());
-    for (std::size_t i = 0; i < owned_->defs.size(); ++i) owned_->index.push_back(i);
-  }
-  return owned_->index;
-}
-
-std::vector<std::string> sched_impl_names() { return {"fast", "reference"}; }
-
-const char* sched_impl_name(SchedImpl impl) noexcept {
-  return impl == SchedImpl::kFast ? "fast" : "reference";
-}
-
-SchedImpl parse_sched_impl(const std::string& name) {
-  if (util::iequals(name, "fast")) return SchedImpl::kFast;
-  if (util::iequals(name, "reference")) return SchedImpl::kReference;
-  std::string message = "unknown scheduler implementation: '" + name + "' (registered:";
-  for (const std::string& known : sched_impl_names()) message += " " + known;
-  message += ")";
-  throw InputError(message);
-}
 
 std::size_t argmin_completion(const SchedulingContext& context, const workload::TaskDef& task) {
   // Hand-rolled over the task's EET row: one contiguous read per machine

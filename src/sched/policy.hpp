@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,28 +29,6 @@ struct Assignment {
   workload::TaskId task = 0;
   hetero::MachineId machine = 0;
 };
-
-/// Which mapper implementation the batch policies run.
-///
-/// kFast is the incremental hot path (cached best-pair selection, see
-/// DESIGN.md §8); kReference is the original full-rescan code retained as
-/// the decision-equivalence oracle. Both emit the identical assignment
-/// sequence — kReference exists so anyone can A/B the two on their own
-/// workload (`--sched-impl`) and so the differential tests have an oracle.
-/// The choice is an explicit constructor / make_policy argument (kFast by
-/// default) that the experiment spec and the service options carry to
-/// every worker; there is no process-wide default.
-enum class SchedImpl { kFast, kReference };
-
-/// Registered implementation names, selection order: {"fast", "reference"}.
-[[nodiscard]] std::vector<std::string> sched_impl_names();
-
-/// Display name of an implementation ("fast" / "reference").
-[[nodiscard]] const char* sched_impl_name(SchedImpl impl) noexcept;
-
-/// Parses an implementation name (case-insensitive). Throws e2c::InputError
-/// listing the registered names on an unknown value.
-[[nodiscard]] SchedImpl parse_sched_impl(const std::string& name);
 
 /// Snapshot of one machine as the policy sees it. ready_time and free_slots
 /// are *projections*: helper methods update them as the policy commits
@@ -83,26 +60,12 @@ inline constexpr std::size_t kUnlimitedSlots = std::numeric_limits<std::size_t>:
 /// vector every policy can walk; batch_index() is the per-type index (task
 /// counts per type, each type's tasks in arrival order, sequence numbers
 /// ordering tasks across types) for mappers whose scores depend only on the
-/// task type. A context built by the simulation wraps its live index and
-/// builds the vector only if a policy asks for it; a context built from a
-/// vector (tests, tools) builds the index only if a policy asks for that.
+/// task type. Both read one TaskIndexQueue, which builds the vector only if
+/// a policy asks for it.
 class SchedulingContext {
  public:
-  /// Context over an explicit arrival-ordered batch queue.
-  SchedulingContext(core::SimTime now, const hetero::EetMatrix& eet,
-                    std::vector<MachineView> machines,
-                    std::vector<const workload::TaskDef*> batch_queue,
-                    std::vector<double> type_ontime_rate,
-                    const hetero::PetMatrix* pet = nullptr)
-      : now_(now),
-        eet_(&eet),
-        pet_(pet),
-        machines_(std::move(machines)),
-        batch_queue_(std::move(batch_queue)),
-        type_ontime_rate_(std::move(type_ontime_rate)) {}
-
-  /// Context over a live batch-queue index, which must outlive the context
-  /// and stay unchanged while it is in use. Nothing is copied.
+  /// Context over a batch-queue index, which must outlive the context and
+  /// stay unchanged while it is in use. Nothing is copied.
   SchedulingContext(core::SimTime now, const hetero::EetMatrix& eet,
                     std::vector<MachineView> machines, const TaskIndexQueue& batch_index,
                     std::vector<double> type_ontime_rate,
@@ -127,13 +90,13 @@ class SchedulingContext {
 
   /// Unmapped tasks in arrival order (the batch queue of Fig. 1).
   [[nodiscard]] const std::vector<const workload::TaskDef*>& batch_queue() const {
-    return index_ != nullptr ? index_->ordered() : batch_queue_;
+    return index_->ordered();
   }
 
   /// The same tasks as batch_queue(), indexed by task type (see
   /// TaskIndexQueue): a type's tasks in arrival order, sequence numbers
   /// ordering tasks across types.
-  [[nodiscard]] const TaskIndexQueue& batch_index() const;
+  [[nodiscard]] const TaskIndexQueue& batch_index() const noexcept { return *index_; }
 
   /// Expected execution time of \p task on machine view \p m. Machine views
   /// and task records are validated against the EET shape at construction,
@@ -203,17 +166,7 @@ class SchedulingContext {
   const hetero::EetMatrix* eet_;
   const hetero::PetMatrix* pet_ = nullptr;
   std::vector<MachineView> machines_;
-  /// The index of a vector-built context, over its own copy of the
-  /// definitions (positions in the vector are the task indices).
-  struct OwnedIndex {
-    std::vector<workload::TaskDef> defs;
-    TaskIndexQueue index;
-  };
-  /// Exactly one of the two queue forms is the source: index_ when set,
-  /// batch_queue_ otherwise, whose index is built into owned_ on first use.
-  const TaskIndexQueue* index_ = nullptr;
-  std::vector<const workload::TaskDef*> batch_queue_;
-  mutable std::unique_ptr<OwnedIndex> owned_;
+  const TaskIndexQueue* index_;
   std::vector<double> type_ontime_rate_;
 };
 

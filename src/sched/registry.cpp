@@ -15,16 +15,11 @@ PolicyRegistry::PolicyRegistry() {
   register_policy("MEET", [] { return std::make_unique<MeetPolicy>(); });
   register_policy("MECT", [] { return std::make_unique<MectPolicy>(); });
   register_policy("FTMIN-EET", [] { return std::make_unique<FtMinEetPolicy>(); });
-  register_with_impl("MM", [](SchedImpl impl) { return std::make_unique<MinMinPolicy>(impl); });
-  register_with_impl("MMU",
-                   [](SchedImpl impl) { return std::make_unique<MaxUrgencyPolicy>(impl); });
-  register_with_impl("MSD", [](SchedImpl impl) {
-    return std::make_unique<SoonestDeadlinePolicy>(impl);
-  });
-  register_with_impl("ELARE",
-                   [](SchedImpl impl) { return std::make_unique<ElarePolicy>(0.5, impl); });
-  register_with_impl("FELARE",
-                   [](SchedImpl impl) { return std::make_unique<FelarePolicy>(0.5, impl); });
+  register_policy("MM", [] { return std::make_unique<MinMinPolicy>(); });
+  register_policy("MMU", [] { return std::make_unique<MaxUrgencyPolicy>(); });
+  register_policy("MSD", [] { return std::make_unique<SoonestDeadlinePolicy>(); });
+  register_policy("ELARE", [] { return std::make_unique<ElarePolicy>(); });
+  register_policy("FELARE", [] { return std::make_unique<FelarePolicy>(); });
   register_policy("FairShare", [] { return std::make_unique<FairSharePolicy>(); });
   register_policy("PAM", [] { return std::make_unique<PamPolicy>(); });
 }
@@ -36,10 +31,6 @@ PolicyRegistry& PolicyRegistry::instance() {
 
 void PolicyRegistry::register_policy(const std::string& name, PolicyFactory factory) {
   require_input(static_cast<bool>(factory), "policy registry: null factory");
-  register_with_impl(name, [factory = std::move(factory)](SchedImpl) { return factory(); });
-}
-
-void PolicyRegistry::register_with_impl(const std::string& name, ImplFactory factory) {
   require_input(!name.empty(), "policy registry: empty policy name");
   for (Entry& entry : entries_) {
     if (util::iequals(entry.name, name)) {
@@ -57,9 +48,9 @@ bool PolicyRegistry::contains(const std::string& name) const noexcept {
   return false;
 }
 
-std::unique_ptr<Policy> PolicyRegistry::create(const std::string& name, SchedImpl impl) const {
+std::unique_ptr<Policy> PolicyRegistry::create(const std::string& name) const {
   for (const Entry& entry : entries_) {
-    if (util::iequals(entry.name, name)) return entry.factory(impl);
+    if (util::iequals(entry.name, name)) return entry.factory();
   }
   std::string message = "unknown scheduling policy: '" + name + "'";
   if (const auto suggestion = util::nearest_match(name, names())) {
@@ -78,8 +69,8 @@ std::vector<std::string> PolicyRegistry::names() const {
   return names;
 }
 
-std::unique_ptr<Policy> make_policy(const std::string& name, SchedImpl impl) {
-  return PolicyRegistry::instance().create(name, impl);
+std::unique_ptr<Policy> make_policy(const std::string& name) {
+  return PolicyRegistry::instance().create(name);
 }
 
 std::vector<std::string> immediate_policy_names() {

@@ -24,8 +24,8 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
 class PolicyRegistry {
  public:
   /// The process-wide registry, pre-populated with the paper's built-ins:
-  /// immediate FCFS, MEET, MECT; batch MM, MMU, MSD, ELARE, FELARE,
-  /// FairShare.
+  /// immediate FCFS, MEET, MECT, FTMIN-EET; batch MM, MMU, MSD, ELARE,
+  /// FELARE, FairShare, PAM.
   static PolicyRegistry& instance();
 
   /// Registers (or replaces) a factory under \p name (case-insensitive
@@ -35,31 +35,24 @@ class PolicyRegistry {
   /// True if \p name is registered.
   [[nodiscard]] bool contains(const std::string& name) const noexcept;
 
-  /// Instantiates the policy registered under \p name; the built-in batch
-  /// mappers run implementation \p impl (policies without a reference
-  /// implementation ignore it). Throws e2c::UnknownPolicyError for unknown
-  /// names.
-  [[nodiscard]] std::unique_ptr<Policy> create(const std::string& name,
-                                               SchedImpl impl = SchedImpl::kFast) const;
+  /// Instantiates the policy registered under \p name. Throws
+  /// e2c::UnknownPolicyError for unknown names.
+  [[nodiscard]] std::unique_ptr<Policy> create(const std::string& name) const;
 
   /// Registered names in registration order (the GUI drop-down contents).
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   PolicyRegistry();
-  using ImplFactory = std::function<std::unique_ptr<Policy>(SchedImpl)>;
-  void register_with_impl(const std::string& name, ImplFactory factory);
   struct Entry {
     std::string name;
-    ImplFactory factory;
+    PolicyFactory factory;
   };
   std::vector<Entry> entries_;
 };
 
-/// Convenience: create a policy from the global registry, running mapper
-/// implementation \p impl.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name,
-                                                  SchedImpl impl = SchedImpl::kFast);
+/// Convenience: create a policy from the global registry.
+[[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
 
 /// Convenience: the built-in immediate policy names (Fig. 3's left column).
 [[nodiscard]] std::vector<std::string> immediate_policy_names();

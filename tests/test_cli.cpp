@@ -176,27 +176,6 @@ TEST(Cli, RetryFlagsWithoutFaultSourceRejected) {
   EXPECT_NE(result.output.find("--mtbf or --fault-trace"), std::string::npos);
 }
 
-TEST(Cli, SchedImplSelectsReferenceMappers) {
-  // Both implementations must produce the identical run; the flag exists so
-  // anyone can A/B them (and so CI can time them against each other).
-  const std::string base = "--eet " + data("eet_heterogeneous.csv") +
-                           " --workload " + data("workload_medium.csv") + " --policy MM";
-  const auto fast = run_command(base + " --sched-impl fast");
-  const auto reference = run_command(base + " --sched-impl reference");
-  ASSERT_EQ(fast.exit_code, 0);
-  ASSERT_EQ(reference.exit_code, 0);
-  EXPECT_EQ(fast.output, reference.output);
-}
-
-TEST(Cli, UnknownSchedImplRejectedWithRoster) {
-  const auto result = run_command("--eet " + data("eet_homogeneous.csv") +
-                                  " --generate low --policy MM --sched-impl bogus");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("unknown scheduler implementation"), std::string::npos);
-  EXPECT_NE(result.output.find("fast"), std::string::npos);
-  EXPECT_NE(result.output.find("reference"), std::string::npos);
-}
-
 TEST(Cli, UnknownPolicySuggestsNearestMatch) {
   const auto result = run_command("--eet " + data("eet_homogeneous.csv") +
                                   " --generate low --policy MEC");
@@ -319,6 +298,21 @@ TEST(ExperimentCli, HelpAndMissingConfig) {
   EXPECT_EQ(run_experiment("").exit_code, 2);
 }
 
+TEST(ExperimentCli, FlagsWithoutConfigAreInvalidInput) {
+  // Only --help may run without a CONFIG.ini.
+  const auto result = run_experiment("--progress");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("CONFIG.ini is required"), std::string::npos);
+}
+
+TEST(ExperimentCli, StrayPositionalIsInvalidInput) {
+  // Like e2c_run, a direct run rejects an argument it would otherwise
+  // ignore, before any work starts.
+  const auto result = run_experiment(data("experiment_example.ini") + " 1 extra");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("unexpected argument 'extra'"), std::string::npos);
+}
+
 TEST(ExperimentCli, NonNumericWorkersIsInvalidInput) {
   // std::stoul used to throw std::invalid_argument here, which surfaced as
   // exit 1 (internal error) instead of 2 (invalid input).
@@ -340,15 +334,6 @@ TEST(ExperimentCli, TrailingJunkInWorkersIsInvalidInput) {
 
 TEST(ExperimentCli, MissingConfigFileIsIoError) {
   EXPECT_EQ(run_experiment("/nonexistent/sweep.ini 1").exit_code, 3);
-}
-
-TEST(ExperimentCli, UnknownSchedImplRejectedWithRoster) {
-  const auto result =
-      run_experiment(data("experiment_example.ini") + " 1 --sched-impl bogus");
-  EXPECT_EQ(result.exit_code, 2);
-  EXPECT_NE(result.output.find("unknown scheduler implementation"), std::string::npos);
-  EXPECT_NE(result.output.find("fast"), std::string::npos);
-  EXPECT_NE(result.output.find("reference"), std::string::npos);
 }
 
 TEST(ExperimentCli, UnknownBackendRejectedWithRosterAndSuggestion) {
@@ -472,16 +457,6 @@ TEST(ExperimentCli, SubmitToMissingSocketIsInvalidInput) {
                                      data("experiment_example.ini"));
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("no service socket"), std::string::npos);
-}
-
-TEST(ExperimentCli, ReferenceSchedImplMatchesFastSweep) {
-  const auto fast =
-      run_experiment(data("experiment_example.ini") + " 1 --sched-impl fast");
-  const auto reference =
-      run_experiment(data("experiment_example.ini") + " 1 --sched-impl reference");
-  ASSERT_EQ(fast.exit_code, 0);
-  ASSERT_EQ(reference.exit_code, 0);
-  EXPECT_EQ(fast.output, reference.output);
 }
 
 TEST(Cli, IncompatibleWorkloadRejected) {

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
+#include "sched/registry.hpp"
+#include "support/reference_mappers.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -17,7 +20,7 @@ using e2c::hetero::EetMatrix;
 using e2c::sched::ElarePolicy;
 using e2c::sched::FelarePolicy;
 using e2c::sched::MachineView;
-using e2c::sched::SchedulingContext;
+using e2c::test::QueuedContext;
 using e2c::test::queued_task;
 
 // Two machines: m0 is slow-but-frugal (low busy watts), m1 fast-but-hungry.
@@ -25,14 +28,22 @@ EetMatrix eet() {
   return EetMatrix({"T1", "T2"}, {"frugal", "fast"}, {{8.0, 2.0}, {10.0, 3.0}});
 }
 
-SchedulingContext power_context(const std::vector<const e2c::workload::TaskDef*>& queue,
-                                std::vector<double> ontime_rates = {}) {
+QueuedContext power_context(const std::vector<const e2c::workload::TaskDef*>& queue,
+                            std::vector<double> ontime_rates = {}) {
   const static EetMatrix matrix = eet();
   std::vector<MachineView> machines(2);
   machines[0] = {0, 0, 0.0, e2c::sched::kUnlimitedSlots, 2.0, 10.0};   // frugal
   machines[1] = {1, 1, 0.0, e2c::sched::kUnlimitedSlots, 25.0, 250.0}; // fast
-  return SchedulingContext(0.0, matrix, std::move(machines), queue,
-                           std::move(ontime_rates));
+  return QueuedContext(matrix, queue, std::move(machines), std::move(ontime_rates));
+}
+
+/// ELARE's production mapper and its full-rescan reference: the tie cases
+/// below must hold for both.
+std::vector<std::unique_ptr<e2c::sched::Policy>> elare_and_reference() {
+  std::vector<std::unique_ptr<e2c::sched::Policy>> mappers;
+  mappers.push_back(e2c::sched::make_policy("ELARE"));
+  mappers.push_back(e2c::test::make_reference_policy("ELARE"));
+  return mappers;
 }
 
 TEST(Elare, NameAndMode) {
@@ -209,24 +220,6 @@ TEST(TaskIndexQueue, RejectsDuplicatesAndUnknownTypes) {
   EXPECT_THROW(queue.push_back(2), e2c::InvariantError);  // index out of range
 }
 
-TEST(SchedulingContext, VectorBuiltIndexFollowsVectorOrder) {
-  const auto a = queued_task(7, 1);
-  const auto b = queued_task(3, 0);
-  const auto c = queued_task(5, 1);
-  auto context = power_context({&a, &b, &c});
-  const e2c::sched::TaskIndexQueue& index = context.batch_index();
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.count(0), 1u);
-  EXPECT_EQ(index.count(1), 2u);
-  const std::int32_t first = index.head(1);
-  ASSERT_NE(first, e2c::sched::TaskIndexQueue::kNil);
-  EXPECT_EQ(index.def(first).id, 7u);
-  EXPECT_EQ(index.def(index.next(first)).id, 5u);
-  EXPECT_LT(index.seq(index.head(1)), index.seq(index.head(0)));
-  EXPECT_EQ(context.batch_queue().size(), 3u);  // the vector itself is unchanged
-  EXPECT_EQ(context.batch_queue()[0]->id, 7u);
-}
-
 TEST(Elare, ExactTieAcrossTypesGoesToEarliestArrival) {
   // T1 and T2 share an EET row: every (type, machine) pair ties exactly, so
   // the reference's first-minimum rule maps in arrival order whatever the
@@ -235,9 +228,9 @@ TEST(Elare, ExactTieAcrossTypesGoesToEarliestArrival) {
   const auto first = queued_task(9, 1, 100.0);
   const auto second = queued_task(2, 0, 100.0);
   const auto third = queued_task(4, 1, 100.0);
-  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+  for (const auto& policy : elare_and_reference()) {
     auto context = e2c::test::make_context(matrix, {&first, &second, &third}, 1);
-    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    const auto assignments = policy->schedule(context);
     ASSERT_EQ(assignments.size(), 2u);  // two machines, one slot each
     EXPECT_EQ(assignments[0].task, 9u);
     EXPECT_EQ(assignments[1].task, 2u);
@@ -250,12 +243,12 @@ TEST(Elare, ExactTieAcrossMachinesGoesToLowerIndex) {
   const EetMatrix matrix({"T1"}, {"m0"}, {{4.0}});
   const auto first = queued_task(1, 0, 100.0);
   const auto second = queued_task(2, 0, 100.0);
-  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+  for (const auto& policy : elare_and_reference()) {
     std::vector<MachineView> machines(2);
     machines[0] = {5, 0, 0.0, 1, 10.0, 100.0};
     machines[1] = {6, 0, 0.0, 1, 10.0, 100.0};
-    SchedulingContext context(0.0, matrix, std::move(machines), {&first, &second}, {});
-    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    QueuedContext context(matrix, {&first, &second}, std::move(machines));
+    const auto assignments = policy->schedule(context);
     ASSERT_EQ(assignments.size(), 2u);
     EXPECT_EQ(assignments[0].task, 1u);
     EXPECT_EQ(assignments[0].machine, 5u);
@@ -271,9 +264,9 @@ TEST(Elare, PairInfeasibleForEarlierTaskSkipsToLaterOne) {
   const EetMatrix matrix({"T1"}, {"m0"}, {{5.0}});
   const auto doomed = queued_task(1, 0, 4.0);
   const auto fine = queued_task(2, 0, 50.0);
-  for (const auto impl : {e2c::sched::SchedImpl::kFast, e2c::sched::SchedImpl::kReference}) {
+  for (const auto& policy : elare_and_reference()) {
     auto context = e2c::test::make_context(matrix, {&doomed, &fine});
-    const auto assignments = ElarePolicy(0.5, impl).schedule(context);
+    const auto assignments = policy->schedule(context);
     ASSERT_EQ(assignments.size(), 1u);
     EXPECT_EQ(assignments[0].task, 2u);
   }

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "hetero/eet_matrix.hpp"
+#include "hetero/pet_matrix.hpp"
 #include "sched/policy.hpp"
+#include "support/owned_queue.hpp"
 #include "workload/task.hpp"
 
 namespace e2c::test {
@@ -20,12 +22,35 @@ inline workload::TaskDef queued_task(workload::TaskId id, hetero::TaskTypeId typ
   return task;
 }
 
+/// A scheduling context at time 0 over copies of the \p queue tasks, in that
+/// order. The queue base is built before the context base and destroyed
+/// after it, and the object can be neither copied nor moved, so the context
+/// never outlives its queue.
+class QueuedContext : private OwnedQueue, public sched::SchedulingContext {
+ public:
+  QueuedContext(const hetero::EetMatrix& eet, const std::vector<const workload::TaskDef*>& queue,
+                std::vector<sched::MachineView> machines, std::vector<double> ontime_rates = {},
+                const hetero::PetMatrix* pet = nullptr)
+      : OwnedQueue(eet, copies(queue)),
+        SchedulingContext(0.0, eet, std::move(machines), index(), std::move(ontime_rates),
+                          pet) {}
+
+ private:
+  static std::vector<workload::TaskDef> copies(
+      const std::vector<const workload::TaskDef*>& queue) {
+    std::vector<workload::TaskDef> tasks;
+    for (const workload::TaskDef* task : queue) tasks.push_back(*task);
+    return tasks;
+  }
+};
+
 /// Builds a context of idle machines (one per EET machine type, machine id ==
 /// type id) with \p free_slots each, ready at \p ready_times (zeros if empty).
-inline sched::SchedulingContext make_context(
-    const hetero::EetMatrix& eet, const std::vector<const workload::TaskDef*>& queue,
-    std::size_t free_slots = sched::kUnlimitedSlots,
-    std::vector<double> ready_times = {}, std::vector<double> ontime_rates = {}) {
+inline QueuedContext make_context(const hetero::EetMatrix& eet,
+                                  const std::vector<const workload::TaskDef*>& queue,
+                                  std::size_t free_slots = sched::kUnlimitedSlots,
+                                  std::vector<double> ready_times = {},
+                                  std::vector<double> ontime_rates = {}) {
   std::vector<sched::MachineView> machines;
   for (std::size_t m = 0; m < eet.machine_type_count(); ++m) {
     sched::MachineView view;
@@ -37,8 +62,7 @@ inline sched::SchedulingContext make_context(
     view.busy_watts = 100.0;
     machines.push_back(view);
   }
-  return sched::SchedulingContext(0.0, eet, std::move(machines), queue,
-                                  std::move(ontime_rates));
+  return QueuedContext(eet, queue, std::move(machines), std::move(ontime_rates));
 }
 
 }  // namespace e2c::test

@@ -17,8 +17,8 @@ using e2c::hetero::PetKind;
 using e2c::hetero::PetMatrix;
 using e2c::sched::MachineView;
 using e2c::sched::PamPolicy;
-using e2c::sched::SchedulingContext;
 using e2c::test::make_context;
+using e2c::test::QueuedContext;
 using e2c::test::queued_task;
 
 EetMatrix eet() { return EetMatrix({"T1"}, {"m0", "m1"}, {{4.0, 8.0}}); }
@@ -50,7 +50,7 @@ TEST(Pam, StochasticSuccessProbabilityUsesPet) {
   const PetMatrix pet = PetMatrix::homoscedastic(matrix, PetKind::kNormal, 0.25);
   const auto task = queued_task(1, 0, /*deadline=*/4.0);  // exactly the mean
   std::vector<MachineView> machines{{0, 0, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0}};
-  SchedulingContext context(0.0, matrix, std::move(machines), {&task}, {}, &pet);
+  QueuedContext context(matrix, {&task}, std::move(machines), {}, &pet);
   // Completion mean 4.0 == deadline: P = 0.5 under the normal approximation.
   EXPECT_NEAR(PamPolicy::success_probability(context, task, context.machines()[0]), 0.5,
               1e-9);
@@ -66,7 +66,7 @@ TEST(Pam, PrunesRiskyTasks) {
   // deadline 8: slack 4, P ~ 1 -> mapped.
   const auto safe = queued_task(2, 0, /*deadline=*/8.0);
   std::vector<MachineView> machines{{0, 0, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0}};
-  SchedulingContext context(0.0, matrix, std::move(machines), {&risky, &safe}, {}, &pet);
+  QueuedContext context(matrix, {&risky, &safe}, std::move(machines), {}, &pet);
   PamPolicy policy(0.9);
   const auto assignments = policy.schedule(context);
   ASSERT_EQ(assignments.size(), 1u);
@@ -79,7 +79,7 @@ TEST(Pam, ZeroThresholdMapsEverythingWithSlots) {
   const auto t1 = queued_task(1, 0, /*deadline=*/0.5);  // doomed but threshold 0
   std::vector<MachineView> machines{{0, 0, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0},
                                     {1, 1, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0}};
-  SchedulingContext context(0.0, matrix, std::move(machines), {&t1}, {}, &pet);
+  QueuedContext context(matrix, {&t1}, std::move(machines), {}, &pet);
   PamPolicy policy(0.0);
   EXPECT_EQ(policy.schedule(context).size(), 1u);
 }

@@ -27,6 +27,8 @@
 #include "net/comm_model.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/reference_mappers.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -396,7 +398,11 @@ SystemConfig sparse_catalog_system() {
 // FELARE's on-time rates move as tasks finish, so its fairness factors differ
 // from round to round in every scenario.
 TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
-  using e2c::sched::SchedImpl;
+  // The roster is the oracles', not batch_policy_names(): a batch policy
+  // without a reference mapper must fail loudly here, not be compared with
+  // itself.
+  EXPECT_THROW((void)e2c::test::make_reference_policy("PAM"), e2c::UnknownPolicyError);
+  EXPECT_THROW((void)e2c::test::make_reference_policy("FairShare"), e2c::UnknownPolicyError);
   struct Case {
     std::string name;
     std::function<SystemConfig()> make;
@@ -429,14 +435,13 @@ TEST(RunDigest, FastImplMatchesReferenceEndToEnd) {
   cases.push_back({"sparse-catalog-checkpoint", sparse_catalog_system, 2.0, 4.0, true, 600.0});
 
   for (const Case& c : cases) {
-    for (const std::string& policy : e2c::sched::batch_policy_names()) {
+    for (const std::string& policy : e2c::test::reference_policy_names()) {
       SCOPED_TRACE(c.name + " " + policy);
-      const RunOutcome fast = run_outcome(
-          c.make(), e2c::sched::make_policy(policy, SchedImpl::kFast), c.deadline_lo,
-          c.deadline_hi, c.duration);
-      const RunOutcome reference = run_outcome(
-          c.make(), e2c::sched::make_policy(policy, SchedImpl::kReference), c.deadline_lo,
-          c.deadline_hi, c.duration);
+      const RunOutcome fast = run_outcome(c.make(), e2c::sched::make_policy(policy),
+                                          c.deadline_lo, c.deadline_hi, c.duration);
+      const RunOutcome reference =
+          run_outcome(c.make(), e2c::test::make_reference_policy(policy), c.deadline_lo,
+                      c.deadline_hi, c.duration);
       if (c.faults) {
         EXPECT_GT(fast.requeued, 0u) << "scenario never retried a task";
       }

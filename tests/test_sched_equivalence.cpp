@@ -15,10 +15,12 @@
 
 #include "hetero/eet_matrix.hpp"
 #include "hetero/pet_matrix.hpp"
-#include "sched/batch.hpp"
 #include "sched/elare.hpp"
 #include "sched/policy.hpp"
+#include "sched/registry.hpp"
 #include "sched/task_index_queue.hpp"
+#include "support/owned_queue.hpp"
+#include "support/reference_mappers.hpp"
 #include "workload/task.hpp"
 
 namespace {
@@ -35,17 +37,9 @@ struct FuzzScenario {
   std::vector<double> ontime_rates;
   std::optional<e2c::hetero::PetMatrix> pet;
 
-  /// A context over \p index when given (the simulation's path: the index
-  /// must be bound to this scenario's tasks), else over the task vector.
-  [[nodiscard]] SchedulingContext make_context(const TaskIndexQueue* index = nullptr) const {
-    if (index != nullptr) {
-      return SchedulingContext(0.0, eet, machines, *index, ontime_rates, pet ? &*pet : nullptr);
-    }
-    std::vector<const e2c::workload::TaskDef*> queue;
-    queue.reserve(tasks.size());
-    for (const auto& task : tasks) queue.push_back(&task);
-    return SchedulingContext(0.0, eet, machines, std::move(queue), ontime_rates,
-                             pet ? &*pet : nullptr);
+  /// A context over \p index, which must hold this scenario's tasks.
+  [[nodiscard]] SchedulingContext make_context(const TaskIndexQueue& index) const {
+    return SchedulingContext(0.0, eet, machines, index, ontime_rates, pet ? &*pet : nullptr);
   }
 };
 
@@ -210,11 +204,15 @@ void fill_index(const FuzzScenario& scenario, TaskIndexQueue& index, std::mt1993
   }
 }
 
+/// Runs both mappers on contexts over \p index (the simulation's path: tasks
+/// filled in by fill_index), or without one over the task vector in order.
 void expect_same_decisions(const FuzzScenario& scenario, e2c::sched::Policy& fast,
                            e2c::sched::Policy& reference, std::size_t trial,
                            const TaskIndexQueue* index = nullptr) {
-  SchedulingContext fast_context = scenario.make_context(index);
-  SchedulingContext reference_context = scenario.make_context(index);
+  std::optional<e2c::test::OwnedQueue> owned;
+  if (index == nullptr) index = &owned.emplace(scenario.eet, scenario.tasks).index();
+  SchedulingContext fast_context = scenario.make_context(*index);
+  SchedulingContext reference_context = scenario.make_context(*index);
   const std::vector<Assignment> got = fast.schedule(fast_context);
   const std::vector<Assignment> want = reference.schedule(reference_context);
   ASSERT_EQ(got.size(), want.size())
@@ -234,16 +232,34 @@ struct MapperPair {
   std::unique_ptr<e2c::sched::Policy> reference;
 };
 
+/// The registry's mapper \p name and its reference.
+MapperPair builtin_pair(const std::string& name) {
+  return {e2c::sched::make_policy(name), e2c::test::make_reference_policy(name)};
+}
+
+/// An ELARE variant at \p weight (or a subclass of it) and the reference
+/// that scores through the same hooks.
+template <typename Elare>
+MapperPair elare_pair(double weight) {
+  return {std::make_unique<Elare>(weight),
+          e2c::test::make_reference_elare(std::make_unique<Elare>(weight))};
+}
+
+/// A student-style ELARE subclass: the fairness hook returns a constant per
+/// task type (types 0 and 3 share one, so cross-type score ties remain).
+class TypeConstantElare final : public e2c::sched::ElarePolicy {
+ public:
+  using ElarePolicy::ElarePolicy;
+  [[nodiscard]] std::string name() const override { return "ELARE-type-constant"; }
+  [[nodiscard]] double fairness_factor(const SchedulingContext&,
+                                       e2c::hetero::TaskTypeId type) const override {
+    return 0.25 + 0.5 * static_cast<double>(type % 3);
+  }
+};
+
 TEST(SchedEquivalenceFuzz, IterativeBatchMappersMatchReference) {
-  using e2c::sched::SchedImpl;
   std::vector<MapperPair> pairs;
-  pairs.push_back({std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kFast),
-                   std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kReference)});
-  pairs.push_back({std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kFast),
-                   std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kReference)});
-  pairs.push_back(
-      {std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kFast),
-       std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kReference)});
+  for (const char* name : {"MM", "MMU", "MSD"}) pairs.push_back(builtin_pair(name));
 
   std::mt19937_64 rng(0xE2CF0221ULL);
   constexpr std::size_t kTrials = 1200;
@@ -256,16 +272,14 @@ TEST(SchedEquivalenceFuzz, IterativeBatchMappersMatchReference) {
 }
 
 TEST(SchedEquivalenceFuzz, ElareMappersMatchReference) {
-  using e2c::sched::SchedImpl;
   std::vector<MapperPair> pairs;
   for (const double weight : {0.0, 0.35, 0.5, 1.0}) {
-    pairs.push_back(
-        {std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kFast),
-         std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kReference)});
-    pairs.push_back(
-        {std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kFast),
-         std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kReference)});
+    pairs.push_back(elare_pair<e2c::sched::ElarePolicy>(weight));
+    pairs.push_back(elare_pair<e2c::sched::FelarePolicy>(weight));
   }
+  // A user-overridden hook must hold against the oracle too (the per-type
+  // contract of Policy in policy.hpp).
+  MapperPair typed = elare_pair<TypeConstantElare>(0.5);
 
   std::mt19937_64 rng(0xE2CF0222ULL);
   constexpr std::size_t kTrials = 1200;
@@ -278,6 +292,7 @@ TEST(SchedEquivalenceFuzz, ElareMappersMatchReference) {
     MapperPair& felare = pairs[2 * (trial % 4) + 1];
     expect_same_decisions(scenario, *elare.fast, *elare.reference, trial);
     expect_same_decisions(scenario, *felare.fast, *felare.reference, trial);
+    expect_same_decisions(scenario, *typed.fast, *typed.reference, trial);
   }
 }
 
@@ -288,22 +303,11 @@ TEST(SchedEquivalenceFuzz, ElareMappersMatchReference) {
 // the next one runs. Every other round runs over a live TaskIndexQueue, as
 // in a simulation.
 TEST(SchedEquivalenceFuzz, SparseLargeCatalogsMatchReference) {
-  using e2c::sched::SchedImpl;
   std::vector<MapperPair> pairs;
-  pairs.push_back({std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kFast),
-                   std::make_unique<e2c::sched::MinMinPolicy>(SchedImpl::kReference)});
-  pairs.push_back({std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kFast),
-                   std::make_unique<e2c::sched::MaxUrgencyPolicy>(SchedImpl::kReference)});
-  pairs.push_back(
-      {std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kFast),
-       std::make_unique<e2c::sched::SoonestDeadlinePolicy>(SchedImpl::kReference)});
+  for (const char* name : {"MM", "MMU", "MSD"}) pairs.push_back(builtin_pair(name));
   for (const double weight : {0.0, 0.5, 1.0}) {
-    pairs.push_back(
-        {std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kFast),
-         std::make_unique<e2c::sched::ElarePolicy>(weight, SchedImpl::kReference)});
-    pairs.push_back(
-        {std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kFast),
-         std::make_unique<e2c::sched::FelarePolicy>(weight, SchedImpl::kReference)});
+    pairs.push_back(elare_pair<e2c::sched::ElarePolicy>(weight));
+    pairs.push_back(elare_pair<e2c::sched::FelarePolicy>(weight));
   }
 
   std::mt19937_64 rng(0xE2CF0224ULL);
@@ -327,7 +331,6 @@ TEST(SchedEquivalenceFuzz, SparseLargeCatalogsMatchReference) {
 
 // Degenerate shapes the random generator hits only rarely, pinned explicitly.
 TEST(SchedEquivalenceFuzz, DegenerateShapes) {
-  using e2c::sched::SchedImpl;
   std::mt19937_64 rng(0xE2CF0223ULL);
   for (std::size_t trial = 0; trial < 64; ++trial) {
     FuzzScenario scenario = random_scenario(rng);
@@ -346,12 +349,10 @@ TEST(SchedEquivalenceFuzz, DegenerateShapes) {
         scenario.machines[0].free_slots = 1;
         break;
     }
-    e2c::sched::MinMinPolicy mm_fast(SchedImpl::kFast);
-    e2c::sched::MinMinPolicy mm_reference(SchedImpl::kReference);
-    expect_same_decisions(scenario, mm_fast, mm_reference, trial);
-    e2c::sched::FelarePolicy felare_fast(0.5, SchedImpl::kFast);
-    e2c::sched::FelarePolicy felare_reference(0.5, SchedImpl::kReference);
-    expect_same_decisions(scenario, felare_fast, felare_reference, trial);
+    const MapperPair mm = builtin_pair("MM");
+    expect_same_decisions(scenario, *mm.fast, *mm.reference, trial);
+    const MapperPair felare = builtin_pair("FELARE");
+    expect_same_decisions(scenario, *felare.fast, *felare.reference, trial);
   }
 }
 

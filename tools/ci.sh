@@ -10,9 +10,10 @@
 # The bench suite is a smoke test plus relative gates: it builds Release,
 # runs the core hot-path benchmark at 10k tasks and the scheduler hot-path
 # benchmark at reduced depths, validates that the JSON artifacts contain the
-# expected keys, and fails if the fresh fast/reference scheduler speedup drops
-# below 70% of the committed BENCH_sched_hotpath.json baseline for MM or
-# ELARE. It also runs the repository benchmark's self-tests and 2 s
+# expected keys, and fails if the fresh speedup of the production MM or ELARE
+# mapper over its full-rescan reference (the test-support oracle in
+# tests/support) drops below 70% of the committed BENCH_sched_hotpath.json
+# baseline. It also runs the repository benchmark's self-tests and 2 s
 # `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
 # the recorded ones; the megarun run also fails above a 300 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed). The
