@@ -132,6 +132,24 @@ TEST(Rng, WeightedIndexAllZeroFallsBackToUniform) {
   EXPECT_EQ(seen.size(), 3u);
 }
 
+TEST(Rng, UnitWeightScanEqualsScaledDraw) {
+  // Over n unit weights the scan stops at exactly floor(u * n) for the one
+  // next_double() value u it consumes, so the draw is a single multiply.
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 1000u, 1023u, 1024u, 1025u, 4096u}) {
+    const std::vector<double> ones(n, 1.0);
+    const double total = Rng::weight_total(ones);
+    Rng scanned(0xC0FFEE + n);
+    Rng scaled(0xC0FFEE + n);
+    for (int i = 0; i < 100000; ++i) {
+      const std::size_t by_scan = scanned.weighted_index(ones, total);
+      const std::size_t by_scale = std::min(
+          static_cast<std::size_t>(scaled.next_double() * static_cast<double>(n)), n - 1);
+      ASSERT_EQ(by_scan, by_scale) << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(scanned.next_u64(), scaled.next_u64()) << "n " << n;
+  }
+}
+
 TEST(Rng, WeightTotalIgnoresNegativeWeights) {
   EXPECT_EQ(Rng::weight_total({1.0, 3.0, 0.0, 6.0}), 10.0);
   EXPECT_EQ(Rng::weight_total({0.5, -2.0, 0.25}), 0.75);

@@ -4,18 +4,22 @@
 // every policy cell. These FNV-1a digests pin the exact traces for fixed
 // seeds across intensities, so the share-once refactor (and any future
 // generator edit) cannot silently change what experiments run. Beyond the
-// aggregate Poisson uniform-mix presets they cover per-type arrival streams
+// aggregate Poisson uniform-mix presets they cover the default mix over
+// large random catalogs (1024 and 1000 task types), per-type arrival streams
 // (poisson, burst and normal merged by time), a non-uniform type mix and a
 // multi-tenant merge. An intentional generator change must update the
 // constants below.
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
 #include "exp/tenants.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -81,6 +85,42 @@ TEST(WorkloadDigest, GeneratedTracesMatchGoldens) {
 
 TEST(WorkloadDigest, DigestIsReproducibleWithinProcess) {
   EXPECT_EQ(trace_digest(Intensity::kHigh, 0), trace_digest(Intensity::kHigh, 0));
+}
+
+/// A random inconsistent catalog of \p types task types on 4 machine types,
+/// built like the sweep benchmark's.
+e2c::hetero::EetMatrix random_catalog(std::size_t types) {
+  e2c::util::Rng rng(0xE2CBE4C11);
+  std::vector<std::string> task_names;
+  for (std::size_t t = 0; t < types; ++t) task_names.push_back("T" + std::to_string(t));
+  return e2c::hetero::EetMatrix::random(std::move(task_names), {"m0", "m1", "m2", "m3"},
+                                        /*base=*/2.0, /*task_range=*/4.0,
+                                        /*machine_range=*/4.0, /*inconsistent=*/true, rng);
+}
+
+TEST(WorkloadDigest, DefaultMixOnLargeCatalogsMatchesGoldens) {
+  // The uniform default mix over catalogs whose type count is and is not a
+  // power of two: every type draw of these traces is pinned.
+  const struct {
+    std::size_t types;
+    Intensity intensity;
+    std::uint64_t digest;
+  } goldens[] = {
+      {1024, Intensity::kMedium, 0xfa0c581fe5e4e717ULL},
+      {1024, Intensity::kHigh, 0xd8fb346af3337d4aULL},
+      {1000, Intensity::kLow, 0x8eb4f22dbe6b4a19ULL},
+      {1000, Intensity::kHigh, 0x8cd10850d80d95aaULL},
+  };
+  for (const auto& golden : goldens) {
+    const e2c::hetero::EetMatrix eet = random_catalog(golden.types);
+    const workload::GeneratorConfig config = workload::config_for_intensity(
+        eet, {0, 1, 2, 3}, golden.intensity, /*duration=*/2000.0,
+        exp::workload_seed(/*base_seed=*/42, golden.intensity, /*replication=*/0));
+    const workload::Workload trace = workload::generate_workload(eet, config);
+    EXPECT_EQ(digest_of(trace), golden.digest)
+        << golden.types << " types, intensity " << workload::intensity_name(golden.intensity)
+        << ", " << trace.size() << " tasks, digest 0x" << std::hex << digest_of(trace);
+  }
 }
 
 TEST(WorkloadDigest, PerTypeMixedArrivalKindsMatchGolden) {
