@@ -1,6 +1,8 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -24,6 +26,28 @@ double intensity_offered_load(Intensity intensity) noexcept {
   return 1.0;
 }
 
+namespace {
+
+/// Checks an explicit type mix against a catalog of \p types task types and
+/// returns its sum. \p who prefixes the error messages.
+double checked_weight_sum(const std::vector<double>& weights, std::size_t types,
+                          std::string_view who) {
+  const auto message = [who](const char* what) {
+    return [who, what] { return std::string(who) + ": " + what; };
+  };
+  require_input(weights.size() == types,
+                message("type_weights size must match EET task types"));
+  double sum = 0.0;
+  for (double w : weights) {
+    require_input(w >= 0.0, message("negative type weight"));
+    sum += w;
+  }
+  require_input(sum > 0.0, message("all type weights are zero"));
+  return sum;
+}
+
+}  // namespace
+
 double system_capacity(const hetero::EetMatrix& eet,
                        const std::vector<hetero::MachineTypeId>& machine_types,
                        const std::vector<double>& type_weights) {
@@ -31,14 +55,7 @@ double system_capacity(const hetero::EetMatrix& eet,
   const std::size_t types = eet.task_type_count();
   std::vector<double> weights = type_weights;
   if (weights.empty()) weights.assign(types, 1.0);
-  require_input(weights.size() == types,
-                "system_capacity: type_weights size must match EET task types");
-  double weight_sum = 0.0;
-  for (double w : weights) {
-    require_input(w >= 0.0, "system_capacity: negative type weight");
-    weight_sum += w;
-  }
-  require_input(weight_sum > 0.0, "system_capacity: all type weights are zero");
+  const double weight_sum = checked_weight_sum(weights, types, "system_capacity");
 
   double capacity = 0.0;
   for (hetero::MachineTypeId machine_type : machine_types) {
@@ -63,8 +80,7 @@ std::vector<TaskDef> aggregate_arrivals(const hetero::EetMatrix& eet,
   const std::size_t types = eet.task_type_count();
   std::vector<double> weights = config.type_weights;
   if (weights.empty()) weights.assign(types, 1.0);
-  require_input(weights.size() == types,
-                "generator: type_weights size must match EET task types");
+  (void)checked_weight_sum(weights, types, "generator");
 
   util::Rng arrivals_rng = rng.split();
   util::Rng types_rng = rng.split();

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace {
@@ -133,6 +136,26 @@ TEST(Generator, ValidatesConfig) {
   config.deadline_factor_hi = 4.0;
   config.type_weights = {1.0};  // wrong size
   EXPECT_THROW((void)e2c::workload::generate_workload(eet, config), e2c::InputError);
+}
+
+TEST(Generator, RejectsTheMixesSystemCapacityRejects) {
+  // A negative weight is not a zero weight and an all-zero mix is not the
+  // uniform one: the generator refuses both before drawing, with the checks
+  // (and messages) system_capacity applies to the same mix.
+  const EetMatrix eet = sample_eet();
+  const auto error_of = [&eet](std::vector<double> weights) -> std::string {
+    GeneratorConfig config;
+    config.type_weights = std::move(weights);
+    try {
+      (void)e2c::workload::generate_workload(eet, config);
+    } catch (const e2c::InputError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of({1.0, -2.0}), "generator: negative type weight");
+  EXPECT_EQ(error_of({0.0, 0.0}), "generator: all type weights are zero");
+  EXPECT_EQ(error_of({1.0}), "generator: type_weights size must match EET task types");
 }
 
 TEST(Generator, PerTypeArrivalsProduceIndependentStreams) {
