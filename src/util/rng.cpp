@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -102,6 +103,10 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights, double total
     target -= w;
   }
   return weights.size() - 1;
+}
+
+std::size_t Rng::unit_weight_index(std::size_t n) noexcept {
+  return std::min(static_cast<std::size_t>(next_double() * static_cast<double>(n)), n - 1);
 }
 
 Rng Rng::split() noexcept {

@@ -54,12 +54,27 @@ class Rng {
   /// Bernoulli trial with success probability \p p in [0, 1].
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// \p total must be weight_total(weights); callers drawing many indices
-  /// from one vector sum it once. Zero total weight falls back to uniform
-  /// choice. Requires non-empty weights; negative weights count as zero.
+  /// Samples an index in [0, weights.size()) proportionally to weights, by
+  /// a linear scan. \p total must be weight_total(weights); callers drawing
+  /// many indices from one vector sum it once. Zero total weight falls back
+  /// to uniform choice. Requires non-empty weights; negative weights count
+  /// as zero. For unit weights use unit_weight_index, which is equal draw
+  /// for draw and O(1).
   [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights,
                                            double total) noexcept;
+
+  /// Samples an index in [0, n) over n unit weights: min(floor(u * n), n - 1)
+  /// for a single next_double() value u. Requires 1 <= n < 2^53.
+  ///
+  /// This is bit-identical to weighted_index over n ones, not an
+  /// approximation, and consumes the same one value of the stream. That
+  /// scan starts from target = u * n, compares it with 1.0 and subtracts
+  /// 1.0. For 1 <= x < 2^53 the difference x - 1.0 is exact, so after i
+  /// steps target is exactly u * n - i and the scan stops at i =
+  /// floor(u * n). Since u < 1, the rounded product u * n is below n for
+  /// every n < 2^53, so the clamp, like the scan's fall-through to the last
+  /// index, never fires.
+  [[nodiscard]] std::size_t unit_weight_index(std::size_t n) noexcept;
 
   /// Sum of the positive entries of \p weights (what weighted_index draws
   /// against).

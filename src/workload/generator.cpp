@@ -73,25 +73,28 @@ namespace {
 // Both modes draw each task's arrival time and type; generate_workload then
 // stamps ids and deadlines in arrival order.
 
-/// Aggregate mode: one arrival stream, types drawn from the weighted mix.
+/// Aggregate mode: one arrival stream, types drawn from the mix. The default
+/// (uniform) mix draws in O(1) per task; an explicit mix is scanned.
 std::vector<TaskDef> aggregate_arrivals(const hetero::EetMatrix& eet,
                                         const GeneratorConfig& config, util::Rng& rng) {
   require_input(config.rate > 0.0, "generator: rate must be > 0");
   const std::size_t types = eet.task_type_count();
-  std::vector<double> weights = config.type_weights;
-  if (weights.empty()) weights.assign(types, 1.0);
-  (void)checked_weight_sum(weights, types, "generator");
+  const std::vector<double>& weights = config.type_weights;
+  // With every weight checked non-negative the sum is Rng::weight_total.
+  const double weight_total =
+      weights.empty() ? 0.0 : checked_weight_sum(weights, types, "generator");
 
   util::Rng arrivals_rng = rng.split();
   util::Rng types_rng = rng.split();
   const std::vector<core::SimTime> times =
       generate_arrivals(config.arrival, config.rate, config.duration, arrivals_rng);
-  const double weight_total = util::Rng::weight_total(weights);
   std::vector<TaskDef> tasks;
   tasks.reserve(times.size());
   for (core::SimTime t : times) {
-    tasks.push_back(
-        TaskDef{.type = types_rng.weighted_index(weights, weight_total), .arrival = t});
+    const std::size_t type = weights.empty()
+                                 ? types_rng.unit_weight_index(types)
+                                 : types_rng.weighted_index(weights, weight_total);
+    tasks.push_back(TaskDef{.type = type, .arrival = t});
   }
   return tasks;
 }

@@ -132,21 +132,27 @@ TEST(Rng, WeightedIndexAllZeroFallsBackToUniform) {
   EXPECT_EQ(seen.size(), 3u);
 }
 
-TEST(Rng, UnitWeightScanEqualsScaledDraw) {
+TEST(Rng, UnitWeightIndexEqualsTheScan) {
   // Over n unit weights the scan stops at exactly floor(u * n) for the one
-  // next_double() value u it consumes, so the draw is a single multiply.
+  // next_double() value u it consumes, so unit_weight_index is a single
+  // multiply that draws what the scan draws and leaves the stream where the
+  // scan leaves it.
   for (const std::size_t n : {1u, 2u, 3u, 5u, 1000u, 1023u, 1024u, 1025u, 4096u}) {
     const std::vector<double> ones(n, 1.0);
     const double total = Rng::weight_total(ones);
     Rng scanned(0xC0FFEE + n);
     Rng scaled(0xC0FFEE + n);
+    Rng unit(0xC0FFEE + n);
     for (int i = 0; i < 100000; ++i) {
       const std::size_t by_scan = scanned.weighted_index(ones, total);
       const std::size_t by_scale = std::min(
           static_cast<std::size_t>(scaled.next_double() * static_cast<double>(n)), n - 1);
       ASSERT_EQ(by_scan, by_scale) << "n " << n << " draw " << i;
+      ASSERT_EQ(unit.unit_weight_index(n), by_scan) << "n " << n << " draw " << i;
     }
-    EXPECT_EQ(scanned.next_u64(), scaled.next_u64()) << "n " << n;
+    const std::uint64_t next = scanned.next_u64();
+    EXPECT_EQ(scaled.next_u64(), next) << "n " << n;
+    EXPECT_EQ(unit.next_u64(), next) << "n " << n;
   }
 }
 
