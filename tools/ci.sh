@@ -19,7 +19,8 @@
 # 2M-task columns make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
-# (speedup normalized by min(4, cpus)). Speedup ratios compare two
+# (speedup normalized by min(4, cpus)); both are reported before either
+# fails the suite. Speedup ratios compare two
 # configurations on the *same* machine, so the gates are meaningful on any
 # runner; absolute rounds/s are never compared.
 #
@@ -45,6 +46,49 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_ROOT="${E2C_BUILD_ROOT:-${ROOT}/build-san}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# Gates a fresh experiment-throughput JSON against the committed baseline
+# on its two ratios, each at 70% of the baseline. Both are checked and
+# reported before the function fails: a change can move them in opposite
+# directions, and one run should show both.
+#
+# plane_speedup is shared/per-run replications/s; both planes run on this
+# host, so the ratio is machine-independent.
+#
+# parallel_efficiency_4w = (reps/s at 4 workers / reps/s at 1 worker),
+# normalized by min(4, hardware cpus): the fraction of the parallelism this
+# host can physically offer that the sharded plane actually delivers. The
+# normalization makes the ratio machine-independent: a 1-cpu container is
+# gated on "4 workers must not be slower than 1", a >=4-core runner on real
+# >=2.8x scaling (70% of ideal).
+experiment_throughput_gates() {  # fresh_json baseline_json
+  local fresh_json="$1" baseline_json="$2" failed=0 fresh base
+  ratio_of() {  # file key
+    sed -n "s/.*\"$2\": \([0-9.eE+-]*\).*/\1/p" "$1"
+  }
+  at_floor() {  # fresh base
+    [ -n "$1" ] && [ -n "$2" ] && awk -v fresh="$1" -v base="$2" 'BEGIN { exit !(fresh >= 0.7 * base) }'
+  }
+
+  fresh="$(ratio_of "${fresh_json}" plane_speedup)"
+  base="$(ratio_of "${baseline_json}" plane_speedup)"
+  if at_floor "${fresh}" "${base}"; then
+    echo "experiment data plane: speedup ${fresh}x (baseline ${base}x) ok"
+  else
+    echo "bench smoke: plane speedup regressed: '${fresh}'x vs baseline '${base}'x (floor 70%)" >&2
+    failed=1
+  fi
+
+  fresh="$(ratio_of "${fresh_json}" parallel_efficiency_4w)"
+  base="$(ratio_of "${baseline_json}" parallel_efficiency_4w)"
+  if at_floor "${fresh}" "${base}"; then
+    echo "worker scaling: 4-worker parallel efficiency ${fresh} (baseline ${base}) ok"
+  else
+    echo "bench smoke: worker-scaling efficiency regressed: '${fresh}' vs baseline '${base}' (floor 70%)" >&2
+    failed=1
+  fi
+  return "${failed}"
+}
 
 run_bench_smoke() {
   local dir="${BUILD_ROOT}/bench"
@@ -155,46 +199,8 @@ sys.exit(0 if rss <= 300 else 1)' "${result}" || {
       exit 1
     }
   done
-  echo "=== bench: shared/per-run plane speedup regression gate ==="
-  # The shared-vs-per-run ratio is machine-independent (both planes run on
-  # this host); a fresh run must stay within 70% of the committed baseline.
-  plane_speedup_of() {  # file
-    sed -n 's/.*"plane_speedup": \([0-9.eE+-]*\).*/\1/p' "$1"
-  }
-  fresh="$(plane_speedup_of "${exp_out}")"
-  base="$(plane_speedup_of "${exp_baseline}")"
-  if [ -z "${fresh}" ] || [ -z "${base}" ]; then
-    echo "bench smoke: missing plane_speedup (fresh='${fresh}' baseline='${base}')" >&2
-    exit 1
-  fi
-  awk -v fresh="${fresh}" -v base="${base}" 'BEGIN { exit !(fresh >= 0.7 * base) }' || {
-    echo "bench smoke: plane speedup regressed: ${fresh}x vs baseline ${base}x (floor 70%)" >&2
-    exit 1
-  }
-  echo "experiment data plane: speedup ${fresh}x (baseline ${base}x) ok"
-
-  echo "=== bench: worker-scaling efficiency gate (4 workers) ==="
-  # parallel_efficiency_4w = (reps/s at 4 workers / reps/s at 1 worker),
-  # normalized by min(4, hardware cpus) — the fraction of the parallelism
-  # this host can physically offer that the sharded plane actually delivers.
-  # The normalization makes the ratio machine-independent: a 1-cpu container
-  # is gated on "4 workers must not be slower than 1", a >=4-core runner on
-  # real >=2.8x scaling (70% of ideal). Gated as a ratio vs the committed
-  # baseline like the other bench gates.
-  efficiency_of() {  # file
-    sed -n 's/.*"parallel_efficiency_4w": \([0-9.eE+-]*\).*/\1/p' "$1"
-  }
-  fresh="$(efficiency_of "${exp_out}")"
-  base="$(efficiency_of "${exp_baseline}")"
-  if [ -z "${fresh}" ] || [ -z "${base}" ]; then
-    echo "bench smoke: missing parallel_efficiency_4w (fresh='${fresh}' baseline='${base}')" >&2
-    exit 1
-  fi
-  awk -v fresh="${fresh}" -v base="${base}" 'BEGIN { exit !(fresh >= 0.7 * base) }' || {
-    echo "bench smoke: worker-scaling efficiency regressed: ${fresh} vs baseline ${base} (floor 70%)" >&2
-    exit 1
-  }
-  echo "worker scaling: 4-worker parallel efficiency ${fresh} (baseline ${base}) ok"
+  echo "=== bench: experiment throughput gates ==="
+  experiment_throughput_gates "${exp_out}" "${exp_baseline}" || exit 1
 
   local waste_out="${dir}/BENCH_recovery_waste.json"
   local waste_baseline="${ROOT}/BENCH_recovery_waste.json"
