@@ -40,7 +40,12 @@ struct GeneratorConfig {
   ArrivalKind arrival = ArrivalKind::kPoisson;
   double rate = 1.0;                ///< aggregate arrivals per second (> 0)
   core::SimTime duration = 100.0;   ///< arrival window [0, duration)
-  std::vector<double> type_weights; ///< per-type mix; empty = uniform
+  /// Per-type mix. Empty means the uniform default mix, whose types are
+  /// drawn in O(1) each by Rng::unit_weight_index. An explicit mix needs
+  /// one weight per task type, none negative and not all zero, and each
+  /// draw scans it with Rng::weighted_index. Both give the same trace for
+  /// the same seed when every weight is 1.
+  std::vector<double> type_weights;
   /// Per-type arrival processes (one entry per task type). When non-empty
   /// this supersedes (arrival, rate, type_weights): each type gets its own
   /// independent stream and the streams are merged by arrival time.
@@ -63,6 +68,8 @@ struct GeneratorConfig {
 
 /// Generates a workload trace from \p config against \p eet. Task ids are
 /// assigned in arrival order starting at 0. Deterministic in config.seed.
+/// Throws InputError for a bad config, including an explicit type mix that
+/// system_capacity would reject (wrong size, a negative weight, all zero).
 [[nodiscard]] Workload generate_workload(const hetero::EetMatrix& eet,
                                          const GeneratorConfig& config);
 

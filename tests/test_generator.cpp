@@ -158,6 +158,28 @@ TEST(Generator, RejectsTheMixesSystemCapacityRejects) {
   EXPECT_EQ(error_of({1.0}), "generator: type_weights size must match EET task types");
 }
 
+TEST(Generator, ExplicitUnitMixDrawsTheDefaultMix) {
+  // The default mix draws in constant time and an explicit mix is scanned;
+  // over all-ones weights the two draw the same types from the same stream.
+  std::vector<std::string> names;
+  for (int t = 0; t < 1000; ++t) names.push_back("T" + std::to_string(t));
+  const EetMatrix eet =
+      EetMatrix::homogeneous(std::move(names), {"m1"}, std::vector<double>(1000, 3.0));
+  GeneratorConfig config;
+  config.rate = 5.0;
+  config.duration = 200.0;
+  config.seed = 19;
+  const auto by_default = e2c::workload::generate_workload(eet, config);
+  config.type_weights.assign(1000, 1.0);
+  const auto by_scan = e2c::workload::generate_workload(eet, config);
+  ASSERT_EQ(by_default.size(), by_scan.size());
+  ASSERT_GT(by_default.size(), 500u);
+  for (std::size_t i = 0; i < by_default.size(); ++i) {
+    EXPECT_EQ(by_default.tasks()[i].type, by_scan.tasks()[i].type) << "task " << i;
+    EXPECT_EQ(by_default.tasks()[i].deadline, by_scan.tasks()[i].deadline) << "task " << i;
+  }
+}
+
 TEST(Generator, PerTypeArrivalsProduceIndependentStreams) {
   // The paper's per-type workload definition: T1 arrives 4x as often as T2.
   const EetMatrix eet = sample_eet();
