@@ -20,9 +20,9 @@
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)); both are reported before either
-# fails the suite. Speedup ratios compare two
-# configurations on the *same* machine, so the gates are meaningful on any
-# runner; absolute rounds/s are never compared.
+# fails the suite. Speedup ratios compare two configurations on the *same*
+# machine, so the gates are meaningful on any runner; absolute rounds/s are
+# never compared.
 #
 # The crash suite is a fault-injection smoke test of the process backend: it
 # runs the same sweep on the threads backend (golden) and on --backend procs
