@@ -9,7 +9,7 @@
 /// config grammar.
 ///
 /// `--backend procs` runs the sweep on crash-isolated worker processes with
-/// per-cell timeouts, retry, a resumable journal (`--journal` / `--resume`)
+/// per-unit timeouts, retry, a resumable journal (`--journal` / `--resume`)
 /// and SIGINT/SIGTERM graceful drain — see exp/process_pool.hpp.
 ///
 /// `--serve SOCKET` turns the binary into a resident sweep service: a
@@ -158,12 +158,17 @@ int main(int argc, char** argv) {
              "  workers           worker threads (or --backend procs process slots);\n"
              "                    0 = hardware concurrency (default); the resolved\n"
              "                    count is reported in the sweep summary\n"
-             "  --backend procs   crash-isolated worker processes: per-cell timeouts,\n"
-             "                    crash retry, graceful degradation (status column)\n"
-             "  --cell-timeout S  SIGKILL + requeue a cell after S seconds (procs)\n"
-             "  --max-retries N   requeues per cell before it is recorded failed (procs)\n"
-             "  --journal PATH    append-only fsync'd per-cell journal\n"
-             "  --resume          skip cells the journal already records as completed\n"
+             "  --backend procs   crash-isolated worker processes: per-unit timeouts,\n"
+             "                    crash retry, graceful degradation (status column);\n"
+             "                    a unit is one replication of one cell, and SIGINT/\n"
+             "                    SIGTERM drains: in-flight units finish, exit 0\n"
+             "  --cell-timeout S  SIGKILL + requeue a unit after S seconds (procs,\n"
+             "                    --serve)\n"
+             "  --max-retries N   requeues per unit before its cell is recorded failed\n"
+             "                    (procs, --serve)\n"
+             "  --journal PATH    append-only fsync'd journal of whole cells\n"
+             "  --resume          skip cells the journal already records as completed;\n"
+             "                    cells a crash or drain left partial run again\n"
              "  --progress        print a per-cell progress line to stderr\n"
              "  --serve SOCKET    resident sweep service on a Unix socket: pre-forked\n"
              "                    workers keep specs, traces, and simulations warm\n"
@@ -338,8 +343,8 @@ int main(int argc, char** argv) {
               << " retries, " << health.resumed_cells << " resumed) on "
               << health.workers << (health.workers == 1 ? " worker\n" : " workers\n");
     if (health.drained) {
-      std::cout << "sweep drained after signal: in-flight cells finished, journal "
-                   "flushed; re-run with --resume to continue\n";
+      std::cout << "sweep drained after signal: in-flight units finished, whole "
+                   "cells journaled; re-run with --resume to continue\n";
     }
     if (outputs.csv_path) std::cout << "wrote " << *outputs.csv_path << "\n";
     if (outputs.chart_svg_path) std::cout << "wrote " << *outputs.chart_svg_path << "\n";

@@ -111,32 +111,6 @@ reports::Metrics run_single(const ExperimentSpec& spec, const std::string& polic
   return reports::compute_metrics(simulation);
 }
 
-/// One cell on the shared data plane: a single Simulation, reset between
-/// replications, loading traces that are shared read-only across cells.
-CellResult run_cell_shared(
-    const std::shared_ptr<const sched::SystemConfig>& system,
-    const std::string& policy_name, workload::Intensity intensity,
-    const std::vector<std::shared_ptr<const workload::Workload>>& traces) {
-  CellResult cell;
-  cell.policy = policy_name;
-  cell.intensity = intensity;
-  cell.runs.reserve(traces.size());
-  std::unique_ptr<sched::Simulation> simulation;
-  for (const auto& trace : traces) {
-    // A fresh policy instance per replication: policies may carry state.
-    std::unique_ptr<sched::Policy> policy = sched::make_policy(policy_name);
-    if (!simulation) {
-      simulation = std::make_unique<sched::Simulation>(system, std::move(policy));
-    } else {
-      simulation->reset(std::move(policy));
-    }
-    simulation->load(trace);
-    simulation->run();
-    cell.runs.push_back(reports::compute_metrics(*simulation));
-  }
-  return cell;
-}
-
 void validate_spec(const ExperimentSpec& spec) {
   require_input(!spec.policies.empty(), "experiment: no policies");
   require_input(!spec.intensities.empty(), "experiment: no intensities");
@@ -335,20 +309,6 @@ workload::Workload generate_trace(const ExperimentSpec& spec,
                                   std::size_t replication) {
   return workload::generate_workload(
       spec.system.eet, generator_for(spec, machine_types, intensity, replication));
-}
-
-CellResult compute_cell(const ExperimentSpec& spec, const std::string& policy,
-                        workload::Intensity intensity) {
-  const auto system = std::make_shared<const sched::SystemConfig>(spec.system);
-  const auto machine_types = machine_types_of(spec.system);
-  std::vector<std::shared_ptr<const workload::Workload>> traces;
-  traces.reserve(spec.replications);
-  for (std::size_t rep = 0; rep < spec.replications; ++rep) {
-    traces.push_back(std::make_shared<const workload::Workload>(
-        workload::generate_workload(spec.system.eet,
-                                    generator_for(spec, machine_types, intensity, rep))));
-  }
-  return run_cell_shared(system, policy, intensity, traces);
 }
 
 }  // namespace detail

@@ -35,10 +35,10 @@ struct ExperimentSpec {
 };
 
 /// Terminal state of one sweep cell. A cell fails on the process backend
-/// after its worker crashed or timed out more than `max_retries` times, and
-/// on the threads backend when a replication throws — either way the sweep
-/// degrades gracefully: the cell is recorded with empty runs and the rest
-/// of the sweep completes.
+/// once one of its replication units crashed or timed out more than
+/// `max_retries` times, and on the threads backend when a replication
+/// throws — either way the sweep degrades gracefully: the cell is recorded
+/// with empty runs and the rest of the sweep completes.
 enum class CellStatus { kOk, kFailed };
 
 /// Display name ("ok" / "failed") — the `status` column of the result CSV.
@@ -50,8 +50,9 @@ struct CellResult {
   workload::Intensity intensity = workload::Intensity::kLow;
   std::vector<reports::Metrics> runs;  ///< one Metrics per replication
   CellStatus status = CellStatus::kOk;
-  /// Dispatch attempts this cell consumed (1 on a clean first run; the
-  /// process backend increments it per crash/timeout requeue).
+  /// 1 plus the crash/timeout requeues of this cell's replication units on
+  /// the process backend and the service (1 on a clean run). A failed cell
+  /// records the attempts of the unit that exhausted its retries.
   std::uint32_t attempts = 1;
 
   /// Mean across replications of a metric extracted by \p field.
@@ -75,15 +76,16 @@ struct CellResult {
 struct SweepHealth {
   std::size_t completed_cells = 0;  ///< cells with CellStatus::kOk
   std::size_t failed_cells = 0;     ///< cells recorded failed after max_retries
-  std::size_t retries = 0;          ///< total crash/timeout re-dispatches
+  std::size_t retries = 0;          ///< total crash/timeout unit re-dispatches
   std::size_t resumed_cells = 0;    ///< taken from the journal, not recomputed
   /// Resolved worker count the sweep actually ran with (thread-pool size on
   /// the threads backend, process-slot count on procs). A requested 0 is
   /// normalized once through util::ThreadPool::resolve_worker_count, so the
   /// CLI summary and the pools always agree on what 0 means.
   std::size_t workers = 0;
-  /// True when SIGINT/SIGTERM cut the sweep short: in-flight cells were
-  /// finished and journaled, undispatched cells are absent from `cells`.
+  /// True when SIGINT/SIGTERM cut the sweep short: in-flight units were
+  /// finished and every cell they completed journaled; cells with units
+  /// left undispatched are absent from `cells`.
   bool drained = false;
 };
 
@@ -130,10 +132,10 @@ enum class Backend {
   /// In-process thread pool (the PR-5 data plane). Fastest setup; one
   /// wedged or crashing cell takes the whole invocation down.
   kThreads,
-  /// One worker OS process per slot, cells sharded over a work queue,
-  /// results serialized back over pipes. The parent supervises: per-cell
-  /// wall-clock timeouts, crash detection, retry with backoff, graceful
-  /// degradation to CellStatus::kFailed. Fault-free sweeps produce
+  /// Forked worker processes, (cell, replication) units sharded over a work
+  /// queue, results serialized back over pipes. The parent supervises:
+  /// per-unit wall-clock timeouts, crash detection, retry with backoff,
+  /// graceful degradation to CellStatus::kFailed. Fault-free sweeps produce
   /// byte-identical result CSVs to kThreads.
   kProcs,
 };
@@ -152,23 +154,25 @@ struct RunOptions {
   std::size_t workers = 0;              ///< 0 = hardware concurrency
   DataPlane plane = DataPlane::kShared; ///< threads backend only
   Backend backend = Backend::kThreads;
-  /// Process backend: wall-clock budget (s) per cell attempt; the worker is
-  /// SIGKILL'd and the cell requeued when exceeded. 0 disables the timeout.
+  /// Process backend: wall-clock budget (s) per replication unit attempt;
+  /// the worker is SIGKILL'd and the unit requeued when exceeded. 0
+  /// disables the timeout.
   double cell_timeout = 0.0;
-  /// Process backend: crash/timeout re-dispatches per cell before it is
-  /// recorded as failed and the sweep moves on.
+  /// Process backend: crash/timeout re-dispatches per replication unit
+  /// before its cell is recorded as failed and the sweep moves on.
   std::size_t max_retries = 2;
   double backoff_base = 0.05;   ///< delay (s) before the first requeue
   double backoff_factor = 2.0;  ///< multiplier per further requeue
   double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
   /// Crash-safe sweep journal: append-only per-cell records, fsync'd after
-  /// each cell. Empty disables journaling.
+  /// each cell. Only whole cells are journaled, so a resumed sweep reruns
+  /// every cell a crash or drain left partial. Empty disables journaling.
   std::string journal_path;
   /// Skip cells already recorded ok in the journal (which must exist and
   /// match this spec's digest); their results merge into the output.
   bool resume = false;
   /// Process backend: install SIGINT/SIGTERM handlers that drain the sweep
-  /// (finish in-flight cells, flush the journal, return partial results)
+  /// (finish in-flight units, flush the journal, return partial results)
   /// instead of killing the invocation. CLI-facing; library callers that
   /// own their signal handling leave this off.
   bool drain_on_signals = false;
@@ -200,19 +204,12 @@ struct RunOptions {
 [[nodiscard]] std::uint64_t spec_digest(const ExperimentSpec& spec) noexcept;
 
 namespace detail {
-/// Computes one (policy, intensity) cell from scratch: regenerates the
-/// paired traces (a pure function of the spec) and runs every replication
-/// on one reused Simulation — the shared-plane semantics, so results are
-/// byte-identical to the threads backend. Worker processes call this.
-[[nodiscard]] CellResult compute_cell(const ExperimentSpec& spec,
-                                      const std::string& policy,
-                                      workload::Intensity intensity);
-
 /// Regenerates the paired trace of one (intensity, replication) — a pure
 /// function of the spec, identical across every policy, data plane, and
-/// backend. \p machine_types must be machine_types_of(spec.system). The
-/// serve workers call this per (cell, replication) work unit and cache the
-/// result, so repeat submissions of one sweep never regenerate traces.
+/// backend. \p machine_types must be machine_types_of(spec.system). Worker
+/// processes call this per (cell, replication) unit and cache the result
+/// per job, so a worker generates each trace once for every policy of the
+/// sweep and every repeat submission to the service.
 [[nodiscard]] workload::Workload generate_trace(
     const ExperimentSpec& spec, const std::vector<hetero::MachineTypeId>& machine_types,
     workload::Intensity intensity, std::size_t replication);

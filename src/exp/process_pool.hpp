@@ -1,19 +1,23 @@
 /// \file process_pool.hpp
 /// \brief Crash-isolated multi-process execution backend for sweeps.
 ///
-/// One worker OS process per slot; (policy, intensity) cells are sharded
-/// over a work queue and each finished cell travels back to the supervising
-/// parent as one serialized frame. The parent is a single-threaded
-/// supervisor: it dispatches cells, enforces per-cell wall-clock timeouts
-/// (SIGKILL + requeue), detects crashes via pipe hangup + waitpid, retries
-/// with exponential backoff up to `max_retries`, then records the cell as
-/// failed and lets the rest of the sweep complete (graceful degradation).
+/// The sweep is split into (cell, replication) units, like the threads
+/// backend and the resident service, and the units are sharded over forked
+/// worker processes (exp/worker_pool.hpp: the same worker loop and unit
+/// protocol as `--serve`). The spec reaches the workers as a job cache entry
+/// preloaded before fork(), so programmatic specs and policies registered at
+/// run time work unchanged. The parent is a single-threaded supervisor: it
+/// dispatches units, enforces a wall-clock timeout per unit (SIGKILL +
+/// requeue), detects crashes via pipe hangup + waitpid, retries a unit with
+/// exponential backoff up to `max_retries`, then records its cell as failed
+/// and lets the rest of the sweep complete (graceful degradation).
 /// SIGINT/SIGTERM (when `drain_on_signals` is set) stop dispatching, let
-/// in-flight cells finish, flush the journal, and return partial results.
+/// in-flight units finish, flush the journal, and return partial results.
+/// Only whole cells are journaled, so `--resume` reruns partial ones.
 ///
-/// Cell computation inside a worker regenerates its traces from the spec (a
-/// pure function of the seed), so fault-free sweeps are byte-identical to
-/// the threads backend.
+/// Workers regenerate traces from the spec (a pure function of the seed)
+/// and cells are assembled in replication order, so fault-free sweeps are
+/// byte-identical to the threads backend.
 #pragma once
 
 #include <cstddef>

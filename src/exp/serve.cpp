@@ -1,22 +1,16 @@
 #include "exp/serve.hpp"
 
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,14 +19,12 @@
 #include "exp/cell_codec.hpp"
 #include "exp/job_codec.hpp"
 #include "exp/journal.hpp"
-#include "exp/scenario.hpp"
-#include "exp/sim_pool.hpp"
 #include "exp/spec_io.hpp"
+#include "exp/worker_pool.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
 #include "util/ini.hpp"
-#include "util/string_util.hpp"
 #include "util/subprocess.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,67 +32,9 @@ namespace e2c::exp {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Jobs a worker keeps warm at once. Eviction is FIFO and mirrored by the
-/// supervisor, which only sends kLoadJob when its mirror says the worker
-/// lacks the key — the two sides must stay in lockstep.
-constexpr std::size_t kWorkerJobCacheCap = 4;
-
 /// Payload cap for a client's submit frame: INI text, so 1 MiB is ample.
 /// Any client can connect, so its length prefix is not trusted.
 constexpr std::size_t kMaxSubmitFrame = std::size_t{1} << 20;
-
-/// One (policy, intensity) cell in (policy-major, intensity-minor) order —
-/// the same slot layout as the process backend, so the client reassembles
-/// cells into the canonical order by slot index alone.
-struct Slot {
-  std::string policy;
-  workload::Intensity intensity = workload::Intensity::kLow;
-};
-
-std::vector<Slot> build_slots(const ExperimentSpec& spec) {
-  std::vector<Slot> slots;
-  slots.reserve(spec.policies.size() * spec.intensities.size());
-  for (const std::string& policy : spec.policies) {
-    for (const workload::Intensity intensity : spec.intensities) {
-      slots.push_back({policy, intensity});
-    }
-  }
-  return slots;
-}
-
-// ---- drain signals (the process-pool pattern; see process_pool.cpp) ------
-
-volatile sig_atomic_t g_serve_drain_requested = 0;
-
-extern "C" void e2c_serve_drain_handler(int) { g_serve_drain_requested = 1; }
-
-class ScopedDrainHandlers {
- public:
-  explicit ScopedDrainHandlers(bool enable) : installed_(enable) {
-    if (!installed_) return;
-    g_serve_drain_requested = 0;
-    struct sigaction action {};
-    action.sa_handler = e2c_serve_drain_handler;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;  // no SA_RESTART: poll() must wake with EINTR
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~ScopedDrainHandlers() {
-    if (!installed_) return;
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  ScopedDrainHandlers(const ScopedDrainHandlers&) = delete;
-  ScopedDrainHandlers& operator=(const ScopedDrainHandlers&) = delete;
-
- private:
-  bool installed_;
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
 
 // ---- socket plumbing -----------------------------------------------------
 
@@ -193,218 +127,30 @@ int connect_to_service(const std::string& path) {
   return fd.release();
 }
 
-// ---- worker side ---------------------------------------------------------
-
-/// Fault-injection hooks for tests and the CI serve lane, matched on
-/// "slot/rep" (e.g. "1/0"):
-///   E2C_SERVE_TEST_CRASH_UNIT    raise(SIGKILL) on the unit's first attempt
-///   E2C_SERVE_TEST_CRASH_ALWAYS  raise(SIGKILL) on every attempt — exhausts
-///                                retries and degrades the cell to kFailed
-///   E2C_SERVE_TEST_HANG_UNIT     loop in pause() forever (every attempt)
-///   E2C_SERVE_TEST_UNIT_DELAY_MS sleep before computing any unit
-bool unit_matches(const char* env, std::uint32_t slot, std::uint32_t rep) {
-  if (env == nullptr) return false;
-  return std::to_string(slot) + "/" + std::to_string(rep) == env;
-}
-
-/// A job a worker keeps warm: parsed spec, its SystemConfig (the sim_pool
-/// lease key), and every paired trace generated so far. Two submissions with
-/// identical config text share one entry — that is the repeat-submission
-/// fast path: no parse, no trace regeneration, warm Simulation leases.
-struct CachedJob {
-  std::uint64_t key = 0;
-  ExperimentSpec spec;
-  std::shared_ptr<const sched::SystemConfig> system;
-  std::vector<hetero::MachineTypeId> machine_types;
-  std::vector<Slot> slots;
-  /// Paired traces by (intensity, replication) — shared across every policy
-  /// slot of the job, exactly like the shared data plane.
-  std::map<std::pair<int, std::uint32_t>, std::shared_ptr<const workload::Workload>>
-      traces;
-};
-
-CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
-  for (CachedJob& job : cache) {
-    if (job.key == key) return &job;
-  }
-  return nullptr;
-}
-
-[[noreturn]] void serve_worker_main(int cmd_fd, int res_fd) {
-  // Only the supervisor reacts to drain signals; a Ctrl-C on the foreground
-  // process group must not kill in-flight units mid-drain.
-  ::signal(SIGINT, SIG_IGN);
-  ::signal(SIGTERM, SIG_IGN);
-  const char* crash_unit = std::getenv("E2C_SERVE_TEST_CRASH_UNIT");
-  const char* crash_always = std::getenv("E2C_SERVE_TEST_CRASH_ALWAYS");
-  const char* hang_unit = std::getenv("E2C_SERVE_TEST_HANG_UNIT");
-  const char* delay_ms = std::getenv("E2C_SERVE_TEST_UNIT_DELAY_MS");
-  std::deque<CachedJob> cache;
-  std::string frame;        // recycled inbound frame buffer
-  util::ByteWriter writer;  // recycled outbound frame buffer
-  for (;;) {
-    bool got = false;
-    try {
-      got = util::read_frame_into(cmd_fd, frame, util::kMaxChannelFrame);
-    } catch (...) {
-      ::_exit(0);
-    }
-    if (!got) ::_exit(0);  // supervisor closed the command pipe
-    try {
-      switch (peek_job_frame(frame)) {
-        case JobFrame::kShutdown:
-          ::_exit(0);
-        case JobFrame::kLoadJob: {
-          const WorkerLoadJob load = decode_worker_load_job(frame);
-          if (find_cached(cache, load.job_key) != nullptr) break;
-          if (cache.size() >= kWorkerJobCacheCap) {
-            // Evicting a job drops its Simulation leases too, so the lease
-            // cache stays bounded by the job cache, not service lifetime.
-            purge_simulations(cache.front().system.get());
-            cache.pop_front();
-          }
-          CachedJob job;
-          job.key = load.job_key;
-          job.spec = spec_from_ini(util::IniFile::parse(load.ini_text, "serve job"));
-          job.system = std::make_shared<const sched::SystemConfig>(job.spec.system);
-          job.machine_types = machine_types_of(*job.system);
-          job.slots = build_slots(job.spec);
-          cache.push_back(std::move(job));
-          break;
-        }
-        case JobFrame::kRunUnit: {
-          const WorkerRunUnit unit = decode_worker_run_unit(frame);
-          CachedJob* job = find_cached(cache, unit.job_key);
-          if (job == nullptr) ::_exit(3);  // supervisor mirror out of sync
-          const Slot& slot = job->slots.at(unit.slot);
-          if (unit.attempt == 0 && unit_matches(crash_unit, unit.slot, unit.rep)) {
-            ::raise(SIGKILL);
-          }
-          if (unit_matches(crash_always, unit.slot, unit.rep)) {
-            ::raise(SIGKILL);
-          }
-          if (unit_matches(hang_unit, unit.slot, unit.rep)) {
-            for (;;) ::pause();
-          }
-          if (delay_ms != nullptr) {
-            if (const auto parsed = util::parse_int(delay_ms); parsed && *parsed > 0) {
-              ::usleep(static_cast<useconds_t>(*parsed) * 1000);
-            }
-          }
-          auto& trace = job->traces[{static_cast<int>(slot.intensity), unit.rep}];
-          if (!trace) {
-            trace = std::make_shared<const workload::Workload>(detail::generate_trace(
-                job->spec, job->machine_types, slot.intensity, unit.rep));
-          }
-          sched::Simulation& simulation =
-              lease_simulation(job->system, sched::make_policy(slot.policy));
-          simulation.load(trace);
-          simulation.run();
-          WorkerUnitResult result;
-          result.job_key = unit.job_key;
-          result.slot = unit.slot;
-          result.rep = unit.rep;
-          result.attempt = unit.attempt;
-          result.metrics_payload =
-              encode_metrics_payload(reports::compute_metrics(simulation));
-          writer.clear();
-          encode_worker_unit_result(writer, result);
-          util::write_frame_zc(res_fd, writer.bytes());
-          break;
-        }
-        default:
-          ::_exit(3);  // protocol violation
-      }
-    } catch (...) {
-      // A throwing unit is a crash as far as supervision is concerned: the
-      // supervisor requeues it and eventually fails the cell.
-      ::_exit(3);
-    }
-  }
-}
-
 // ---- supervisor side -----------------------------------------------------
 
-/// One (job, slot, replication) work item awaiting dispatch.
-struct Unit {
-  std::uint64_t job_id = 0;
-  std::uint32_t slot = 0;
-  std::uint32_t rep = 0;
-  std::uint32_t attempt = 0;
-  Clock::time_point release;  ///< backoff: not dispatchable before this
-};
-
-struct ServeWorker {
-  pid_t pid = -1;
-  std::unique_ptr<util::Pipe> cmd;  ///< supervisor writes load/run frames
-  std::unique_ptr<util::Pipe> res;  ///< supervisor reads unit results
-  bool alive = false;
-  bool busy = false;
-  Unit unit{};  ///< in-flight unit when busy
-  std::uint64_t unit_key = 0;
-  Clock::time_point started;
-  /// Supervisor's mirror of the worker's job cache (FIFO of job keys).
-  std::deque<std::uint64_t> loaded;
-};
-
-/// One admitted sweep: its parsed spec, the client connection streaming
-/// results, and per-slot completion state.
+/// One admitted sweep: its config text (shipped to workers lacking it), the
+/// client connection streaming results, and its unit ledger.
 struct ServeJob {
   std::uint64_t id = 0;
   std::uint64_t key = 0;
   std::string ini_text;
-  ExperimentSpec spec;
-  std::vector<Slot> slots;
-  std::uint32_t reps = 0;
+  UnitLedger ledger;
   int client_fd = -1;
   bool client_dead = false;
-  std::vector<std::optional<reports::Metrics>> metrics;  ///< slot-major × rep
-  std::vector<std::uint32_t> slot_remaining;             ///< reps left per slot
-  std::vector<char> slot_failed;
-  std::vector<std::uint32_t> slot_retries;
   std::size_t cells_done = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
-  std::size_t retries = 0;
   std::optional<SweepJournal> journal;
 };
-
-void spawn_serve_worker(ServeWorker& worker, std::vector<ServeWorker>& workers,
-                        const std::vector<int>& close_in_child) {
-  worker.cmd = std::make_unique<util::Pipe>();
-  worker.res = std::make_unique<util::Pipe>();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    throw IoError(std::string("serve: fork failed: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child: drop sibling pipe ends (a sibling holding a dead worker's
-    // result pipe would suppress the EOF used for crash detection) and the
-    // supervisor's sockets (the listener and every client connection — a
-    // worker holding a client fd would suppress client-hangup detection).
-    for (ServeWorker& other : workers) {
-      if (&other == &worker || !other.cmd) continue;
-      other.cmd.reset();
-      other.res.reset();
-    }
-    for (const int fd : close_in_child) ::close(fd);
-    worker.cmd->close_write();
-    worker.res->close_read();
-    serve_worker_main(worker.cmd->read_fd(), worker.res->write_fd());
-  }
-  worker.pid = pid;
-  worker.cmd->close_read();
-  worker.res->close_write();
-  worker.alive = true;
-  worker.busy = false;
-  worker.loaded.clear();
-}
 
 }  // namespace
 
 std::size_t run_serve(const ServeOptions& options) {
   const std::size_t pool_size = util::ThreadPool::resolve_worker_count(options.workers);
   const std::size_t backlog = std::max<std::size_t>(1, options.backlog);
+  const RequeuePolicy retry{options.max_retries, options.backoff_base,
+                            options.backoff_factor, options.max_backoff};
   const auto say = [&](const std::string& message) {
     if (options.log) options.log(message);
   };
@@ -413,7 +159,7 @@ std::size_t run_serve(const ServeOptions& options) {
   ScopedDrainHandlers drain_handlers(options.drain_on_signals);
   util::SigpipeGuard sigpipe_guard;
 
-  std::vector<ServeWorker> workers(pool_size);
+  std::vector<Worker> workers(pool_size);
   std::map<std::uint64_t, ServeJob> jobs;
   std::deque<Unit> ready;
   std::uint64_t next_job_id = 1;
@@ -421,7 +167,9 @@ std::size_t run_serve(const ServeOptions& options) {
   std::string frame;        // recycled inbound frame buffer
   util::ByteWriter writer;  // recycled outbound frame buffer
 
-  /// Fds the supervisor owns that forked workers must not inherit.
+  /// Fds the supervisor owns that forked workers must not inherit: the
+  /// listener and every client connection (a worker holding a client fd
+  /// would suppress client-hangup detection).
   const auto child_close_list = [&] {
     std::vector<int> fds{listen_fd};
     for (const auto& [id, job] : jobs) {
@@ -445,7 +193,7 @@ std::size_t run_serve(const ServeOptions& options) {
     JobCell cell_frame;
     cell_frame.slot = slot;
     cell_frame.cells_done = static_cast<std::uint32_t>(job.cells_done);
-    cell_frame.cells_total = static_cast<std::uint32_t>(job.slots.size());
+    cell_frame.cells_total = static_cast<std::uint32_t>(job.ledger.cells());
     cell_frame.cell_payload = encode_cell(cell);
     writer.clear();
     encode_job_cell(writer, cell_frame);
@@ -456,83 +204,23 @@ std::size_t run_serve(const ServeOptions& options) {
     }
   };
 
-  const auto handle_unit_failure = [&](ServeJob& job, const Unit& unit) {
-    if (job.slot_failed[unit.slot] != 0) return;  // cell already given up on
-    if (unit.attempt < options.max_retries) {
-      ++job.retries;
-      ++job.slot_retries[unit.slot];
-      const double backoff =
-          std::min(options.max_backoff,
-                   options.backoff_base * std::pow(options.backoff_factor,
-                                                   static_cast<double>(unit.attempt)));
-      ready.push_back({job.id, unit.slot, unit.rep, unit.attempt + 1,
-                       Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                          std::chrono::duration<double>(backoff))});
-      say("job " + std::to_string(job.id) + ": unit " + std::to_string(unit.slot) +
-          "/" + std::to_string(unit.rep) + " failed (attempt " +
-          std::to_string(unit.attempt + 1) + "), requeued");
-    } else {
-      // Retries exhausted: the whole cell degrades to kFailed. The failed
-      // cell still flows through emit_cell so the journal records it, the
-      // client receives it, and cells_done advances — otherwise the job
-      // could never finalize and both sides would wait forever.
-      job.slot_failed[unit.slot] = 1;
-      ready.erase(std::remove_if(ready.begin(), ready.end(),
-                                 [&](const Unit& pending) {
-                                   return pending.job_id == job.id &&
-                                          pending.slot == unit.slot;
-                                 }),
-                  ready.end());
-      for (std::uint32_t rep = 0; rep < job.reps; ++rep) {
-        job.metrics[unit.slot * job.reps + rep].reset();
-      }
-      CellResult failed;
-      failed.policy = job.slots[unit.slot].policy;
-      failed.intensity = job.slots[unit.slot].intensity;
-      failed.status = CellStatus::kFailed;
-      failed.attempts = unit.attempt + 1;
+  /// A crashed or timed-out unit: requeued with backoff, or its cell fails.
+  /// The failed cell still flows through emit_cell so the journal records
+  /// it, the client receives it, and cells_done advances — otherwise the job
+  /// could never finalize and both sides would wait forever.
+  const auto charge = [&](const Unit& unit) {
+    const auto it = jobs.find(unit.job_id);
+    if (it == jobs.end()) return;  // job cancelled while the unit was in flight
+    ServeJob& job = it->second;
+    if (job.ledger.cell_failed(unit.slot)) return;
+    if (const auto failed = job.ledger.charge(unit, ready)) {
       say("job " + std::to_string(job.id) + ": cell " + std::to_string(unit.slot) +
           " failed after " + std::to_string(unit.attempt + 1) + " attempts");
-      emit_cell(job, unit.slot, failed);
-    }
-  };
-
-  /// A unit result completed its slot: assemble the cell in replication
-  /// order — bit-exact Metrics, same merge order as every other backend.
-  const auto complete_slot = [&](ServeJob& job, std::uint32_t slot) {
-    CellResult cell;
-    cell.policy = job.slots[slot].policy;
-    cell.intensity = job.slots[slot].intensity;
-    cell.runs.reserve(job.reps);
-    for (std::uint32_t rep = 0; rep < job.reps; ++rep) {
-      cell.runs.push_back(std::move(*job.metrics[slot * job.reps + rep]));
-      job.metrics[slot * job.reps + rep].reset();
-    }
-    cell.attempts = 1 + job.slot_retries[slot];
-    emit_cell(job, slot, cell);
-  };
-
-  const auto reap = [&](ServeWorker& worker, bool charge_attempt) {
-    (void)util::wait_for_exit(worker.pid);
-    worker.alive = false;
-    const bool was_busy = worker.busy;
-    worker.busy = false;
-    worker.cmd.reset();
-    worker.res.reset();
-    worker.loaded.clear();
-    if (was_busy && charge_attempt) {
-      if (const auto it = jobs.find(worker.unit.job_id); it != jobs.end()) {
-        handle_unit_failure(it->second, worker.unit);
-      }
-    }
-  };
-
-  const auto kill_all = [&] {
-    for (ServeWorker& worker : workers) {
-      if (!worker.alive) continue;
-      ::kill(worker.pid, SIGKILL);
-      (void)util::wait_for_exit(worker.pid);
-      worker.alive = false;
+      emit_cell(job, unit.slot, *failed);
+    } else {
+      say("job " + std::to_string(job.id) + ": unit " + std::to_string(unit.slot) + "/" +
+          std::to_string(unit.rep) + " failed (attempt " + std::to_string(unit.attempt + 1) +
+          "), requeued");
     }
   };
 
@@ -551,11 +239,11 @@ std::size_t run_serve(const ServeOptions& options) {
         it = jobs.erase(it);
         continue;
       }
-      if (job.cells_done == job.slots.size()) {
+      if (job.cells_done == job.ledger.cells()) {
         JobDone done;
         done.completed_cells = job.completed;
         done.failed_cells = job.failed;
-        done.retries = job.retries;
+        done.retries = job.ledger.retries();
         done.workers = pool_size;
         writer.clear();
         encode_job_done(writer, done);
@@ -569,7 +257,7 @@ std::size_t run_serve(const ServeOptions& options) {
         ++jobs_served;
         say("job " + std::to_string(job.id) + " done: " + std::to_string(job.completed) +
             " ok, " + std::to_string(job.failed) + " failed, " +
-            std::to_string(job.retries) + " retries");
+            std::to_string(job.ledger.retries()) + " retries");
         it = jobs.erase(it);
         continue;
       }
@@ -609,22 +297,21 @@ std::size_t run_serve(const ServeOptions& options) {
                            "/" + std::to_string(backlog) + ")");
         return;
       }
-      ServeJob job;
+      ExperimentSpec spec;
+      std::optional<SweepJournal> journal;
       try {
-        job.spec = spec_from_ini(util::IniFile::parse(submit.ini_text, "submitted config"));
-        require_input(!job.spec.policies.empty(), "submitted config: no policies");
-        require_input(!job.spec.intensities.empty(), "submitted config: no intensities");
-        require_input(job.spec.replications > 0,
-                      "submitted config: replications must be > 0");
-        for (const std::string& policy : job.spec.policies) {
+        spec = spec_from_ini(util::IniFile::parse(submit.ini_text, "submitted config"));
+        require_input(!spec.policies.empty(), "submitted config: no policies");
+        require_input(!spec.intensities.empty(), "submitted config: no intensities");
+        require_input(spec.replications > 0, "submitted config: replications must be > 0");
+        for (const std::string& policy : spec.policies) {
           require_input(sched::PolicyRegistry::instance().contains(policy),
                         "submitted config: unknown policy '" + policy + "'");
         }
         if (!options.journal_prefix.empty()) {
-          job.journal.emplace(SweepJournal::create(
+          journal.emplace(SweepJournal::create(
               options.journal_prefix + ".job" + std::to_string(next_job_id),
-              spec_digest(job.spec),
-              job.spec.policies.size() * job.spec.intensities.size()));
+              spec_digest(spec), spec.policies.size() * spec.intensities.size()));
         }
       } catch (const std::exception& rejection) {
         writer.clear();
@@ -633,31 +320,27 @@ std::size_t run_serve(const ServeOptions& options) {
         say(std::string("rejected submit: ") + rejection.what());
         return;
       }
-      job.id = next_job_id++;
-      job.key = job_key_of(submit.ini_text);
-      job.ini_text = std::move(submit.ini_text);
-      job.slots = build_slots(job.spec);
-      job.reps = static_cast<std::uint32_t>(job.spec.replications);
-      job.metrics.assign(job.slots.size() * job.reps, std::nullopt);
-      job.slot_remaining.assign(job.slots.size(), job.reps);
-      job.slot_failed.assign(job.slots.size(), 0);
-      job.slot_retries.assign(job.slots.size(), 0);
+      const std::uint64_t id = next_job_id++;
+      const auto reps = static_cast<std::uint32_t>(spec.replications);
+      ServeJob job{.id = id,
+                   .key = job_key_of(submit.ini_text),
+                   .ini_text = std::move(submit.ini_text),
+                   .ledger = UnitLedger(id, build_slots(spec), reps, retry),
+                   .journal = std::move(journal)};
       JobAccepted accepted;
       accepted.job_id = job.id;
-      accepted.cells_total = static_cast<std::uint32_t>(job.slots.size());
-      accepted.replications = job.reps;
+      accepted.cells_total = static_cast<std::uint32_t>(job.ledger.cells());
+      accepted.replications = reps;
       accepted.workers = static_cast<std::uint32_t>(pool_size);
       writer.clear();
       encode_job_accepted(writer, accepted);
       util::write_frame_zc(fd.get(), writer.bytes());
       const auto now = Clock::now();
-      for (std::uint32_t slot = 0; slot < job.slots.size(); ++slot) {
-        for (std::uint32_t rep = 0; rep < job.reps; ++rep) {
-          ready.push_back({job.id, slot, rep, 0, now});
-        }
+      for (std::uint32_t slot = 0; slot < job.ledger.cells(); ++slot) {
+        job.ledger.queue_slot(slot, now, ready);
       }
       say("accepted job " + std::to_string(job.id) + ": " +
-          std::to_string(job.slots.size()) + " cells x " + std::to_string(job.reps) +
+          std::to_string(job.ledger.cells()) + " cells x " + std::to_string(reps) +
           " reps (" + std::to_string(jobs.size() + 1) + "/" + std::to_string(backlog) +
           " in service)");
       job.client_fd = fd.release();
@@ -684,51 +367,27 @@ std::size_t run_serve(const ServeOptions& options) {
     return std::nullopt;
   };
 
-  const auto handle_worker_result = [&](ServeWorker& worker) {
-    const WorkerUnitResult result = decode_worker_unit_result(frame);
-    if (!worker.busy || result.job_key != worker.unit_key ||
-        result.slot != worker.unit.slot || result.rep != worker.unit.rep ||
-        result.attempt != worker.unit.attempt) {
-      // A worker answering off-script has lost the plot; recycle it and
-      // recover whatever it was supposed to be computing.
-      ::kill(worker.pid, SIGKILL);
-      reap(worker, /*charge_attempt=*/true);
-      return;
-    }
-    worker.busy = false;
-    const auto it = jobs.find(worker.unit.job_id);
-    if (it == jobs.end()) return;  // job cancelled while the unit was in flight
-    ServeJob& job = it->second;
-    if (job.slot_failed[result.slot] != 0) return;  // cell already failed
-    auto& cell_metrics = job.metrics[result.slot * job.reps + result.rep];
-    if (cell_metrics.has_value()) return;  // duplicate (late retry landed twice)
-    cell_metrics = decode_metrics_payload(result.metrics_payload);
-    if (--job.slot_remaining[result.slot] == 0) complete_slot(job, result.slot);
-  };
-
   say("listening on " + options.socket_path + ": " + std::to_string(pool_size) +
       " workers, backlog " + std::to_string(backlog));
 
   try {
     {
       const std::vector<int> extra = child_close_list();
-      for (ServeWorker& worker : workers) {
-        spawn_serve_worker(worker, workers, extra);
-      }
+      for (Worker& worker : workers) spawn_worker(worker, workers, extra, nullptr);
     }
 
     for (;;) {
-      const bool draining = g_serve_drain_requested != 0;
+      const bool draining = drain_handlers.requested();
       if (draining && jobs.empty()) break;
 
       // Keep the resident pool at strength while there is (or may soon be)
       // work; a drain still respawns, because admitted jobs must finish.
       if (!jobs.empty() || !ready.empty()) {
         std::optional<std::vector<int>> extra;
-        for (ServeWorker& worker : workers) {
+        for (Worker& worker : workers) {
           if (worker.alive) continue;
           if (!extra) extra = child_close_list();
-          spawn_serve_worker(worker, workers, *extra);
+          spawn_worker(worker, workers, *extra, nullptr);
           say("respawned worker (pid " + std::to_string(worker.pid) + ")");
         }
       }
@@ -736,65 +395,31 @@ std::size_t run_serve(const ServeOptions& options) {
       // Dispatch released units to idle workers, loading the job into the
       // worker's warm cache first when the mirror says it is absent.
       const auto now = Clock::now();
-      for (ServeWorker& worker : workers) {
+      for (Worker& worker : workers) {
         if (!worker.alive || worker.busy) continue;
         const auto unit = pop_ready(now);
         if (!unit) break;
-        ServeJob& job = jobs.at(unit->job_id);
-        try {
-          if (std::find(worker.loaded.begin(), worker.loaded.end(), job.key) ==
-              worker.loaded.end()) {
-            if (worker.loaded.size() >= kWorkerJobCacheCap) worker.loaded.pop_front();
-            writer.clear();
-            encode_worker_load_job(writer, {job.key, job.ini_text});
-            util::write_frame_zc(worker.cmd->write_fd(), writer.bytes());
-            worker.loaded.push_back(job.key);
-          }
-          writer.clear();
-          encode_worker_run_unit(writer, {job.key, unit->slot, unit->rep, unit->attempt});
-          util::write_frame_zc(worker.cmd->write_fd(), writer.bytes());
-        } catch (const IoError&) {
+        const ServeJob& job = jobs.at(unit->job_id);
+        if (!dispatch(worker, *unit, job.key, job.ini_text, writer)) {
           // Worker died while idle (external kill): the attempt never
           // started, so it is not charged against the cell.
           ready.push_front(*unit);
-          reap(worker, /*charge_attempt=*/false);
-          continue;
+          (void)reap(worker);
         }
-        worker.busy = true;
-        worker.unit = *unit;
-        worker.unit_key = job.key;
-        worker.started = now;
       }
 
       // Poll timeout: nearest of unit deadline, backoff release, or a 200 ms
       // responsiveness cap (drain requests must not wait long).
-      int timeout_ms = 200;
-      const auto clamp_timeout = [&](Clock::time_point when) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(when - Clock::now())
-                .count();
-        timeout_ms = std::max(
-            0, std::min<int>(timeout_ms,
-                             static_cast<int>(std::max<long long>(0, remaining))));
-      };
-      if (options.cell_timeout > 0.0) {
-        for (const ServeWorker& worker : workers) {
-          if (worker.alive && worker.busy) {
-            clamp_timeout(worker.started +
-                          std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(options.cell_timeout)));
-          }
-        }
-      }
-      for (const Unit& unit : ready) clamp_timeout(unit.release);
+      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready,
+                                             /*clamp_to_releases=*/true);
 
       std::vector<pollfd> fds;
-      std::vector<ServeWorker*> worker_of;
+      std::vector<Worker*> worker_of;
       std::vector<std::uint64_t> job_of;
       fds.push_back({listen_fd, POLLIN, 0});
       worker_of.push_back(nullptr);
       job_of.push_back(0);
-      for (ServeWorker& worker : workers) {
+      for (Worker& worker : workers) {
         if (!worker.alive) continue;
         fds.push_back({worker.res->read_fd(), POLLIN, 0});
         worker_of.push_back(&worker);
@@ -812,95 +437,45 @@ std::size_t run_serve(const ServeOptions& options) {
         throw IoError(std::string("serve: poll failed: ") + std::strerror(errno));
       }
 
-      if (rc > 0) {
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-          if (fds[i].revents == 0) continue;
-          if (fds[i].fd == listen_fd) {
-            accept_client(draining);
-            continue;
-          }
-          if (ServeWorker* worker = worker_of[i]; worker != nullptr) {
-            if (!worker->alive) continue;  // reaped earlier this sweep
-            bool dead = false;
-            if ((fds[i].revents & POLLIN) != 0) {
-              try {
-                if (util::read_frame_into(worker->res->read_fd(), frame,
-                                          util::kMaxChannelFrame)) {
-                  handle_worker_result(*worker);
-                } else {
-                  dead = true;
-                }
-              } catch (const IoError&) {
-                dead = true;  // torn frame: the worker crashed mid-write
-              } catch (const InputError&) {
-                ::kill(worker->pid, SIGKILL);
-                dead = true;  // undecodable payload: treat like a crash
-              }
-            } else if ((fds[i].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-              dead = true;
+      for (std::size_t i = 0; rc > 0 && i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        if (fds[i].fd == listen_fd) {
+          accept_client(draining);
+          continue;
+        }
+        if (Worker* worker = worker_of[i]; worker != nullptr) {
+          if (!worker->alive) continue;  // reaped earlier this sweep
+          if (auto metrics = read_unit_result(*worker, fds[i].revents, frame)) {
+            const auto it = jobs.find(worker->unit.job_id);
+            if (it == jobs.end()) continue;  // job cancelled while the unit was in flight
+            if (auto cell = it->second.ledger.complete(worker->unit, std::move(*metrics))) {
+              emit_cell(it->second, worker->unit.slot, *cell);
             }
-            if (dead && worker->alive) reap(*worker, /*charge_attempt=*/true);
-            continue;
+          } else if (const auto unit = reap(*worker)) {
+            charge(*unit);
           }
-          // Client connection: submitters never speak after kSubmit, so any
-          // readable event is a hangup (or a protocol breach) — cancel.
-          if (const auto it = jobs.find(job_of[i]); it != jobs.end()) {
-            it->second.client_dead = true;
-          }
+          continue;
+        }
+        // Client connection: submitters never speak after kSubmit, so any
+        // readable event is a hangup (or a protocol breach) — cancel.
+        if (const auto it = jobs.find(job_of[i]); it != jobs.end()) {
+          it->second.client_dead = true;
         }
       }
 
       // Per-unit wall-clock timeout: SIGKILL and requeue.
-      if (options.cell_timeout > 0.0) {
-        const auto deadline_now = Clock::now();
-        for (ServeWorker& worker : workers) {
-          if (!worker.alive || !worker.busy) continue;
-          const double elapsed =
-              std::chrono::duration<double>(deadline_now - worker.started).count();
-          if (elapsed >= options.cell_timeout) {
-            say("job " + std::to_string(worker.unit.job_id) + ": unit " +
-                std::to_string(worker.unit.slot) + "/" +
-                std::to_string(worker.unit.rep) + " timed out, killing worker");
-            ::kill(worker.pid, SIGKILL);
-            reap(worker, /*charge_attempt=*/true);
-          }
-        }
+      for (const Unit& unit : kill_overdue(workers, options.cell_timeout)) {
+        say("job " + std::to_string(unit.job_id) + ": unit " + std::to_string(unit.slot) +
+            "/" + std::to_string(unit.rep) + " timed out, killing worker");
+        charge(unit);
       }
 
       finalize_jobs();
     }
 
-    // Drained: ask each worker to exit, then close the command pipes. A
-    // worker wedged in a hung unit gets two seconds before SIGKILL.
-    for (ServeWorker& worker : workers) {
-      if (!worker.alive) continue;
-      writer.clear();
-      encode_worker_shutdown(writer);
-      try {
-        util::write_frame_zc(worker.cmd->write_fd(), writer.bytes());
-      } catch (const IoError&) {
-        // Already dead; collected below.
-      }
-      worker.cmd.reset();
-    }
-    const auto shutdown_deadline = Clock::now() + std::chrono::seconds(2);
-    for (ServeWorker& worker : workers) {
-      if (!worker.alive) continue;
-      for (;;) {
-        int status = 0;
-        const pid_t reaped = ::waitpid(worker.pid, &status, WNOHANG);
-        if (reaped == worker.pid || (reaped < 0 && errno != EINTR)) break;
-        if (Clock::now() >= shutdown_deadline) {
-          ::kill(worker.pid, SIGKILL);
-          (void)util::wait_for_exit(worker.pid);
-          break;
-        }
-        ::usleep(10 * 1000);
-      }
-      worker.alive = false;
-    }
+    shut_down(workers, writer);
   } catch (...) {
-    kill_all();
+    kill_all(workers);
     for (auto& [id, job] : jobs) {
       if (job.client_fd >= 0) ::close(job.client_fd);
     }

@@ -12,11 +12,12 @@
 /// replications against warm engines — no fork, no arena rebuild, no trace
 /// regeneration.
 ///
-/// Supervision carries over from the process backend: per-unit wall-clock
-/// timeouts (SIGKILL + requeue), crash detection via pipe hangup, retry
-/// with exponential backoff, graceful degradation to failed cells, per-job
-/// crash-safe journals, and a SIGTERM/SIGINT drain that finishes every
-/// admitted job (journaling results as cells complete) before exiting 0.
+/// Workers, unit protocol and supervision bookkeeping are the process
+/// backend's (exp/worker_pool.hpp): per-unit wall-clock timeouts (SIGKILL +
+/// requeue), crash detection via pipe hangup, retry with exponential
+/// backoff, graceful degradation to failed cells, per-job crash-safe
+/// journals, and a SIGTERM/SIGINT drain that finishes every admitted job
+/// (journaling results as cells complete) before exiting 0.
 /// Admission is a bounded queue: beyond `backlog` jobs in service, a submit
 /// is answered with a busy frame and closed — the service never queues
 /// unboundedly. Results stream back to each client as per-cell frames and
@@ -33,18 +34,19 @@
 namespace e2c::exp {
 
 /// Everything `run_serve` needs. Defaults match the process backend's
-/// supervision knobs.
+/// supervision knobs, which count per replication unit on both.
 struct ServeOptions {
   std::string socket_path;      ///< Unix-domain socket to listen on
   std::size_t workers = 0;      ///< persistent pool size; 0 = hardware concurrency
   std::size_t backlog = 4;      ///< max jobs in service before busy-reject
-  double cell_timeout = 0.0;    ///< wall-clock budget (s) per work unit; 0 = off
+  double cell_timeout = 0.0;    ///< wall-clock budget (s) per unit attempt; 0 = off
   std::size_t max_retries = 2;  ///< crash/timeout requeues per unit before the cell fails
   double backoff_base = 0.05;   ///< delay (s) before the first requeue
   double backoff_factor = 2.0;  ///< multiplier per further requeue
   double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
   /// Per-job crash-safe journals at "<prefix>.job<id>" (the PR-7 format,
-  /// readable by exp::read_journal). Empty disables journaling.
+  /// readable by exp::read_journal). Only whole cells are journaled. Empty
+  /// disables journaling.
   std::string journal_prefix;
   /// Install SIGINT/SIGTERM handlers that drain the service: stop admitting
   /// (busy frames carry the draining flag), finish every admitted job, then

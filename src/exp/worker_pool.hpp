@@ -1,0 +1,203 @@
+/// \file worker_pool.hpp
+/// \brief Worker processes and unit bookkeeping shared by both crash-isolated
+/// supervisors: the `--backend procs` sweep (process_pool.cpp) and the
+/// resident `--serve` service (serve.cpp). Internal to e2c_exp.
+///
+/// Both supervisors shard a sweep into (cell, replication) units and run
+/// them on forked worker processes that speak the job_codec worker frames:
+/// kLoadJob / kRunUnit / kShutdown in, kUnitResult out. A worker keeps a
+/// small FIFO cache of jobs (parsed spec, paired traces, Simulation leases);
+/// serve fills it with kLoadJob, procs preloads its one job before fork() so
+/// programmatic specs and policies registered at run time reach the worker
+/// without an INI round-trip.
+///
+/// A UnitLedger holds one job's per-unit state: metrics by (slot,
+/// replication), replications left, failed flag and retry count per slot.
+/// It requeues a crashed or timed-out unit with exponential backoff or gives
+/// the whole cell up, and assembles finished cells in replication order, so
+/// every backend merges bit-exact Metrics in the same order and the result
+/// CSVs stay byte-identical. `cell_timeout` and `max_retries` therefore
+/// count per replication unit on both supervisors.
+///
+/// Each supervisor keeps only its own poll() loop: the fds it watches and
+/// whether the poll timeout clamps to backoff releases.
+#pragma once
+
+#include <signal.h>
+#include <sys/types.h>
+
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "exp/experiment.hpp"
+#include "util/framing.hpp"
+#include "util/subprocess.hpp"
+
+namespace e2c::exp {
+
+using Clock = std::chrono::steady_clock;
+
+/// One (policy, intensity) cell in (policy-major, intensity-minor) order —
+/// the slot index that journals, result frames and clients share.
+struct Slot {
+  std::string policy;
+  workload::Intensity intensity = workload::Intensity::kLow;
+};
+
+[[nodiscard]] std::vector<Slot> build_slots(const ExperimentSpec& spec);
+
+/// Installs SIGINT/SIGTERM handlers that request a drain and restores the
+/// previous dispositions on destruction. No SA_RESTART: poll() must return
+/// EINTR so the supervisor notices the request promptly.
+class ScopedDrainHandlers {
+ public:
+  explicit ScopedDrainHandlers(bool enable);
+  ~ScopedDrainHandlers();
+  ScopedDrainHandlers(const ScopedDrainHandlers&) = delete;
+  ScopedDrainHandlers& operator=(const ScopedDrainHandlers&) = delete;
+
+  /// True once a signal arrived while these handlers were installed.
+  [[nodiscard]] bool requested() const noexcept;
+
+ private:
+  bool installed_;
+  struct sigaction old_int_ {};
+  struct sigaction old_term_ {};
+};
+
+/// A job a worker keeps warm: parsed spec, its SystemConfig (the sim_pool
+/// lease key), and every paired trace generated so far. Two serve
+/// submissions with identical config text share one entry — the repeat
+/// fast path: no parse, no trace regeneration, warm Simulation leases.
+struct CachedJob {
+  std::uint64_t key = 0;
+  ExperimentSpec spec;
+  std::shared_ptr<const sched::SystemConfig> system;
+  std::vector<hetero::MachineTypeId> machine_types;
+  std::vector<Slot> slots;
+  /// Paired traces by (intensity, replication), shared by every policy slot.
+  std::map<std::pair<int, std::uint32_t>, std::shared_ptr<const workload::Workload>>
+      traces;
+};
+
+[[nodiscard]] CachedJob make_cached_job(std::uint64_t key, ExperimentSpec spec);
+
+/// One (job, slot, replication) unit awaiting dispatch or in flight.
+struct Unit {
+  std::uint64_t job_id = 0;
+  std::uint32_t slot = 0;
+  std::uint32_t rep = 0;
+  std::uint32_t attempt = 0;
+  Clock::time_point release;  ///< backoff: not dispatchable before this
+};
+
+struct Worker {
+  pid_t pid = -1;
+  std::unique_ptr<util::Pipe> cmd;  ///< supervisor writes load/run frames
+  std::unique_ptr<util::Pipe> res;  ///< supervisor reads unit results
+  bool alive = false;
+  bool busy = false;
+  Unit unit{};  ///< in-flight unit when busy
+  std::uint64_t unit_key = 0;
+  Clock::time_point started;
+  /// Supervisor's mirror of the worker's job cache (FIFO of job keys).
+  std::deque<std::uint64_t> loaded;
+};
+
+/// Forks \p worker (an element of \p workers). The child drops every
+/// sibling's pipe ends — a sibling holding a dead worker's result pipe would
+/// suppress the EOF used for crash detection — and closes \p close_in_child
+/// (the caller's sockets), then runs the worker loop. \p preload, when set,
+/// is in the child's job cache before its first frame and in the mirror.
+void spawn_worker(Worker& worker, std::vector<Worker>& workers,
+                  const std::vector<int>& close_in_child, const CachedJob* preload);
+
+/// Sends \p unit of the job keyed \p key to an idle worker, preceded by a
+/// kLoadJob of \p ini_text when the worker's mirror lacks the key, and marks
+/// the worker busy. Returns false when the worker died while idle; the
+/// attempt never started, so the caller requeues it uncharged and reaps.
+[[nodiscard]] bool dispatch(Worker& worker, const Unit& unit, std::uint64_t key,
+                            std::string_view ini_text, util::ByteWriter& writer);
+
+/// Handles a poll event on a busy worker's result pipe. Returns the Metrics
+/// of its in-flight unit (the worker is idle again), or nullopt when the
+/// worker is gone: it hung up, tore a frame, sent an undecodable payload or
+/// answered for a unit it was not given. Such a worker has been SIGKILLed;
+/// the caller reaps it and charges its unit as a crash.
+[[nodiscard]] std::optional<reports::Metrics> read_unit_result(Worker& worker, short revents,
+                                                               std::string& frame);
+
+/// Collects a dead or killed worker and returns its in-flight unit, if any.
+[[nodiscard]] std::optional<Unit> reap(Worker& worker);
+
+/// SIGKILLs and reaps every busy worker whose unit has run \p unit_timeout
+/// seconds or longer (0 disables); returns the units they held.
+[[nodiscard]] std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout);
+
+/// Poll timeout in ms: the nearest unit deadline, capped at 200 ms so a
+/// drain request never waits long, and, when \p clamp_to_releases, the
+/// nearest backoff release in \p ready.
+[[nodiscard]] int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
+                                  const std::deque<Unit>& ready, bool clamp_to_releases);
+
+/// Asks every live worker to exit, then collects it; a worker wedged in a
+/// hung unit gets two seconds before SIGKILL.
+void shut_down(std::vector<Worker>& workers, util::ByteWriter& writer);
+
+/// SIGKILLs and collects every live worker (the error path).
+void kill_all(std::vector<Worker>& workers) noexcept;
+
+/// Crash/timeout supervision knobs, per replication unit.
+struct RequeuePolicy {
+  std::size_t max_retries = 2;  ///< requeues per unit before its cell fails
+  double backoff_base = 0.05;   ///< delay (s) before the first requeue
+  double backoff_factor = 2.0;  ///< multiplier per further requeue
+  double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
+};
+
+/// Per-unit state of one job (see the file comment).
+class UnitLedger {
+ public:
+  UnitLedger(std::uint64_t job_id, std::vector<Slot> slots, std::uint32_t reps,
+             RequeuePolicy retry);
+
+  /// Appends every replication of \p slot to \p ready, released at \p now.
+  void queue_slot(std::uint32_t slot, Clock::time_point now, std::deque<Unit>& ready) const;
+
+  /// Stores a finished unit's metrics. Returns the slot's cell, assembled in
+  /// replication order, once its last replication lands; nullopt while
+  /// replications remain, for a cell already failed, or for a duplicate.
+  [[nodiscard]] std::optional<CellResult> complete(const Unit& unit, reports::Metrics metrics);
+
+  /// Charges a crashed or timed-out unit: requeues it into \p ready after a
+  /// backoff, or, once its retries are exhausted, drops the slot's pending
+  /// units and returns the failed cell. No-op for a cell already failed.
+  [[nodiscard]] std::optional<CellResult> charge(const Unit& unit, std::deque<Unit>& ready);
+
+  [[nodiscard]] bool cell_failed(std::uint32_t slot) const { return failed_[slot] != 0; }
+  [[nodiscard]] std::size_t cells() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::uint32_t reps() const noexcept { return reps_; }
+  [[nodiscard]] std::size_t retries() const noexcept { return retries_; }
+
+ private:
+  std::uint64_t job_id_;
+  std::vector<Slot> slots_;
+  std::uint32_t reps_;
+  RequeuePolicy retry_;
+  std::vector<std::optional<reports::Metrics>> metrics_;  ///< slot-major × rep
+  std::vector<std::uint32_t> remaining_;                  ///< reps left per slot
+  std::vector<char> failed_;
+  std::vector<std::uint32_t> slot_retries_;
+  std::size_t retries_ = 0;
+};
+
+}  // namespace e2c::exp

@@ -134,22 +134,15 @@ Simulation::Simulation(std::shared_ptr<const SystemConfig> config,
 
 Simulation::~Simulation() = default;
 
-void Simulation::init_tasks(const workload::Workload& workload, bool aliased) {
+void Simulation::init_tasks(const workload::Workload& workload) {
   // One outcome per *submitted* task: replica clones never add to the total.
   counters_.total = workload.tasks().size();
   const fault::RecoveryConfig& recovery = cfg().faults.recovery;
-  const bool replicate = cfg().faults.enabled &&
-                         recovery.strategy == fault::RecoveryStrategy::kReplicate &&
-                         recovery.replicas > 1;
-  if (replicate) {
-    // Bind first (no copy); replicate_workload adopts the expanded clone set
-    // before the caller's trace can go away.
-    state_.bind(workload.tasks());
+  state_.bind(workload.tasks());
+  if (cfg().faults.enabled && recovery.strategy == fault::RecoveryStrategy::kReplicate &&
+      recovery.replicas > 1) {
+    // replicate_workload adopts the expanded clone set in place of the alias.
     replicate_workload(recovery.replicas);
-  } else if (aliased) {
-    state_.bind(workload.tasks());
-  } else {
-    state_.adopt(workload.tasks());
   }
   if (checkpoint_spec_) state_.enable_checkpoint_column();
   init_task_state();
@@ -200,16 +193,7 @@ void Simulation::schedule_control_events() {
 }
 
 void Simulation::load(const workload::Workload& workload) {
-  require_input(!loaded_, "Simulation: load() may only be called once");
-  workload.validate_against(cfg().eet);
-  loaded_ = true;
-  init_tasks(workload, /*aliased=*/false);
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    engine_.schedule_at(state_.arrival(i), core::EventPriority::kArrival,
-                        core::EventLabel("arrival task=", state_.id(i)),
-                        [this, i] { on_arrival(i); });
-  }
-  schedule_control_events();
+  load(std::make_shared<const workload::Workload>(workload));
 }
 
 void Simulation::load(std::shared_ptr<const workload::Workload> workload) {
@@ -218,7 +202,7 @@ void Simulation::load(std::shared_ptr<const workload::Workload> workload) {
   workload->validate_against(cfg().eet);
   loaded_ = true;
   shared_trace_ = std::move(workload);
-  init_tasks(*shared_trace_, /*aliased=*/true);
+  init_tasks(*shared_trace_);
   arrival_cursor_ = 0;
   schedule_next_arrival();
   schedule_control_events();
@@ -228,9 +212,9 @@ void Simulation::schedule_next_arrival() {
   // The task rows are sorted by arrival (Workload guarantees it;
   // replicate_workload preserves it), so arming one arrival at a time keeps
   // the calendar at in-system size while popping events in exactly the order
-  // the eager overload would: ties at one instant resolve by priority first,
-  // and the next arrival's later insertion sequence only competes with other
-  // arrivals — of which the cursor keeps exactly one pending.
+  // arming them all up front would: ties at one instant resolve by priority
+  // first, and the next arrival's later insertion sequence only competes
+  // with other arrivals — of which the cursor keeps exactly one pending.
   if (arrival_cursor_ >= state_.size()) return;
   const std::size_t i = arrival_cursor_;
   engine_.schedule_at(state_.arrival(i), core::EventPriority::kArrival,

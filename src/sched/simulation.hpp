@@ -140,14 +140,14 @@ class Simulation final : public machines::MachineListener {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Loads the workload (validated against the EET matrix) and schedules all
-  /// arrival events up front. Call exactly once before run()/stepping.
+  /// Loads a copy of the workload: the shared-trace load over a private
+  /// copy. Call exactly once before run()/stepping.
   void load(const workload::Workload& workload);
 
-  /// Shared-trace load: aliases an immutable workload instead of copying it
-  /// and keeps only one arrival event in the calendar at a time (a cursor
-  /// that re-arms itself), so the event heap stays at in-system size instead
-  /// of trace size. Event pop order is identical to the copying overload.
+  /// Shared-trace load: aliases an immutable workload (validated against the
+  /// EET matrix) and keeps only one arrival event in the calendar at a time
+  /// (a cursor that re-arms itself), so the event heap stays at in-system
+  /// size instead of trace size. Call exactly once before run()/stepping.
   void load(std::shared_ptr<const workload::Workload> workload);
 
   /// Runs to completion (every task reaches a terminal state).
@@ -271,9 +271,8 @@ class Simulation final : public machines::MachineListener {
   static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
 
   [[nodiscard]] const SystemConfig& cfg() const noexcept { return *config_; }
-  /// \p aliased: the workload outlives this simulation (shared-trace load),
-  /// so the definitions can be aliased instead of copied.
-  void init_tasks(const workload::Workload& workload, bool aliased);
+  /// Aliases \p workload's definitions (it outlives the run in shared_trace_).
+  void init_tasks(const workload::Workload& workload);
   void init_task_state();
   void schedule_control_events();
   void schedule_next_arrival();

@@ -1,7 +1,8 @@
 // Tests for the crash-isolated process backend (exp/process_pool.hpp), the
 // cell codec, and the resumable sweep journal. Fault injection uses the
-// worker-side E2C_EXP_TEST_* env hooks (see process_pool.cpp) so crashes,
-// hangs and slow cells are deterministic — no real faults needed.
+// worker-side E2C_SERVE_TEST_* unit hooks (see worker_pool.cpp), matched on
+// "slot/rep", so crashes, hangs and slow units are deterministic — no real
+// faults needed. In small_spec() slot 1 is FCFS/high and slot 2 MECT/low.
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -128,11 +129,11 @@ double cpu_seconds(const rusage& usage) {
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
-// Cells waiting for a busy worker must not turn the supervisor's poll() into
-// a busy loop: with one worker and four 200 ms cells, the supervisor should
+// Units waiting for a busy worker must not turn the supervisor's poll() into
+// a busy loop: with one worker and eight 200 ms units, the supervisor should
 // sleep until the worker answers, not burn a core for the whole sweep.
 TEST(ProcessPool, SupervisorSleepsWhileEveryWorkerIsBusy) {
-  const ScopedEnv delay("E2C_EXP_TEST_CELL_DELAY_MS", "200");
+  const ScopedEnv delay("E2C_SERVE_TEST_UNIT_DELAY_MS", "200");
   exp::RunOptions options;
   options.workers = 1;
   options.backend = exp::Backend::kProcs;
@@ -146,7 +147,7 @@ TEST(ProcessPool, SupervisorSleepsWhileEveryWorkerIsBusy) {
   ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
 
   EXPECT_EQ(result.health.completed_cells, 4u);
-  EXPECT_GE(wall, 0.8);  // four cells, one after another
+  EXPECT_GE(wall, 0.8);  // eight units, one after another
   const double cpu = cpu_seconds(after) - cpu_seconds(before);
   EXPECT_LT(cpu, 0.25 * wall) << "supervisor used " << cpu << " CPU-s in " << wall
                               << " s wall";
@@ -157,12 +158,12 @@ TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {
   options.workers = 2;
   const auto baseline = exp::run_experiment(small_spec(), options);
 
-  const ScopedEnv crash("E2C_EXP_TEST_CRASH_CELL", "MECT/low");
+  const ScopedEnv crash("E2C_SERVE_TEST_CRASH_UNIT", "2/0");  // MECT/low
   options.backend = exp::Backend::kProcs;
   options.backoff_base = 0.01;
   const auto result = exp::run_experiment(small_spec(), options);
 
-  // The SIGKILL'd cell is requeued and recomputed; results stay identical.
+  // The SIGKILL'd unit is requeued and recomputed; results stay identical.
   EXPECT_EQ(csv_of(result), csv_of(baseline));
   EXPECT_GE(result.health.retries, 1u);
   EXPECT_EQ(result.health.completed_cells, 4u);
@@ -171,7 +172,7 @@ TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {
 }
 
 TEST(ProcessPool, HangingCellFailsAfterMaxRetriesAndSweepContinues) {
-  const ScopedEnv hang("E2C_EXP_TEST_HANG_CELL", "FCFS/high");
+  const ScopedEnv hang("E2C_SERVE_TEST_HANG_UNIT", "1/0");  // FCFS/high
   exp::RunOptions options;
   options.workers = 2;
   options.backend = exp::Backend::kProcs;
@@ -193,6 +194,36 @@ TEST(ProcessPool, HangingCellFailsAfterMaxRetriesAndSweepContinues) {
       EXPECT_EQ(cell.status, exp::CellStatus::kOk);
     }
   }
+}
+
+TEST(ProcessPool, AlwaysCrashingUnitFailsOnlyItsCell) {
+  exp::RunOptions options;
+  options.workers = 2;
+  const auto baseline = exp::run_experiment(small_spec(), options);
+
+  // Unit 1/0 SIGKILLs its worker on every attempt: its retries run out and
+  // only its cell degrades to kFailed, as under --serve.
+  const ScopedEnv crash("E2C_SERVE_TEST_CRASH_ALWAYS", "1/0");  // FCFS/high
+  options.backend = exp::Backend::kProcs;
+  options.max_retries = 1;
+  options.backoff_base = 0.01;
+  const auto result = exp::run_experiment(small_spec(), options);
+
+  const auto& degraded = result.cell("FCFS", Intensity::kHigh);
+  EXPECT_EQ(degraded.status, exp::CellStatus::kFailed);
+  EXPECT_TRUE(degraded.runs.empty());
+  EXPECT_EQ(degraded.attempts, options.max_retries + 1);
+  EXPECT_EQ(result.health.failed_cells, 1u);
+  EXPECT_EQ(result.health.completed_cells, 3u);
+  const auto rows = exp::result_csv(result);
+  const auto baseline_rows = exp::result_csv(baseline);
+  ASSERT_EQ(rows.size(), baseline_rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i == 2) continue;  // row 0 is the header; row 2 is slot 1
+    EXPECT_EQ(rows[i], baseline_rows[i]) << "row " << i;
+  }
+  EXPECT_EQ(rows[2][0], "FCFS");
+  EXPECT_EQ(rows[2].back(), "failed");
 }
 
 TEST(ProcessPool, JournalResumeSkipsCompletedCells) {
@@ -296,9 +327,9 @@ TEST(ProcessPool, SigtermDrainExitsCleanlyWithValidPartialJournal) {
   if (child == 0) {
     FILE* out = std::freopen(out_path.c_str(), "w", stdout);
     if (out == nullptr) _exit(97);
-    ::setenv("E2C_EXP_TEST_CELL_DELAY_MS", "400", 1);
-    // One worker so the drain provably leaves holes: queued cells are
-    // dropped, only the single in-flight cell finishes.
+    ::setenv("E2C_SERVE_TEST_UNIT_DELAY_MS", "400", 1);
+    // One worker so the drain provably leaves holes: queued units are
+    // dropped, only the single in-flight unit finishes.
     ::execl(E2C_EXPERIMENT_BIN, E2C_EXPERIMENT_BIN, ini_path.c_str(), "1",
             "--backend", "procs", "--journal", journal_path.c_str(),
             static_cast<char*>(nullptr));

@@ -3,7 +3,7 @@
 // supervision, backlog busy-rejection, and SIGTERM drain. The service runs
 // as the real e2c_experiment binary (fork+exec) and clients use the library
 // submit_job path — the same split production uses. Fault injection uses the
-// worker-side E2C_SERVE_TEST_* env hooks (see serve.cpp), inherited through
+// worker-side E2C_SERVE_TEST_* env hooks (see worker_pool.cpp), inherited through
 // the exec, so crashes and slow units are deterministic.
 #include <signal.h>
 #include <sys/socket.h>

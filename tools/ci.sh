@@ -26,9 +26,9 @@
 #
 # The crash suite is a fault-injection smoke test of the process backend: it
 # runs the same sweep on the threads backend (golden) and on --backend procs
-# while kill -9'ing one worker process mid-cell, then asserts the result CSV
+# while kill -9'ing one worker process mid-unit, then asserts the result CSV
 # is byte-identical to the golden run and the sweep journal is valid — the
-# supervisor must detect the crash, requeue the cell, and keep going.
+# supervisor must detect the crash, requeue the unit, and keep going.
 #
 # The serve suite is an end-to-end smoke test of the resident sweep service:
 # it starts `e2c_experiment --serve`, submits two overlapping sweeps while
@@ -370,9 +370,9 @@ INI
   "${dir}/src/cli/e2c_experiment" "${work}/sweep.ini" 2 > "${work}/golden.out"
   mv "${work}/RESULTS.csv" "${work}/golden.csv"
 
-  echo "=== crash: procs run, kill -9 one worker mid-cell ==="
-  # The per-cell delay keeps workers inside a cell long enough to be shot.
-  E2C_EXP_TEST_CELL_DELAY_MS=300 \
+  echo "=== crash: procs run, kill -9 one worker mid-unit ==="
+  # The per-unit delay keeps workers inside a unit long enough to be shot.
+  E2C_SERVE_TEST_UNIT_DELAY_MS=300 \
     "${dir}/src/cli/e2c_experiment" "${work}/sweep.ini" 2 --backend procs \
     --journal "${work}/journal.txt" > "${work}/procs.out" &
   local runner=$!
