@@ -39,10 +39,11 @@ inline void print_figure(const exp::ExperimentResult& result, const std::string&
   std::cout << util::to_csv(exp::result_csv(result)) << "\n";
 }
 
-/// Reports one qualitative shape check (paper-vs-measured) and returns
-/// whether it held.
-inline bool check(bool condition, const std::string& what) {
-  std::cout << (condition ? "[shape OK]   " : "[shape FAIL] ") << what << "\n";
+/// Reports one paper-vs-measured check and returns whether it held. \p tag
+/// names its kind: "shape" for a qualitative result, "value" for a number
+/// the paper quotes, "feature" for a capability the paper claims.
+inline bool check(bool condition, const std::string& what, const std::string& tag = "shape") {
+  std::cout << "[" << tag << (condition ? " OK]   " : " FAIL] ") << what << "\n";
   return condition;
 }
 

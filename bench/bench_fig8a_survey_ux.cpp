@@ -9,16 +9,12 @@
 #include <cmath>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "edu/survey.hpp"
 #include "util/string_util.hpp"
 #include "viz/bar_chart.hpp"
 
 namespace {
-
-bool check(bool condition, const std::string& what) {
-  std::cout << (condition ? "[value OK]   " : "[value FAIL] ") << what << "\n";
-  return condition;
-}
 
 bool near(double a, double b, double tol) { return std::fabs(a - b) <= tol; }
 
@@ -63,28 +59,33 @@ int main() {
   };
 
   bool ok = true;
-  ok &= check(near(metric("installation").mean, 8.3, 0.05), "installation mean 8.3");
-  ok &= check(near(metric("intuitive GUI").mean, 8.35, 0.05), "GUI mean 8.35");
-  ok &= check(near(metric("intuitive GUI").female_mean, 9.3, 0.01), "GUI female 9.3");
-  ok &= check(near(metric("intuitive GUI").male_mean, 8.0, 0.01), "GUI male 8.0");
-  ok &= check(near(metric("ease of use").mean, 8.3, 0.08), "ease-of-use mean 8.3");
-  ok &= check(near(metric("reports").mean, 5.7, 0.1),
-              "reports mean 5.7 (the paper's lowest score)");
-  ok &= check(near(metric("custom scheduling").mean, 8.3, 0.25),
-              "custom scheduling mean ~8.3 (graduate students only)");
-  ok &= check(metric("custom scheduling").respondents == 9, "9 graduate respondents");
-  ok &= check(near(metric("recommend to others").mean, 8.3, 0.05), "recommend mean 8.3");
-  ok &= check(near(metric("recommend to others").female_mean, 9.7, 0.01),
-              "recommend female 9.7");
-  ok &= check(near(summary.male_fraction, 0.739, 0.001), "73.9% male respondents");
-  ok &= check(near(summary.programming_years_mean, 3.8, 0.1),
-              "programming experience mean 3.8 years");
-  ok &= check(summary.programming_years_median == 3.0,
-              "programming experience median 3 years");
+  ok &= bench::check(near(metric("installation").mean, 8.3, 0.05),
+                     "installation mean 8.3", "value");
+  ok &= bench::check(near(metric("intuitive GUI").mean, 8.35, 0.05), "GUI mean 8.35", "value");
+  ok &= bench::check(near(metric("intuitive GUI").female_mean, 9.3, 0.01),
+                     "GUI female 9.3", "value");
+  ok &= bench::check(near(metric("intuitive GUI").male_mean, 8.0, 0.01), "GUI male 8.0", "value");
+  ok &= bench::check(near(metric("ease of use").mean, 8.3, 0.08), "ease-of-use mean 8.3", "value");
+  ok &= bench::check(near(metric("reports").mean, 5.7, 0.1),
+                     "reports mean 5.7 (the paper's lowest score)", "value");
+  ok &= bench::check(near(metric("custom scheduling").mean, 8.3, 0.25),
+                     "custom scheduling mean ~8.3 (graduate students only)", "value");
+  ok &= bench::check(metric("custom scheduling").respondents == 9,
+                     "9 graduate respondents", "value");
+  ok &= bench::check(near(metric("recommend to others").mean, 8.3, 0.05),
+                     "recommend mean 8.3", "value");
+  ok &= bench::check(near(metric("recommend to others").female_mean, 9.7, 0.01),
+                     "recommend female 9.7", "value");
+  ok &= bench::check(near(summary.male_fraction, 0.739, 0.001), "73.9% male respondents", "value");
+  ok &= bench::check(near(summary.programming_years_mean, 3.8, 0.1),
+                     "programming experience mean 3.8 years", "value");
+  ok &= bench::check(summary.programming_years_median == 3.0,
+                     "programming experience median 3 years", "value");
   // Reports is the weak spot in every cut of the data, as the paper found.
   for (const auto& m : ux) {
     if (m.metric == "reports") continue;
-    ok &= check(metric("reports").mean < m.mean, "reports scores below " + m.metric);
+    ok &= bench::check(metric("reports").mean < m.mean,
+                       "reports scores below " + m.metric, "value");
   }
   return ok ? 0 : 1;
 }

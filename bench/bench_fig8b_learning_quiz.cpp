@@ -9,17 +9,13 @@
 #include <cmath>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "edu/quiz.hpp"
 #include "edu/survey.hpp"
 #include "util/string_util.hpp"
 #include "viz/bar_chart.hpp"
 
 namespace {
-
-bool check(bool condition, const std::string& what) {
-  std::cout << (condition ? "[value OK]   " : "[value FAIL] ") << what << "\n";
-  return condition;
-}
 
 bool near(double a, double b, double tol) { return std::fabs(a - b) <= tol; }
 
@@ -49,19 +45,19 @@ int main() {
     }
     throw std::runtime_error("missing metric " + name);
   };
-  ok &= check(near(metric("scheduling in heterogeneous systems").female_mean, 9.8, 0.01),
-              "hetero-scheduling female mean 9.8");
-  ok &= check(near(metric("scheduling in heterogeneous systems").male_mean, 8.2, 0.01),
-              "hetero-scheduling male mean 8.2");
-  ok &= check(near(metric("impact of arrival rate").mean, 8.6, 0.05),
-              "arrival-rate understanding mean 8.6");
-  ok &= check(near(metric("scheduling in heterogeneous systems").median, 8.7, 0.5),
-              "hetero-scheduling median ~8.7");
-  ok &= check(near(metric("overall usefulness").median, 8.8, 0.5),
-              "overall usefulness median ~8.8");
+  ok &= bench::check(near(metric("scheduling in heterogeneous systems").female_mean, 9.8, 0.01),
+                     "hetero-scheduling female mean 9.8", "value");
+  ok &= bench::check(near(metric("scheduling in heterogeneous systems").male_mean, 8.2, 0.01),
+                     "hetero-scheduling male mean 8.2", "value");
+  ok &= bench::check(near(metric("impact of arrival rate").mean, 8.6, 0.05),
+                     "arrival-rate understanding mean 8.6", "value");
+  ok &= bench::check(near(metric("scheduling in heterogeneous systems").median, 8.7, 0.5),
+                     "hetero-scheduling median ~8.7", "value");
+  ok &= bench::check(near(metric("overall usefulness").median, 8.8, 0.5),
+                     "overall usefulness median ~8.8", "value");
   // Gender effect the paper highlights: female medians exceed male medians.
   for (const auto& m : summary.learning_outcomes) {
-    ok &= check(m.female_mean > m.male_mean, m.metric + ": female > male scores");
+    ok &= bench::check(m.female_mean > m.male_mean, m.metric + ": female > male scores", "value");
   }
 
   std::cout << "\n==== §5 quiz — 3 tasks x 4 methods on 4 heterogeneous machines ====\n\n";
@@ -86,20 +82,21 @@ int main() {
             << "\n  naive (always-fastest) sheet: " << naive_score << "/"
             << edu::max_score(scenario) << "\n\n";
 
-  ok &= check(edu::max_score(scenario) == 12, "quiz is worth 12 points (3 tasks x 4 methods)");
-  ok &= check(full == 12, "policy-derived ground truth grades to 12/12");
-  ok &= check(naive_score < full,
-              "the always-fastest misconception loses points (the learning gap the "
-              "pre-quiz measures)");
+  ok &= bench::check(edu::max_score(scenario) == 12,
+                     "quiz is worth 12 points (3 tasks x 4 methods)", "value");
+  ok &= bench::check(full == 12, "policy-derived ground truth grades to 12/12", "value");
+  ok &= bench::check(naive_score < full,
+                     "the always-fastest misconception loses points (the learning gap the "
+                     "pre-quiz measures)", "value");
 
   std::cout << "\nclass pre/post quiz averages (bundled dataset):\n  pre  = "
             << util::format_fixed(summary.quiz_pre_mean, 2)
             << "\n  post = " << util::format_fixed(summary.quiz_post_mean, 2)
             << "\n  improvement = "
             << util::format_fixed(summary.quiz_improvement_percent, 1) << "%\n\n";
-  ok &= check(near(summary.quiz_pre_mean, 7.6, 0.01), "pre-quiz mean 7.6 / 12");
-  ok &= check(near(summary.quiz_post_mean, 8.94, 0.01), "post-quiz mean 8.94 / 12");
-  ok &= check(near(summary.quiz_improvement_percent, 17.6, 0.1),
-              "learning improvement 17.6%");
+  ok &= bench::check(near(summary.quiz_pre_mean, 7.6, 0.01), "pre-quiz mean 7.6 / 12", "value");
+  ok &= bench::check(near(summary.quiz_post_mean, 8.94, 0.01), "post-quiz mean 8.94 / 12", "value");
+  ok &= bench::check(near(summary.quiz_improvement_percent, 17.6, 0.1),
+                     "learning improvement 17.6%", "value");
   return ok ? 0 : 1;
 }

@@ -12,10 +12,16 @@
 // warmup pass populates the worker caches; the spawn baseline has no cache
 // to warm — that asymmetry IS the measurement.
 //
-// Reported per lane: jobs/s plus p50/p99 per-job latency. The serve/spawn
-// jobs-per-second ratio ("speedup") compares two configurations on the same
-// host, so tools/ci.sh gates it machine-independently against the committed
-// BENCH_serve.json (floor 70% of baseline).
+// A third lane, spawn-threads, runs the spawn job stream on the threads
+// backend. Its only use is as a same-host reference for the procs backend:
+// a slower procs lowers "procs_over_threads" (spawn jobs/s over
+// spawn-threads jobs/s), while it would raise "speedup".
+//
+// Reported per lane: jobs/s plus p50/p99 per-job latency. Both ratios, the
+// serve/spawn jobs-per-second ratio ("speedup") and procs_over_threads,
+// compare configurations on the same host, so tools/ci.sh gates them
+// machine-independently against the committed BENCH_serve.json (floor 70%
+// of baseline).
 //
 //   bench_serve [--jobs N] [--out FILE.json]
 //
@@ -57,7 +63,7 @@ std::string config_text(int seed) {
 }
 
 struct Lane {
-  std::string name;  // "spawn" | "serve"
+  std::string name;  // "spawn" | "spawn-threads" | "serve"
   std::size_t jobs = 0;
   double seconds = 0.0;
   double jobs_per_sec = 0.0;
@@ -84,10 +90,10 @@ Lane finish_lane(const char* name, const std::vector<double>& latencies, double 
   return lane;
 }
 
-/// One spawn-per-sweep job: fork+exec the real CLI on a config file with the
-/// procs backend (the closest pre-service equivalent of a service job),
-/// output discarded.
-void run_spawned_job(const std::string& ini_path) {
+/// One spawn-per-sweep job: fork+exec the real CLI on a config file with
+/// \p backend (procs is the closest pre-service equivalent of a service
+/// job), output discarded.
+void run_spawned_job(const std::string& ini_path, const char* backend) {
   // Flush before forking: the child's freopen would otherwise flush any
   // buffered parent output to the real stdout, duplicating it per job.
   std::cout.flush();
@@ -97,7 +103,7 @@ void run_spawned_job(const std::string& ini_path) {
     if (::freopen("/dev/null", "w", stdout) == nullptr) _exit(127);
     if (::freopen("/dev/null", "w", stderr) == nullptr) _exit(127);
     ::execl(E2C_EXPERIMENT_BIN, E2C_EXPERIMENT_BIN, ini_path.c_str(),
-            std::to_string(kWorkers).c_str(), "--backend", "procs",
+            std::to_string(kWorkers).c_str(), "--backend", backend,
             static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -108,7 +114,8 @@ void run_spawned_job(const std::string& ini_path) {
   }
 }
 
-Lane run_spawn_lane(std::size_t jobs, const std::string& work_dir) {
+Lane run_spawn_lane(const char* name, const char* backend, std::size_t jobs,
+                    const std::string& work_dir) {
   std::vector<std::string> ini_paths;
   for (int c = 0; c < kDistinctConfigs; ++c) {
     const std::string path = work_dir + "/serve_bench_" + std::to_string(c) + ".ini";
@@ -122,14 +129,13 @@ Lane run_spawn_lane(std::size_t jobs, const std::string& work_dir) {
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t j = 0; j < jobs; ++j) {
     const auto t0 = std::chrono::steady_clock::now();
-    run_spawned_job(ini_paths[j % ini_paths.size()]);
+    run_spawned_job(ini_paths[j % ini_paths.size()], backend);
     const auto t1 = std::chrono::steady_clock::now();
     latencies.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
   const auto stop = std::chrono::steady_clock::now();
   for (const auto& path : ini_paths) ::unlink(path.c_str());
-  return finish_lane("spawn", latencies,
-                     std::chrono::duration<double>(stop - start).count());
+  return finish_lane(name, latencies, std::chrono::duration<double>(stop - start).count());
 }
 
 Lane run_serve_lane(std::size_t jobs, const std::string& socket_path) {
@@ -191,23 +197,29 @@ Lane run_serve_lane(std::size_t jobs, const std::string& socket_path) {
                      std::chrono::duration<double>(stop - start).count());
 }
 
+double ratio(const Lane& numerator, const Lane& denominator) {
+  return denominator.jobs_per_sec > 0.0 ? numerator.jobs_per_sec / denominator.jobs_per_sec
+                                        : 0.0;
+}
+
 void write_json(const std::string& path, std::size_t jobs, const Lane& spawn,
-                const Lane& serve, double speedup) {
+                const Lane& spawn_threads, const Lane& serve) {
   std::ofstream out(path);
   if (!out.good()) throw e2c::IoError("cannot write " + path);
   out << "{\n  \"bench\": \"serve\",\n  \"jobs\": " << jobs
       << ",\n  \"workers\": " << kWorkers
       << ",\n  \"distinct_configs\": " << kDistinctConfigs << ",\n  \"results\": [\n";
-  const Lane* lanes[] = {&spawn, &serve};
-  for (std::size_t i = 0; i < 2; ++i) {
+  const Lane* lanes[] = {&spawn, &spawn_threads, &serve};
+  for (std::size_t i = 0; i < 3; ++i) {
     const Lane& lane = *lanes[i];
     out << "    {\"lane\": \"" << lane.name << "\", \"jobs\": " << lane.jobs
         << ", \"seconds\": " << lane.seconds
         << ", \"jobs_per_sec\": " << lane.jobs_per_sec
         << ", \"p50_ms\": " << lane.p50_ms << ", \"p99_ms\": " << lane.p99_ms << "}"
-        << (i == 0 ? "," : "") << "\n";
+        << (i < 2 ? "," : "") << "\n";
   }
-  out << "  ],\n  \"speedup\": " << speedup << "\n}\n";
+  out << "  ],\n  \"speedup\": " << ratio(serve, spawn)
+      << ",\n  \"procs_over_threads\": " << ratio(spawn, spawn_threads) << "\n}\n";
 }
 
 void print_lane(const Lane& lane) {
@@ -253,15 +265,16 @@ int main(int argc, char** argv) {
 
     std::cout << "==== serve: " << jobs << " jobs per lane, " << kWorkers
               << " workers ====\n";
-    const Lane spawn = run_spawn_lane(jobs, work_dir);
+    const Lane spawn = run_spawn_lane("spawn", "procs", jobs, work_dir);
     print_lane(spawn);
+    const Lane spawn_threads = run_spawn_lane("spawn-threads", "threads", jobs, work_dir);
+    print_lane(spawn_threads);
     const Lane serve = run_serve_lane(jobs, socket_path);
     print_lane(serve);
 
-    const double speedup =
-        spawn.jobs_per_sec > 0.0 ? serve.jobs_per_sec / spawn.jobs_per_sec : 0.0;
-    std::cout << "serve/spawn speedup = " << speedup << "x\n";
-    write_json(out_path, jobs, spawn, serve, speedup);
+    std::cout << "serve/spawn speedup = " << ratio(serve, spawn) << "x\n"
+              << "spawn procs/threads = " << ratio(spawn, spawn_threads) << "\n";
+    write_json(out_path, jobs, spawn, spawn_threads, serve);
     std::cout << "wrote " << out_path << "\n";
     return 0;
   } catch (const e2c::InputError& error) {

@@ -5,21 +5,13 @@
 // each claimed feature by exercising it.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "exp/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
 #include "util/string_util.hpp"
 #include "viz/controller.hpp"
 #include "workload/generator.hpp"
-
-namespace {
-
-bool check(bool condition, const std::string& what) {
-  std::cout << (condition ? "[feature OK]   " : "[feature FAIL] ") << what << "\n";
-  return condition;
-}
-
-}  // namespace
 
 int main() {
   using namespace e2c;
@@ -55,19 +47,20 @@ int main() {
     const bool finished = controller.state() == viz::RunState::kFinished;
     controller.reset();                                // the "Reset" button
     const bool reset_ok = controller.state() == viz::RunState::kReady;
-    ok &= check(stepped && finished && reset_ok,
-                "GUI control surface: Play / Increment / Reset / speed dial");
+    ok &= bench::check(stepped && finished && reset_ok,
+                       "GUI control surface: Play / Increment / Reset / speed dial", "feature");
   }
 
   // --- Heterogeneous computing: inconsistent EET accepted and exploited.
   {
     const auto system = exp::heterogeneous_classroom();
     const bool inconsistent = !system.eet.is_consistent() && !system.eet.is_homogeneous();
-    ok &= check(inconsistent,
-                "inconsistent heterogeneity (GPU/FPGA/ASIC) modeled via the EET matrix");
+    ok &= bench::check(inconsistent,
+                       "inconsistent heterogeneity (GPU/FPGA/ASIC) modeled via the EET matrix",
+                       "feature");
     // And the homogeneous degenerate case also works (CloudSim-style).
-    ok &= check(exp::homogeneous_classroom().eet.is_homogeneous(),
-                "homogeneous systems as the degenerate EET case");
+    ok &= bench::check(exp::homogeneous_classroom().eet.is_homogeneous(),
+                       "homogeneous systems as the degenerate EET case", "feature");
   }
 
   // --- Workload generator: distributions, intensities, deadlines.
@@ -84,8 +77,9 @@ int main() {
       const auto trace = workload::generate_workload(system.eet, generator);
       generated_all &= !trace.empty();
     }
-    ok &= check(generated_all,
-                "workload generator: 5 arrival processes x calibrated intensities");
+    ok &= bench::check(generated_all,
+                       "workload generator: 5 arrival processes x calibrated intensities",
+                       "feature");
   }
 
   // --- Pluggable scheduling: the full built-in roster resolves.
@@ -95,7 +89,9 @@ int main() {
          {"FCFS", "MEET", "MECT", "MM", "MMU", "MSD", "ELARE", "FELARE"}) {
       all &= sched::PolicyRegistry::instance().contains(name);
     }
-    ok &= check(all, "all paper policies registered (immediate + batch, incl. ELARE/FELARE)");
+    ok &= bench::check(all,
+                       "all paper policies registered (immediate + batch, incl. ELARE/FELARE)",
+                       "feature");
   }
   return ok ? 0 : 1;
 }

@@ -87,35 +87,15 @@ ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
         }
       }
 
-      // Dispatch released units to idle workers.
-      const auto now = Clock::now();
-      for (Worker& worker : workers) {
-        if (!worker.alive || worker.busy) continue;
-        const auto next = std::find_if(ready.begin(), ready.end(),
-                                       [&](const Unit& unit) { return unit.release <= now; });
-        if (next == ready.end()) break;
-        const Unit unit = *next;
-        ready.erase(next);
-        if (!dispatch(worker, unit, job.key, {}, writer)) {
-          // Worker died while idle (e.g. an external kill -9): the attempt
-          // was never started, so it is not charged against the cell.
-          ready.push_front(unit);
-          (void)reap(worker);
-        }
-      }
+      dispatch_ready(workers, ready, [&](const Unit&) { return UnitJob{job.key, {}}; },
+                     writer);
 
       if (draining && std::none_of(workers.begin(), workers.end(),
                                    [](const Worker& w) { return w.busy; })) {
         break;  // in-flight units done; leave the rest unrun
       }
 
-      // A release only matters while some worker is dead or idle to take the
-      // unit; with every worker busy, a result frame or hang-up wakes the
-      // poll first, and clamping to an already-passed release would spin.
-      const bool can_dispatch = std::any_of(workers.begin(), workers.end(),
-                                            [](const Worker& w) { return !w.alive || !w.busy; });
-      const int timeout_ms =
-          poll_timeout_ms(workers, options.cell_timeout, ready, can_dispatch);
+      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready);
 
       std::vector<pollfd> fds;
       std::vector<Worker*> fd_owner;

@@ -1,5 +1,6 @@
 #include "exp/serve.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -35,6 +36,10 @@ namespace {
 /// Payload cap for a client's submit frame: INI text, so 1 MiB is ample.
 /// Any client can connect, so its length prefix is not trusted.
 constexpr std::size_t kMaxSubmitFrame = std::size_t{1} << 20;
+
+/// How long a connection may take to deliver its submit frame, and how long
+/// a write to an admitted client may block before the client counts as gone.
+constexpr int kClientTimeoutSeconds = 5;
 
 // ---- socket plumbing -----------------------------------------------------
 
@@ -76,8 +81,7 @@ int make_listen_socket(const std::string& path) {
   }
   // Nonblocking listener: a pending connection that is aborted between
   // poll() and accept() must make accept fail with EAGAIN, not block the
-  // supervisor until the next client shows up. Accepted connections do not
-  // inherit the flag; they rely on SO_RCVTIMEO/SO_SNDTIMEO instead.
+  // supervisor until the next client shows up.
   FdGuard fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (fd.get() < 0) {
     throw IoError(std::string("--serve: socket() failed: ") + std::strerror(errno));
@@ -129,6 +133,43 @@ int connect_to_service(const std::string& path) {
 
 // ---- supervisor side -----------------------------------------------------
 
+/// A connection whose submit frame is still arriving. Its fd is nonblocking
+/// and sits in the supervisor's poll() set, so a client that sends slowly,
+/// or nothing at all, costs only its own slot until its deadline.
+struct PendingClient {
+  Clock::time_point deadline;
+  std::uint32_t size = 0;  ///< announced payload bytes, once the header is in
+  std::string bytes;       ///< the length header, then the payload so far
+};
+
+enum class Intake { kWaiting, kComplete, kDrop };
+
+constexpr std::size_t kFrameHeader = sizeof(std::uint32_t);
+
+/// Reads what \p fd holds for \p client without blocking, never past the
+/// end of the submit frame: bytes after it stay in the socket, where they
+/// read as a protocol breach once the job runs. kDrop on EOF, a read error,
+/// or a length header over kMaxSubmitFrame, refused before any payload is
+/// buffered.
+Intake read_submit(int fd, PendingClient& client) {
+  for (;;) {
+    const bool have_header = client.bytes.size() >= kFrameHeader;
+    const std::size_t want = kFrameHeader + (have_header ? client.size : 0);
+    if (have_header && client.bytes.size() == want) return Intake::kComplete;
+    char chunk[4096];
+    const ssize_t got = ::read(fd, chunk, std::min(sizeof chunk, want - client.bytes.size()));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return Intake::kWaiting;
+    if (got <= 0) return Intake::kDrop;
+    client.bytes.append(chunk, static_cast<std::size_t>(got));
+    if (!have_header && client.bytes.size() == kFrameHeader) {
+      std::memcpy(&client.size, client.bytes.data(), kFrameHeader);
+      if (client.size > kMaxSubmitFrame) return Intake::kDrop;
+      client.bytes.reserve(kFrameHeader + client.size);
+    }
+  }
+}
+
 /// One admitted sweep: its config text (shipped to workers lacking it), the
 /// client connection streaming results, and its unit ledger.
 struct ServeJob {
@@ -161,6 +202,7 @@ std::size_t run_serve(const ServeOptions& options) {
 
   std::vector<Worker> workers(pool_size);
   std::map<std::uint64_t, ServeJob> jobs;
+  std::map<int, PendingClient> pending;  // by fd
   std::deque<Unit> ready;
   std::uint64_t next_job_id = 1;
   std::size_t jobs_served = 0;
@@ -175,6 +217,7 @@ std::size_t run_serve(const ServeOptions& options) {
     for (const auto& [id, job] : jobs) {
       if (job.client_fd >= 0) fds.push_back(job.client_fd);
     }
+    for (const auto& [fd, client] : pending) fds.push_back(fd);
     return fds;
   };
 
@@ -265,25 +308,13 @@ std::size_t run_serve(const ServeOptions& options) {
     }
   };
 
-  /// One accept(): read the submit frame, admit or busy-reject, queue units.
-  const auto accept_client = [&](bool draining) {
-    const int raw_fd = ::accept(listen_fd, nullptr, nullptr);
-    if (raw_fd < 0) return;
+  /// A complete submit frame on \p raw_fd (blocking again): admit the job
+  /// or busy-reject it, and queue its units.
+  const auto admit = [&](int raw_fd, std::string_view submit_frame, bool draining) {
     FdGuard fd(raw_fd);
-    // A stalled client must not wedge the single-threaded supervisor in
-    // either direction: a submitter that never finishes its frame (read
-    // side) or a receiver that stops draining its socket buffer (write
-    // side, e.g. SIGSTOPed). The timeouts stick to the fd, so every later
-    // emit_cell / done-frame write is covered too; a timed-out write throws
-    // IoError, which marks the client dead exactly like a hangup.
-    timeval timeout{};
-    timeout.tv_sec = 5;
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-    ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
     try {
-      if (!util::read_frame_into(fd.get(), frame, kMaxSubmitFrame)) return;
-      if (peek_job_frame(frame) != JobFrame::kSubmit) return;
-      JobSubmit submit = decode_job_submit(frame);
+      if (peek_job_frame(submit_frame) != JobFrame::kSubmit) return;
+      JobSubmit submit = decode_job_submit(submit_frame);
       if (draining || jobs.size() >= backlog) {
         JobBusy busy;
         busy.in_service = static_cast<std::uint32_t>(jobs.size());
@@ -350,21 +381,58 @@ std::size_t run_serve(const ServeOptions& options) {
     }
   };
 
-  /// Next dispatchable unit; units of cancelled jobs are swept out here.
-  const auto pop_ready = [&](Clock::time_point now) -> std::optional<Unit> {
-    for (auto it = ready.begin(); it != ready.end();) {
-      if (jobs.find(it->job_id) == jobs.end()) {
-        it = ready.erase(it);
+  /// Reads what a pending connection sent; once its submit frame is whole,
+  /// the fd returns to blocking mode, so emit_cell's writes block for at
+  /// most SO_SNDTIMEO, and the job is admitted.
+  const auto take_submit = [&](std::map<int, PendingClient>::iterator it, bool draining) {
+    const int fd = it->first;
+    const Intake intake = read_submit(fd, it->second);
+    if (intake == Intake::kWaiting) return;
+    const std::string bytes = std::move(it->second.bytes);
+    pending.erase(it);
+    if (intake == Intake::kDrop) {
+      ::close(fd);
+      return;
+    }
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+    admit(fd, std::string_view(bytes).substr(kFrameHeader), draining);
+  };
+
+  /// One accept(). The connection joins the poll set until its submit frame
+  /// has arrived, so a stalled submitter never blocks the supervisor. The
+  /// SO_SNDTIMEO sticks to the fd: a receiver that stops draining its
+  /// socket (e.g. SIGSTOPed) times out every later write, which throws
+  /// IoError and marks the client dead exactly like a hangup.
+  const auto accept_client = [&](bool draining) {
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+    if (fd < 0) return;
+    timeval timeout{};
+    timeout.tv_sec = kClientTimeoutSeconds;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+    const auto deadline = Clock::now() + std::chrono::seconds(kClientTimeoutSeconds);
+    // A prompt client's frame is often in the socket already.
+    take_submit(pending.emplace(fd, PendingClient{deadline, 0, {}}).first, draining);
+  };
+
+  /// Drops the connections that did not deliver a submit frame in time.
+  const auto drop_stale_pending = [&] {
+    const auto now = Clock::now();
+    for (auto it = pending.begin(); it != pending.end();) {
+      if (it->second.deadline > now) {
+        ++it;
         continue;
       }
-      if (it->release <= now) {
-        const Unit unit = *it;
-        ready.erase(it);
-        return unit;
-      }
-      ++it;
+      ::close(it->first);
+      it = pending.erase(it);
     }
-    return std::nullopt;
+  };
+
+  /// A unit's job, or nullopt once it was cancelled: dispatch_ready then
+  /// sweeps the unit out of the queue.
+  const auto live_job = [&](const Unit& unit) -> std::optional<UnitJob> {
+    const auto it = jobs.find(unit.job_id);
+    if (it == jobs.end()) return std::nullopt;
+    return UnitJob{it->second.key, it->second.ini_text};
   };
 
   say("listening on " + options.socket_path + ": " + std::to_string(pool_size) +
@@ -392,26 +460,9 @@ std::size_t run_serve(const ServeOptions& options) {
         }
       }
 
-      // Dispatch released units to idle workers, loading the job into the
-      // worker's warm cache first when the mirror says it is absent.
-      const auto now = Clock::now();
-      for (Worker& worker : workers) {
-        if (!worker.alive || worker.busy) continue;
-        const auto unit = pop_ready(now);
-        if (!unit) break;
-        const ServeJob& job = jobs.at(unit->job_id);
-        if (!dispatch(worker, *unit, job.key, job.ini_text, writer)) {
-          // Worker died while idle (external kill): the attempt never
-          // started, so it is not charged against the cell.
-          ready.push_front(*unit);
-          (void)reap(worker);
-        }
-      }
-
-      // Poll timeout: nearest of unit deadline, backoff release, or a 200 ms
-      // responsiveness cap (drain requests must not wait long).
-      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready,
-                                             /*clamp_to_releases=*/true);
+      // A worker whose mirror lacks a unit's job gets the job's INI first.
+      dispatch_ready(workers, ready, live_job, writer);
+      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready);
 
       std::vector<pollfd> fds;
       std::vector<Worker*> worker_of;
@@ -430,6 +481,11 @@ std::size_t run_serve(const ServeOptions& options) {
         fds.push_back({job.client_fd, POLLIN, 0});
         worker_of.push_back(nullptr);
         job_of.push_back(id);
+      }
+      for (const auto& [fd, client] : pending) {
+        fds.push_back({fd, POLLIN, 0});
+        worker_of.push_back(nullptr);
+        job_of.push_back(0);
       }
 
       const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
@@ -456,6 +512,10 @@ std::size_t run_serve(const ServeOptions& options) {
           }
           continue;
         }
+        if (const auto it = pending.find(fds[i].fd); it != pending.end()) {
+          take_submit(it, draining);
+          continue;
+        }
         // Client connection: submitters never speak after kSubmit, so any
         // readable event is a hangup (or a protocol breach) — cancel.
         if (const auto it = jobs.find(job_of[i]); it != jobs.end()) {
@@ -470,6 +530,7 @@ std::size_t run_serve(const ServeOptions& options) {
         charge(unit);
       }
 
+      drop_stale_pending();
       finalize_jobs();
     }
 
@@ -479,11 +540,13 @@ std::size_t run_serve(const ServeOptions& options) {
     for (auto& [id, job] : jobs) {
       if (job.client_fd >= 0) ::close(job.client_fd);
     }
+    for (const auto& [fd, client] : pending) ::close(fd);
     ::close(listen_fd);
     ::unlink(options.socket_path.c_str());
     throw;
   }
 
+  for (const auto& [fd, client] : pending) ::close(fd);
   ::close(listen_fd);
   ::unlink(options.socket_path.c_str());
   say("drained: served " + std::to_string(jobs_served) + " job(s)");

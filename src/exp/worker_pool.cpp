@@ -284,8 +284,36 @@ std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout
   return overdue;
 }
 
+void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
+                    const UnitJobLookup& job_of, util::ByteWriter& writer) {
+  const auto now = Clock::now();
+  for (Worker& worker : workers) {
+    if (!worker.alive || worker.busy) continue;
+    std::optional<UnitJob> job;
+    auto next = ready.begin();
+    while (next != ready.end()) {
+      job = job_of(*next);
+      if (!job) {
+        next = ready.erase(next);
+      } else if (next->release <= now) {
+        break;
+      } else {
+        ++next;
+      }
+    }
+    if (next == ready.end()) break;
+    const Unit unit = *next;
+    ready.erase(next);
+    if (!dispatch(worker, unit, job->key, job->ini_text, writer)) {
+      // Died while idle: the attempt never started, so it is not charged.
+      ready.push_front(unit);
+      (void)reap(worker);
+    }
+  }
+}
+
 int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
-                    const std::deque<Unit>& ready, bool clamp_to_releases) {
+                    const std::deque<Unit>& ready) {
   int timeout_ms = 200;
   const auto now = Clock::now();
   const auto clamp = [&](Clock::time_point when) {
@@ -300,7 +328,9 @@ int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
       if (worker.alive && worker.busy) clamp(worker.started + budget);
     }
   }
-  if (clamp_to_releases) {
+  const bool can_dispatch = std::any_of(workers.begin(), workers.end(),
+                                        [](const Worker& w) { return !w.alive || !w.busy; });
+  if (can_dispatch) {
     for (const Unit& unit : ready) clamp(unit.release);
   }
   return timeout_ms;

@@ -19,8 +19,9 @@
 /// CSVs stay byte-identical. `cell_timeout` and `max_retries` therefore
 /// count per replication unit on both supervisors.
 ///
-/// Each supervisor keeps only its own poll() loop: the fds it watches and
-/// whether the poll timeout clamps to backoff releases.
+/// Both supervisors also share their wake-up and dispatch rules
+/// (poll_timeout_ms, dispatch_ready). Each keeps only its own poll() loop:
+/// the fds it watches and what it does with a finished cell.
 #pragma once
 
 #include <signal.h>
@@ -30,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -143,11 +145,32 @@ void spawn_worker(Worker& worker, std::vector<Worker>& workers,
 /// seconds or longer (0 disables); returns the units they held.
 [[nodiscard]] std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout);
 
-/// Poll timeout in ms: the nearest unit deadline, capped at 200 ms so a
-/// drain request never waits long, and, when \p clamp_to_releases, the
-/// nearest backoff release in \p ready.
+/// The job of a unit as dispatch() needs it: the worker-cache key, and the
+/// INI text sent to a worker whose mirror lacks that key.
+struct UnitJob {
+  std::uint64_t key = 0;
+  std::string_view ini_text;
+};
+
+/// Finds a unit's job; nullopt when the job was cancelled, so the unit is
+/// dropped instead of dispatched.
+using UnitJobLookup = std::function<std::optional<UnitJob>(const Unit&)>;
+
+/// Hands released units of \p ready to idle workers in queue order, dropping
+/// the units whose job \p job_of no longer finds as it meets them. A worker
+/// that died while idle (e.g. an external kill -9) is reaped and its unit
+/// goes back to the front of \p ready uncharged: the attempt never started.
+void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
+                    const UnitJobLookup& job_of, util::ByteWriter& writer);
+
+/// Poll timeout in ms: the nearest deadline of a busy worker's unit, capped
+/// at 200 ms so a drain request never waits long. While some worker is dead
+/// or idle it also clamps to the nearest backoff release in \p ready, the
+/// moment that worker can take the unit. With every worker busy a release
+/// does not matter: a result frame or hang-up wakes the poll first, and
+/// clamping to a release already past would make the loop spin.
 [[nodiscard]] int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
-                                  const std::deque<Unit>& ready, bool clamp_to_releases);
+                                  const std::deque<Unit>& ready);
 
 /// Asks every live worker to exit, then collects it; a worker wedged in a
 /// hung unit gets two seconds before SIGKILL.

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "exp/experiment.hpp"
 #include "exp/journal.hpp"
 #include "exp/scenario.hpp"
+#include "exp/worker_pool.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
@@ -151,6 +153,59 @@ TEST(ProcessPool, SupervisorSleepsWhileEveryWorkerIsBusy) {
   const double cpu = cpu_seconds(after) - cpu_seconds(before);
   EXPECT_LT(cpu, 0.25 * wall) << "supervisor used " << cpu << " CPU-s in " << wall
                               << " s wall";
+}
+
+// poll_timeout_ms, the one wake-up rule of both supervisors. Only the
+// alive/busy/started fields of a Worker matter to it.
+exp::Worker fake_worker(bool alive, bool busy) {
+  exp::Worker worker;
+  worker.alive = alive;
+  worker.busy = busy;
+  worker.started = exp::Clock::now();
+  return worker;
+}
+
+std::deque<exp::Unit> one_unit_released_at(exp::Clock::time_point release) {
+  exp::Unit unit;
+  unit.release = release;
+  return {unit};
+}
+
+TEST(WorkerPool, PollTimeoutIgnoresPastReleasesWhileEveryWorkerIsBusy) {
+  std::vector<exp::Worker> workers;
+  workers.push_back(fake_worker(true, true));
+  workers.push_back(fake_worker(true, true));
+  const auto ready = one_unit_released_at(exp::Clock::now() - std::chrono::seconds(1));
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0, ready), 200);
+}
+
+TEST(WorkerPool, PollTimeoutClampsToAReleaseAnIdleOrDeadWorkerCanTake) {
+  const auto ready = one_unit_released_at(exp::Clock::now() + std::chrono::milliseconds(50));
+  for (const bool alive : {true, false}) {
+    std::vector<exp::Worker> workers;
+    workers.push_back(fake_worker(true, true));
+    workers.push_back(fake_worker(alive, false));
+    const int timeout = exp::poll_timeout_ms(workers, 0.0, ready);
+    EXPECT_GT(timeout, 0) << (alive ? "idle" : "dead");
+    EXPECT_LE(timeout, 50) << (alive ? "idle" : "dead");
+  }
+  std::vector<exp::Worker> workers;
+  workers.push_back(fake_worker(true, false));
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0,
+                                 one_unit_released_at(exp::Clock::now() -
+                                                      std::chrono::seconds(1))),
+            0);
+}
+
+TEST(WorkerPool, PollTimeoutClampsToABusyWorkersUnitDeadline) {
+  std::vector<exp::Worker> workers;
+  workers.push_back(fake_worker(true, true));
+  const auto past = one_unit_released_at(exp::Clock::now() - std::chrono::seconds(1));
+  const int timeout = exp::poll_timeout_ms(workers, 0.1, past);
+  EXPECT_GT(timeout, 50);
+  EXPECT_LE(timeout, 100);
+  workers.front().started -= std::chrono::seconds(1);  // overdue: wake at once
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.1, past), 0);
 }
 
 TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {

@@ -1,10 +1,13 @@
 // Tests for the resident sweep service (exp/serve.hpp): the job codec, the
 // byte-identical-results guarantee against direct runs, worker crash
-// supervision, backlog busy-rejection, and SIGTERM drain. The service runs
+// supervision, backlog busy-rejection, SIGTERM drain, an idle supervisor
+// while every worker is busy, and a front door that a silent connection
+// cannot stall. The service runs
 // as the real e2c_experiment binary (fork+exec) and clients use the library
 // submit_job path — the same split production uses. Fault injection uses the
 // worker-side E2C_SERVE_TEST_* env hooks (see worker_pool.cpp), inherited through
 // the exec, so crashes and slow units are deterministic.
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -15,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -139,6 +143,23 @@ std::size_t peak_rss_kb(pid_t pid) {
     if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6));
   }
   return 0;
+}
+
+/// CPU seconds (user + system) process \p pid has used so far, from
+/// /proc/<pid>/stat; its children are not counted.
+double cpu_seconds_of(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string text((std::istreambuf_iterator<char>(stat)), std::istreambuf_iterator<char>());
+  const auto comm_end = text.rfind(')');
+  if (comm_end == std::string::npos) return -1.0;
+  // After "pid (comm)" come fields 3 (state) ... 14 (utime), 15 (stime).
+  std::istringstream fields(text.substr(comm_end + 1));
+  std::string field;
+  for (int index = 3; index < 14; ++index) fields >> field;
+  unsigned long long utime = 0;
+  unsigned long long stime = 0;
+  fields >> utime >> stime;
+  return static_cast<double>(utime + stime) / static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
 /// Blocks until the service accepts connections (or ~5 s pass): submitting
@@ -299,6 +320,73 @@ TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
   const std::size_t peak_kb = peak_rss_kb(service);
   EXPECT_GT(peak_kb, 0u);
   EXPECT_LT(peak_kb, std::size_t{1} << 20) << "service VmHWM " << peak_kb << " kB";
+
+  stop_service(service);
+}
+
+// Units queued behind the only, busy worker must not turn the supervisor's
+// poll() into a busy loop: through eight 200 ms units it should sleep until
+// the worker answers, not burn a core for the whole job.
+TEST(Serve, SupervisorSleepsWhileEveryWorkerIsBusy) {
+  const ScopedEnv delay("E2C_SERVE_TEST_UNIT_DELAY_MS", "200");
+  const std::string socket_path = temp_path("serve_sleep.sock");
+  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  wait_for_service(socket_path);
+
+  const double cpu_before = cpu_seconds_of(service);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = exp::submit_job(socket_path, config_text(7));
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const double cpu = cpu_seconds_of(service) - cpu_before;
+
+  EXPECT_EQ(result.health.completed_cells, 4u);
+  EXPECT_GE(wall, 0.8);  // eight units, one after another
+  ASSERT_GE(cpu_before, 0.0);
+  EXPECT_LT(cpu, 0.25 * wall) << "supervisor used " << cpu << " CPU-s in " << wall
+                              << " s wall";
+  stop_service(service);
+}
+
+// A client that connects and sends nothing, and one that stops halfway
+// through its submit frame, must cost only their own connections: a job
+// submitted behind them finishes at its usual pace, and each stalled
+// connection is dropped at its 5 s deadline.
+TEST(Serve, SilentConnectionsDoNotStallOtherClients) {
+  const std::string text = config_text(7);
+  const std::string expected = csv_of(direct_run(text));
+  const std::string socket_path = temp_path("serve_silent.sock");
+  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  wait_for_service(socket_path);
+
+  const auto connected = std::chrono::steady_clock::now();
+  const int silent = connect_raw(socket_path);
+  ASSERT_GE(silent, 0);
+  const int half_sent = connect_raw(socket_path);
+  ASSERT_GE(half_sent, 0);
+  const std::uint32_t announced = 100;
+  ASSERT_EQ(::write(half_sent, &announced, sizeof announced),
+            static_cast<ssize_t>(sizeof announced));
+  ASSERT_EQ(::write(half_sent, "[sweep]\n", 8), 8);
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = exp::submit_job(socket_path, text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(csv_of(result), expected);
+  EXPECT_LT(seconds, 1.0) << "a submit behind silent connections took " << seconds << " s";
+
+  for (const int fd : {silent, half_sent}) {
+    pollfd hangup{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&hangup, 1, 8000), 1) << "stalled connection never dropped";
+    char byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);  // dropped: EOF, no reply frame
+    ::close(fd);
+  }
+  const double dropped_after =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - connected).count();
+  EXPECT_GE(dropped_after, 4.5);
+  EXPECT_LT(dropped_after, 7.0);
 
   stop_service(service);
 }

@@ -20,7 +20,9 @@
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)); both are reported before either
-# fails the suite. Speedup ratios compare two configurations on the *same*
+# fails the suite. The resident-service bench is gated on its serve/spawn
+# speedup and on its spawn-lane procs/threads ratio, both reported before
+# either fails. Speedup ratios compare two configurations on the *same*
 # machine, so the gates are meaningful on any runner; absolute rounds/s are
 # never compared.
 #
@@ -47,6 +49,15 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_ROOT="${E2C_BUILD_ROOT:-${ROOT}/build-san}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# The ratio gates below read one number per key from a bench JSON and pass
+# when the fresh value is at least 70% of the committed baseline.
+ratio_of() {  # file key
+  sed -n "s/.*\"$2\": \([0-9.eE+-]*\).*/\1/p" "$1"
+}
+at_floor() {  # fresh base
+  [ -n "$1" ] && [ -n "$2" ] && awk -v fresh="$1" -v base="$2" 'BEGIN { exit !(fresh >= 0.7 * base) }'
+}
+
 # Gates a fresh experiment-throughput JSON against the committed baseline
 # on its two ratios, each at 70% of the baseline. Both are checked and
 # reported before the function fails: a change can move them in opposite
@@ -63,13 +74,6 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # >=2.8x scaling (70% of ideal).
 experiment_throughput_gates() {  # fresh_json baseline_json
   local fresh_json="$1" baseline_json="$2" failed=0 fresh base
-  ratio_of() {  # file key
-    sed -n "s/.*\"$2\": \([0-9.eE+-]*\).*/\1/p" "$1"
-  }
-  at_floor() {  # fresh base
-    [ -n "$1" ] && [ -n "$2" ] && awk -v fresh="$1" -v base="$2" 'BEGIN { exit !(fresh >= 0.7 * base) }'
-  }
-
   fresh="$(ratio_of "${fresh_json}" plane_speedup)"
   base="$(ratio_of "${baseline_json}" plane_speedup)"
   if at_floor "${fresh}" "${base}"; then
@@ -85,6 +89,39 @@ experiment_throughput_gates() {  # fresh_json baseline_json
     echo "worker scaling: 4-worker parallel efficiency ${fresh} (baseline ${base}) ok"
   else
     echo "bench smoke: worker-scaling efficiency regressed: '${fresh}' vs baseline '${base}' (floor 70%)" >&2
+    failed=1
+  fi
+  return "${failed}"
+}
+
+# Gates a fresh bench_serve JSON against the committed baseline on its two
+# ratios, each at 70% of the baseline, and reports both before failing.
+# Every lane runs the same job stream on this host, so both ratios are
+# machine-independent.
+#
+# speedup is warm-service jobs/s over spawn-per-sweep jobs/s on the procs
+# backend.
+#
+# procs_over_threads is spawn-per-sweep jobs/s on the procs backend over the
+# same stream on the threads backend. A slower procs backend raises
+# speedup, so only this ratio catches it.
+serve_gates() {  # fresh_json baseline_json
+  local fresh_json="$1" baseline_json="$2" failed=0 fresh base
+  fresh="$(ratio_of "${fresh_json}" speedup)"
+  base="$(ratio_of "${baseline_json}" speedup)"
+  if at_floor "${fresh}" "${base}"; then
+    echo "resident service: serve/spawn speedup ${fresh}x (baseline ${base}x) ok"
+  else
+    echo "bench smoke: serve/spawn speedup regressed: '${fresh}'x vs baseline '${base}'x (floor 70%)" >&2
+    failed=1
+  fi
+
+  fresh="$(ratio_of "${fresh_json}" procs_over_threads)"
+  base="$(ratio_of "${baseline_json}" procs_over_threads)"
+  if at_floor "${fresh}" "${base}"; then
+    echo "process backend: spawn procs/threads ${fresh} (baseline ${base}) ok"
+  else
+    echo "bench smoke: procs backend regressed against threads: '${fresh}' vs baseline '${base}' (floor 70%)" >&2
     failed=1
   fi
   return "${failed}"
@@ -281,31 +318,14 @@ sys.exit(0 if rss <= 300 else 1)' "${result}" || {
   "${dir}/bench/bench_serve" --jobs 12 --out "${serve_out}"
   echo "=== bench: validate serve JSON keys ==="
   for key in bench jobs workers distinct_configs results lane seconds \
-             jobs_per_sec p50_ms p99_ms speedup; do
+             jobs_per_sec p50_ms p99_ms speedup procs_over_threads; do
     grep -q "\"${key}\"" "${serve_out}" || {
       echo "bench smoke: key '${key}' missing from ${serve_out}" >&2
       exit 1
     }
   done
-  echo "=== bench: serve/spawn speedup regression gate ==="
-  # speedup = warm-service jobs/s over spawn-per-sweep jobs/s for the same
-  # job stream. Both lanes run on this host, so the ratio is
-  # machine-independent; a fresh run must stay within 70% of the committed
-  # baseline.
-  serve_speedup_of() {  # file
-    sed -n 's/.*"speedup": \([0-9.eE+-]*\).*/\1/p' "$1"
-  }
-  fresh="$(serve_speedup_of "${serve_out}")"
-  base="$(serve_speedup_of "${serve_baseline}")"
-  if [ -z "${fresh}" ] || [ -z "${base}" ]; then
-    echo "bench smoke: missing serve speedup (fresh='${fresh}' baseline='${base}')" >&2
-    exit 1
-  fi
-  awk -v fresh="${fresh}" -v base="${base}" 'BEGIN { exit !(fresh >= 0.7 * base) }' || {
-    echo "bench smoke: serve/spawn speedup regressed: ${fresh}x vs baseline ${base}x (floor 70%)" >&2
-    exit 1
-  }
-  echo "resident service: serve/spawn speedup ${fresh}x (baseline ${base}x) ok"
+  echo "=== bench: serve gates ==="
+  serve_gates "${serve_out}" "${serve_baseline}" || exit 1
 
   echo "=== bench: PGO lane (profile-generate -> profile-use) ==="
   # Two-phase profile-guided build of the megarun: train on a 200k-task run,
