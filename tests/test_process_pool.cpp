@@ -180,14 +180,14 @@ TEST(WorkerPool, PollTimeoutIgnoresPastReleasesWhileEveryWorkerIsBusy) {
 }
 
 TEST(WorkerPool, PollTimeoutClampsToAReleaseAnIdleOrDeadWorkerCanTake) {
-  const auto ready = one_unit_released_at(exp::Clock::now() + std::chrono::milliseconds(50));
+  const auto ready = one_unit_released_at(exp::Clock::now() + std::chrono::milliseconds(150));
   for (const bool alive : {true, false}) {
     std::vector<exp::Worker> workers;
     workers.push_back(fake_worker(true, true));
     workers.push_back(fake_worker(alive, false));
     const int timeout = exp::poll_timeout_ms(workers, 0.0, ready);
     EXPECT_GT(timeout, 0) << (alive ? "idle" : "dead");
-    EXPECT_LE(timeout, 50) << (alive ? "idle" : "dead");
+    EXPECT_LE(timeout, 150) << (alive ? "idle" : "dead");
   }
   std::vector<exp::Worker> workers;
   workers.push_back(fake_worker(true, false));
@@ -201,11 +201,11 @@ TEST(WorkerPool, PollTimeoutClampsToABusyWorkersUnitDeadline) {
   std::vector<exp::Worker> workers;
   workers.push_back(fake_worker(true, true));
   const auto past = one_unit_released_at(exp::Clock::now() - std::chrono::seconds(1));
-  const int timeout = exp::poll_timeout_ms(workers, 0.1, past);
-  EXPECT_GT(timeout, 50);
-  EXPECT_LE(timeout, 100);
+  const int timeout = exp::poll_timeout_ms(workers, 0.15, past);
+  EXPECT_GT(timeout, 0);
+  EXPECT_LE(timeout, 150);
   workers.front().started -= std::chrono::seconds(1);  // overdue: wake at once
-  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.1, past), 0);
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past), 0);
 }
 
 TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {
