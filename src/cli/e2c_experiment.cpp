@@ -10,7 +10,7 @@
 ///
 /// `--backend procs` runs the sweep on crash-isolated worker processes with
 /// per-unit timeouts, retry, a resumable journal (`--journal` / `--resume`)
-/// and SIGINT/SIGTERM graceful drain — see exp/process_pool.hpp.
+/// and SIGINT/SIGTERM graceful drain — see exp/serve.hpp.
 ///
 /// `--serve SOCKET` turns the binary into a resident sweep service: a
 /// persistent pool of pre-forked workers keeps specs, traces, and Simulation

@@ -7,8 +7,8 @@
 #include <optional>
 
 #include "exp/journal.hpp"
-#include "exp/process_pool.hpp"
 #include "exp/scenario.hpp"
+#include "exp/serve.hpp"
 #include "exp/sim_pool.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
@@ -348,8 +348,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const RunOptions& op
   }
 
   if (options.backend == Backend::kProcs) {
-    return run_experiment_procs(spec, options, std::move(resumed),
-                                journal ? &*journal : nullptr);
+    return run_experiment_procs(spec, options, std::move(resumed), std::move(journal));
   }
   return run_experiment_threads(spec, options, std::move(resumed),
                                 journal ? &*journal : nullptr);

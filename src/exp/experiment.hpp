@@ -160,10 +160,8 @@ struct RunOptions {
   double cell_timeout = 0.0;
   /// Process backend: crash/timeout re-dispatches per replication unit
   /// before its cell is recorded as failed and the sweep moves on.
+  /// The backoff before a requeue is fixed (exp/worker_pool.hpp).
   std::size_t max_retries = 2;
-  double backoff_base = 0.05;   ///< delay (s) before the first requeue
-  double backoff_factor = 2.0;  ///< multiplier per further requeue
-  double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
   /// Crash-safe sweep journal: append-only per-cell records, fsync'd after
   /// each cell. Only whole cells are journaled, so a resumed sweep reruns
   /// every cell a crash or drain left partial. Empty disables journaling.

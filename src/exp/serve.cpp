@@ -170,40 +170,50 @@ Intake read_submit(int fd, PendingClient& client) {
   }
 }
 
-/// One admitted sweep: its config text (shipped to workers lacking it), the
-/// client connection streaming results, and its unit ledger.
+/// One sweep on the supervisor loop: its config text (shipped to workers
+/// lacking it), its unit ledger, and where its finished cells go. A
+/// submitted job streams them to its client connection. The one-shot
+/// `--backend procs` sweep has no client (client_fd < 0): it keeps them in
+/// `cells` for the caller and reports each one to `progress`.
 struct ServeJob {
   std::uint64_t id = 0;
   std::uint64_t key = 0;
-  std::string ini_text;
+  std::string ini_text{};
   UnitLedger ledger;
+  std::size_t cells_owed = 0;  ///< cells to deliver: all but the resumed ones
   int client_fd = -1;
   bool client_dead = false;
   std::size_t cells_done = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::optional<SweepJournal> journal;
+  std::vector<std::optional<CellResult>> cells{};  ///< by slot; only without a client
+  ProgressFn progress{};
 };
 
-}  // namespace
-
-std::size_t run_serve(const ServeOptions& options) {
-  const std::size_t pool_size = util::ThreadPool::resolve_worker_count(options.workers);
+/// The one supervisor loop. It keeps the worker pool at strength, hands
+/// ready units to idle workers, enforces unit timeouts, and turns every
+/// finished or failed cell into one per-cell step (emit_cell: count,
+/// journal, deliver). With a listener (run_serve) it also admits submitted
+/// jobs, and a drain stops admitting and finishes every admitted job.
+/// Without one (run_experiment_procs) it runs the jobs already in \p jobs
+/// and ends once they are done; a drain drops the queued units, lets the
+/// in-flight ones finish and ends, leaving the jobs partial. Jobs without a
+/// client stay in \p jobs for the caller. Returns the client jobs served.
+std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int listen_fd,
+                      const CachedJob* preload, std::map<std::uint64_t, ServeJob>& jobs,
+                      std::deque<Unit>& ready) {
   const std::size_t backlog = std::max<std::size_t>(1, options.backlog);
-  const RequeuePolicy retry{options.max_retries, options.backoff_base,
-                            options.backoff_factor, options.max_backoff};
+  const RequeuePolicy retry{options.max_retries};
   const auto say = [&](const std::string& message) {
     if (options.log) options.log(message);
   };
 
-  const int listen_fd = make_listen_socket(options.socket_path);
   ScopedDrainHandlers drain_handlers(options.drain_on_signals);
   util::SigpipeGuard sigpipe_guard;
 
   std::vector<Worker> workers(pool_size);
-  std::map<std::uint64_t, ServeJob> jobs;
   std::map<int, PendingClient> pending;  // by fd
-  std::deque<Unit> ready;
   std::uint64_t next_job_id = 1;
   std::size_t jobs_served = 0;
   std::string frame;        // recycled inbound frame buffer
@@ -213,7 +223,8 @@ std::size_t run_serve(const ServeOptions& options) {
   /// listener and every client connection (a worker holding a client fd
   /// would suppress client-hangup detection).
   const auto child_close_list = [&] {
-    std::vector<int> fds{listen_fd};
+    std::vector<int> fds;
+    if (listen_fd >= 0) fds.push_back(listen_fd);
     for (const auto& [id, job] : jobs) {
       if (job.client_fd >= 0) fds.push_back(job.client_fd);
     }
@@ -221,10 +232,10 @@ std::size_t run_serve(const ServeOptions& options) {
     return fds;
   };
 
-  /// Records a finished (ok or failed) cell: journal, stream to the client,
-  /// bump counters. A write failure marks the client dead; the job is
-  /// cancelled at the next finalize pass.
-  const auto emit_cell = [&](ServeJob& job, std::uint32_t slot, const CellResult& cell) {
+  /// Records a finished (ok or failed) cell: bump counters, journal, then
+  /// stream it to the client or keep it for the caller. A write failure
+  /// marks the client dead; the job is cancelled at the next finalize pass.
+  const auto emit_cell = [&](ServeJob& job, std::uint32_t slot, CellResult cell) {
     if (cell.status == CellStatus::kOk) {
       ++job.completed;
     } else {
@@ -232,11 +243,16 @@ std::size_t run_serve(const ServeOptions& options) {
     }
     ++job.cells_done;
     if (job.journal) job.journal->append(slot, cell);
+    if (job.client_fd < 0) {
+      const CellResult& kept = *(job.cells[slot] = std::move(cell));
+      if (job.progress) job.progress(job.cells_done, job.cells_owed, kept);
+      return;
+    }
     if (job.client_dead) return;
     JobCell cell_frame;
     cell_frame.slot = slot;
     cell_frame.cells_done = static_cast<std::uint32_t>(job.cells_done);
-    cell_frame.cells_total = static_cast<std::uint32_t>(job.ledger.cells());
+    cell_frame.cells_total = static_cast<std::uint32_t>(job.cells_owed);
     cell_frame.cell_payload = encode_cell(cell);
     writer.clear();
     encode_job_cell(writer, cell_frame);
@@ -256,10 +272,10 @@ std::size_t run_serve(const ServeOptions& options) {
     if (it == jobs.end()) return;  // job cancelled while the unit was in flight
     ServeJob& job = it->second;
     if (job.ledger.cell_failed(unit.slot)) return;
-    if (const auto failed = job.ledger.charge(unit, ready)) {
+    if (auto failed = job.ledger.charge(unit, ready)) {
       say("job " + std::to_string(job.id) + ": cell " + std::to_string(unit.slot) +
           " failed after " + std::to_string(unit.attempt + 1) + " attempts");
-      emit_cell(job, unit.slot, *failed);
+      emit_cell(job, unit.slot, std::move(*failed));
     } else {
       say("job " + std::to_string(job.id) + ": unit " + std::to_string(unit.slot) + "/" +
           std::to_string(unit.rep) + " failed (attempt " + std::to_string(unit.attempt + 1) +
@@ -267,8 +283,8 @@ std::size_t run_serve(const ServeOptions& options) {
     }
   };
 
-  /// Closes client connections and erases jobs that are finished (send
-  /// kDone) or abandoned (drop their pending units).
+  /// Closes client connections and erases client jobs that are finished
+  /// (send kDone) or abandoned (drop their pending units).
   const auto finalize_jobs = [&] {
     for (auto it = jobs.begin(); it != jobs.end();) {
       ServeJob& job = it->second;
@@ -282,7 +298,7 @@ std::size_t run_serve(const ServeOptions& options) {
         it = jobs.erase(it);
         continue;
       }
-      if (job.cells_done == job.ledger.cells()) {
+      if (job.client_fd >= 0 && job.cells_done == job.cells_owed) {
         JobDone done;
         done.completed_cells = job.completed;
         done.failed_cells = job.failed;
@@ -306,6 +322,19 @@ std::size_t run_serve(const ServeOptions& options) {
       }
       ++it;
     }
+  };
+
+  /// Whether the loop is over. With a listener: once a drain has seen every
+  /// admitted job through. Without one: once every job has delivered its
+  /// cells, or, under a drain, once no unit is in flight any more.
+  const auto loop_done = [&](bool draining) {
+    if (listen_fd >= 0) return draining && jobs.empty();
+    return std::all_of(jobs.begin(), jobs.end(),
+                       [](const auto& entry) {
+                         return entry.second.cells_done == entry.second.cells_owed;
+                       }) ||
+           (draining && std::none_of(workers.begin(), workers.end(),
+                                     [](const Worker& w) { return w.busy; }));
   };
 
   /// A complete submit frame on \p raw_fd (blocking again): admit the job
@@ -358,9 +387,10 @@ std::size_t run_serve(const ServeOptions& options) {
                    .ini_text = std::move(submit.ini_text),
                    .ledger = UnitLedger(id, build_slots(spec), reps, retry),
                    .journal = std::move(journal)};
+      job.cells_owed = job.ledger.cells();
       JobAccepted accepted;
       accepted.job_id = job.id;
-      accepted.cells_total = static_cast<std::uint32_t>(job.ledger.cells());
+      accepted.cells_total = static_cast<std::uint32_t>(job.cells_owed);
       accepted.replications = reps;
       accepted.workers = static_cast<std::uint32_t>(pool_size);
       writer.clear();
@@ -399,11 +429,21 @@ std::size_t run_serve(const ServeOptions& options) {
   };
 
   /// One accept(). The connection joins the poll set until its submit frame
-  /// has arrived, so a stalled submitter never blocks the supervisor. The
+  /// has arrived, so a stalled submitter never blocks the supervisor. With
+  /// kMaxPendingClients already waiting, the oldest is dropped first, so a
+  /// flood of silent connects holds a bounded number of fds and a prompt
+  /// client, whose frame is read at once, is still admitted. The
   /// SO_SNDTIMEO sticks to the fd: a receiver that stops draining its
   /// socket (e.g. SIGSTOPed) times out every later write, which throws
   /// IoError and marks the client dead exactly like a hangup.
   const auto accept_client = [&](bool draining) {
+    if (pending.size() >= kMaxPendingClients) {
+      const auto oldest = std::min_element(
+          pending.begin(), pending.end(),
+          [](const auto& a, const auto& b) { return a.second.deadline < b.second.deadline; });
+      ::close(oldest->first);
+      pending.erase(oldest);
+    }
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;
     timeval timeout{};
@@ -435,27 +475,26 @@ std::size_t run_serve(const ServeOptions& options) {
     return UnitJob{it->second.key, it->second.ini_text};
   };
 
-  say("listening on " + options.socket_path + ": " + std::to_string(pool_size) +
-      " workers, backlog " + std::to_string(backlog));
-
   try {
     {
       const std::vector<int> extra = child_close_list();
-      for (Worker& worker : workers) spawn_worker(worker, workers, extra, nullptr);
+      for (Worker& worker : workers) spawn_worker(worker, workers, extra, preload);
     }
 
     for (;;) {
       const bool draining = drain_handlers.requested();
-      if (draining && jobs.empty()) break;
+      if (draining && listen_fd < 0) ready.clear();
+      if (loop_done(draining)) break;
 
-      // Keep the resident pool at strength while there is (or may soon be)
-      // work; a drain still respawns, because admitted jobs must finish.
-      if (!jobs.empty() || !ready.empty()) {
+      // Keep the pool at strength while there is work to hand out. The
+      // service also respawns while any job is admitted (more work may soon
+      // be requeued), a drain included, because admitted jobs must finish.
+      if (!ready.empty() || (listen_fd >= 0 && !jobs.empty())) {
         std::optional<std::vector<int>> extra;
         for (Worker& worker : workers) {
           if (worker.alive) continue;
           if (!extra) extra = child_close_list();
-          spawn_worker(worker, workers, *extra, nullptr);
+          spawn_worker(worker, workers, *extra, preload);
           say("respawned worker (pid " + std::to_string(worker.pid) + ")");
         }
       }
@@ -467,9 +506,11 @@ std::size_t run_serve(const ServeOptions& options) {
       std::vector<pollfd> fds;
       std::vector<Worker*> worker_of;
       std::vector<std::uint64_t> job_of;
-      fds.push_back({listen_fd, POLLIN, 0});
-      worker_of.push_back(nullptr);
-      job_of.push_back(0);
+      if (listen_fd >= 0) {
+        fds.push_back({listen_fd, POLLIN, 0});
+        worker_of.push_back(nullptr);
+        job_of.push_back(0);
+      }
       for (Worker& worker : workers) {
         if (!worker.alive) continue;
         fds.push_back({worker.res->read_fd(), POLLIN, 0});
@@ -490,7 +531,7 @@ std::size_t run_serve(const ServeOptions& options) {
 
       const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
       if (rc < 0 && errno != EINTR) {
-        throw IoError(std::string("serve: poll failed: ") + std::strerror(errno));
+        throw IoError(std::string("supervisor: poll failed: ") + std::strerror(errno));
       }
 
       for (std::size_t i = 0; rc > 0 && i < fds.size(); ++i) {
@@ -505,7 +546,7 @@ std::size_t run_serve(const ServeOptions& options) {
             const auto it = jobs.find(worker->unit.job_id);
             if (it == jobs.end()) continue;  // job cancelled while the unit was in flight
             if (auto cell = it->second.ledger.complete(worker->unit, std::move(*metrics))) {
-              emit_cell(it->second, worker->unit.slot, *cell);
+              emit_cell(it->second, worker->unit.slot, std::move(*cell));
             }
           } else if (const auto unit = reap(*worker)) {
             charge(*unit);
@@ -541,16 +582,89 @@ std::size_t run_serve(const ServeOptions& options) {
       if (job.client_fd >= 0) ::close(job.client_fd);
     }
     for (const auto& [fd, client] : pending) ::close(fd);
-    ::close(listen_fd);
-    ::unlink(options.socket_path.c_str());
     throw;
   }
 
   for (const auto& [fd, client] : pending) ::close(fd);
-  ::close(listen_fd);
-  ::unlink(options.socket_path.c_str());
-  say("drained: served " + std::to_string(jobs_served) + " job(s)");
   return jobs_served;
+}
+
+}  // namespace
+
+std::size_t run_serve(const ServeOptions& options) {
+  const std::size_t pool_size = util::ThreadPool::resolve_worker_count(options.workers);
+  const FdGuard listener(make_listen_socket(options.socket_path));
+  if (options.log) {
+    options.log("listening on " + options.socket_path + ": " + std::to_string(pool_size) +
+                " workers, backlog " +
+                std::to_string(std::max<std::size_t>(1, options.backlog)));
+  }
+  std::map<std::uint64_t, ServeJob> jobs;
+  std::deque<Unit> ready;
+  std::size_t jobs_served = 0;
+  try {
+    jobs_served = supervise(options, pool_size, listener.get(), /*preload=*/nullptr, jobs, ready);
+  } catch (...) {
+    ::unlink(options.socket_path.c_str());
+    throw;
+  }
+  ::unlink(options.socket_path.c_str());
+  if (options.log) {
+    options.log("drained: served " + std::to_string(jobs_served) + " job(s)");
+  }
+  return jobs_served;
+}
+
+ExperimentResult run_experiment_procs(const ExperimentSpec& spec, const RunOptions& options,
+                                      std::map<std::size_t, CellResult> resumed,
+                                      std::optional<SweepJournal> journal) {
+  // The one job every worker runs, in its cache before fork(): the spec and
+  // any policy registered at run time reach the worker with the address
+  // space, never through an INI round-trip.
+  const CachedJob cached = make_cached_job(/*key=*/0, spec);
+  const std::size_t cells_total = cached.slots.size();
+  std::map<std::uint64_t, ServeJob> jobs;
+  ServeJob& job =
+      jobs.emplace(0, ServeJob{.ledger = UnitLedger(/*job_id=*/0, cached.slots,
+                                                    static_cast<std::uint32_t>(spec.replications),
+                                                    {options.max_retries}),
+                               .cells_owed = cells_total - resumed.size(),
+                               .journal = std::move(journal),
+                               .cells = std::vector<std::optional<CellResult>>(cells_total),
+                               .progress = options.progress})
+          .first->second;
+  std::deque<Unit> ready;
+  const auto start = Clock::now();
+  for (std::uint32_t slot = 0; slot < cells_total; ++slot) {
+    if (const auto it = resumed.find(slot); it != resumed.end()) {
+      job.cells[slot] = std::move(it->second);
+    } else {
+      job.ledger.queue_slot(slot, start, ready);
+    }
+  }
+
+  ServeOptions loop;
+  loop.cell_timeout = options.cell_timeout;
+  loop.drain_on_signals = options.drain_on_signals;
+  // Same normalization as the threads backend: 0 means hardware concurrency,
+  // resolved in exactly one place so the reported count cannot disagree.
+  const std::size_t workers = util::ThreadPool::resolve_worker_count(options.workers);
+  (void)supervise(loop, std::min(workers, ready.size()), /*listen_fd=*/-1, &cached, jobs,
+                  ready);
+
+  ExperimentResult result;
+  result.spec = spec;
+  result.health.workers = workers;
+  result.health.resumed_cells = resumed.size();
+  result.health.completed_cells = resumed.size() + job.completed;
+  result.health.failed_cells = job.failed;
+  result.health.retries = job.ledger.retries();
+  result.health.drained = job.cells_done < job.cells_owed;
+  result.cells.reserve(cells_total);
+  for (auto& cell : job.cells) {
+    if (cell) result.cells.push_back(std::move(*cell));
+  }
+  return result;
 }
 
 ExperimentResult submit_job(const std::string& socket_path, const std::string& ini_text,

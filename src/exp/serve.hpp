@@ -1,37 +1,50 @@
 /// \file serve.hpp
-/// \brief Resident sweep service: `e2c_experiment --serve` and `--submit`.
+/// \brief The supervisor loop of the crash-isolated backends: the resident
+/// sweep service (`e2c_experiment --serve` and `--submit`) and the one-shot
+/// `--backend procs` sweep.
 ///
-/// The process backend (PR 7) made sweeps crash-isolated; the sharded plane
-/// (PR 8) made them scale. Both still pay full process spawn plus
-/// Simulation/arena warm-up on every invocation. The serve mode moves that
-/// cost out of the request path: one long-running service listens on a
-/// Unix-domain socket, keeps a persistent pool of pre-forked worker
-/// processes, and shards each submitted sweep's (cell, replication) units
-/// across them. Workers cache parsed specs, paired traces, and Simulation
-/// leases keyed by the config text's digest, so a repeat submission runs
-/// replications against warm engines — no fork, no arena rebuild, no trace
-/// regeneration.
+/// Spawning a process per sweep pays process start-up plus Simulation/arena
+/// warm-up on every invocation. The serve mode moves that cost out of the
+/// request path: one long-running service listens on a Unix-domain socket,
+/// keeps a persistent pool of pre-forked worker processes, and shards each
+/// submitted sweep's (cell, replication) units across them. Workers cache
+/// parsed specs, paired traces, and Simulation leases keyed by the config
+/// text's digest, so a repeat submission runs replications against warm
+/// engines — no fork, no arena rebuild, no trace regeneration.
 ///
-/// Workers, unit protocol and supervision bookkeeping are the process
-/// backend's (exp/worker_pool.hpp): per-unit wall-clock timeouts (SIGKILL +
-/// requeue), crash detection via pipe hangup, retry with exponential
-/// backoff, graceful degradation to failed cells, per-job crash-safe
-/// journals, and a SIGTERM/SIGINT drain that finishes every admitted job
-/// (journaling results as cells complete) before exiting 0.
-/// Admission is a bounded queue: beyond `backlog` jobs in service, a submit
-/// is answered with a busy frame and closed — the service never queues
-/// unboundedly. Results stream back to each client as per-cell frames and
-/// are byte-identical to a direct `--backend procs` run of the same config.
+/// One poll() loop supervises both modes, with the workers, unit protocol
+/// and bookkeeping of exp/worker_pool.hpp: per-unit wall-clock timeouts
+/// (SIGKILL + requeue), crash detection via pipe hangup, retry with
+/// exponential backoff, graceful degradation to failed cells, and crash-safe
+/// journals of whole cells. What differs follows from whether the loop has a
+/// listener:
+///  - With one (run_serve), it admits submitted jobs and streams their cells
+///    to each client. Admission is a bounded queue: beyond `backlog` jobs in
+///    service, a submit is answered with a busy frame and closed. A
+///    SIGTERM/SIGINT drain stops admitting, finishes every admitted job, and
+///    returns.
+///  - Without one (run_experiment_procs), it runs one preloaded job and ends
+///    when the job is done. A drain drops the queued units, lets the
+///    in-flight ones finish, and returns the partial result.
+/// Submitted results are byte-identical to a direct `--backend procs` run of
+/// the same config, which is byte-identical to the threads backend.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "exp/experiment.hpp"
+#include "exp/journal.hpp"
 
 namespace e2c::exp {
+
+/// Connections that may wait for their submit frame at once. Each holds an
+/// fd for up to 5 s; past this many, the oldest is dropped to make room.
+inline constexpr std::size_t kMaxPendingClients = 64;
 
 /// Everything `run_serve` needs. Defaults match the process backend's
 /// supervision knobs, which count per replication unit on both.
@@ -41,9 +54,6 @@ struct ServeOptions {
   std::size_t backlog = 4;      ///< max jobs in service before busy-reject
   double cell_timeout = 0.0;    ///< wall-clock budget (s) per unit attempt; 0 = off
   std::size_t max_retries = 2;  ///< crash/timeout requeues per unit before the cell fails
-  double backoff_base = 0.05;   ///< delay (s) before the first requeue
-  double backoff_factor = 2.0;  ///< multiplier per further requeue
-  double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
   /// Per-job crash-safe journals at "<prefix>.job<id>" (the PR-7 format,
   /// readable by exp::read_journal). Only whole cells are journaled. Empty
   /// disables journaling.
@@ -65,6 +75,18 @@ struct ServeOptions {
 /// failures. A stale socket file — left by a crashed service, nothing
 /// listening — is removed and rebound automatically.
 std::size_t run_serve(const ServeOptions& options);
+
+/// Runs a sweep on the same loop as one job preloaded into every worker
+/// before fork() (so programmatic specs and policies registered at run time
+/// work), with no socket and a pool of min(workers, queued units). \p
+/// resumed maps slot index → cell restored from the journal (merged into the
+/// result, never queued); \p journal receives each freshly completed or
+/// failed cell. Called by run_experiment when options.backend ==
+/// Backend::kProcs.
+[[nodiscard]] ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
+                                                    const RunOptions& options,
+                                                    std::map<std::size_t, CellResult> resumed,
+                                                    std::optional<SweepJournal> journal);
 
 /// Client half: submits \p ini_text (a full experiment config) to the
 /// service at \p socket_path, streams per-cell results (firing \p progress

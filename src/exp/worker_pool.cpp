@@ -28,6 +28,12 @@ namespace {
 /// lacks the key — the two sides must stay in lockstep.
 constexpr std::size_t kWorkerJobCacheCap = 4;
 
+/// Backoff before requeueing a crashed or timed-out unit: kBackoffBase
+/// seconds, times kBackoffFactor per further attempt, at most kMaxBackoff.
+constexpr double kBackoffBase = 0.05;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kMaxBackoff = 1.0;
+
 volatile sig_atomic_t g_drain_requested = 0;
 
 extern "C" void e2c_drain_handler(int) { g_drain_requested = 1; }
@@ -424,9 +430,8 @@ std::optional<CellResult> UnitLedger::charge(const Unit& unit, std::deque<Unit>&
     ++retries_;
     ++slot_retries_[unit.slot];
     const double backoff =
-        std::min(retry_.max_backoff,
-                 retry_.backoff_base *
-                     std::pow(retry_.backoff_factor, static_cast<double>(unit.attempt)));
+        std::min(kMaxBackoff,
+                 kBackoffBase * std::pow(kBackoffFactor, static_cast<double>(unit.attempt)));
     ready.push_back({job_id_, unit.slot, unit.rep, unit.attempt + 1,
                      Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                         std::chrono::duration<double>(backoff))});

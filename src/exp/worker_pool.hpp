@@ -1,10 +1,10 @@
 /// \file worker_pool.hpp
-/// \brief Worker processes and unit bookkeeping shared by both crash-isolated
-/// supervisors: the `--backend procs` sweep (process_pool.cpp) and the
-/// resident `--serve` service (serve.cpp). Internal to e2c_exp.
+/// \brief Worker processes and unit bookkeeping of the supervisor loop in
+/// serve.cpp, which runs both crash-isolated modes: the resident `--serve`
+/// service and the one-shot `--backend procs` sweep. Internal to e2c_exp.
 ///
-/// Both supervisors shard a sweep into (cell, replication) units and run
-/// them on forked worker processes that speak the job_codec worker frames:
+/// Both modes shard a sweep into (cell, replication) units and run them on
+/// forked worker processes that speak the job_codec worker frames:
 /// kLoadJob / kRunUnit / kShutdown in, kUnitResult out. A worker keeps a
 /// small FIFO cache of jobs (parsed spec, paired traces, Simulation leases);
 /// serve fills it with kLoadJob, procs preloads its one job before fork() so
@@ -17,11 +17,11 @@
 /// the whole cell up, and assembles finished cells in replication order, so
 /// every backend merges bit-exact Metrics in the same order and the result
 /// CSVs stay byte-identical. `cell_timeout` and `max_retries` therefore
-/// count per replication unit on both supervisors.
+/// count per replication unit in both modes.
 ///
-/// Both supervisors also share their wake-up and dispatch rules
-/// (poll_timeout_ms, dispatch_ready). Each keeps only its own poll() loop:
-/// the fds it watches and what it does with a finished cell.
+/// The loop's wake-up and dispatch rules are poll_timeout_ms and
+/// dispatch_ready. The loop itself, and how a drain ends it with or without
+/// a listener, is in serve.hpp.
 #pragma once
 
 #include <signal.h>
@@ -179,12 +179,10 @@ void shut_down(std::vector<Worker>& workers, util::ByteWriter& writer);
 /// SIGKILLs and collects every live worker (the error path).
 void kill_all(std::vector<Worker>& workers) noexcept;
 
-/// Crash/timeout supervision knobs, per replication unit.
+/// Crash/timeout supervision knob, per replication unit. The backoff before
+/// a requeue is fixed: 0.05 s, doubling per further attempt, at most 1 s.
 struct RequeuePolicy {
   std::size_t max_retries = 2;  ///< requeues per unit before its cell fails
-  double backoff_base = 0.05;   ///< delay (s) before the first requeue
-  double backoff_factor = 2.0;  ///< multiplier per further requeue
-  double max_backoff = 1.0;     ///< ceiling (s) for any single backoff
 };
 
 /// Per-unit state of one job (see the file comment).
@@ -208,7 +206,6 @@ class UnitLedger {
 
   [[nodiscard]] bool cell_failed(std::uint32_t slot) const { return failed_[slot] != 0; }
   [[nodiscard]] std::size_t cells() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::uint32_t reps() const noexcept { return reps_; }
   [[nodiscard]] std::size_t retries() const noexcept { return retries_; }
 
  private:

@@ -149,7 +149,6 @@ TEST(ExperimentPlane, ThrowingCellDegradesGracefullyAndMatchesProcs) {
   procs_options.workers = 2;
   procs_options.backend = exp::Backend::kProcs;
   procs_options.max_retries = 1;
-  procs_options.backoff_base = 0.01;
   const auto procs_result = exp::run_experiment(spec, procs_options);
   EXPECT_EQ(csv_text(threads_result), csv_text(procs_result));
   EXPECT_EQ(procs_result.health.failed_cells, 1u);

@@ -1,4 +1,4 @@
-// Tests for the crash-isolated process backend (exp/process_pool.hpp), the
+// Tests for the crash-isolated process backend (exp/serve.hpp), the
 // cell codec, and the resumable sweep journal. Fault injection uses the
 // worker-side E2C_SERVE_TEST_* unit hooks (see worker_pool.cpp), matched on
 // "slot/rep", so crashes, hangs and slow units are deterministic — no real
@@ -23,10 +23,12 @@
 #include "exp/experiment.hpp"
 #include "exp/journal.hpp"
 #include "exp/scenario.hpp"
+#include "exp/spec_io.hpp"
 #include "exp/worker_pool.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
+#include "util/ini.hpp"
 
 namespace {
 
@@ -215,7 +217,6 @@ TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {
 
   const ScopedEnv crash("E2C_SERVE_TEST_CRASH_UNIT", "2/0");  // MECT/low
   options.backend = exp::Backend::kProcs;
-  options.backoff_base = 0.01;
   const auto result = exp::run_experiment(small_spec(), options);
 
   // The SIGKILL'd unit is requeued and recomputed; results stay identical.
@@ -233,7 +234,6 @@ TEST(ProcessPool, HangingCellFailsAfterMaxRetriesAndSweepContinues) {
   options.backend = exp::Backend::kProcs;
   options.cell_timeout = 0.3;
   options.max_retries = 1;
-  options.backoff_base = 0.01;
   const auto result = exp::run_experiment(small_spec(), options);
 
   const auto& failed = result.cell("FCFS", Intensity::kHigh);
@@ -261,7 +261,6 @@ TEST(ProcessPool, AlwaysCrashingUnitFailsOnlyItsCell) {
   const ScopedEnv crash("E2C_SERVE_TEST_CRASH_ALWAYS", "1/0");  // FCFS/high
   options.backend = exp::Backend::kProcs;
   options.max_retries = 1;
-  options.backoff_base = 0.01;
   const auto result = exp::run_experiment(small_spec(), options);
 
   const auto& degraded = result.cell("FCFS", Intensity::kHigh);
@@ -363,10 +362,34 @@ TEST(Backend, ParseRejectsUnknownWithSuggestion) {
 
 // --- CLI-level: SIGTERM graceful drain against the real binary. ------------
 
+/// fork+execs `e2c_experiment ini_path 1 --backend procs --journal
+/// journal_path extra...` with stdout in \p out_path; \p unit_delay_ms, when
+/// set, slows every unit through E2C_SERVE_TEST_UNIT_DELAY_MS.
+pid_t start_procs_sweep(const std::string& ini_path, const std::string& journal_path,
+                        const std::string& out_path, const char* unit_delay_ms,
+                        const std::vector<std::string>& extra = {}) {
+  const pid_t child = fork();
+  if (child == 0) {
+    FILE* out = std::freopen(out_path.c_str(), "w", stdout);
+    if (out == nullptr) _exit(97);
+    if (unit_delay_ms != nullptr) ::setenv("E2C_SERVE_TEST_UNIT_DELAY_MS", unit_delay_ms, 1);
+    std::vector<std::string> args = {E2C_EXPERIMENT_BIN, ini_path, "1", "--backend", "procs",
+                                     "--journal", journal_path};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    ::execv(E2C_EXPERIMENT_BIN, argv.data());
+    _exit(98);  // exec failed
+  }
+  return child;
+}
+
 TEST(ProcessPool, SigtermDrainExitsCleanlyWithValidPartialJournal) {
   const std::string journal_path = temp_path("drain_journal.txt");
   const std::string ini_path = temp_path("drain_spec.ini");
   const std::string out_path = temp_path("drain_stdout.txt");
+  const std::string csv_path = temp_path("drain_result.csv");
   {
     std::ofstream ini(ini_path, std::ios::trunc);
     ini << "[sweep]\n"
@@ -374,22 +397,16 @@ TEST(ProcessPool, SigtermDrainExitsCleanlyWithValidPartialJournal) {
            "intensities = low, high\n"
            "replications = 2\n"
            "duration = 30\n"
-           "seed = 7\n";
+           "seed = 7\n"
+           "\n"
+           "[output]\n"
+           "csv = " << csv_path << "\n";
   }
 
-  const pid_t child = fork();
+  // One worker so the drain provably leaves holes: queued units are
+  // dropped, only the single in-flight unit finishes.
+  const pid_t child = start_procs_sweep(ini_path, journal_path, out_path, "400");
   ASSERT_GE(child, 0);
-  if (child == 0) {
-    FILE* out = std::freopen(out_path.c_str(), "w", stdout);
-    if (out == nullptr) _exit(97);
-    ::setenv("E2C_SERVE_TEST_UNIT_DELAY_MS", "400", 1);
-    // One worker so the drain provably leaves holes: queued units are
-    // dropped, only the single in-flight unit finishes.
-    ::execl(E2C_EXPERIMENT_BIN, E2C_EXPERIMENT_BIN, ini_path.c_str(), "1",
-            "--backend", "procs", "--journal", journal_path.c_str(),
-            static_cast<char*>(nullptr));
-    _exit(98);  // exec failed
-  }
   // Let the first wave of cells get in flight, then request a drain.
   ::usleep(600 * 1000);
   ASSERT_EQ(::kill(child, SIGTERM), 0);
@@ -413,6 +430,33 @@ TEST(ProcessPool, SigtermDrainExitsCleanlyWithValidPartialJournal) {
     EXPECT_EQ(cell.status, exp::CellStatus::kOk);
     EXPECT_EQ(cell.runs.size(), 2u);
   }
+
+  // Resuming the journal the drain left finishes the sweep, and the result
+  // is the one an uninterrupted threads run gives.
+  const std::string resumed_out = temp_path("drain_resumed_stdout.txt");
+  const pid_t resumed = start_procs_sweep(ini_path, journal_path, resumed_out, nullptr,
+                                          {"--resume"});
+  ASSERT_GE(resumed, 0);
+  ASSERT_EQ(::waitpid(resumed, &status, 0), resumed);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream resumed_stdout(resumed_out);
+  std::stringstream resumed_text;
+  resumed_text << resumed_stdout.rdbuf();
+  EXPECT_NE(resumed_text.str().find(std::to_string(contents.cells.size()) + " resumed"),
+            std::string::npos)
+      << resumed_text.str();
+  EXPECT_EQ(resumed_text.str().find("drained"), std::string::npos) << resumed_text.str();
+
+  exp::RunOptions threads;
+  threads.workers = 2;
+  const auto reference = exp::run_experiment(
+      exp::spec_from_ini(e2c::util::IniFile::load(ini_path)), threads);
+  std::ifstream csv(csv_path);
+  std::stringstream resumed_csv;
+  resumed_csv << csv.rdbuf();
+  EXPECT_EQ(resumed_csv.str(), csv_of(reference));
+  EXPECT_EQ(exp::read_journal(journal_path).cells.size(), 4u);
 }
 
 }  // namespace

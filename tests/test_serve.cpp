@@ -1,8 +1,8 @@
 // Tests for the resident sweep service (exp/serve.hpp): the job codec, the
 // byte-identical-results guarantee against direct runs, worker crash
 // supervision, backlog busy-rejection, SIGTERM drain, an idle supervisor
-// while every worker is busy, and a front door that a silent connection
-// cannot stall. The service runs
+// while every worker is busy, and a front door that neither a silent
+// connection nor a flood of them can stall. The service runs
 // as the real e2c_experiment binary (fork+exec) and clients use the library
 // submit_job path — the same split production uses. Fault injection uses the
 // worker-side E2C_SERVE_TEST_* env hooks (see worker_pool.cpp), inherited through
@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -143,6 +145,14 @@ std::size_t peak_rss_kb(pid_t pid) {
     if (line.rfind("VmHWM:", 0) == 0) return std::stoul(line.substr(6));
   }
   return 0;
+}
+
+/// Open file descriptors of process \p pid, from /proc/<pid>/fd.
+std::size_t fd_count(pid_t pid) {
+  const std::filesystem::path dir = "/proc/" + std::to_string(pid) + "/fd";
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator(dir)) ++count;
+  return count;
 }
 
 /// CPU seconds (user + system) process \p pid has used so far, from
@@ -388,6 +398,59 @@ TEST(Serve, SilentConnectionsDoNotStallOtherClients) {
   EXPECT_GE(dropped_after, 4.5);
   EXPECT_LT(dropped_after, 7.0);
 
+  stop_service(service);
+}
+
+// A flood of silent connections must not take the service's fds. Past
+// kMaxPendingClients waiting connections the oldest is dropped, so the
+// service holds at most that many, and a prompt submit made during the flood
+// is admitted at once and finishes at its usual pace.
+TEST(Serve, PendingConnectionFloodIsBoundedAndPromptSubmitsStillRun) {
+  const std::string text = config_text(7);
+  const std::string expected = csv_of(direct_run(text));
+  const std::string socket_path = temp_path("serve_flood.sock");
+  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  wait_for_service(socket_path);
+  // One job first: once it is done the worker is up and every probe of
+  // wait_for_service has been accepted and dropped.
+  EXPECT_EQ(csv_of(exp::submit_job(socket_path, text)), expected);
+  const std::size_t baseline = fd_count(service);
+
+  constexpr std::size_t kExtra = 8;
+  std::vector<int> flood;
+  for (std::size_t i = 0; i < exp::kMaxPendingClients + kExtra; ++i) {
+    const int fd = connect_raw(socket_path);
+    if (fd < 0) {
+      ADD_FAILURE() << "connection " << i << " was refused";
+      break;
+    }
+    flood.push_back(fd);
+  }
+
+  // The submit queues behind the whole flood, so once it is done the
+  // service has accepted every flood connection.
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = exp::submit_job(socket_path, text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(csv_of(result), expected);
+  EXPECT_LT(seconds, 1.0) << "a submit during the flood took " << seconds << " s";
+  const std::size_t during = fd_count(service);
+  EXPECT_LE(during, baseline + exp::kMaxPendingClients)
+      << "service holds " << during << " fds, " << baseline << " before the flood";
+
+  // The oldest connections made room: each was closed without a reply.
+  // (Failures here are not fatal, so the service is still stopped below.)
+  for (std::size_t i = 0; i < std::min(kExtra, flood.size()); ++i) {
+    pollfd hangup{flood[i], POLLIN, 0};
+    if (::poll(&hangup, 1, 1000) != 1) {
+      ADD_FAILURE() << "connection " << i << " was not dropped";
+      continue;
+    }
+    char byte = 0;
+    EXPECT_EQ(::read(flood[i], &byte, 1), 0);
+  }
+  for (const int fd : flood) ::close(fd);
   stop_service(service);
 }
 

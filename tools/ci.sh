@@ -35,8 +35,9 @@
 # The serve suite is an end-to-end smoke test of the resident sweep service:
 # it starts `e2c_experiment --serve`, submits two overlapping sweeps while
 # kill -9'ing one warm worker mid-job, and asserts both clients' CSVs are
-# byte-identical to a direct run, the per-job journals are complete, and
-# SIGTERM drains the service with exit 0.
+# byte-identical to a direct run, the per-job journals are complete, the
+# service holds no more fds after both jobs (and the worker respawn) than
+# with its two idle workers, and SIGTERM drains the service with exit 0.
 #
 # The tsan suite runs only the threaded tests (thread pool and the parallel
 # substrate-combo sweep) plus the I/O-contention suite, whose event
@@ -481,6 +482,14 @@ INI
     kill "${service}" 2>/dev/null || true
     exit 1
   fi
+  for _ in $(seq 1 100); do
+    [ "$(pgrep -P "${service}" | wc -l)" -ge 2 ] && break
+    sleep 0.05
+  done
+  # A killed worker's pipes are released when it is reaped, so after the
+  # respawn the service must hold no more fds than with its two idle workers.
+  local fds_before
+  fds_before="$(ls "/proc/${service}/fd" | wc -l)"
 
   echo "=== serve: submit two overlapping sweeps, kill -9 one worker ==="
   "${bin}" --submit "${work}/serve.sock" "${work}/sub1.ini" > "${work}/sub1.out" &
@@ -521,6 +530,15 @@ INI
     echo "serve smoke: second submission's CSV diverged from the direct run" >&2
     exit 1
   }
+
+  local fds_after
+  fds_after="$(ls "/proc/${service}/fd" | wc -l)"
+  echo "service fds: ${fds_before} with idle workers, ${fds_after} after both jobs"
+  if [ "${fds_after}" -gt "${fds_before}" ]; then
+    echo "serve smoke: service leaked fds (${fds_before} -> ${fds_after})" >&2
+    kill "${service}" 2>/dev/null || true
+    exit 1
+  fi
 
   echo "=== serve: SIGTERM drain must exit 0 with complete journals ==="
   kill -TERM "${service}"
