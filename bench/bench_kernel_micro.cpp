@@ -58,7 +58,7 @@ void BM_PolicyDecision(benchmark::State& state, const char* policy_name) {
   for (std::uint64_t i = 0; i < 32; ++i) {
     workload::TaskDef task;
     task.id = i;
-    task.type = i % system.eet.task_type_count();
+    task.type = static_cast<std::uint32_t>(i % system.eet.task_type_count());
     task.arrival = 0.0;
     task.deadline = 60.0 + static_cast<double>(i);
     tasks.push_back(task);

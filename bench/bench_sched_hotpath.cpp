@@ -99,7 +99,7 @@ BenchScenario make_scenario(std::size_t depth) {
   for (std::size_t i = 0; i < depth; ++i) {
     e2c::workload::TaskDef task;
     task.id = i + 1;
-    task.type = static_cast<std::size_t>(
+    task.type = static_cast<std::uint32_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(scenario.eet.task_type_count()) - 1));
     task.arrival = static_cast<double>(i) * 0.01;
     task.deadline = rng.bernoulli(0.5) ? rng.uniform(20.0, 80.0) : 1e9;

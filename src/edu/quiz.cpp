@@ -68,7 +68,8 @@ MethodAnswer solve_method(const QuizScenario& scenario, const std::string& metho
 
   sched::SchedulingContext context(0.0, scenario.eet, std::move(machines), queue, {});
   const auto policy = sched::make_policy(method);
-  const std::vector<sched::Assignment> assignments = policy->schedule(context);
+  std::vector<sched::Assignment> assignments;
+  policy->schedule_into(context, assignments);
 
   MethodAnswer answer;
   for (const sched::Assignment& assignment : assignments) {

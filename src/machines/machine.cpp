@@ -256,8 +256,8 @@ void Machine::on_checkpoint_commit() {
   // Fixed path: charge exactly the configured cost (bit-identity with PR 2 —
   // `(a+c)-a` is not `c` in floats). Channel path: charge the elapsed
   // transfer time, which is what contention actually stretched.
-  task_state_->checkpoint_overhead_seconds[task] +=
-      io_channel_ ? std::max(0.0, now - run.phase_started_at) : checkpoint_->cost;
+  task_state_->add_checkpoint_overhead(
+      task, io_channel_ ? std::max(0.0, now - run.phase_started_at) : checkpoint_->cost);
   run.io_transfer = fault::kNoTransfer;
   require(task_state_->has_checkpoint_column(),
           "Machine::on_checkpoint_commit: task state has no checkpoint columns");
@@ -270,9 +270,9 @@ void Machine::on_checkpoint_commit() {
 
 void Machine::on_restart_loaded() {
   require(running_.has_value(), "Machine::on_restart_loaded with no running task");
-  task_state_->checkpoint_overhead_seconds[running_->task] +=
-      io_channel_ ? std::max(0.0, engine_.now() - running_->phase_started_at)
-                  : checkpoint_->restart_cost;
+  task_state_->add_checkpoint_overhead(
+      running_->task, io_channel_ ? std::max(0.0, engine_.now() - running_->phase_started_at)
+                                  : checkpoint_->restart_cost);
   running_->io_transfer = fault::kNoTransfer;
   begin_work_segment();
 }
@@ -291,8 +291,7 @@ void Machine::on_completion() {
   task_state_->useful_seconds[task] += std::max(0.0, run.work_total - run.work_committed);
   task_state_->machine_seconds[task] += elapsed;
   if (task_state_->has_checkpoint_column()) task_state_->completed_fraction[task] = 1.0;
-  task_state_->status[task] = workload::TaskStatus::kCompleted;
-  task_state_->completion_time[task] = now;
+  task_state_->finish(task, workload::TaskStatus::kCompleted, now);
 
   if (listener_) listener_->on_task_completed(task, id_);
   start_next();
@@ -311,7 +310,7 @@ double Machine::settle_aborted_run(const RunningEntry& run, core::SimTime now) c
   // phase is overhead that bought nothing, but it still occupied the machine.
   task_state_->lost_seconds[task] += std::max(0.0, work_executed - run.work_committed);
   if (run.phase != RunPhase::kWork) {
-    task_state_->checkpoint_overhead_seconds[task] += std::max(0.0, now - run.phase_started_at);
+    task_state_->add_checkpoint_overhead(task, std::max(0.0, now - run.phase_started_at));
   }
   task_state_->machine_seconds[task] += elapsed;
   return elapsed;

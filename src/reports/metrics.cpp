@@ -34,8 +34,8 @@ Metrics compute_metrics(const sched::Simulation& simulation) {
     if (const core::SimTime response = state.response_time(i); core::time_set(response)) {
       responses.add(response);
     }
-    if (core::time_set(state.completion_time[i])) {
-      metrics.makespan = std::max(metrics.makespan, state.completion_time[i]);
+    if (const core::SimTime done = state.completion_time(i); core::time_set(done)) {
+      metrics.makespan = std::max(metrics.makespan, done);
     }
   }
   metrics.mean_wait = waits.mean();

@@ -50,14 +50,14 @@ std::vector<std::vector<std::string>> task_report(const sched::Simulation& simul
                     def.deadline == core::kTimeInfinity
                         ? std::string{}
                         : util::format_fixed(def.deadline, 2),
-                    opt_time(state.start_time[i]), opt_time(state.completion_time[i]),
-                    opt_time(state.missed_time[i]),
+                    opt_time(state.start_time[i]), opt_time(state.completion_time(i)),
+                    opt_time(state.missed_time(i)),
                     opt_time(state.wait_time(i)),
                     opt_time(state.response_time(i)),
-                    std::to_string(state.retries[i]),
+                    std::to_string(state.retries(i)),
                     util::format_fixed(state.useful_seconds[i], 2),
                     util::format_fixed(state.lost_seconds[i], 2),
-                    util::format_fixed(state.checkpoint_overhead_seconds[i], 2),
+                    util::format_fixed(state.checkpoint_overhead_seconds(i), 2),
                     primary == workload::kNoTaskId ? std::string{}
                                                    : std::to_string(primary)});
   }
@@ -174,7 +174,7 @@ std::vector<std::vector<std::string>> missed_report(const sched::Simulation& sim
                     simulation.eet().task_type_name(state.type(i)),
                     machine_name_of(simulation, state.machine[i]),
                     util::format_fixed(state.arrival(i), 2), opt_time(state.start_time[i]),
-                    opt_time(state.missed_time[i]),
+                    opt_time(state.missed_time(i)),
                     workload::task_status_name(state.status[i])});
   }
   return rows;

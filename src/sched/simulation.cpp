@@ -144,6 +144,7 @@ void Simulation::init_tasks(const workload::Workload& workload) {
     // replicate_workload adopts the expanded clone set in place of the alias.
     replicate_workload(recovery.replicas);
   }
+  if (injector_) state_.enable_retry_column();
   if (checkpoint_spec_) state_.enable_checkpoint_column();
   init_task_state();
 }
@@ -353,16 +354,14 @@ void Simulation::on_deadline(std::size_t index) {
               "deadline: retry-wait task has no retry event");
       engine_.cancel(retry_event_[index]);
       retry_event_[index] = core::kNoEvent;
-      state_.status[index] = workload::TaskStatus::kFailed;
-      state_.missed_time[index] = engine_.now();
+      state_.finish(index, workload::TaskStatus::kFailed, engine_.now());
       mark_terminal(index);
       return;
     }
     case workload::TaskStatus::kInBatchQueue: {
       // Deadline before mapping: cancelled (paper §3).
       require(batch_queue_.erase(index), "deadline: task missing from batch queue");
-      state_.status[index] = workload::TaskStatus::kCancelled;
-      state_.missed_time[index] = engine_.now();
+      state_.finish(index, workload::TaskStatus::kCancelled, engine_.now());
       mark_terminal(index);
       return;
     }
@@ -371,8 +370,7 @@ void Simulation::on_deadline(std::size_t index) {
       // so this counts as dropped; release the reserved queue slot.
       engine_.cancel(
           release_reservation(index, "deadline: transferring task has no reservation").event);
-      state_.status[index] = workload::TaskStatus::kDropped;
-      state_.missed_time[index] = engine_.now();
+      state_.finish(index, workload::TaskStatus::kDropped, engine_.now());
       mark_terminal(index);
       request_schedule();  // the freed slot may unblock a batch-queue task
       return;
@@ -386,8 +384,7 @@ void Simulation::on_deadline(std::size_t index) {
               "deadline: mapped task has no machine");
       const bool removed = machines_[state_.machine[index]]->remove(index);
       require(removed, "deadline: task not found on its assigned machine");
-      state_.status[index] = workload::TaskStatus::kDropped;
-      state_.missed_time[index] = engine_.now();
+      state_.finish(index, workload::TaskStatus::kDropped, engine_.now());
       mark_terminal(index);
       return;
     }
@@ -622,9 +619,8 @@ void Simulation::handle_fault_abort(std::size_t index) {
   state_.start_time[index] = core::kTimeUnset;
 
   const fault::RetryPolicy& retry = cfg().faults.retry;
-  if (state_.retries[index] >= retry.max_retries) {
-    state_.status[index] = workload::TaskStatus::kFailed;
-    state_.missed_time[index] = engine_.now();
+  if (state_.retries(index) >= retry.max_retries) {
+    state_.finish(index, workload::TaskStatus::kFailed, engine_.now());
     if (deadline_event_[index] != core::kNoEvent) {
       engine_.cancel(deadline_event_[index]);
       deadline_event_[index] = core::kNoEvent;
@@ -632,11 +628,11 @@ void Simulation::handle_fault_abort(std::size_t index) {
     mark_terminal(index);
     return;
   }
-  ++state_.retries[index];
+  const std::uint32_t retries = state_.add_retry(index);
   ++counters_.requeued;
   state_.status[index] = workload::TaskStatus::kRetryWait;
   retry_event_[index] = engine_.schedule_in(
-      retry.delay(state_.retries[index]), core::EventPriority::kControl,
+      retry.delay(retries), core::EventPriority::kControl,
       core::EventLabel("retry task=", state_.id(index)),
       [this, index] { on_retry_ready(index); });
 }
@@ -831,8 +827,7 @@ void Simulation::cancel_replica_siblings(ReplicaGroup& group, workload::TaskId w
         // as its primary, strictly before any copy can complete.
         throw InvariantError("replica cancel: unexpected sibling status");
     }
-    state_.status[member] = workload::TaskStatus::kReplicaCancelled;
-    state_.missed_time[member] = engine_.now();
+    state_.finish(member, workload::TaskStatus::kReplicaCancelled, engine_.now());
     ++counters_.replicas_cancelled;
   }
 }
@@ -891,7 +886,9 @@ double Simulation::lost_work_seconds() const {
 
 double Simulation::checkpoint_overhead_seconds() const {
   double total = 0.0;
-  for (double overhead : state_.checkpoint_overhead_seconds) total += overhead;
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    total += state_.checkpoint_overhead_seconds(i);
+  }
   return total;
 }
 

@@ -103,7 +103,7 @@ std::string render_frame(const sched::Simulation& simulation,
       const std::uint32_t tenant = state.tenant(i);
       if (tenant >= lost.size()) continue;
       lost[tenant] += state.lost_seconds[i];
-      ckpt[tenant] += state.checkpoint_overhead_seconds[i];
+      ckpt[tenant] += state.checkpoint_overhead_seconds(i);
     }
     for (std::size_t i = 0; i < lost.size(); ++i) {
       out << "  " << simulation.tenant_names()[i]
@@ -138,8 +138,8 @@ std::string render_missed_panel(const sched::Simulation& simulation, std::size_t
                                ? util::format_fixed(state.start_time[i], 2)
                                : "-",
                            9)
-        << util::pad_right(core::time_set(state.missed_time[i])
-                               ? util::format_fixed(state.missed_time[i], 2)
+        << util::pad_right(core::time_set(state.missed_time(i))
+                               ? util::format_fixed(state.missed_time(i), 2)
                                : "-",
                            9)
         << "\n";

@@ -25,12 +25,7 @@ std::string render_gantt_svg(const sched::Simulation& simulation,
   const workload::TaskStateSoA& state = simulation.task_state();
   core::SimTime horizon = simulation.engine().now();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    if (core::time_set(state.completion_time[i])) {
-      horizon = std::max(horizon, state.completion_time[i]);
-    }
-    if (core::time_set(state.missed_time[i])) {
-      horizon = std::max(horizon, state.missed_time[i]);
-    }
+    if (core::time_set(state.end_time[i])) horizon = std::max(horizon, state.end_time[i]);
   }
   if (horizon <= 0.0) horizon = 1.0;
 
@@ -85,22 +80,13 @@ std::string render_gantt_svg(const sched::Simulation& simulation,
     }
     const core::SimTime start = state.start_time[i];
     const workload::TaskStatus status = state.status[i];
-    core::SimTime end;
-    bool dropped_midrun = false;
-    if (core::time_set(state.completion_time[i])) {
-      end = state.completion_time[i];
-    } else if (core::time_set(state.missed_time[i]) &&
-               status == workload::TaskStatus::kDropped) {
-      end = state.missed_time[i];
-      dropped_midrun = true;
-    } else if (core::time_set(state.missed_time[i]) &&
-               status == workload::TaskStatus::kReplicaCancelled) {
-      end = state.missed_time[i];  // a losing replica cut short mid-run
-    } else {
-      continue;  // queued-but-dropped tasks never executed
-    }
-    if (end <= start) continue;
+    // A span ends at completion, at a mid-run drop, or where a losing
+    // replica was cut short mid-run.
+    const bool dropped_midrun = status == workload::TaskStatus::kDropped;
     const bool replica_cancelled = status == workload::TaskStatus::kReplicaCancelled;
+    if (!state.completed(i) && !dropped_midrun && !replica_cancelled) continue;
+    const core::SimTime end = state.end_time[i];
+    if (end <= start) continue;
     const int lane = static_cast<int>(state.machine[i]);
     const double x = x_of(start);
     const double w = std::max(1.0, x_of(end) - x);

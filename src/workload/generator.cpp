@@ -94,7 +94,7 @@ std::vector<TaskDef> aggregate_arrivals(const hetero::EetMatrix& eet,
     const std::size_t type = weights.empty()
                                  ? types_rng.unit_weight_index(types)
                                  : types_rng.weighted_index(weights, weight_total);
-    tasks.push_back(TaskDef{.type = type, .arrival = t});
+    tasks.push_back(TaskDef{.type = static_cast<std::uint32_t>(type), .arrival = t});
   }
   return tasks;
 }
@@ -113,7 +113,7 @@ std::vector<TaskDef> per_type_arrivals(const hetero::EetMatrix& eet,
     util::Rng stream_rng = rng.split();
     for (core::SimTime t :
          generate_arrivals(spec.kind, spec.rate, config.duration, stream_rng)) {
-      tasks.push_back(TaskDef{.type = type, .arrival = t});
+      tasks.push_back(TaskDef{.type = static_cast<std::uint32_t>(type), .arrival = t});
     }
   }
   std::stable_sort(tasks.begin(), tasks.end(), [](const TaskDef& a, const TaskDef& b) {

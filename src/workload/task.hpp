@@ -52,15 +52,21 @@ enum class TaskStatus : std::uint8_t {
 /// the comm/memory models derive payload sizes and footprints from), arrival
 /// and deadline. A Workload is a vector of these; it carries no per-run
 /// state, so one trace can be shared read-only across concurrent runs.
+///
+/// The record is 32 bytes: the task type is stored as 32 bits next to the
+/// tenant (no catalog comes near 2^32 types), so the two share one word and
+/// no padding is left. A million-task trace is 32 MB.
 struct TaskDef {
   TaskId id = 0;
-  hetero::TaskTypeId type = 0;
-  core::SimTime arrival = 0.0;
-  core::SimTime deadline = core::kTimeInfinity;
+  /// Task type as stored; read it as hetero::TaskTypeId (it widens losslessly).
+  std::uint32_t type = 0;
   /// Owning tenant for multi-tenant runs (index into the experiment's tenant
   /// roster); 0 for single-tenant workloads. Carried through to the task
   /// record so waste decomposes per tenant.
   std::uint32_t tenant = 0;
+  core::SimTime arrival = 0.0;
+  core::SimTime deadline = core::kTimeInfinity;
 };
+static_assert(sizeof(TaskDef) == 32, "TaskDef is read per task by every run; keep it 32 B");
 
 }  // namespace e2c::workload

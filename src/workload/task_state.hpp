@@ -2,7 +2,7 @@
 /// \brief Structure-of-arrays per-run task state, owned by the Simulation.
 ///
 /// The mutable execution record that used to live inside a per-task struct
-/// (status, assigned machine, four timestamps, waste accumulators) is stored
+/// (status, assigned machine, three timestamps, waste accumulators) is stored
 /// here as parallel dense vectors indexed by task row. The scheduler round,
 /// the terminal-transition bookkeeping and the report generators walk
 /// contiguous columns instead of striding over ~200-byte task objects, and
@@ -20,13 +20,19 @@
 ///  - machine:     kNoMachine
 ///  - replica_of:  kNoTaskId
 ///
-/// The `replica_of`, `checkpoint_times` and `completed_fraction` columns
-/// are lazy: empty unless the run uses replication / checkpointing, so the
-/// common path never touches (or allocates) them. Without checkpoints a
-/// task always starts from fraction 0, which is all `completed_fraction`
-/// would record. `retries`, `lost_seconds` and `checkpoint_overhead_seconds`
-/// stay dense even though only fault runs move them off zero: the reports
-/// and the run-digest goldens read them per task on every run.
+/// A terminal row has exactly one end instant: the completion when the
+/// status is kCompleted, the miss (cancel, drop, failure, replica cancel)
+/// otherwise. One `end_time` column holds it, set by finish() together with
+/// the status; completion_time(i) and missed_time(i) read it back per kind.
+///
+/// The `retries`, `replica_of`, checkpoint (`checkpoint_times`,
+/// `completed_fraction`, checkpoint overhead) columns are lazy: empty unless
+/// the run injects faults / replicates / checkpoints, so the common path
+/// never allocates them. Only a fault run requeues a task, and only a
+/// checkpoint run pays checkpoint overhead or resumes from a fraction other
+/// than 0. The retry count and the overhead are private behind accessors
+/// that read 0 when their column is absent, so the reports and the run-digest
+/// goldens read them per task on every run without indexing an empty vector.
 #pragma once
 
 #include <cstdint>
@@ -57,16 +63,14 @@ struct TaskStateSoA {
   std::vector<std::uint32_t> machine;           ///< kNoMachine until mapped
   std::vector<core::SimTime> assignment_time;   ///< kTimeUnset until mapped
   std::vector<core::SimTime> start_time;        ///< kTimeUnset until execution starts
-  std::vector<core::SimTime> completion_time;   ///< kTimeUnset unless completed
-  std::vector<core::SimTime> missed_time;       ///< kTimeUnset unless cancelled/dropped/failed
-  std::vector<std::uint32_t> retries;           ///< requeues after machine failures
+  /// Completion or miss instant; kTimeUnset until the task is terminal.
+  std::vector<core::SimTime> end_time;
 
   // --- recovery record ---
   // The waste decomposition the reports export: for every machine the task
   // touched, useful + lost + checkpoint_overhead == machine_seconds.
   std::vector<double> useful_seconds;
   std::vector<double> lost_seconds;
-  std::vector<double> checkpoint_overhead_seconds;
   std::vector<double> machine_seconds;
 
   // --- lazy columns (empty unless the feature is active) ---
@@ -103,27 +107,32 @@ struct TaskStateSoA {
     machine.assign(n, kNoMachine);
     assignment_time.assign(n, core::kTimeUnset);
     start_time.assign(n, core::kTimeUnset);
-    completion_time.assign(n, core::kTimeUnset);
-    missed_time.assign(n, core::kTimeUnset);
-    retries.assign(n, 0);
+    end_time.assign(n, core::kTimeUnset);
     useful_seconds.assign(n, 0.0);
     lost_seconds.assign(n, 0.0);
-    checkpoint_overhead_seconds.assign(n, 0.0);
     machine_seconds.assign(n, 0.0);
+    retries_.clear();
     replica_of.clear();
     checkpoint_times.clear();
     completed_fraction.clear();
+    checkpoint_overhead_.clear();
   }
+
+  /// Sizes the retries column (all 0). Called once per run when the run
+  /// injects faults, the only way a task is requeued.
+  void enable_retry_column() { retries_.assign(size(), 0); }
 
   /// Sizes the replica_of column (all kNoTaskId). Called once per run when
   /// the replicate strategy is active.
   void enable_replica_column() { replica_of.assign(size(), kNoTaskId); }
 
   /// Sizes the checkpoint columns (checkpoint_times empty, completed_fraction
-  /// 0). Called once per run when the checkpoint strategy is active.
+  /// and overhead 0). Called once per run when the checkpoint strategy is
+  /// active.
   void enable_checkpoint_column() {
     checkpoint_times.assign(size(), {});
     completed_fraction.assign(size(), 0.0);
+    checkpoint_overhead_.assign(size(), 0.0);
   }
 
   [[nodiscard]] bool has_replica_column() const noexcept { return !replica_of.empty(); }
@@ -158,9 +167,54 @@ struct TaskStateSoA {
     return status[i] == TaskStatus::kCompleted;
   }
 
+  /// Ends the task: sets its terminal \p status and the instant it ended.
+  void finish(std::size_t i, TaskStatus terminal, core::SimTime now) noexcept {
+    status[i] = terminal;
+    end_time[i] = now;
+  }
+
+  /// Completion instant; kTimeUnset unless the task completed.
+  [[nodiscard]] core::SimTime completion_time(std::size_t i) const noexcept {
+    return completed(i) ? end_time[i] : core::kTimeUnset;
+  }
+
+  /// Instant the task was cancelled, dropped, failed or replica-cancelled;
+  /// kTimeUnset unless it ended that way.
+  [[nodiscard]] core::SimTime missed_time(std::size_t i) const noexcept {
+    return completed(i) ? core::kTimeUnset : end_time[i];
+  }
+
+  /// Requeues after machine failures; 0 when the run injects no faults.
+  [[nodiscard]] std::uint32_t retries(std::size_t i) const noexcept {
+    return retries_.empty() ? 0 : retries_[i];
+  }
+
+  /// Counts one more requeue of row \p i and returns the new count. Needs
+  /// enable_retry_column().
+  std::uint32_t add_retry(std::size_t i) noexcept { return ++retries_[i]; }
+
+  /// Seconds spent writing checkpoints and loading restarts; 0 when the run
+  /// does not checkpoint.
+  [[nodiscard]] double checkpoint_overhead_seconds(std::size_t i) const noexcept {
+    return checkpoint_overhead_.empty() ? 0.0 : checkpoint_overhead_[i];
+  }
+
+  /// Charges \p seconds of checkpoint overhead to row \p i. Needs
+  /// enable_checkpoint_column().
+  void add_checkpoint_overhead(std::size_t i, double seconds) noexcept {
+    checkpoint_overhead_[i] += seconds;
+  }
+
+  /// Capacity of the lazy retries and checkpoint-overhead columns, which is 0
+  /// on a run that neither injects faults nor checkpoints.
+  [[nodiscard]] std::size_t retry_capacity() const noexcept { return retries_.capacity(); }
+  [[nodiscard]] std::size_t checkpoint_overhead_capacity() const noexcept {
+    return checkpoint_overhead_.capacity();
+  }
+
   /// Response time (completion - arrival); kTimeUnset when not completed.
   [[nodiscard]] core::SimTime response_time(std::size_t i) const noexcept {
-    const core::SimTime t = completion_time[i];
+    const core::SimTime t = completion_time(i);
     return core::time_set(t) ? t - defs[i].arrival : core::kTimeUnset;
   }
 
@@ -172,6 +226,8 @@ struct TaskStateSoA {
 
  private:
   std::vector<TaskDef> owned_;  ///< backing storage when adopt() was used
+  std::vector<std::uint32_t> retries_;  ///< lazy: sized by enable_retry_column()
+  std::vector<double> checkpoint_overhead_;  ///< lazy: sized with the checkpoint columns
 };
 
 }  // namespace e2c::workload

@@ -28,7 +28,7 @@ Workload::Workload(std::vector<TaskDef> defs) : defs_(std::move(defs)) {
     require_input(task.arrival >= 0.0, [&] {
       return "workload: task " + std::to_string(task.id) + " has a negative arrival time";
     });
-    max_type_ = std::max(max_type_, task.type);
+    max_type_ = std::max<hetero::TaskTypeId>(max_type_, task.type);
   }
 }
 
@@ -69,7 +69,7 @@ Workload workload_from_doc(const util::CsvDoc& doc, const hetero::EetMatrix& eet
 
   // Intern task-type names once at the ingest boundary: repeated names skip
   // the EET's linear name scan.
-  std::unordered_map<std::string_view, hetero::TaskTypeId> type_ids;
+  std::unordered_map<std::string_view, std::uint32_t> type_ids;
 
   std::vector<TaskDef> defs;
   defs.reserve(doc.row_count() - 1);
@@ -93,7 +93,8 @@ Workload workload_from_doc(const util::CsvDoc& doc, const hetero::EetMatrix& eet
     if (interned != type_ids.end()) {
       task.type = interned->second;
     } else {
-      task.type = eet.task_type_index(type_name);  // throws if unknown (paper rule)
+      // Throws if unknown (paper rule).
+      task.type = static_cast<std::uint32_t>(eet.task_type_index(type_name));
       type_ids.emplace(type_name, task.type);
     }
     task.arrival = *arrival;

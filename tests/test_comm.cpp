@@ -79,7 +79,7 @@ TEST(CommSimulation, TransferDelaysExecutionStart) {
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_DOUBLE_EQ(state.start_time[0], 1.0);
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 5.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 5.0);
   // Assignment happened at arrival even though execution waited.
   EXPECT_DOUBLE_EQ(state.assignment_time[0], 0.0);
 }
@@ -103,7 +103,7 @@ TEST(CommSimulation, DroppedWhileTransferring) {
   EXPECT_EQ(state.status[0], TaskStatus::kDropped);
   EXPECT_FALSE(e2c::core::time_set(state.start_time[0]));
   ASSERT_NE(state.machine[0], e2c::workload::kNoMachine);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 2.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 2.0);
   EXPECT_EQ(simulation.counters().dropped, 1u);
   // The reservation was released.
   EXPECT_EQ(simulation.in_flight_count(state.machine[0]), 0u);

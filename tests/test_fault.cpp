@@ -40,7 +40,7 @@ using e2c::workload::Workload;
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;
@@ -426,10 +426,10 @@ TEST(FaultSimulation, AbortedTaskRetriesAndCompletes) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_EQ(state.retries[0], 1u);
+  EXPECT_EQ(state.retries(0), 1u);
   EXPECT_EQ(state.machine[0], 1u);
   // crash at 2 + backoff 1 -> requeue at 3 -> 6 s (T1 on m1) -> done at 9.
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 9.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 9.0);
   EXPECT_EQ(simulation.counters().requeued, 1u);
   EXPECT_EQ(simulation.counters().failed, 0u);
   EXPECT_EQ(simulation.counters().completed, 1u);
@@ -445,9 +445,9 @@ TEST(FaultSimulation, RetryExhaustionMarksFailed) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kFailed);
-  EXPECT_EQ(state.retries[0], 0u);
+  EXPECT_EQ(state.retries(0), 0u);
   EXPECT_EQ(state.machine[0], e2c::workload::kNoMachine);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 2.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 2.0);
   EXPECT_EQ(simulation.counters().failed, 1u);
   EXPECT_EQ(simulation.counters().requeued, 0u);
   EXPECT_TRUE(simulation.finished());
@@ -479,8 +479,8 @@ TEST(FaultSimulation, RequeueOrderIsRunningFirstThenQueue) {
   EXPECT_DOUBLE_EQ(starts[1], 0.0);
   EXPECT_DOUBLE_EQ(starts[0], 6.0);
   EXPECT_DOUBLE_EQ(starts[2], 12.0);
-  EXPECT_EQ(state.retries[0], 1u);
-  EXPECT_EQ(state.retries[2], 1u);
+  EXPECT_EQ(state.retries(0), 1u);
+  EXPECT_EQ(state.retries(2), 1u);
 }
 
 TEST(FaultSimulation, DeadlineDuringRetryWaitFails) {
@@ -493,7 +493,7 @@ TEST(FaultSimulation, DeadlineDuringRetryWaitFails) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kFailed);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 5.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 5.0);
   EXPECT_EQ(simulation.counters().failed, 1u);
   EXPECT_EQ(simulation.counters().requeued, 1u);
   EXPECT_TRUE(simulation.finished());
@@ -513,7 +513,7 @@ TEST(FaultSimulation, InFlightTransferToFailedMachineIsRefunded) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_EQ(state.retries[0], 1u);
+  EXPECT_EQ(state.retries(0), 1u);
   EXPECT_EQ(state.machine[0], 1u);
   EXPECT_EQ(simulation.in_flight_count(0), 0u);
   EXPECT_EQ(simulation.in_flight_count(1), 0u);
@@ -565,9 +565,9 @@ TEST(FaultSimulation, CrashEvictsOnlyItsOwnTransfersInIdOrder) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_EQ(state.status[i], TaskStatus::kCompleted) << "task " << state.id(i);
   }
-  EXPECT_EQ(state.retries[0], 1u);
-  EXPECT_EQ(state.retries[1], 1u);
-  EXPECT_EQ(state.retries[2], 0u);
+  EXPECT_EQ(state.retries(0), 1u);
+  EXPECT_EQ(state.retries(1), 1u);
+  EXPECT_EQ(state.retries(2), 0u);
   EXPECT_DOUBLE_EQ(state.start_time[2], 2.2);  // transfer 0.2 -> 2.2, undisturbed
   EXPECT_EQ(simulation.in_flight_count(0), 0u);
   EXPECT_EQ(simulation.in_flight_count(1), 0u);

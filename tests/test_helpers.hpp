@@ -16,7 +16,7 @@ inline workload::TaskDef queued_task(workload::TaskId id, hetero::TaskTypeId typ
                                      double deadline = 1e9, double arrival = 0.0) {
   workload::TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;

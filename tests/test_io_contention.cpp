@@ -52,7 +52,7 @@ IoConfig io_config(double bandwidth, double checkpoint_bytes, double restart_byt
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;
@@ -62,7 +62,7 @@ void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
-                    state.checkpoint_overhead_seconds[i],
+                    state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
         << e2c::workload::task_status_name(state.status[i]) << ")";
@@ -206,10 +206,10 @@ TEST(IoContention, UncontendedChannelMatchesFixedCostRun) {
 
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_NEAR(state.completion_time[0], 16.0, 1e-9);
+  EXPECT_NEAR(state.completion_time(0), 16.0, 1e-9);
   EXPECT_NEAR(state.useful_seconds[0], 10.0, 1e-9);
   EXPECT_NEAR(state.lost_seconds[0], 1.5, 1e-9);
-  EXPECT_NEAR(state.checkpoint_overhead_seconds[0], 2.5, 1e-9);
+  EXPECT_NEAR(state.checkpoint_overhead_seconds(0), 2.5, 1e-9);
   EXPECT_NEAR(state.machine_seconds[0], 14.0, 1e-9);
   ASSERT_NE(simulation.io_channel(), nullptr);
   EXPECT_EQ(simulation.io_channel()->peak_concurrent(), 1u);
@@ -251,7 +251,7 @@ TEST(IoContention, DalyWasteMatchesClosedFormAcrossMtbfSweep) {
     const auto& state = simulation.task_state();
     for (std::size_t i = 0; i < state.size(); ++i) {
       lost += state.lost_seconds[i];
-      overhead += state.checkpoint_overhead_seconds[i];
+      overhead += state.checkpoint_overhead_seconds(i);
       machine_seconds += state.machine_seconds[i];
     }
     ASSERT_GT(machine_seconds, 2000.0);
@@ -286,7 +286,7 @@ double total_waste(const Simulation& simulation) {
   double waste = 0.0;
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    waste += state.lost_seconds[i] + state.checkpoint_overhead_seconds[i];
+    waste += state.lost_seconds[i] + state.checkpoint_overhead_seconds(i);
   }
   return waste;
 }

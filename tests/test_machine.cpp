@@ -66,8 +66,8 @@ TEST(Machine, RunsTasksSequentially) {
   engine.run();
   EXPECT_EQ(table.state.status[0], TaskStatus::kCompleted);
   EXPECT_EQ(table.state.status[1], TaskStatus::kCompleted);
-  EXPECT_DOUBLE_EQ(table.state.completion_time[0], 3.0);
-  EXPECT_DOUBLE_EQ(table.state.completion_time[1], 5.0);  // waited for task 0
+  EXPECT_DOUBLE_EQ(table.state.completion_time(0), 3.0);
+  EXPECT_DOUBLE_EQ(table.state.completion_time(1), 5.0);  // waited for task 0
   EXPECT_DOUBLE_EQ(table.state.start_time[1], 3.0);
   ASSERT_EQ(listener.completed.size(), 2u);
   EXPECT_EQ(listener.completed[0].first, 0u);
@@ -138,10 +138,10 @@ TEST(Machine, RemoveRunningTaskCancelsCompletion) {
                            [&] { EXPECT_TRUE(machine.remove(0)); });
   engine.run();
   // Task 0 never completed; task 1 ran right after the drop: 4 + 2 = 6.
-  EXPECT_FALSE(e2c::core::time_set(table.state.completion_time[0]));
+  EXPECT_FALSE(e2c::core::time_set(table.state.completion_time(0)));
   EXPECT_EQ(table.state.status[1], TaskStatus::kCompleted);
   EXPECT_DOUBLE_EQ(table.state.start_time[1], 4.0);
-  EXPECT_DOUBLE_EQ(table.state.completion_time[1], 6.0);
+  EXPECT_DOUBLE_EQ(table.state.completion_time(1), 6.0);
   ASSERT_EQ(listener.completed.size(), 1u);
   EXPECT_EQ(listener.completed[0].first, 1u);
 }

@@ -119,7 +119,7 @@ e2c::sched::SystemConfig memory_system(double capacity_mb) {
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = 1e9;
   return task;
@@ -131,8 +131,8 @@ TEST(MemorySimulation, ColdStartExtendsExecution) {
   simulation.load(Workload({make_task(0, 0, 0.0), make_task(1, 0, 0.0)}));
   simulation.run();
   // First T1: cold 3+2=5 s; second T1: warm 3 s -> completes at 8.
-  EXPECT_DOUBLE_EQ(simulation.task_state().completion_time[0], 5.0);
-  EXPECT_DOUBLE_EQ(simulation.task_state().completion_time[1], 8.0);
+  EXPECT_DOUBLE_EQ(simulation.task_state().completion_time(0), 5.0);
+  EXPECT_DOUBLE_EQ(simulation.task_state().completion_time(1), 8.0);
   ASSERT_NE(simulation.model_cache(0), nullptr);
   EXPECT_EQ(simulation.model_cache(0)->hits(), 1u);
 }

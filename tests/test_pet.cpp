@@ -134,8 +134,8 @@ TEST(PetSimulation, ExecutionTimeIsSampledNotExpected) {
   simulation.load(single_task_workload(1e9));
   simulation.run();
   const auto& state = simulation.task_state();
-  ASSERT_TRUE(e2c::core::time_set(state.completion_time[0]));
-  const double actual = state.completion_time[0] - state.start_time[0];
+  ASSERT_TRUE(e2c::core::time_set(state.completion_time(0)));
+  const double actual = state.completion_time(0) - state.start_time[0];
   EXPECT_NE(actual, 2.0);
   EXPECT_GT(actual, 0.0);
 }
@@ -147,7 +147,7 @@ TEST(PetSimulation, SamplingSeedReproducible) {
     e2c::sched::Simulation simulation(config, e2c::sched::make_policy("MECT"));
     simulation.load(single_task_workload(1e9));
     simulation.run();
-    return simulation.task_state().completion_time[0];
+    return simulation.task_state().completion_time(0);
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
@@ -159,7 +159,7 @@ TEST(PetSimulation, DifferentSamplingSeedsDiffer) {
     e2c::sched::Simulation simulation(config, e2c::sched::make_policy("MECT"));
     simulation.load(single_task_workload(1e9));
     simulation.run();
-    return simulation.task_state().completion_time[0];
+    return simulation.task_state().completion_time(0);
   };
   EXPECT_NE(run_with_seed(1), run_with_seed(2));
 }
@@ -185,8 +185,8 @@ TEST(PetSimulation, DeterministicPetMatchesPlainEet) {
   plain.load(single_task_workload(1e9));
   plain.run();
 
-  EXPECT_DOUBLE_EQ(with_pet.task_state().completion_time[0],
-                   plain.task_state().completion_time[0]);
+  EXPECT_DOUBLE_EQ(with_pet.task_state().completion_time(0),
+                   plain.task_state().completion_time(0));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "exp/scenario.hpp"
 #include "reports/metrics.hpp"
 #include "sched/registry.hpp"
+#include "support/digest_scenarios.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -82,27 +83,27 @@ TEST_P(PolicyInvariantTest, TaskRecordsAreInternallyConsistent) {
     switch (state.status[i]) {
       case TaskStatus::kCompleted:
         ASSERT_TRUE(e2c::core::time_set(state.start_time[i]));
-        ASSERT_TRUE(e2c::core::time_set(state.completion_time[i]));
+        ASSERT_TRUE(e2c::core::time_set(state.completion_time(i)));
         ASSERT_NE(state.machine[i], e2c::workload::kNoMachine);
         EXPECT_GE(state.start_time[i], state.arrival(i));
-        EXPECT_GE(state.completion_time[i], state.start_time[i]);
+        EXPECT_GE(state.completion_time(i), state.start_time[i]);
         // On-time means at or before the deadline.
-        EXPECT_LE(state.completion_time[i], state.deadline(i) + 1e-9);
-        EXPECT_FALSE(e2c::core::time_set(state.missed_time[i]));
+        EXPECT_LE(state.completion_time(i), state.deadline(i) + 1e-9);
+        EXPECT_FALSE(e2c::core::time_set(state.missed_time(i)));
         break;
       case TaskStatus::kCancelled:
         // Cancelled before mapping: never saw a machine.
         EXPECT_EQ(state.machine[i], e2c::workload::kNoMachine);
         EXPECT_FALSE(e2c::core::time_set(state.start_time[i]));
-        ASSERT_TRUE(e2c::core::time_set(state.missed_time[i]));
-        EXPECT_NEAR(state.missed_time[i], state.deadline(i), 1e-9);
+        ASSERT_TRUE(e2c::core::time_set(state.missed_time(i)));
+        EXPECT_NEAR(state.missed_time(i), state.deadline(i), 1e-9);
         break;
       case TaskStatus::kDropped:
         // Dropped after mapping.
         EXPECT_NE(state.machine[i], e2c::workload::kNoMachine);
-        ASSERT_TRUE(e2c::core::time_set(state.missed_time[i]));
-        EXPECT_NEAR(state.missed_time[i], state.deadline(i), 1e-9);
-        EXPECT_FALSE(e2c::core::time_set(state.completion_time[i]));
+        ASSERT_TRUE(e2c::core::time_set(state.missed_time(i)));
+        EXPECT_NEAR(state.missed_time(i), state.deadline(i), 1e-9);
+        EXPECT_FALSE(e2c::core::time_set(state.completion_time(i)));
         break;
       default:
         FAIL() << "non-terminal status after run()";
@@ -117,7 +118,7 @@ TEST_P(PolicyInvariantTest, ExecutionRespectsEet) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     if (state.status[i] != TaskStatus::kCompleted) continue;
     const auto machine_type = simulation_->machine(state.machine[i]).type();
-    EXPECT_NEAR(state.completion_time[i] - state.start_time[i],
+    EXPECT_NEAR(state.completion_time(i) - state.start_time[i],
                 eet.eet(state.type(i), machine_type), 1e-9)
         << "task " << state.id(i);
   }
@@ -185,5 +186,49 @@ std::string case_name(const testing::TestParamInfo<PropertyCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllPoliciesAllIntensities, PolicyInvariantTest,
                          testing::ValuesIn(all_cases()), case_name);
+
+/// Runs \p workload on \p system under \p policy. A row's one end instant
+/// must read as a completion iff the row completed and as a miss iff it ended
+/// any other way: never both, and neither while the row is unfinished.
+void expect_one_end_instant(const e2c::sched::SystemConfig& system,
+                            const e2c::workload::Workload& workload,
+                            const std::string& policy) {
+  SCOPED_TRACE(policy);
+  Simulation simulation(system, e2c::sched::make_policy(policy));
+  simulation.load(workload);
+  simulation.run();
+  const auto& state = simulation.task_state();
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    const bool completed = state.status[i] == TaskStatus::kCompleted;
+    const bool missed = state.finished(i) && !completed;
+    EXPECT_EQ(e2c::core::time_set(state.completion_time(i)), completed)
+        << "task " << state.id(i) << " " << e2c::workload::task_status_name(state.status[i]);
+    EXPECT_EQ(e2c::core::time_set(state.missed_time(i)), missed)
+        << "task " << state.id(i) << " " << e2c::workload::task_status_name(state.status[i]);
+  }
+}
+
+// Over the run-digest scenario set: plain, fault and autoscaled systems under
+// every policy, and the deep-queue systems under every batch policy.
+TEST(TaskRecordProperty, CompletionOrMissTimeFollowsTerminalStatus) {
+  for (const e2c::test::DigestScenario& scenario : e2c::test::kDigestScenarios) {
+    const auto system = scenario.make();
+    const auto workload = e2c::test::digest_workload(system, e2c::test::kDigestRho,
+                                                     e2c::test::kDigestDuration);
+    SCOPED_TRACE(scenario.name);
+    for (const std::string& policy : e2c::sched::PolicyRegistry::instance().names()) {
+      expect_one_end_instant(system, workload, policy);
+    }
+  }
+  for (const std::size_t capacity : e2c::test::kDeepQueueCapacities) {
+    const auto system = e2c::exp::heterogeneous_classroom(capacity);
+    const auto workload = e2c::test::digest_workload(system, e2c::test::kDeepQueueRho,
+                                                     e2c::test::kDeepQueueDuration);
+    SCOPED_TRACE("deepq" + std::to_string(capacity));
+    for (const std::string& policy : e2c::sched::batch_policy_names()) {
+      expect_one_end_instant(system, workload, policy);
+    }
+  }
+}
 
 }  // namespace

@@ -29,7 +29,7 @@ using e2c::workload::Workload;
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;
@@ -59,7 +59,7 @@ void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
-                    state.checkpoint_overhead_seconds[i],
+                    state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
         << e2c::workload::task_status_name(state.status[i]) << ")";
@@ -86,11 +86,11 @@ TEST(CheckpointRecovery, ResumesFromLastCheckpointAfterCrash) {
 
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_EQ(state.retries[0], 1u);
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 13.0);
+  EXPECT_EQ(state.retries(0), 1u);
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 13.0);
   EXPECT_DOUBLE_EQ(state.useful_seconds[0], 10.0);
   EXPECT_DOUBLE_EQ(state.lost_seconds[0], 1.0);
-  EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds[0], 0.0);
+  EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds(0), 0.0);
   EXPECT_DOUBLE_EQ(state.machine_seconds[0], 11.0);
   // Two commits per run: t = 2, 4 before the crash; t = 9, 11 after.
   ASSERT_TRUE(state.has_checkpoint_column());
@@ -122,10 +122,10 @@ TEST(CheckpointRecovery, ChargesWriteAndRestartCosts) {
 
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_NEAR(state.completion_time[0], 16.0, 1e-9);
+  EXPECT_NEAR(state.completion_time(0), 16.0, 1e-9);
   EXPECT_NEAR(state.useful_seconds[0], 10.0, 1e-9);
   EXPECT_NEAR(state.lost_seconds[0], 1.5, 1e-9);
-  EXPECT_NEAR(state.checkpoint_overhead_seconds[0], 2.5, 1e-9);
+  EXPECT_NEAR(state.checkpoint_overhead_seconds(0), 2.5, 1e-9);
   EXPECT_NEAR(state.machine_seconds[0], 14.0, 1e-9);
   EXPECT_EQ(simulation.checkpoints_taken(), 3u);
   expect_waste_invariant(simulation);
@@ -146,7 +146,7 @@ TEST(CheckpointRecovery, RestartNeverResurrectsPastDeadline) {
 
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kDropped);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 8.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 8.0);
   EXPECT_GT(state.completed_fraction[0], 0.0);  // it had checkpointed progress...
   EXPECT_LT(state.completed_fraction[0], 1.0);  // ...but never completed
   EXPECT_EQ(simulation.counters().completed, 0u);
@@ -173,7 +173,7 @@ TEST(CheckpointRecovery, ResumeOnDifferentMachineUsesItsOwnSpeed) {
   EXPECT_EQ(state.machine[0], 1u);
   // Crash at 2 with commits at 1 and 2: fraction 2/4 = 0.5. Retry at 3 maps
   // to m1; the remaining half of T1 there is 0.5 · 6 = 3 s -> done at 6.
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 6.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 6.0);
   EXPECT_DOUBLE_EQ(state.lost_seconds[0], 0.0);
   expect_waste_invariant(simulation);
 }
@@ -203,9 +203,9 @@ TEST(ReplicateRecovery, FirstCompletionWinsAndCancelsSiblings) {
   const std::size_t winner = state.status[0] == TaskStatus::kCompleted ? 0 : 1;
   const std::size_t loser = 1 - winner;
   EXPECT_EQ(state.status[winner], TaskStatus::kCompleted);
-  EXPECT_DOUBLE_EQ(state.completion_time[winner], 4.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(winner), 4.0);
   EXPECT_EQ(state.status[loser], TaskStatus::kReplicaCancelled);
-  EXPECT_DOUBLE_EQ(state.missed_time[loser], 4.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(loser), 4.0);
   // The loser ran on the other machine for the full 4 s — charged as waste.
   EXPECT_DOUBLE_EQ(simulation.counters().cancelled_replica_seconds, 4.0);
   // The cancel frees the loser's machine slot.
@@ -261,7 +261,7 @@ TEST(ReplicateRecovery, ReplicaSurvivesTheCrashThatKillsThePrimary) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     if (state.status[i] == TaskStatus::kCompleted) {
       completed_on_m1 = state.machine[i] == 1u;
-      EXPECT_DOUBLE_EQ(state.completion_time[i], 6.0);
+      EXPECT_DOUBLE_EQ(state.completion_time(i), 6.0);
     }
   }
   EXPECT_TRUE(completed_on_m1);
@@ -348,10 +348,10 @@ TEST(RecoveryWaste, ResubmitMatchesPriorBehaviourExactly) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 9.0);  // as in test_fault.cpp
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 9.0);  // as in test_fault.cpp
   EXPECT_DOUBLE_EQ(state.lost_seconds[0], 2.0);     // 2 s burned on m0
   EXPECT_DOUBLE_EQ(state.useful_seconds[0], 6.0);   // full T1-on-m1 run
-  EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds[0], 0.0);
+  EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds(0), 0.0);
   EXPECT_EQ(simulation.checkpoints_taken(), 0u);
   expect_waste_invariant(simulation);
 }

@@ -21,7 +21,7 @@ using e2c::workload::Workload;
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;

@@ -27,6 +27,7 @@
 #include "net/comm_model.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/digest_scenarios.hpp"
 #include "support/reference_mappers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -77,12 +78,12 @@ std::uint64_t digest_of(const Simulation& simulation) {
                        : static_cast<std::uint64_t>(state.machine[i]));
     digest.add_time(state.assignment_time[i]);
     digest.add_time(state.start_time[i]);
-    digest.add_time(state.completion_time[i]);
-    digest.add_time(state.missed_time[i]);
-    digest.add_u64(state.retries[i]);
+    digest.add_time(state.completion_time(i));
+    digest.add_time(state.missed_time(i));
+    digest.add_u64(state.retries(i));
     digest.add_double(state.useful_seconds[i]);
     digest.add_double(state.lost_seconds[i]);
-    digest.add_double(state.checkpoint_overhead_seconds[i]);
+    digest.add_double(state.checkpoint_overhead_seconds(i));
     digest.add_double(state.machine_seconds[i]);
   }
   const auto& counters = simulation.counters();
@@ -99,51 +100,14 @@ std::uint64_t digest_of(const Simulation& simulation) {
 }
 
 std::uint64_t run_digest(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
-                         double rho = 1.3, double duration = 40.0) {
-  const auto machine_types = e2c::exp::machine_types_of(config);
-  const auto generator = e2c::workload::config_for_offered_load(
-      config.eet, machine_types, rho, duration, /*seed=*/20230607);
-  const auto workload = e2c::workload::generate_workload(config.eet, generator);
-
+                         double rho = e2c::test::kDigestRho,
+                         double duration = e2c::test::kDigestDuration) {
+  const auto workload = e2c::test::digest_workload(config, rho, duration);
   Simulation simulation(std::move(config), std::move(policy));
   simulation.load(workload);
   simulation.run();
   return digest_of(simulation);
 }
-
-SystemConfig plain_system() { return e2c::exp::heterogeneous_classroom(2); }
-
-SystemConfig faulty_system() {
-  SystemConfig config = e2c::exp::heterogeneous_classroom(2);
-  config.faults.enabled = true;
-  config.faults.mtbf = 25.0;
-  config.faults.mttr = 3.0;
-  config.faults.seed = 99;
-  return config;
-}
-
-SystemConfig autoscaled_system() {
-  SystemConfig config = e2c::exp::heterogeneous_classroom(2);
-  config.autoscaler.enabled = true;
-  config.autoscaler.interval = 4.0;
-  config.autoscaler.queue_high = 4;
-  config.autoscaler.queue_low = 1;
-  config.autoscaler.boot_delay = 1.5;
-  config.autoscaler.min_online = 1;
-  config.autoscaler.initially_offline = {2, 3};
-  return config;
-}
-
-struct Scenario {
-  const char* name;
-  SystemConfig (*make)();
-};
-
-constexpr Scenario kScenarios[] = {
-    {"plain", plain_system},
-    {"faults", faulty_system},
-    {"autoscaled", autoscaled_system},
-};
 
 // Golden digests captured from the seed implementation (std::map calendar,
 // eager string labels, vector batch queue). Keyed "scenario/policy".
@@ -191,7 +155,7 @@ const std::map<std::string, std::uint64_t>& golden_digests() {
 TEST(RunDigest, BitIdenticalAcrossAllPoliciesAndScenarios) {
   const bool print = std::getenv("E2C_PRINT_DIGESTS") != nullptr;
   const auto& golden = golden_digests();
-  for (const Scenario& scenario : kScenarios) {
+  for (const e2c::test::DigestScenario& scenario : e2c::test::kDigestScenarios) {
     for (const std::string& policy : e2c::sched::PolicyRegistry::instance().names()) {
       const std::string key = std::string(scenario.name) + "/" + policy;
       const std::uint64_t digest = run_digest(scenario.make(), e2c::sched::make_policy(policy));
@@ -210,8 +174,10 @@ TEST(RunDigest, BitIdenticalAcrossAllPoliciesAndScenarios) {
 // Same-process determinism: repeating a run must reproduce the digest exactly
 // (catches hidden global state, address-dependent ordering, map iteration).
 TEST(RunDigest, RepeatedRunsAreDeterministic) {
-  const std::uint64_t first = run_digest(faulty_system(), e2c::sched::make_policy("MM"));
-  const std::uint64_t second = run_digest(faulty_system(), e2c::sched::make_policy("MM"));
+  const std::uint64_t first =
+      run_digest(e2c::test::faulty_system(), e2c::sched::make_policy("MM"));
+  const std::uint64_t second =
+      run_digest(e2c::test::faulty_system(), e2c::sched::make_policy("MM"));
   EXPECT_EQ(first, second);
 }
 
@@ -242,12 +208,12 @@ const std::map<std::string, std::uint64_t>& deep_queue_goldens() {
 TEST(RunDigest, DeepQueueBatchGoldens) {
   const bool print = std::getenv("E2C_PRINT_DIGESTS") != nullptr;
   const auto& golden = deep_queue_goldens();
-  for (const std::size_t capacity : {std::size_t{1}, std::size_t{8}}) {
+  for (const std::size_t capacity : e2c::test::kDeepQueueCapacities) {
     for (const std::string& policy : e2c::sched::batch_policy_names()) {
       const std::string key = "deepq" + std::to_string(capacity) + "/" + policy;
-      const std::uint64_t digest =
-          run_digest(e2c::exp::heterogeneous_classroom(capacity),
-                     e2c::sched::make_policy(policy), /*rho=*/4.0, /*duration=*/60.0);
+      const std::uint64_t digest = run_digest(
+          e2c::exp::heterogeneous_classroom(capacity), e2c::sched::make_policy(policy),
+          e2c::test::kDeepQueueRho, e2c::test::kDeepQueueDuration);
       if (print) {
         printf("      {\"%s\", 0x%016llXull},\n", key.c_str(),
                static_cast<unsigned long long>(digest));
@@ -303,10 +269,10 @@ RunOutcome run_outcome(SystemConfig config, std::unique_ptr<e2c::sched::Policy> 
   for (std::size_t i = 0; i < state.size(); ++i) {
     outcome.tasks.push_back(TaskOutcome{state.status[i], state.machine[i],
                                         state.assignment_time[i], state.start_time[i],
-                                        state.completion_time[i], state.missed_time[i],
-                                        state.retries[i], state.useful_seconds[i],
+                                        state.completion_time(i), state.missed_time(i),
+                                        state.retries(i), state.useful_seconds[i],
                                         state.lost_seconds[i],
-                                        state.checkpoint_overhead_seconds[i],
+                                        state.checkpoint_overhead_seconds(i),
                                         state.machine_seconds[i]});
   }
   outcome.digest = digest_of(simulation);

@@ -110,7 +110,7 @@ FuzzScenario random_scenario(std::mt19937_64& rng) {
   for (std::size_t i = 0; i < task_count; ++i) {
     e2c::workload::TaskDef task;
     task.id = i + 1;
-    task.type = pick_task_type(rng);
+    task.type = static_cast<std::uint32_t>(pick_task_type(rng));
     task.arrival = static_cast<double>(i);
     // ~40% tight (often infeasible -> deferral paths), rest effectively open.
     task.deadline = percent(rng) < 40 ? static_cast<double>(tight_deadline(rng)) : 1e9;
@@ -178,7 +178,7 @@ FuzzScenario sparse_round(const e2c::hetero::EetMatrix& catalog, std::mt19937_64
   for (std::size_t i = 0; i < task_count; ++i) {
     e2c::workload::TaskDef task;
     task.id = i + 1;
-    task.type = hot[pick_hot(rng)];
+    task.type = static_cast<std::uint32_t>(hot[pick_hot(rng)]);
     task.arrival = static_cast<double>(i);
     task.deadline = percent(rng) < 80 ? static_cast<double>(tight_deadline(rng)) : 1e9;
     scenario.tasks.push_back(task);

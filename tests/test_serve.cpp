@@ -90,11 +90,38 @@ std::string temp_path(const std::string& stem) {
   return testing::TempDir() + stem;
 }
 
+/// A started service process. Unless the test reaped it, the destructor
+/// SIGKILLs and reaps it, so an assertion that ends a test early never leaves
+/// the service running with the test's socket path and stdout.
+class ServiceProcess {
+ public:
+  explicit ServiceProcess(pid_t pid) : pid_(pid) {}
+  ~ServiceProcess() {
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+  }
+  ServiceProcess(const ServiceProcess&) = delete;
+  ServiceProcess& operator=(const ServiceProcess&) = delete;
+
+  [[nodiscard]] pid_t pid() const { return pid_; }
+
+  /// waitpid() on the service; once it is reaped the destructor leaves it be.
+  pid_t reap(int* status) {
+    const pid_t reaped = ::waitpid(pid_, status, 0);
+    if (reaped == pid_) pid_ = -1;
+    return reaped;
+  }
+
+ private:
+  pid_t pid_;
+};
+
 /// fork+execs `e2c_experiment --serve SOCKET extra...`; the child inherits
 /// the caller's environment (ScopedEnv hooks reach the service's workers).
-pid_t start_service(const std::string& socket_path,
-                    const std::vector<std::string>& extra,
-                    const std::string& stdout_path = {}) {
+ServiceProcess start_service(const std::string& socket_path,
+                             const std::vector<std::string>& extra,
+                             const std::string& stdout_path = {}) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     if (!stdout_path.empty()) {
@@ -109,7 +136,7 @@ pid_t start_service(const std::string& socket_path,
     ::execv(E2C_EXPERIMENT_BIN, argv.data());
     ::_exit(98);  // exec failed
   }
-  return pid;
+  return ServiceProcess(pid);
 }
 
 /// A raw client connection to \p socket_path, or -1 when nothing accepts.
@@ -183,10 +210,11 @@ void wait_for_service(const std::string& socket_path) {
 }
 
 /// SIGTERMs the service and asserts the drain exits 0.
-void stop_service(pid_t pid) {
+void stop_service(ServiceProcess& service) {
+  const pid_t pid = service.pid();
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_EQ(service.reap(&status), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
@@ -268,7 +296,7 @@ TEST(Serve, TwoConcurrentClientsByteIdenticalToDirectRuns) {
   const std::string expected_b = csv_of(direct_run(text_b));
 
   const std::string socket_path = temp_path("serve_two.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "2"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "2"});
   wait_for_service(socket_path);
 
   // Two clients in flight at once: the pool interleaves both jobs' units.
@@ -312,7 +340,7 @@ TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
   const std::string text = config_text(7);
   const std::string expected = csv_of(direct_run(text));
   const std::string socket_path = temp_path("serve_oversize.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
   wait_for_service(socket_path);
 
   // A length prefix announcing ~4 GB and no payload. The supervisor must
@@ -327,7 +355,7 @@ TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
 
   // The service keeps serving, and never grew toward the announced size.
   EXPECT_EQ(csv_of(exp::submit_job(socket_path, text)), expected);
-  const std::size_t peak_kb = peak_rss_kb(service);
+  const std::size_t peak_kb = peak_rss_kb(service.pid());
   EXPECT_GT(peak_kb, 0u);
   EXPECT_LT(peak_kb, std::size_t{1} << 20) << "service VmHWM " << peak_kb << " kB";
 
@@ -340,15 +368,15 @@ TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
 TEST(Serve, SupervisorSleepsWhileEveryWorkerIsBusy) {
   const ScopedEnv delay("E2C_SERVE_TEST_UNIT_DELAY_MS", "200");
   const std::string socket_path = temp_path("serve_sleep.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
   wait_for_service(socket_path);
 
-  const double cpu_before = cpu_seconds_of(service);
+  const double cpu_before = cpu_seconds_of(service.pid());
   const auto start = std::chrono::steady_clock::now();
   const auto result = exp::submit_job(socket_path, config_text(7));
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  const double cpu = cpu_seconds_of(service) - cpu_before;
+  const double cpu = cpu_seconds_of(service.pid()) - cpu_before;
 
   EXPECT_EQ(result.health.completed_cells, 4u);
   EXPECT_GE(wall, 0.8);  // eight units, one after another
@@ -366,7 +394,7 @@ TEST(Serve, SilentConnectionsDoNotStallOtherClients) {
   const std::string text = config_text(7);
   const std::string expected = csv_of(direct_run(text));
   const std::string socket_path = temp_path("serve_silent.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
   wait_for_service(socket_path);
 
   const auto connected = std::chrono::steady_clock::now();
@@ -409,12 +437,12 @@ TEST(Serve, PendingConnectionFloodIsBoundedAndPromptSubmitsStillRun) {
   const std::string text = config_text(7);
   const std::string expected = csv_of(direct_run(text));
   const std::string socket_path = temp_path("serve_flood.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
   wait_for_service(socket_path);
   // One job first: once it is done the worker is up and every probe of
   // wait_for_service has been accepted and dropped.
   EXPECT_EQ(csv_of(exp::submit_job(socket_path, text)), expected);
-  const std::size_t baseline = fd_count(service);
+  const std::size_t baseline = fd_count(service.pid());
 
   constexpr std::size_t kExtra = 8;
   std::vector<int> flood;
@@ -435,7 +463,7 @@ TEST(Serve, PendingConnectionFloodIsBoundedAndPromptSubmitsStillRun) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_EQ(csv_of(result), expected);
   EXPECT_LT(seconds, 1.0) << "a submit during the flood took " << seconds << " s";
-  const std::size_t during = fd_count(service);
+  const std::size_t during = fd_count(service.pid());
   EXPECT_LE(during, baseline + exp::kMaxPendingClients)
       << "service holds " << during << " fds, " << baseline << " before the flood";
 
@@ -462,7 +490,7 @@ TEST(Serve, CrashedWorkerMidJobIsRequeuedAndClientGetsCompleteResult) {
   // mid-job. The supervisor must respawn, requeue, and finish the sweep.
   const ScopedEnv crash("E2C_SERVE_TEST_CRASH_UNIT", "1/0");
   const std::string socket_path = temp_path("serve_crash.sock");
-  const pid_t service = start_service(socket_path, {"--serve-workers", "2"});
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "2"});
   wait_for_service(socket_path);
 
   const auto result = exp::submit_job(socket_path, text);
@@ -484,7 +512,7 @@ TEST(Serve, RetriesExhaustedDegradesCellAndClientStillCompletes) {
   const ScopedEnv crash("E2C_SERVE_TEST_CRASH_ALWAYS", "1/0");
   const std::string socket_path = temp_path("serve_exhaust.sock");
   const std::string journal_prefix = temp_path("serve_exhaust_journal");
-  const pid_t service = start_service(
+  ServiceProcess service = start_service(
       socket_path,
       {"--serve-workers", "2", "--max-retries", "1", "--journal", journal_prefix});
   wait_for_service(socket_path);
@@ -532,7 +560,7 @@ TEST(Serve, BacklogOverflowIsBusyRejected) {
   // service long enough for a second submit to bounce.
   const ScopedEnv delay("E2C_SERVE_TEST_UNIT_DELAY_MS", "300");
   const std::string socket_path = temp_path("serve_busy.sock");
-  const pid_t service =
+  ServiceProcess service =
       start_service(socket_path, {"--serve-workers", "1", "--backlog", "1"});
   wait_for_service(socket_path);
 
@@ -569,7 +597,7 @@ TEST(Serve, SigtermDrainsInFlightJobsJournalsAndExitsZero) {
   const std::string socket_path = temp_path("serve_drain.sock");
   const std::string journal_prefix = temp_path("serve_drain_journal");
   const std::string stdout_path = temp_path("serve_drain_stdout.txt");
-  const pid_t service = start_service(
+  ServiceProcess service = start_service(
       socket_path, {"--serve-workers", "2", "--journal", journal_prefix},
       stdout_path);
   wait_for_service(socket_path);
@@ -587,7 +615,7 @@ TEST(Serve, SigtermDrainsInFlightJobsJournalsAndExitsZero) {
     }
   });
   ::usleep(250 * 1000);
-  ASSERT_EQ(::kill(service, SIGTERM), 0);
+  ASSERT_EQ(::kill(service.pid(), SIGTERM), 0);
 
   client.join();
   ASSERT_EQ(error, "") << "drain must finish admitted jobs, not abort them";
@@ -595,7 +623,8 @@ TEST(Serve, SigtermDrainsInFlightJobsJournalsAndExitsZero) {
   EXPECT_EQ(csv_of(result), csv_of(direct_run(text)));
 
   int status = 0;
-  ASSERT_EQ(::waitpid(service, &status, 0), service);
+  const pid_t pid = service.pid();
+  ASSERT_EQ(service.reap(&status), pid);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 
@@ -629,15 +658,16 @@ TEST(Serve, StaleSocketFileIsReplacedAndNonSocketRefused) {
   // replaced automatically...
   const std::string socket_path = temp_path("serve_stale.sock");
   {
-    const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+    ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
     wait_for_service(socket_path);
-    ASSERT_EQ(::kill(service, SIGKILL), 0);  // die without unlinking
+    ASSERT_EQ(::kill(service.pid(), SIGKILL), 0);  // die without unlinking
     int status = 0;
-    ASSERT_EQ(::waitpid(service, &status, 0), service);
+    const pid_t pid = service.pid();
+    ASSERT_EQ(service.reap(&status), pid);
   }
   ASSERT_EQ(::access(socket_path.c_str(), F_OK), 0) << "stale socket should linger";
   {
-    const pid_t service = start_service(socket_path, {"--serve-workers", "1"});
+    ServiceProcess service = start_service(socket_path, {"--serve-workers", "1"});
     wait_for_service(socket_path);
     const auto result = exp::submit_job(socket_path, config_text(7));
     EXPECT_EQ(result.health.completed_cells, 4u);

@@ -29,7 +29,7 @@ SystemConfig two_machine_system(std::size_t queue_capacity = 2) {
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;
@@ -43,7 +43,7 @@ TEST(Simulation, SingleTaskCompletes) {
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_EQ(state.machine[0], 0u);  // T1 fastest on m0
   EXPECT_DOUBLE_EQ(state.start_time[0], 1.0);
-  EXPECT_DOUBLE_EQ(state.completion_time[0], 5.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(0), 5.0);
   EXPECT_EQ(simulation.counters().completed, 1u);
   EXPECT_TRUE(simulation.finished());
 }
@@ -63,8 +63,8 @@ TEST(Simulation, TaskDroppedWhenDeadlinePassesMidRun) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kDropped);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 3.0);
-  EXPECT_FALSE(e2c::core::time_set(state.completion_time[0]));
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 3.0);
+  EXPECT_FALSE(e2c::core::time_set(state.completion_time(0)));
   EXPECT_EQ(simulation.counters().dropped, 1u);
   EXPECT_EQ(simulation.counters().completed, 0u);
 }
@@ -89,7 +89,7 @@ TEST(Simulation, DeadlineAtExactDispatchInstantCancels) {
   simulation.run();
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[2], TaskStatus::kCancelled);
-  EXPECT_DOUBLE_EQ(state.missed_time[2], 4.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(2), 4.0);
   EXPECT_EQ(state.machine[2], e2c::workload::kNoMachine);
   EXPECT_EQ(simulation.counters().cancelled, 1u);
   EXPECT_EQ(simulation.counters().completed, 2u);
@@ -112,7 +112,7 @@ TEST(Simulation, TaskCancelledWhenStuckInBatchQueue) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     if (state.status[i] == TaskStatus::kCancelled) {
       EXPECT_EQ(state.machine[i], e2c::workload::kNoMachine);
-      EXPECT_DOUBLE_EQ(state.missed_time[i], 4.5);
+      EXPECT_DOUBLE_EQ(state.missed_time(i), 4.5);
     }
   }
 }
@@ -126,7 +126,7 @@ TEST(Simulation, MissedTasksPanelOrderedByMissTime) {
   const auto missed = simulation.missed_tasks();
   ASSERT_EQ(missed.size(), 2u);
   const auto& state = simulation.task_state();
-  EXPECT_LE(state.missed_time[missed[0]], state.missed_time[missed[1]]);
+  EXPECT_LE(state.missed_time(missed[0]), state.missed_time(missed[1]));
 }
 
 TEST(Simulation, CountersAddUp) {
@@ -190,7 +190,7 @@ TEST(Simulation, DeterministicReplay) {
     std::vector<std::tuple<TaskStatus, std::uint32_t, double>> records;
     const auto& state = simulation.task_state();
     for (std::size_t i = 0; i < state.size(); ++i) {
-      records.emplace_back(state.status[i], state.machine[i], state.completion_time[i]);
+      records.emplace_back(state.status[i], state.machine[i], state.completion_time(i));
     }
     return records;
   };
@@ -326,13 +326,13 @@ TEST(Simulation, DeadlineDropOfRunningTaskRetriggersScheduler) {
 
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kDropped);
-  EXPECT_DOUBLE_EQ(state.missed_time[0], 2.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 2.0);
 
   // Pre-fix, B was stuck in the batch queue when the calendar drained.
   EXPECT_EQ(state.status[1], TaskStatus::kCompleted);
   ASSERT_TRUE(e2c::core::time_set(state.start_time[1]));
   EXPECT_DOUBLE_EQ(state.start_time[1], 2.0);  // dispatched at the drop
-  EXPECT_DOUBLE_EQ(state.completion_time[1], 6.0);
+  EXPECT_DOUBLE_EQ(state.completion_time(1), 6.0);
   EXPECT_TRUE(simulation.finished());
   EXPECT_TRUE(simulation.batch_queue_ids().empty());
 }

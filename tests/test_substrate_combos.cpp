@@ -130,7 +130,7 @@ TEST_P(SubstrateComboTest, RecordsConsistentUnderAllSubstrates) {
   for (std::size_t i = 0; i < state.size(); ++i) {
     switch (state.status[i]) {
       case TaskStatus::kCompleted:
-        EXPECT_LE(state.completion_time[i], state.deadline(i) + 1e-9);
+        EXPECT_LE(state.completion_time(i), state.deadline(i) + 1e-9);
         EXPECT_GE(state.start_time[i], state.arrival(i) - 1e-9);
         break;
       case TaskStatus::kCancelled:
@@ -138,7 +138,7 @@ TEST_P(SubstrateComboTest, RecordsConsistentUnderAllSubstrates) {
         break;
       case TaskStatus::kDropped:
         EXPECT_NE(state.machine[i], e2c::workload::kNoMachine);
-        EXPECT_NEAR(state.missed_time[i], state.deadline(i), 1e-9);
+        EXPECT_NEAR(state.missed_time(i), state.deadline(i), 1e-9);
         break;
       default:
         FAIL() << "non-terminal status after run";

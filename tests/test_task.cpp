@@ -52,8 +52,8 @@ TEST(TaskState, ColumnsStartAtSentinels) {
   EXPECT_EQ(state.status[0], TaskStatus::kPending);
   EXPECT_EQ(state.machine[0], e2c::workload::kNoMachine);
   EXPECT_FALSE(e2c::core::time_set(state.start_time[0]));
-  EXPECT_FALSE(e2c::core::time_set(state.completion_time[0]));
-  EXPECT_FALSE(e2c::core::time_set(state.missed_time[0]));
+  EXPECT_FALSE(e2c::core::time_set(state.completion_time(0)));
+  EXPECT_FALSE(e2c::core::time_set(state.missed_time(0)));
   EXPECT_FALSE(e2c::core::time_set(state.response_time(0)));
   EXPECT_FALSE(e2c::core::time_set(state.wait_time(0)));
   EXPECT_FALSE(state.finished(0));
@@ -64,8 +64,7 @@ TEST(TaskState, DerivedTimesAfterExecution) {
   TaskStateSoA state;
   state.adopt(two_tasks());
   state.start_time[0] = 5.0;
-  state.completion_time[0] = 9.0;
-  state.status[0] = TaskStatus::kCompleted;
+  state.finish(0, TaskStatus::kCompleted, 9.0);
   EXPECT_DOUBLE_EQ(state.wait_time(0), 3.0);      // 5 - arrival 2
   EXPECT_DOUBLE_EQ(state.response_time(0), 7.0);  // 9 - arrival 2
   EXPECT_TRUE(state.finished(0));

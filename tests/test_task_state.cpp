@@ -55,7 +55,7 @@ void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
-                    state.checkpoint_overhead_seconds[i],
+                    state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
         << e2c::workload::task_status_name(state.status[i]) << ")";
@@ -64,10 +64,12 @@ void expect_waste_invariant(const Simulation& simulation) {
 
 /// One randomized fault/recovery run: stochastic failures with a random
 /// MTBF/MTTR draw, a random policy, and (for checkpoint runs) random τ/C/R.
-std::unique_ptr<Simulation> run_randomized(std::uint64_t seed, RecoveryStrategy strategy) {
+/// With \p faults false the same draws run on a machine set that never fails.
+std::unique_ptr<Simulation> run_randomized(std::uint64_t seed, RecoveryStrategy strategy,
+                                           bool faults = true) {
   e2c::util::Rng rng(seed);
   SystemConfig system = e2c::exp::heterogeneous_classroom(2);
-  system.faults.enabled = true;
+  system.faults.enabled = faults;
   system.faults.mtbf = rng.uniform(6.0, 30.0);
   system.faults.mttr = rng.uniform(1.0, 4.0);
   system.faults.seed = seed * 7919 + 13;
@@ -88,7 +90,7 @@ std::unique_ptr<Simulation> run_randomized(std::uint64_t seed, RecoveryStrategy 
   for (std::size_t i = 0; i < count; ++i) {
     TaskDef task;
     task.id = i;
-    task.type = static_cast<std::size_t>(
+    task.type = static_cast<std::uint32_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(types) - 1));
     task.arrival = static_cast<double>(i) * rng.uniform(0.2, 0.8);
     task.deadline = task.arrival + rng.uniform(5.0, 40.0);
@@ -145,9 +147,19 @@ TEST(TaskStateEquivalence, ReplicatedCountersMatchStatusScan) {
   }
 }
 
+/// Both fault-only columns are unallocated, and every row reads 0 from them.
+void expect_no_fault_columns(const e2c::workload::TaskStateSoA& state) {
+  EXPECT_EQ(state.retry_capacity(), 0u);
+  EXPECT_EQ(state.checkpoint_overhead_capacity(), 0u);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    EXPECT_EQ(state.retries(i), 0u) << "task " << i;
+    EXPECT_EQ(state.checkpoint_overhead_seconds(i), 0.0) << "task " << i;
+  }
+}
+
 TEST(TaskStateLayout, CheckpointColumnsAreLazy) {
-  // bind() sizes only the dense columns; the checkpoint pair appears
-  // together, and only on request.
+  // bind() sizes only the dense columns; the checkpoint columns appear
+  // together, and only on request, as does the retries column.
   std::vector<TaskDef> trace(3);
   for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = i;
   e2c::workload::TaskStateSoA state;
@@ -157,27 +169,52 @@ TEST(TaskStateLayout, CheckpointColumnsAreLazy) {
   EXPECT_TRUE(state.completed_fraction.empty());
   EXPECT_TRUE(state.checkpoint_times.empty());
   EXPECT_FALSE(state.has_checkpoint_column());
+  expect_no_fault_columns(state);
 
   state.enable_checkpoint_column();
   EXPECT_TRUE(state.has_checkpoint_column());
   ASSERT_EQ(state.checkpoint_times.size(), 3u);
   ASSERT_EQ(state.completed_fraction.size(), 3u);
   for (double fraction : state.completed_fraction) EXPECT_EQ(fraction, 0.0);
+  EXPECT_GE(state.checkpoint_overhead_capacity(), 3u);
+  EXPECT_EQ(state.retry_capacity(), 0u);
+  state.add_checkpoint_overhead(1, 0.5);
+  EXPECT_EQ(state.checkpoint_overhead_seconds(1), 0.5);
+
+  state.enable_retry_column();
+  EXPECT_GE(state.retry_capacity(), 3u);
+  EXPECT_EQ(state.add_retry(2), 1u);
+  EXPECT_EQ(state.retries(2), 1u);
+  EXPECT_EQ(state.retries(0), 0u);
 
   state.reset();
   EXPECT_TRUE(state.completed_fraction.empty());
   EXPECT_FALSE(state.has_checkpoint_column());
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    EXPECT_EQ(state.retries(i), 0u);
+    EXPECT_EQ(state.checkpoint_overhead_seconds(i), 0.0);
+  }
 }
 
 TEST(TaskStateLayout, OnlyCheckpointRunsAllocateCheckpointColumns) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    // No faults, no checkpoints: neither fault-only column exists.
+    const auto plain = run_randomized(seed, RecoveryStrategy::kResubmit, /*faults=*/false);
+    EXPECT_FALSE(plain->task_state().has_checkpoint_column()) << "seed " << seed;
+    expect_no_fault_columns(plain->task_state());
+
+    // Faults without checkpoints: retries exist, checkpoint overhead does not.
     const auto resubmit = run_randomized(seed, RecoveryStrategy::kResubmit);
     EXPECT_TRUE(resubmit->task_state().completed_fraction.empty()) << "seed " << seed;
     EXPECT_FALSE(resubmit->task_state().has_checkpoint_column()) << "seed " << seed;
+    EXPECT_GE(resubmit->task_state().retry_capacity(), resubmit->task_state().size());
+    EXPECT_EQ(resubmit->task_state().checkpoint_overhead_capacity(), 0u) << "seed " << seed;
 
     const auto checkpoint = run_randomized(seed, RecoveryStrategy::kCheckpoint);
     const auto& state = checkpoint->task_state();
     ASSERT_EQ(state.completed_fraction.size(), state.size()) << "seed " << seed;
+    EXPECT_GE(state.retry_capacity(), state.size()) << "seed " << seed;
+    EXPECT_GE(state.checkpoint_overhead_capacity(), state.size()) << "seed " << seed;
     for (std::size_t i = 0; i < state.size(); ++i) {
       // A completed task's fraction is 1; any other never exceeds it.
       if (state.completed(i)) {

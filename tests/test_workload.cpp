@@ -23,7 +23,7 @@ EetMatrix sample_eet() {
 TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double deadline) {
   TaskDef task;
   task.id = id;
-  task.type = type;
+  task.type = static_cast<std::uint32_t>(type);
   task.arrival = arrival;
   task.deadline = deadline;
   return task;
