@@ -10,6 +10,7 @@
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
 #include "support/owned_queue.hpp"
+#include "support/schedule.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -70,7 +71,7 @@ void BM_PolicyDecision(benchmark::State& state, const char* policy_name) {
   }
   for (auto _ : state) {
     sched::SchedulingContext context(0.0, system.eet, machines, queue.index(), {});
-    benchmark::DoNotOptimize(policy->schedule(context));
+    benchmark::DoNotOptimize(test::schedule(*policy, context));
   }
 }
 BENCHMARK_CAPTURE(BM_PolicyDecision, fcfs, "FCFS");

@@ -1,6 +1,6 @@
 // Scheduler hot-path benchmark: batch-mapper throughput, fast vs reference.
 //
-// Part 1 drives Policy::schedule() directly on synthetic SchedulingContexts
+// Part 1 drives each mapper's schedule_into() on synthetic SchedulingContexts
 // at batch-queue depths 100 / 1k / 10k for every batch mapper that has a
 // full-rescan reference (MM, MMU, MSD, ELARE, FELARE; the references live in
 // tests/support), timing whole scheduler invocations and the mapping rounds
@@ -32,6 +32,7 @@
 #include "sched/simulation.hpp"
 #include "support/owned_queue.hpp"
 #include "support/reference_mappers.hpp"
+#include "support/schedule.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -42,6 +43,7 @@ using e2c::sched::Assignment;
 using e2c::sched::MachineView;
 using e2c::sched::Policy;
 using e2c::sched::SchedulingContext;
+using e2c::test::schedule;
 
 constexpr std::size_t kMachineCount = 12;
 constexpr std::size_t kSlotsPerMachine = 4;
@@ -144,7 +146,7 @@ ScheduleRow time_schedule(const std::string& name, const Impl& impl,
   const auto policy = impl.make(name);
   {  // warm-up: fault in scratch allocations outside the timed region
     SchedulingContext context = scenario.make_context();
-    (void)policy->schedule(context);
+    (void)schedule(*policy, context);
   }
 
   constexpr double kTargetSeconds = 0.25;
@@ -152,7 +154,7 @@ ScheduleRow time_schedule(const std::string& name, const Impl& impl,
   double elapsed = 0.0;
   while (elapsed < kTargetSeconds) {
     SchedulingContext context = scenario.make_context();
-    const std::vector<Assignment> assignments = policy->schedule(context);
+    const std::vector<Assignment> assignments = schedule(*policy, context);
     ++row.invocations;
     row.assignments += assignments.size();
     row.rounds += assignments.size() + 1;
@@ -172,8 +174,8 @@ void check_equivalence(const std::string& name, const BenchScenario& scenario) {
   const auto reference = kReference.make(name);
   SchedulingContext fast_context = scenario.make_context();
   SchedulingContext reference_context = scenario.make_context();
-  const auto got = fast->schedule(fast_context);
-  const auto want = reference->schedule(reference_context);
+  const auto got = schedule(*fast, fast_context);
+  const auto want = schedule(*reference, reference_context);
   bool same = got.size() == want.size();
   for (std::size_t k = 0; same && k < got.size(); ++k) {
     same = got[k].task == want[k].task && got[k].machine == want[k].machine;

@@ -12,12 +12,16 @@
 ///   e2c_run --eet data/eet_hetero.csv --generate medium --policy MM
 ///           --queue-size 2 --task-report out/tasks.csv --gantt out/run.svg
 ///   e2c_run --eet data/eet_hetero.csv --generate high --policy FCFS --live
+#include <algorithm>
+#include <array>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/scenario.hpp"
+#include "exp/spec_io.hpp"
 #include "exp/tenants.hpp"
 #include "fault/fault_model.hpp"
 #include "hetero/machine_catalog.hpp"
@@ -28,6 +32,7 @@
 #include "sched/simulation.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/ini.hpp"
 #include "util/string_util.hpp"
 #include "viz/ascii_view.hpp"
 #include "viz/controller.hpp"
@@ -68,29 +73,9 @@ struct Options {
   double link_latency = 0.0;
   // elasticity
   bool autoscale = false;
-  // fault injection
-  std::optional<double> mtbf;
-  double mttr = 5.0;
-  std::uint64_t fault_seed = 0xFA17FA17ULL;
-  std::optional<std::string> fault_trace;
-  std::size_t max_retries = 3;
-  double retry_backoff = 1.0;
-  double retry_backoff_factor = 2.0;
-  double retry_max_backoff = 300.0;
-  // recovery strategy (defaults must match fault::RecoveryConfig for the
-  // flags-without-fault-source guard below)
-  std::string recovery = "resubmit";
-  double checkpoint_interval = 0.0;
-  double checkpoint_cost = 0.5;
-  double restart_cost = 0.5;
-  std::size_t replicas = 2;
-  // shared checkpoint-I/O channel (defaults must match fault::IoConfig for
-  // the flags-without-channel guard below)
-  std::optional<double> io_bandwidth;
-  std::string io_strategy = "selfish";
-  double io_checkpoint_bytes = 0.0;
-  double io_restart_bytes = 0.0;
-  std::size_t io_writers = 1;
+  // fault injection, recovery strategy and shared checkpoint I/O, as the
+  // [faults]/[recovery]/[io] keys of an experiment config (see kConfigFlags)
+  e2c::util::IniFile fault_config;
   // multi-tenant workloads
   std::size_t tenants = 1;
 };
@@ -184,6 +169,42 @@ Exit codes:
 )";
 }
 
+/// A flag that sets one key of an experiment config. Its value is read,
+/// checked and reported by the same code as the config file's
+/// (exp::fault_config_from_ini), with the flag as the key's locator.
+struct ConfigFlag {
+  std::string_view flag;
+  std::string_view section;
+  std::string_view key;
+};
+
+constexpr std::array<ConfigFlag, 18> kConfigFlags{{
+    {"--mtbf", "faults", "mtbf"},
+    {"--mttr", "faults", "mttr"},
+    {"--fault-seed", "faults", "seed"},
+    {"--fault-trace", "faults", "trace"},
+    {"--max-retries", "faults", "max_retries"},
+    {"--retry-backoff", "faults", "backoff"},
+    {"--retry-backoff-factor", "faults", "backoff_factor"},
+    {"--retry-max-backoff", "faults", "max_backoff"},
+    {"--recovery", "recovery", "strategy"},
+    {"--checkpoint-interval", "recovery", "checkpoint_interval"},
+    {"--checkpoint-cost", "recovery", "checkpoint_cost"},
+    {"--restart-cost", "recovery", "restart_cost"},
+    {"--replicas", "recovery", "replicas"},
+    {"--io-bandwidth", "io", "bandwidth"},
+    {"--io-strategy", "io", "strategy"},
+    {"--io-ckpt-bytes", "io", "checkpoint_bytes"},
+    {"--io-restart-bytes", "io", "restart_bytes"},
+    {"--io-writers", "io", "max_writers"},
+}};
+
+const ConfigFlag* find_config_flag(const std::string& arg) {
+  const auto it = std::find_if(kConfigFlags.begin(), kConfigFlags.end(),
+                               [&](const ConfigFlag& entry) { return entry.flag == arg; });
+  return it == kConfigFlags.end() ? nullptr : &*it;
+}
+
 Options parse_args(const std::vector<std::string>& args) {
   Options options;
   const auto need_value = [&](std::size_t i, const std::string& flag) {
@@ -243,85 +264,8 @@ Options parse_args(const std::vector<std::string>& args) {
       const auto value = e2c::util::parse_double(need_value(i++, arg));
       e2c::require_input(value.has_value() && *value >= 0, "--latency needs a number >= 0");
       options.link_latency = *value;
-    } else if (arg == "--mtbf") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value > 0, "--mtbf needs a number > 0");
-      options.mtbf = *value;
-    } else if (arg == "--mttr") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value > 0, "--mttr needs a number > 0");
-      options.mttr = *value;
-    } else if (arg == "--fault-seed") {
-      const auto value = e2c::util::parse_int(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--fault-seed needs an integer >= 0");
-      options.fault_seed = static_cast<std::uint64_t>(*value);
-    } else if (arg == "--fault-trace") {
-      options.fault_trace = need_value(i++, arg);
-    } else if (arg == "--max-retries") {
-      const auto value = e2c::util::parse_int(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--max-retries needs an integer >= 0");
-      options.max_retries = static_cast<std::size_t>(*value);
-    } else if (arg == "--retry-backoff") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--retry-backoff needs a number >= 0");
-      options.retry_backoff = *value;
-    } else if (arg == "--retry-backoff-factor") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 1,
-                         "--retry-backoff-factor needs a number >= 1");
-      options.retry_backoff_factor = *value;
-    } else if (arg == "--retry-max-backoff") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value > 0,
-                         "--retry-max-backoff needs a number > 0");
-      options.retry_max_backoff = *value;
-    } else if (arg == "--recovery") {
-      options.recovery = need_value(i++, arg);
-    } else if (arg == "--checkpoint-interval") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--checkpoint-interval needs a number >= 0");
-      options.checkpoint_interval = *value;
-    } else if (arg == "--checkpoint-cost") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--checkpoint-cost needs a number >= 0");
-      options.checkpoint_cost = *value;
-    } else if (arg == "--restart-cost") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--restart-cost needs a number >= 0");
-      options.restart_cost = *value;
-    } else if (arg == "--replicas") {
-      const auto value = e2c::util::parse_int(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 1,
-                         "--replicas needs an integer >= 1");
-      options.replicas = static_cast<std::size_t>(*value);
-    } else if (arg == "--io-bandwidth") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value > 0,
-                         "--io-bandwidth needs a number > 0");
-      options.io_bandwidth = *value;
-    } else if (arg == "--io-strategy") {
-      options.io_strategy = need_value(i++, arg);
-    } else if (arg == "--io-ckpt-bytes") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--io-ckpt-bytes needs a number >= 0");
-      options.io_checkpoint_bytes = *value;
-    } else if (arg == "--io-restart-bytes") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--io-restart-bytes needs a number >= 0");
-      options.io_restart_bytes = *value;
-    } else if (arg == "--io-writers") {
-      const auto value = e2c::util::parse_int(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 1,
-                         "--io-writers needs an integer >= 1");
-      options.io_writers = static_cast<std::size_t>(*value);
+    } else if (const ConfigFlag* flag = find_config_flag(arg)) {
+      options.fault_config.add(flag->section, flag->key, need_value(i++, arg), arg);
     } else if (arg == "--tenants") {
       const auto value = e2c::util::parse_int(need_value(i++, arg));
       e2c::require_input(value.has_value() && *value >= 1,
@@ -388,52 +332,30 @@ int run(const Options& options) {
     std::cout << "communication model: " << *options.payload_mb << " MB/task at "
               << options.bandwidth << " MB/s\n";
   }
-  if (options.mtbf || options.fault_trace) {
-    require_input(!(options.mtbf && options.fault_trace),
-                  "--mtbf and --fault-trace are mutually exclusive");
-    system.faults.enabled = true;
-    if (options.fault_trace) {
-      system.faults.mode = fault::FaultMode::kTrace;
-      system.faults.trace = fault::load_fault_trace_csv(*options.fault_trace);
-      std::cout << "fault injection: trace " << *options.fault_trace << " ("
-                << system.faults.trace.size() << " spans)\n";
+  const util::IniFile& config = options.fault_config;
+  // Section presence alone enables faults with a default mtbf, so a flag
+  // must not start injecting failures without a fault source.
+  require_input(config.sections().empty() || config.get("faults", "mtbf") ||
+                    config.get("faults", "trace"),
+                "retry/fault/recovery/io flags need --mtbf or --fault-trace");
+  require_input(!config.has_section("io") || config.get("io", "bandwidth"),
+                "--io-strategy/--io-ckpt-bytes/--io-restart-bytes/--io-writers "
+                "need --io-bandwidth");
+  // The reader rejects an inconsistent combination (exit 2), e.g. auto-τ with
+  // a fault trace or more replicas than machines, before anything is built.
+  system.faults = exp::fault_config_from_ini(config, system.machines.size());
+  if (system.faults.enabled) {
+    const fault::FaultConfig& faults = system.faults;
+    const fault::RecoveryConfig& recovery = faults.recovery;
+    if (faults.mode == fault::FaultMode::kTrace) {
+      std::cout << "fault injection: trace " << *config.get("faults", "trace") << " ("
+                << faults.trace.size() << " spans)\n";
     } else {
-      system.faults.mtbf = *options.mtbf;
-      system.faults.mttr = options.mttr;
-      system.faults.seed = options.fault_seed;
-      std::cout << "fault injection: mtbf=" << *options.mtbf
-                << "s mttr=" << options.mttr << "s seed=" << options.fault_seed << "\n";
+      std::cout << "fault injection: mtbf=" << faults.mtbf << "s mttr=" << faults.mttr
+                << "s seed=" << faults.seed << "\n";
     }
-    system.faults.retry.max_retries = options.max_retries;
-    system.faults.retry.backoff_base = options.retry_backoff;
-    system.faults.retry.backoff_factor = options.retry_backoff_factor;
-    system.faults.retry.max_backoff = options.retry_max_backoff;
-    fault::RecoveryConfig& recovery = system.faults.recovery;
-    recovery.strategy = fault::parse_recovery_strategy(options.recovery);
-    recovery.checkpoint_interval = options.checkpoint_interval;
-    recovery.checkpoint_cost = options.checkpoint_cost;
-    recovery.restart_cost = options.restart_cost;
-    recovery.replicas = options.replicas;
-    if (options.io_bandwidth) {
-      fault::IoConfig& io = system.faults.io;
-      io.enabled = true;
-      io.bandwidth = *options.io_bandwidth;
-      io.checkpoint_bytes = options.io_checkpoint_bytes;
-      io.restart_bytes = options.io_restart_bytes;
-      io.strategy = fault::parse_io_strategy(options.io_strategy);
-      io.max_writers = options.io_writers;
-    } else {
-      require_input(options.io_strategy == "selfish" &&
-                        options.io_checkpoint_bytes == 0.0 &&
-                        options.io_restart_bytes == 0.0 && options.io_writers == 1,
-                    "--io-strategy/--io-ckpt-bytes/--io-restart-bytes/--io-writers "
-                    "need --io-bandwidth");
-    }
-    // Fail fast (exit 2) on an inconsistent combination — e.g. auto-τ with a
-    // fault trace, or more replicas than machines — before building anything.
-    system.faults.validate(system.machines.size());
-    if (system.faults.io.enabled) {
-      const fault::IoConfig& io = system.faults.io;
+    if (faults.io.enabled) {
+      const fault::IoConfig& io = faults.io;
       std::cout << "io channel: bandwidth=" << io.bandwidth << " B/s strategy="
                 << fault::io_strategy_name(io.strategy);
       if (io.strategy == fault::IoStrategy::kCooperative) {
@@ -445,30 +367,17 @@ int run(const Options& options) {
     }
     if (recovery.strategy == fault::RecoveryStrategy::kCheckpoint) {
       std::cout << "recovery: checkpoint interval=";
-      if (options.checkpoint_interval > 0.0) {
-        std::cout << options.checkpoint_interval << "s (fixed)";
+      if (recovery.checkpoint_interval > 0.0) {
+        std::cout << recovery.checkpoint_interval << "s (fixed)";
       } else {
-        std::cout << util::format_fixed(system.faults.effective_checkpoint_interval(), 2)
+        std::cout << util::format_fixed(faults.effective_checkpoint_interval(), 2)
                   << "s (Young/Daly)";
       }
-      std::cout << " cost=" << options.checkpoint_cost
-                << "s restart=" << options.restart_cost << "s\n";
+      std::cout << " cost=" << recovery.checkpoint_cost
+                << "s restart=" << recovery.restart_cost << "s\n";
     } else if (recovery.strategy == fault::RecoveryStrategy::kReplicate) {
-      std::cout << "recovery: replicate k=" << options.replicas << "\n";
+      std::cout << "recovery: replicate k=" << recovery.replicas << "\n";
     }
-  } else {
-    require_input(options.max_retries == 3 && options.retry_backoff == 1.0 &&
-                      options.retry_backoff_factor == 2.0 &&
-                      options.retry_max_backoff == 300.0 &&
-                      options.fault_seed == 0xFA17FA17ULL &&
-                      options.recovery == "resubmit" &&
-                      options.checkpoint_interval == 0.0 &&
-                      options.checkpoint_cost == 0.5 && options.restart_cost == 0.5 &&
-                      options.replicas == 2 && !options.io_bandwidth &&
-                      options.io_strategy == "selfish" &&
-                      options.io_checkpoint_bytes == 0.0 &&
-                      options.io_restart_bytes == 0.0 && options.io_writers == 1,
-                  "retry/fault/recovery/io flags need --mtbf or --fault-trace");
   }
   if (options.autoscale) {
     system.autoscaler.enabled = true;

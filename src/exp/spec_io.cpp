@@ -1,5 +1,9 @@
 #include "exp/spec_io.hpp"
 
+#include <optional>
+#include <string>
+#include <type_traits>
+
 #include "exp/scenario.hpp"
 #include "fault/fault_model.hpp"
 #include "util/csv.hpp"
@@ -31,6 +35,31 @@ bool parse_flag(const std::string& value, const std::string& what) {
                    "'");
 }
 
+/// section.key when present, as a double (T = double) or an integer
+/// (T = long long). A value below \p min, or equal to it when \p strict,
+/// is rejected with the key's where() locator; \p note follows the bound in
+/// the message. Checking here reports a typo when the config loads, not
+/// replications later mid-sweep (FaultConfig::validate stays as the
+/// programmatic backstop).
+template <typename T>
+std::optional<T> get_bounded(const util::IniFile& ini, const std::string& section,
+                             const std::string& key, T min, bool strict = false,
+                             const char* note = "") {
+  std::optional<T> value;
+  if constexpr (std::is_same_v<T, double>) {
+    value = ini.get_double(section, key);
+  } else {
+    value = ini.get_int(section, key);
+  }
+  // Written as "in range" so a NaN fails it.
+  if (value && !(strict ? *value > min : *value >= min)) {
+    throw InputError("experiment config: " + section + "." + key + " must be " +
+                     (strict ? "> " : ">= ") + std::to_string(static_cast<long long>(min)) +
+                     note + " (" + ini.where(section, key) + ")");
+  }
+  return value;
+}
+
 void faults_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
   if (!ini.has_section("faults")) return;
   faults.enabled = true;
@@ -38,45 +67,31 @@ void faults_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
     faults.enabled = parse_flag(*enabled, "faults.enabled");
   }
   if (const auto trace = ini.get("faults", "trace")) {
+    require_input(!ini.get("faults", "mtbf"),
+                  "experiment config: faults.mtbf and faults.trace are mutually "
+                  "exclusive: failures are either stochastic or trace-driven (" +
+                      ini.where("faults", "mtbf") + ", " + ini.where("faults", "trace") +
+                      ")");
     faults.mode = fault::FaultMode::kTrace;
     faults.trace = fault::load_fault_trace_csv(*trace);
   }
-  // Value checks happen here, with the defining line in the message, so a
-  // typo is reported when the config loads — not replications later
-  // mid-sweep (FaultConfig::validate stays as the programmatic backstop).
-  if (const auto mtbf = ini.get_double("faults", "mtbf")) {
-    require_input(*mtbf > 0.0, "experiment config: faults.mtbf must be > 0 (" +
-                                   ini.where("faults", "mtbf") + ")");
-    faults.mtbf = *mtbf;
-  }
-  if (const auto mttr = ini.get_double("faults", "mttr")) {
-    require_input(*mttr > 0.0, "experiment config: faults.mttr must be > 0 (" +
-                                   ini.where("faults", "mttr") + ")");
-    faults.mttr = *mttr;
-  }
-  if (const auto seed = ini.get_int("faults", "seed")) {
+  if (const auto mtbf = get_bounded(ini, "faults", "mtbf", 0.0, true)) faults.mtbf = *mtbf;
+  if (const auto mttr = get_bounded(ini, "faults", "mttr", 0.0, true)) faults.mttr = *mttr;
+  if (const auto seed = get_bounded(ini, "faults", "seed", 0LL)) {
     faults.seed = static_cast<std::uint64_t>(*seed);
   }
-  if (const auto retries = ini.get_int("faults", "max_retries")) {
-    require_input(*retries >= 0, "experiment config: faults.max_retries must be >= 0 (" +
-                                     ini.where("faults", "max_retries") + ")");
-    faults.retry.max_retries = static_cast<std::size_t>(*retries);
+  fault::RetryPolicy& retry = faults.retry;
+  if (const auto retries = get_bounded(ini, "faults", "max_retries", 0LL)) {
+    retry.max_retries = static_cast<std::size_t>(*retries);
   }
-  if (const auto backoff = ini.get_double("faults", "backoff")) {
-    require_input(*backoff >= 0.0, "experiment config: faults.backoff must be >= 0 (" +
-                                       ini.where("faults", "backoff") + ")");
-    faults.retry.backoff_base = *backoff;
+  if (const auto backoff = get_bounded(ini, "faults", "backoff", 0.0)) {
+    retry.backoff_base = *backoff;
   }
-  if (const auto factor = ini.get_double("faults", "backoff_factor")) {
-    require_input(*factor >= 1.0,
-                  "experiment config: faults.backoff_factor must be >= 1 (" +
-                      ini.where("faults", "backoff_factor") + ")");
-    faults.retry.backoff_factor = *factor;
+  if (const auto factor = get_bounded(ini, "faults", "backoff_factor", 1.0)) {
+    retry.backoff_factor = *factor;
   }
-  if (const auto cap = ini.get_double("faults", "max_backoff")) {
-    require_input(*cap > 0.0, "experiment config: faults.max_backoff must be > 0 (" +
-                                  ini.where("faults", "max_backoff") + ")");
-    faults.retry.max_backoff = *cap;
+  if (const auto cap = get_bounded(ini, "faults", "max_backoff", 0.0, true)) {
+    retry.max_backoff = *cap;
   }
 }
 
@@ -90,28 +105,17 @@ void recovery_from_ini(const util::IniFile& ini, fault::FaultConfig& faults,
   if (const auto strategy = ini.get("recovery", "strategy")) {
     recovery.strategy = fault::parse_recovery_strategy(*strategy);
   }
-  if (const auto interval = ini.get_double("recovery", "checkpoint_interval")) {
-    require_input(*interval >= 0.0,
-                  "experiment config: recovery.checkpoint_interval must be >= 0, 0 "
-                  "derives the Young/Daly optimum (" +
-                      ini.where("recovery", "checkpoint_interval") + ")");
+  if (const auto interval = get_bounded(ini, "recovery", "checkpoint_interval", 0.0, false,
+                                        ", 0 derives the Young/Daly optimum")) {
     recovery.checkpoint_interval = *interval;
   }
-  if (const auto cost = ini.get_double("recovery", "checkpoint_cost")) {
-    require_input(*cost >= 0.0,
-                  "experiment config: recovery.checkpoint_cost must be >= 0 (" +
-                      ini.where("recovery", "checkpoint_cost") + ")");
+  if (const auto cost = get_bounded(ini, "recovery", "checkpoint_cost", 0.0)) {
     recovery.checkpoint_cost = *cost;
   }
-  if (const auto cost = ini.get_double("recovery", "restart_cost")) {
-    require_input(*cost >= 0.0,
-                  "experiment config: recovery.restart_cost must be >= 0 (" +
-                      ini.where("recovery", "restart_cost") + ")");
+  if (const auto cost = get_bounded(ini, "recovery", "restart_cost", 0.0)) {
     recovery.restart_cost = *cost;
   }
-  if (const auto replicas = ini.get_int("recovery", "replicas")) {
-    require_input(*replicas >= 1, "experiment config: recovery.replicas must be >= 1 (" +
-                                      ini.where("recovery", "replicas") + ")");
+  if (const auto replicas = get_bounded(ini, "recovery", "replicas", 1LL)) {
     require_input(static_cast<std::size_t>(*replicas) <= machine_count,
                   "experiment config: recovery.replicas (" + std::to_string(*replicas) +
                       ") exceed the machine count (" + std::to_string(machine_count) +
@@ -129,45 +133,51 @@ void io_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
                 "traffic only");
   fault::IoConfig& io = faults.io;
   io.enabled = true;
-  const auto bandwidth = ini.get_double("io", "bandwidth");
+  const auto bandwidth = get_bounded(ini, "io", "bandwidth", 0.0, true);
   require_input(bandwidth.has_value(),
                 "experiment config: io.bandwidth is required (bytes/second of the "
                 "shared checkpoint channel)");
-  require_input(*bandwidth > 0.0, "experiment config: io.bandwidth must be > 0 (" +
-                                      ini.where("io", "bandwidth") + ")");
   io.bandwidth = *bandwidth;
-  if (const auto bytes = ini.get_double("io", "checkpoint_bytes")) {
-    require_input(*bytes >= 0.0,
-                  "experiment config: io.checkpoint_bytes must be >= 0, 0 derives "
-                  "checkpoint_cost x bandwidth (" +
-                      ini.where("io", "checkpoint_bytes") + ")");
+  if (const auto bytes = get_bounded(ini, "io", "checkpoint_bytes", 0.0, false,
+                                     ", 0 derives checkpoint_cost x bandwidth")) {
     io.checkpoint_bytes = *bytes;
   }
-  if (const auto bytes = ini.get_double("io", "restart_bytes")) {
-    require_input(*bytes >= 0.0,
-                  "experiment config: io.restart_bytes must be >= 0, 0 derives "
-                  "restart_cost x bandwidth (" +
-                      ini.where("io", "restart_bytes") + ")");
+  if (const auto bytes = get_bounded(ini, "io", "restart_bytes", 0.0, false,
+                                     ", 0 derives restart_cost x bandwidth")) {
     io.restart_bytes = *bytes;
   }
   if (const auto strategy = ini.get("io", "strategy")) {
     io.strategy = fault::parse_io_strategy(*strategy);
   }
-  if (const auto writers = ini.get_int("io", "max_writers")) {
-    require_input(*writers >= 1, "experiment config: io.max_writers must be >= 1 (" +
-                                     ini.where("io", "max_writers") + ")");
+  if (const auto writers = get_bounded(ini, "io", "max_writers", 1LL)) {
     io.max_writers = static_cast<std::size_t>(*writers);
   }
 }
 
 }  // namespace
 
+fault::FaultConfig fault_config_from_ini(const util::IniFile& ini,
+                                         std::size_t machine_count) {
+  fault::FaultConfig faults;
+  // [faults] — presence of the section enables fault injection unless
+  // `enabled = false` opts out explicitly.
+  faults_from_ini(ini, faults);
+  // [recovery] — checkpoint/replicate parameters; needs [faults] to matter.
+  recovery_from_ini(ini, faults, machine_count);
+  // [io] — shared checkpoint-I/O channel; needs [recovery]'s checkpoint
+  // strategy (FaultConfig::validate enforces the combination).
+  io_from_ini(ini, faults);
+  faults.validate(machine_count);
+  return faults;
+}
+
 ExperimentSpec spec_from_ini(const util::IniFile& ini) {
   ExperimentSpec spec;
 
   // [system]
   const std::string scenario = ini.get_or("system", "scenario", "heterogeneous");
-  const auto queue_size = ini.get_int("system", "queue_size");
+  const auto queue_size =
+      get_bounded(ini, "system", "queue_size", 0LL, false, ", 0 = unbounded");
   const std::size_t queue =
       queue_size ? static_cast<std::size_t>(*queue_size) : std::size_t{2};
   if (const auto eet_path = ini.get("system", "eet")) {
@@ -182,16 +192,8 @@ ExperimentSpec spec_from_ini(const util::IniFile& ini) {
                      "' (heterogeneous | homogeneous | eet = file.csv)");
   }
 
-  // [faults] — presence of the section enables fault injection unless
-  // `enabled = false` opts out explicitly. Validate here so a bad value is
-  // reported when the config loads, not replications later mid-sweep.
-  faults_from_ini(ini, spec.system.faults);
-  // [recovery] — checkpoint/replicate parameters; needs [faults] to matter.
-  recovery_from_ini(ini, spec.system.faults, spec.system.machines.size());
-  // [io] — shared checkpoint-I/O channel; needs [recovery]'s checkpoint
-  // strategy (FaultConfig::validate enforces the combination).
-  io_from_ini(ini, spec.system.faults);
-  spec.system.faults.validate(spec.system.machines.size());
+  // [faults], [recovery], [io]
+  spec.system.faults = fault_config_from_ini(ini, spec.system.machines.size());
 
   // [sweep]
   spec.policies = ini.get_list("sweep", "policies");
@@ -202,15 +204,13 @@ ExperimentSpec spec_from_ini(const util::IniFile& ini) {
   for (const std::string& name : intensities) {
     spec.intensities.push_back(parse_intensity(name));
   }
-  if (const auto reps = ini.get_int("sweep", "replications")) {
-    require_input(*reps > 0, "experiment config: replications must be > 0");
+  if (const auto reps = get_bounded(ini, "sweep", "replications", 1LL)) {
     spec.replications = static_cast<std::size_t>(*reps);
   }
-  if (const auto duration = ini.get_double("sweep", "duration")) {
-    require_input(*duration > 0, "experiment config: duration must be > 0");
+  if (const auto duration = get_bounded(ini, "sweep", "duration", 0.0, true)) {
     spec.duration = *duration;
   }
-  if (const auto seed = ini.get_int("sweep", "seed")) {
+  if (const auto seed = get_bounded(ini, "sweep", "seed", 0LL)) {
     spec.base_seed = static_cast<std::uint64_t>(*seed);
   }
   if (const auto arrival = ini.get("sweep", "arrival")) {

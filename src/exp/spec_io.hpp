@@ -12,7 +12,8 @@
 ///   mtbf = 100                    ; mean time between failures (s)
 ///   mttr = 5                      ; mean time to repair (s)
 ///   seed = 4199266839             ; master seed for the failure processes
-///   trace = faults.csv            ; optional: trace-driven instead of stochastic
+///   ; trace = faults.csv          ; trace-driven failures instead of mtbf; the
+///                                 ; two keys are mutually exclusive
 ///   max_retries = 3               ; retries per aborted task
 ///   backoff = 1.0                 ; seconds before the first retry
 ///   backoff_factor = 2.0          ; backoff multiplier per retry
@@ -49,10 +50,12 @@
 ///   chart_svg = results.svg       ; optional
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
 #include "exp/experiment.hpp"
+#include "fault/fault_model.hpp"
 #include "util/ini.hpp"
 
 namespace e2c::exp {
@@ -68,6 +71,14 @@ struct ExperimentOutputs {
 /// missing/invalid fields (unknown scenario, unknown policy names are caught
 /// later by run_experiment).
 [[nodiscard]] ExperimentSpec spec_from_ini(const util::IniFile& ini);
+
+/// Reads [faults], [recovery] and [io] into a FaultConfig and validates it
+/// for \p machine_count machines. Throws e2c::InputError naming the
+/// offending key's where() locator. This is the only reader of these
+/// settings: spec_from_ini calls it, and e2c_run maps its flags onto the
+/// same keys with IniFile::add.
+[[nodiscard]] fault::FaultConfig fault_config_from_ini(const util::IniFile& ini,
+                                                       std::size_t machine_count);
 
 /// Reads the [output] section.
 [[nodiscard]] ExperimentOutputs outputs_from_ini(const util::IniFile& ini);

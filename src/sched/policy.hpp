@@ -208,16 +208,9 @@ class Policy {
   ///
   /// The out-parameter is the hot-path form: the simulation lends the same
   /// scratch vector to every invocation, so a steady-state scheduler round
-  /// never touches the allocator. The by-value schedule() wrapper below is
-  /// the convenience form for tests and tools.
+  /// never touches the allocator. Tests and benches use the by-value form
+  /// test::schedule(policy, context) in tests/support/schedule.hpp.
   virtual void schedule_into(SchedulingContext& context, std::vector<Assignment>& out) = 0;
-
-  /// Convenience wrapper over schedule_into returning a fresh vector.
-  [[nodiscard]] std::vector<Assignment> schedule(SchedulingContext& context) {
-    std::vector<Assignment> out;
-    schedule_into(context, out);
-    return out;
-  }
 };
 
 /// Shared helper: index of the machine view minimizing completion time for

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -42,12 +43,28 @@ IniFile IniFile::parse(const std::string& text, const std::string& source) {
     const auto eq = line.find('=');
     require_input(eq != std::string::npos,
                   "INI line " + std::to_string(line_number) + ": expected key = value");
-    const std::string key = to_lower(trim(std::string_view(line).substr(0, eq)));
-    const std::string value{trim(std::string_view(line).substr(eq + 1))};
+    std::string key = to_lower(trim(std::string_view(line).substr(0, eq)));
+    std::string value{trim(std::string_view(line).substr(eq + 1))};
     require_input(!key.empty(), "INI line " + std::to_string(line_number) + ": empty key");
-    ini.entries_.push_back(Entry{section, key, value, line_number});
+    ini.append(Entry{section, std::move(key), std::move(value), line_number, {}});
   }
   return ini;
+}
+
+void IniFile::add(std::string_view section, std::string_view key, std::string value,
+                  std::string locator) {
+  append(Entry{to_lower(section), to_lower(key), std::move(value), 0, std::move(locator)});
+}
+
+void IniFile::append(Entry entry) {
+  // Keys above the first header belong to the unnamed section, which
+  // sections() does not list.
+  if (!entry.section.empty() &&
+      std::find(section_order_.begin(), section_order_.end(), entry.section) ==
+          section_order_.end()) {
+    section_order_.push_back(entry.section);
+  }
+  entries_.push_back(std::move(entry));
 }
 
 IniFile IniFile::load(const std::string& path) {
@@ -64,6 +81,7 @@ std::string IniFile::where(const std::string& section, const std::string& key) c
   // The last assignment wins in get(), so locate that one.
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     if (it->section == s && it->key == k) {
+      if (!it->locator.empty()) return it->locator;
       if (source_.empty()) return "line " + std::to_string(it->line);
       return source_ + ":" + std::to_string(it->line);
     }
@@ -93,8 +111,10 @@ std::optional<double> IniFile::get_double(const std::string& section,
   const auto value = get(section, key);
   if (!value) return std::nullopt;
   const auto parsed = parse_double(*value);
-  require_input(parsed.has_value(),
-                "INI: " + section + "." + key + " is not a number: '" + *value + "'");
+  if (!parsed) {
+    throw InputError("INI: " + section + "." + key + " is not a number: '" + *value + "' (" +
+                     where(section, key) + ")");
+  }
   return parsed;
 }
 
@@ -103,8 +123,10 @@ std::optional<long long> IniFile::get_int(const std::string& section,
   const auto value = get(section, key);
   if (!value) return std::nullopt;
   const auto parsed = parse_int(*value);
-  require_input(parsed.has_value(),
-                "INI: " + section + "." + key + " is not an integer: '" + *value + "'");
+  if (!parsed) {
+    throw InputError("INI: " + section + "." + key + " is not an integer: '" + *value +
+                     "' (" + where(section, key) + ")");
+  }
   return parsed;
 }
 

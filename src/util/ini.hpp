@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace e2c::util {
@@ -26,6 +27,14 @@ class IniFile {
   /// Reads and parses a file. Throws e2c::IoError / e2c::InputError.
   [[nodiscard]] static IniFile load(const std::string& path);
 
+  /// Appends section.key = \p value as if it were the document's next line,
+  /// so it overrides any earlier assignment, and creates the section if it
+  /// is new. The value is stored verbatim (no comment stripping or
+  /// trimming), and where() reports \p locator for it: e.g. the
+  /// command-line flag that supplied the value.
+  void add(std::string_view section, std::string_view key, std::string value,
+           std::string locator);
+
   /// Value of section.key, if present (case-insensitive lookup).
   [[nodiscard]] std::optional<std::string> get(const std::string& section,
                                                const std::string& key) const;
@@ -34,7 +43,8 @@ class IniFile {
   [[nodiscard]] std::string get_or(const std::string& section, const std::string& key,
                                    const std::string& fallback) const;
 
-  /// Numeric accessors; throw e2c::InputError when present but malformed.
+  /// Numeric accessors; throw e2c::InputError, citing where(), when present
+  /// but malformed.
   [[nodiscard]] std::optional<double> get_double(const std::string& section,
                                                  const std::string& key) const;
   [[nodiscard]] std::optional<long long> get_int(const std::string& section,
@@ -45,9 +55,10 @@ class IniFile {
                                                   const std::string& key) const;
 
   /// Human-readable locator of section.key's defining line (the last
-  /// assignment, which is the one get() returns): "path:N" when the file was
-  /// loaded from disk, "line N" for in-memory text, or "section.key" when
-  /// the pair does not exist. For validation error messages.
+  /// assignment, which is the one get() returns): the locator given to
+  /// add(), "path:N" when the file was loaded from disk, "line N" for
+  /// in-memory text, or "section.key" when the pair does not exist. For
+  /// validation error messages.
   [[nodiscard]] std::string where(const std::string& section,
                                   const std::string& key) const;
 
@@ -63,7 +74,9 @@ class IniFile {
     std::string key;
     std::string value;
     std::size_t line = 0;
+    std::string locator;  ///< where() text; empty means format the line
   };
+  void append(Entry entry);
   std::vector<Entry> entries_;
   std::vector<std::string> section_order_;
   std::string source_;  ///< display name for where(); empty for in-memory text

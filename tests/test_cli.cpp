@@ -174,6 +174,42 @@ TEST(Cli, RetryFlagsWithoutFaultSourceRejected) {
                                   " --generate low --policy FCFS --max-retries 5");
   EXPECT_EQ(result.exit_code, 2);
   EXPECT_NE(result.output.find("--mtbf or --fault-trace"), std::string::npos);
+  // A flag set to its default value is still a flag without a fault source.
+  const auto at_default = run_command("--eet " + data("eet_homogeneous.csv") +
+                                      " --generate low --policy FCFS --max-retries 3");
+  EXPECT_EQ(at_default.exit_code, 2);
+  EXPECT_NE(at_default.output.find("--mtbf or --fault-trace"), std::string::npos);
+}
+
+TEST(Cli, FaultFlagErrorsNameTheFlag) {
+  const auto malformed = run_command("--eet " + data("eet_homogeneous.csv") +
+                                     " --generate low --policy FCFS --mtbf abc");
+  EXPECT_EQ(malformed.exit_code, 2);
+  EXPECT_NE(malformed.output.find("not a number: 'abc' (--mtbf)"), std::string::npos)
+      << malformed.output;
+  const auto both = run_command("--eet " + data("eet_homogeneous.csv") +
+                                " --generate low --policy FCFS --mtbf 50 --fault-trace " +
+                                data("missing_trace.csv"));
+  EXPECT_EQ(both.exit_code, 2);
+  EXPECT_NE(both.output.find("mutually exclusive"), std::string::npos) << both.output;
+  EXPECT_NE(both.output.find("(--mtbf, --fault-trace)"), std::string::npos) << both.output;
+}
+
+TEST(Cli, FaultTracePathReachesTheLoaderIntact) {
+  // ';' and '#' would start a comment in INI text; a flag value is no INI text.
+  const std::string trace = testing::TempDir() + "/e2c_cli_trace;1#a.csv";
+  {
+    std::ofstream out(trace);
+    out << "machine,fail_time,repair_time\n0,10,20\n1,15,40\n";
+  }
+  const auto result = run_command("--eet " + data("eet_heterogeneous.csv") +
+                                  " --generate low --policy MM --fault-trace '" + trace +
+                                  "'");
+  std::remove(trace.c_str());
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("fault injection: trace " + trace + " (2 spans)"),
+            std::string::npos)
+      << result.output;
 }
 
 TEST(Cli, UnknownPolicySuggestsNearestMatch) {
@@ -415,6 +451,20 @@ TEST(ExperimentCli, NonPositiveBacklogRejectedWithLocator) {
     EXPECT_NE(result.output.find("--backlog must be"), std::string::npos) << bad;
     EXPECT_NE(result.output.find("(--backlog)"), std::string::npos) << bad;
   }
+}
+
+TEST(ExperimentCli, NegativeQueueSizeInConfigIsInvalidInput) {
+  const std::string config = testing::TempDir() + "/e2c_cli_negative_queue.ini";
+  {
+    std::ofstream out(config);
+    out << "[system]\nqueue_size = -1\n[sweep]\npolicies = MM\nintensities = low\n";
+  }
+  const auto result = run_experiment(config);
+  std::remove(config.c_str());
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("system.queue_size must be >= 0"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("(" + config + ":2)"), std::string::npos) << result.output;
 }
 
 TEST(ExperimentCli, SubmitWithoutSocketPathRejected) {

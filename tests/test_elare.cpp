@@ -11,6 +11,7 @@
 
 #include "sched/registry.hpp"
 #include "support/reference_mappers.hpp"
+#include "support/schedule.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -22,6 +23,7 @@ using e2c::sched::FelarePolicy;
 using e2c::sched::MachineView;
 using e2c::test::QueuedContext;
 using e2c::test::queued_task;
+using e2c::test::schedule;
 
 // Two machines: m0 is slow-but-frugal (low busy watts), m1 fast-but-hungry.
 EetMatrix eet() {
@@ -62,7 +64,7 @@ TEST(Elare, PureLatencyWeightMatchesMinCompletion) {
   const auto task = queued_task(1, 0, /*deadline=*/100.0);
   auto context = power_context({&task});
   ElarePolicy policy(/*energy_weight=*/0.0);
-  const auto assignments = policy.schedule(context);
+  const auto assignments = schedule(policy, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);  // fast machine: 2 < 8
 }
@@ -72,7 +74,7 @@ TEST(Elare, PureEnergyWeightPicksFrugalMachine) {
   const auto task = queued_task(1, 0, /*deadline=*/100.0);
   auto context = power_context({&task});
   ElarePolicy policy(/*energy_weight=*/1.0);
-  const auto assignments = policy.schedule(context);
+  const auto assignments = schedule(policy, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 0u);
 }
@@ -82,7 +84,7 @@ TEST(Elare, DefersInfeasibleTasks) {
   // the pruning behaviour of the FELARE line of work.
   const auto task = queued_task(1, 0, /*deadline=*/1.0);
   auto context = power_context({&task});
-  EXPECT_TRUE(ElarePolicy{}.schedule(context).empty());
+  EXPECT_TRUE(schedule(ElarePolicy{}, context).empty());
 }
 
 TEST(Elare, SkipsInfeasibleMachineOnly) {
@@ -91,7 +93,7 @@ TEST(Elare, SkipsInfeasibleMachineOnly) {
   const auto task = queued_task(1, 0, /*deadline=*/3.0);
   auto context = power_context({&task});
   ElarePolicy policy(/*energy_weight=*/1.0);
-  const auto assignments = policy.schedule(context);
+  const auto assignments = schedule(policy, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);
 }
@@ -101,7 +103,7 @@ TEST(Elare, MapsAllFeasibleTasks) {
   const auto t2 = queued_task(2, 1, 100.0);
   const auto t3 = queued_task(3, 0, 0.5);  // infeasible
   auto context = power_context({&t1, &t2, &t3});
-  const auto assignments = ElarePolicy{}.schedule(context);
+  const auto assignments = schedule(ElarePolicy{}, context);
   EXPECT_EQ(assignments.size(), 2u);
   for (const auto& assignment : assignments) EXPECT_NE(assignment.task, 3u);
 }
@@ -112,7 +114,7 @@ TEST(Felare, SufferingTypeMapsFirst) {
   const auto t0 = queued_task(1, 0, 100.0);  // best completion 2 (fast)
   const auto t1 = queued_task(2, 1, 100.0);  // best completion 3 (fast)
   auto context = power_context({&t0, &t1}, /*ontime=*/{1.0, 0.2});
-  const auto assignments = FelarePolicy{/*energy_weight=*/0.0}.schedule(context);
+  const auto assignments = schedule(FelarePolicy{/*energy_weight=*/0.0}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);
 }
@@ -122,8 +124,8 @@ TEST(Felare, EqualRatesBehaveLikeElare) {
   const auto t1 = queued_task(2, 1, 100.0);
   auto felare_ctx = power_context({&t0, &t1}, {1.0, 1.0});
   auto elare_ctx = power_context({&t0, &t1}, {1.0, 1.0});
-  const auto felare = FelarePolicy{0.5}.schedule(felare_ctx);
-  const auto elare = ElarePolicy{0.5}.schedule(elare_ctx);
+  const auto felare = schedule(FelarePolicy{0.5}, felare_ctx);
+  const auto elare = schedule(ElarePolicy{0.5}, elare_ctx);
   ASSERT_EQ(felare.size(), elare.size());
   for (std::size_t i = 0; i < felare.size(); ++i) {
     EXPECT_EQ(felare[i].task, elare[i].task);
@@ -230,7 +232,7 @@ TEST(Elare, ExactTieAcrossTypesGoesToEarliestArrival) {
   const auto third = queued_task(4, 1, 100.0);
   for (const auto& policy : elare_and_reference()) {
     auto context = e2c::test::make_context(matrix, {&first, &second, &third}, 1);
-    const auto assignments = policy->schedule(context);
+    const auto assignments = schedule(*policy, context);
     ASSERT_EQ(assignments.size(), 2u);  // two machines, one slot each
     EXPECT_EQ(assignments[0].task, 9u);
     EXPECT_EQ(assignments[1].task, 2u);
@@ -248,7 +250,7 @@ TEST(Elare, ExactTieAcrossMachinesGoesToLowerIndex) {
     machines[0] = {5, 0, 0.0, 1, 10.0, 100.0};
     machines[1] = {6, 0, 0.0, 1, 10.0, 100.0};
     QueuedContext context(matrix, {&first, &second}, std::move(machines));
-    const auto assignments = policy->schedule(context);
+    const auto assignments = schedule(*policy, context);
     ASSERT_EQ(assignments.size(), 2u);
     EXPECT_EQ(assignments[0].task, 1u);
     EXPECT_EQ(assignments[0].machine, 5u);
@@ -266,7 +268,7 @@ TEST(Elare, PairInfeasibleForEarlierTaskSkipsToLaterOne) {
   const auto fine = queued_task(2, 0, 50.0);
   for (const auto& policy : elare_and_reference()) {
     auto context = e2c::test::make_context(matrix, {&doomed, &fine});
-    const auto assignments = policy->schedule(context);
+    const auto assignments = schedule(*policy, context);
     ASSERT_EQ(assignments.size(), 1u);
     EXPECT_EQ(assignments[0].task, 2u);
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/schedule.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -12,6 +13,7 @@ using e2c::hetero::EetMatrix;
 using e2c::sched::FairSharePolicy;
 using e2c::test::make_context;
 using e2c::test::queued_task;
+using e2c::test::schedule;
 
 EetMatrix eet() {
   return EetMatrix({"T1", "T2"}, {"m0", "m1"}, {{2.0, 6.0}, {5.0, 3.0}});
@@ -30,7 +32,7 @@ TEST(FairShare, SufferingTypeMapsFirst) {
   // though it arrived later and has the later deadline.
   auto context = make_context(matrix, {&t1, &t2}, e2c::sched::kUnlimitedSlots, {},
                               /*ontime=*/{1.0, 0.2});
-  const auto assignments = FairSharePolicy{}.schedule(context);
+  const auto assignments = schedule(FairSharePolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);
 }
@@ -41,7 +43,7 @@ TEST(FairShare, EqualRatesFallBackToSoonestDeadline) {
   const auto t2 = queued_task(2, 0, /*deadline=*/10.0);
   auto context = make_context(matrix, {&t1, &t2}, e2c::sched::kUnlimitedSlots, {},
                               {1.0, 1.0});
-  const auto assignments = FairSharePolicy{}.schedule(context);
+  const auto assignments = schedule(FairSharePolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);  // soonest deadline
 }
@@ -50,7 +52,7 @@ TEST(FairShare, MapsToMinCompletionMachine) {
   const EetMatrix matrix = eet();
   const auto t1 = queued_task(1, 1, /*deadline=*/100.0);  // T2: m1 (3) < m0 (5)
   auto context = make_context(matrix, {&t1});
-  const auto assignments = FairSharePolicy{}.schedule(context);
+  const auto assignments = schedule(FairSharePolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);
 }
@@ -61,13 +63,13 @@ TEST(FairShare, StopsWhenSaturated) {
   const auto t2 = queued_task(2, 1, 100.0);
   const auto t3 = queued_task(3, 0, 100.0);
   auto context = make_context(matrix, {&t1, &t2, &t3}, /*free_slots=*/1);
-  EXPECT_EQ(FairSharePolicy{}.schedule(context).size(), 2u);  // one per machine
+  EXPECT_EQ(schedule(FairSharePolicy{}, context).size(), 2u);  // one per machine
 }
 
 TEST(FairShare, EmptyQueueNoAssignments) {
   const EetMatrix matrix = eet();
   auto context = make_context(matrix, {});
-  EXPECT_TRUE(FairSharePolicy{}.schedule(context).empty());
+  EXPECT_TRUE(schedule(FairSharePolicy{}, context).empty());
 }
 
 }  // namespace

@@ -75,6 +75,17 @@ TEST(Ini, LoadMissingFileThrows) {
   EXPECT_THROW((void)IniFile::load("/nonexistent/config.ini"), e2c::IoError);
 }
 
+/// The message of the InputError \p read throws ("" if it throws none).
+template <typename Read>
+std::string input_error(Read read) {
+  try {
+    read();
+  } catch (const e2c::InputError& error) {
+    return error.what();
+  }
+  return {};
+}
+
 TEST(Ini, WhereLocatesTheDefiningLine) {
   const IniFile ini = IniFile::parse(
       "[a]\n"
@@ -87,16 +98,44 @@ TEST(Ini, WhereLocatesTheDefiningLine) {
   EXPECT_EQ(ini.where("b", "k"), "line 6");
   // Unknown keys degrade to a section.key locator instead of a bogus line.
   EXPECT_EQ(ini.where("b", "missing"), "b.missing");
+  // A malformed number names its line too.
+  const IniFile bad = IniFile::parse("[faults]\nseed = 7\nmtbf = abc\n");
+  EXPECT_NE(input_error([&] { (void)bad.get_double("faults", "mtbf"); })
+                .find("faults.mtbf is not a number: 'abc' (line 3)"),
+            std::string::npos);
+}
+
+TEST(Ini, AddedEntriesCarryTheirLocator) {
+  IniFile ini = IniFile::parse("[faults]\nmtbf = 50\n");
+  // A later add() overrides the parsed line, as a later line would, and the
+  // value is kept verbatim: ';' and '#' start no comment here.
+  ini.add("Faults", "MTBF", "60", "--mtbf");
+  ini.add("recovery", "strategy", "checkpoint", "--recovery");
+  ini.add("faults", "trace", " run;1#a.csv", "--fault-trace");
+  EXPECT_EQ(ini.get("faults", "mtbf").value(), "60");
+  EXPECT_EQ(ini.where("faults", "mtbf"), "--mtbf");
+  EXPECT_EQ(ini.get("faults", "trace").value(), " run;1#a.csv");
+  EXPECT_EQ(ini.where("faults", "trace"), "--fault-trace");
+  EXPECT_EQ(ini.sections(), (std::vector<std::string>{"faults", "recovery"}));
+
+  IniFile flags;
+  flags.add("faults", "mtbf", "abc", "--mtbf");
+  EXPECT_NE(input_error([&] { (void)flags.get_double("faults", "mtbf"); })
+                .find("faults.mtbf is not a number: 'abc' (--mtbf)"),
+            std::string::npos);
 }
 
 TEST(Ini, WhereUsesThePathWhenLoadedFromFile) {
   const std::string path = testing::TempDir() + "/e2c_ini_where.ini";
   {
     std::ofstream out(path);
-    out << "[faults]\nmtbf = 50\n";
+    out << "[faults]\nmtbf = 50.5\n";
   }
   const IniFile ini = IniFile::load(path);
   EXPECT_EQ(ini.where("faults", "mtbf"), path + ":2");
+  EXPECT_NE(input_error([&] { (void)ini.get_int("faults", "mtbf"); })
+                .find("faults.mtbf is not an integer: '50.5' (" + path + ":2)"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -219,6 +258,42 @@ TEST(SpecIo, RecoveryValidationNamesTheDefiningLine) {
     EXPECT_NE(what.find("line 8"), std::string::npos) << what;
     EXPECT_NE(what.find("distinct machines"), std::string::npos) << what;
   }
+}
+
+TEST(SpecIo, MtbfAndTraceAreMutuallyExclusive) {
+  // A valid trace, so only the pairing can be at fault.
+  const std::string trace_path = testing::TempDir() + "/e2c_spec_trace.csv";
+  {
+    std::ofstream out(trace_path);
+    out << "machine,fail_time,repair_time\n0,10,20\n";
+  }
+  const std::string what = input_error([&] {
+    (void)e2c::exp::spec_from_ini(IniFile::parse(
+        "[sweep]\npolicies = MM\nintensities = low\n"
+        "[faults]\nmtbf = 100\ntrace = " + trace_path + "\n"));
+  });
+  std::remove(trace_path.c_str());
+  EXPECT_NE(what.find("faults.mtbf and faults.trace are mutually exclusive"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("(line 5, line 6)"), std::string::npos) << what;
+}
+
+TEST(SpecIo, NegativeIntegersRejectedWithTheirLine) {
+  const std::string sweep = "[sweep]\npolicies = MM\nintensities = low\n";
+  const auto error_of = [](const std::string& text) {
+    return input_error([&] { (void)e2c::exp::spec_from_ini(IniFile::parse(text)); });
+  };
+  // Each would otherwise wrap to a huge unsigned value and run.
+  const std::string queue = error_of("[system]\nqueue_size = -1\n" + sweep);
+  EXPECT_NE(queue.find("system.queue_size must be >= 0"), std::string::npos) << queue;
+  EXPECT_NE(queue.find("(line 2)"), std::string::npos) << queue;
+  const std::string seed = error_of(sweep + "seed = -3\n");
+  EXPECT_NE(seed.find("sweep.seed must be >= 0"), std::string::npos) << seed;
+  EXPECT_NE(seed.find("(line 4)"), std::string::npos) << seed;
+  const std::string fault_seed = error_of(sweep + "[faults]\nmtbf = 100\nseed = -1\n");
+  EXPECT_NE(fault_seed.find("faults.seed must be >= 0"), std::string::npos) << fault_seed;
+  EXPECT_NE(fault_seed.find("(line 6)"), std::string::npos) << fault_seed;
 }
 
 TEST(SpecIo, RejectsBadFaultsSection) {

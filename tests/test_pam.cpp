@@ -6,6 +6,7 @@
 #include "exp/scenario.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/schedule.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
@@ -20,6 +21,7 @@ using e2c::sched::PamPolicy;
 using e2c::test::make_context;
 using e2c::test::QueuedContext;
 using e2c::test::queued_task;
+using e2c::test::schedule;
 
 EetMatrix eet() { return EetMatrix({"T1"}, {"m0", "m1"}, {{4.0, 8.0}}); }
 
@@ -68,7 +70,7 @@ TEST(Pam, PrunesRiskyTasks) {
   std::vector<MachineView> machines{{0, 0, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0}};
   QueuedContext context(matrix, {&risky, &safe}, std::move(machines), {}, &pet);
   PamPolicy policy(0.9);
-  const auto assignments = policy.schedule(context);
+  const auto assignments = schedule(policy, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].task, 2u);
 }
@@ -81,7 +83,7 @@ TEST(Pam, ZeroThresholdMapsEverythingWithSlots) {
                                     {1, 1, 0.0, e2c::sched::kUnlimitedSlots, 1.0, 10.0}};
   QueuedContext context(matrix, {&t1}, std::move(machines), {}, &pet);
   PamPolicy policy(0.0);
-  EXPECT_EQ(policy.schedule(context).size(), 1u);
+  EXPECT_EQ(schedule(policy, context).size(), 1u);
 }
 
 TEST(Pam, PicksMinExpectedCompletionAmongSafePairs) {
@@ -89,7 +91,7 @@ TEST(Pam, PicksMinExpectedCompletionAmongSafePairs) {
   const auto task = queued_task(1, 0, /*deadline=*/100.0);
   auto context = make_context(matrix, {&task});
   PamPolicy policy(0.9);
-  const auto assignments = policy.schedule(context);
+  const auto assignments = schedule(policy, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 0u);
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 
+#include "support/schedule.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -17,6 +18,7 @@ using e2c::sched::PolicyMode;
 using e2c::sched::SoonestDeadlinePolicy;
 using e2c::test::make_context;
 using e2c::test::queued_task;
+using e2c::test::schedule;
 
 // 3 task types x 2 machines.
 EetMatrix eet() {
@@ -38,7 +40,7 @@ TEST(MinMin, ShortestCompletionMapsFirst) {
   const auto t1 = queued_task(1, 1);  // best 3 on m1
   const auto t2 = queued_task(2, 0);  // best 2 on m0 -> picked first
   auto context = make_context(matrix, {&t1, &t2});
-  const auto assignments = MinMinPolicy{}.schedule(context);
+  const auto assignments = schedule(MinMinPolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);
   EXPECT_EQ(assignments[0].machine, 0u);
@@ -53,7 +55,7 @@ TEST(MinMin, ProjectionAffectsLaterRounds) {
   const auto t1 = queued_task(1, 0);
   const auto t2 = queued_task(2, 0);
   auto context = make_context(matrix, {&t1, &t2});
-  const auto assignments = MinMinPolicy{}.schedule(context);
+  const auto assignments = schedule(MinMinPolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].machine, 0u);
   EXPECT_EQ(assignments[1].machine, 0u);
@@ -66,7 +68,7 @@ TEST(MaxUrgency, SmallestSlackMapsFirst) {
   const auto t1 = queued_task(1, 1, /*deadline=*/20.0);
   const auto t2 = queued_task(2, 0, /*deadline=*/4.0);
   auto context = make_context(matrix, {&t1, &t2});
-  const auto assignments = MaxUrgencyPolicy{}.schedule(context);
+  const auto assignments = schedule(MaxUrgencyPolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);
 }
@@ -77,7 +79,7 @@ TEST(MaxUrgency, UrgencyBeatsCompletionOrder) {
   const auto t1 = queued_task(1, 0, /*deadline=*/100.0);
   const auto t2 = queued_task(2, 1, /*deadline=*/3.5);
   auto context = make_context(matrix, {&t1, &t2});
-  const auto assignments = MaxUrgencyPolicy{}.schedule(context);
+  const auto assignments = schedule(MaxUrgencyPolicy{}, context);
   EXPECT_EQ(assignments[0].task, 2u);
 }
 
@@ -87,7 +89,7 @@ TEST(SoonestDeadline, EdfOrdering) {
   const auto t2 = queued_task(2, 1, /*deadline=*/10.0);
   const auto t3 = queued_task(3, 2, /*deadline=*/30.0);
   auto context = make_context(matrix, {&t1, &t2, &t3});
-  const auto assignments = SoonestDeadlinePolicy{}.schedule(context);
+  const auto assignments = schedule(SoonestDeadlinePolicy{}, context);
   ASSERT_EQ(assignments.size(), 3u);
   EXPECT_EQ(assignments[0].task, 2u);
   EXPECT_EQ(assignments[1].task, 3u);
@@ -98,7 +100,7 @@ TEST(SoonestDeadline, MachineIsCompletionMinimizer) {
   const EetMatrix matrix = eet();
   const auto t1 = queued_task(1, 1, /*deadline=*/5.0);  // T2: m1 (3) beats m0 (6)
   auto context = make_context(matrix, {&t1});
-  const auto assignments = SoonestDeadlinePolicy{}.schedule(context);
+  const auto assignments = schedule(SoonestDeadlinePolicy{}, context);
   EXPECT_EQ(assignments[0].machine, 1u);
 }
 
@@ -111,9 +113,9 @@ TEST(BatchPolicies, InfeasibleTasksAreDeferredNotMapped) {
   for (auto mode : {0, 1, 2}) {
     auto context = make_context(matrix, {&doomed, &viable});
     std::vector<e2c::sched::Assignment> assignments;
-    if (mode == 0) assignments = MinMinPolicy{}.schedule(context);
-    if (mode == 1) assignments = MaxUrgencyPolicy{}.schedule(context);
-    if (mode == 2) assignments = SoonestDeadlinePolicy{}.schedule(context);
+    if (mode == 0) assignments = schedule(MinMinPolicy{}, context);
+    if (mode == 1) assignments = schedule(MaxUrgencyPolicy{}, context);
+    if (mode == 2) assignments = schedule(SoonestDeadlinePolicy{}, context);
     ASSERT_EQ(assignments.size(), 1u) << "mode " << mode;
     EXPECT_EQ(assignments[0].task, 2u) << "mode " << mode;
   }
@@ -127,7 +129,7 @@ TEST(MaxUrgency, DoomedTasksDoNotStarveFeasibleOnes) {
   const auto t2 = queued_task(2, 1, /*deadline=*/4.0);
   const auto t3 = queued_task(3, 2, /*deadline=*/30.0);
   auto context = make_context(matrix, {&doomed, &t2, &t3});
-  const auto assignments = MaxUrgencyPolicy{}.schedule(context);
+  const auto assignments = schedule(MaxUrgencyPolicy{}, context);
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].task, 2u);  // tight but feasible goes first
   EXPECT_EQ(assignments[1].task, 3u);
@@ -140,7 +142,7 @@ TEST(BatchPolicies, RespectSlotLimits) {
   const auto t3 = queued_task(3, 0);
   // One slot per machine: only two of three tasks can be mapped.
   auto context = make_context(matrix, {&t1, &t2, &t3}, /*free_slots=*/1);
-  const auto assignments = MinMinPolicy{}.schedule(context);
+  const auto assignments = schedule(MinMinPolicy{}, context);
   EXPECT_EQ(assignments.size(), 2u);
 }
 
@@ -148,9 +150,9 @@ TEST(BatchPolicies, SaturatedSystemMapsNothing) {
   const EetMatrix matrix = eet();
   const auto t1 = queued_task(1, 0);
   auto context = make_context(matrix, {&t1}, /*free_slots=*/0);
-  EXPECT_TRUE(MinMinPolicy{}.schedule(context).empty());
-  EXPECT_TRUE(MaxUrgencyPolicy{}.schedule(context).empty());
-  EXPECT_TRUE(SoonestDeadlinePolicy{}.schedule(context).empty());
+  EXPECT_TRUE(schedule(MinMinPolicy{}, context).empty());
+  EXPECT_TRUE(schedule(MaxUrgencyPolicy{}, context).empty());
+  EXPECT_TRUE(schedule(SoonestDeadlinePolicy{}, context).empty());
 }
 
 TEST(BatchPolicies, EveryTaskAssignedExactlyOnce) {
@@ -168,7 +170,7 @@ TEST(BatchPolicies, EveryTaskAssignedExactlyOnce) {
   policies.push_back(std::make_unique<SoonestDeadlinePolicy>());
   for (const auto& policy : policies) {
     auto context = make_context(matrix, queue);
-    const auto assignments = policy->schedule(context);
+    const auto assignments = schedule(*policy, context);
     EXPECT_EQ(assignments.size(), 6u) << policy->name();
     std::set<e2c::workload::TaskId> seen;
     for (const auto& assignment : assignments) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/schedule.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -16,6 +17,7 @@ using e2c::sched::MeetPolicy;
 using e2c::sched::PolicyMode;
 using e2c::test::make_context;
 using e2c::test::queued_task;
+using e2c::test::schedule;
 
 // 2 task types x 3 machines; T1 fastest on m1 (index 1), T2 fastest on m2.
 EetMatrix eet() {
@@ -36,7 +38,7 @@ TEST(Fcfs, PicksEarliestReadyMachine) {
   const auto task = queued_task(1, 0);
   auto context = make_context(matrix, {&task}, e2c::sched::kUnlimitedSlots,
                               {4.0, 2.0, 7.0});
-  const auto assignments = FcfsPolicy{}.schedule(context);
+  const auto assignments = schedule(FcfsPolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);  // ready at 2.0
 }
@@ -45,7 +47,7 @@ TEST(Fcfs, TieBreaksToLowerMachineId) {
   const EetMatrix matrix = eet();
   const auto task = queued_task(1, 0);
   auto context = make_context(matrix, {&task});
-  const auto assignments = FcfsPolicy{}.schedule(context);
+  const auto assignments = schedule(FcfsPolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 0u);
 }
@@ -56,7 +58,7 @@ TEST(Fcfs, IgnoresExecutionTimes) {
   const auto task = queued_task(1, 0);
   auto context = make_context(matrix, {&task}, e2c::sched::kUnlimitedSlots,
                               {1.0, 2.0, 2.0});
-  const auto assignments = FcfsPolicy{}.schedule(context);
+  const auto assignments = schedule(FcfsPolicy{}, context);
   EXPECT_EQ(assignments[0].machine, 0u);
 }
 
@@ -65,7 +67,7 @@ TEST(Meet, PicksFastestMachineIgnoringLoad) {
   const auto task = queued_task(1, 0);  // T1 fastest on m1
   auto context = make_context(matrix, {&task}, e2c::sched::kUnlimitedSlots,
                               {0.0, 100.0, 0.0});  // m1 heavily loaded
-  const auto assignments = MeetPolicy{}.schedule(context);
+  const auto assignments = schedule(MeetPolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);  // still the EET minimizer
 }
@@ -76,7 +78,7 @@ TEST(Mect, BalancesLoadAndSpeed) {
   // m1 completes at 100+1, m2 at 0+3, m0 at 0+5 -> m2 wins.
   auto context = make_context(matrix, {&task}, e2c::sched::kUnlimitedSlots,
                               {0.0, 100.0, 0.0});
-  const auto assignments = MectPolicy{}.schedule(context);
+  const auto assignments = schedule(MectPolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 2u);
 }
@@ -88,8 +90,8 @@ TEST(Mect, EqualsMeetOnIdleMachines) {
   for (const auto* task : {&t1, &t2}) {
     auto meet_ctx = make_context(matrix, {task});
     auto mect_ctx = make_context(matrix, {task});
-    EXPECT_EQ(MeetPolicy{}.schedule(meet_ctx)[0].machine,
-              MectPolicy{}.schedule(mect_ctx)[0].machine);
+    EXPECT_EQ(schedule(MeetPolicy{}, meet_ctx)[0].machine,
+              schedule(MectPolicy{}, mect_ctx)[0].machine);
   }
 }
 
@@ -99,7 +101,7 @@ TEST(ImmediatePolicies, MapEveryQueuedTaskInArrivalOrder) {
   const auto t2 = queued_task(2, 0);
   const auto t3 = queued_task(3, 1);
   auto context = make_context(matrix, {&t1, &t2, &t3});
-  const auto assignments = MectPolicy{}.schedule(context);
+  const auto assignments = schedule(MectPolicy{}, context);
   ASSERT_EQ(assignments.size(), 3u);
   EXPECT_EQ(assignments[0].task, 1u);
   EXPECT_EQ(assignments[1].task, 2u);
@@ -118,7 +120,7 @@ TEST(Mect, ProjectionSpreadsConsecutiveTasks) {
   const auto t3 = queued_task(3, 0);
   const auto t4 = queued_task(4, 0);
   auto context = make_context(matrix, {&t1, &t2, &t3, &t4});
-  const auto assignments = MectPolicy{}.schedule(context);
+  const auto assignments = schedule(MectPolicy{}, context);
   ASSERT_EQ(assignments.size(), 4u);
   EXPECT_EQ(assignments[0].machine, 1u);
   EXPECT_EQ(assignments[1].machine, 1u);
@@ -133,7 +135,7 @@ TEST(Meet, TieBreaksByLoadOnHomogeneousRows) {
   const auto task = queued_task(1, 0);
   auto context = make_context(homog, {&task}, e2c::sched::kUnlimitedSlots,
                               {5.0, 1.0, 9.0});
-  const auto assignments = MeetPolicy{}.schedule(context);
+  const auto assignments = schedule(MeetPolicy{}, context);
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].machine, 1u);  // least loaded among the tie
 }
@@ -144,8 +146,8 @@ TEST(Meet, HomogeneousStreamSpreadsLikeFcfs) {
   const auto t2 = queued_task(2, 0);
   auto meet_ctx = make_context(homog, {&t1, &t2});
   auto fcfs_ctx = make_context(homog, {&t1, &t2});
-  const auto meet = MeetPolicy{}.schedule(meet_ctx);
-  const auto fcfs = FcfsPolicy{}.schedule(fcfs_ctx);
+  const auto meet = schedule(MeetPolicy{}, meet_ctx);
+  const auto fcfs = schedule(FcfsPolicy{}, fcfs_ctx);
   ASSERT_EQ(meet.size(), 2u);
   for (std::size_t i = 0; i < meet.size(); ++i) {
     EXPECT_EQ(meet[i].machine, fcfs[i].machine);
@@ -156,15 +158,15 @@ TEST(ImmediatePolicies, NoSpaceAnywhereMapsNothing) {
   const EetMatrix matrix = eet();
   const auto task = queued_task(1, 0);
   auto context = make_context(matrix, {&task}, /*free_slots=*/0);
-  EXPECT_TRUE(FcfsPolicy{}.schedule(context).empty());
-  EXPECT_TRUE(MeetPolicy{}.schedule(context).empty());
-  EXPECT_TRUE(MectPolicy{}.schedule(context).empty());
+  EXPECT_TRUE(schedule(FcfsPolicy{}, context).empty());
+  EXPECT_TRUE(schedule(MeetPolicy{}, context).empty());
+  EXPECT_TRUE(schedule(MectPolicy{}, context).empty());
 }
 
 TEST(ImmediatePolicies, EmptyQueueMapsNothing) {
   const EetMatrix matrix = eet();
   auto context = make_context(matrix, {});
-  EXPECT_TRUE(FcfsPolicy{}.schedule(context).empty());
+  EXPECT_TRUE(schedule(FcfsPolicy{}, context).empty());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "sched/task_index_queue.hpp"
 #include "support/owned_queue.hpp"
 #include "support/reference_mappers.hpp"
+#include "support/schedule.hpp"
 #include "workload/task.hpp"
 
 namespace {
@@ -29,6 +30,7 @@ using e2c::sched::Assignment;
 using e2c::sched::MachineView;
 using e2c::sched::SchedulingContext;
 using e2c::sched::TaskIndexQueue;
+using e2c::test::schedule;
 
 struct FuzzScenario {
   e2c::hetero::EetMatrix eet;
@@ -213,8 +215,8 @@ void expect_same_decisions(const FuzzScenario& scenario, e2c::sched::Policy& fas
   if (index == nullptr) index = &owned.emplace(scenario.eet, scenario.tasks).index();
   SchedulingContext fast_context = scenario.make_context(*index);
   SchedulingContext reference_context = scenario.make_context(*index);
-  const std::vector<Assignment> got = fast.schedule(fast_context);
-  const std::vector<Assignment> want = reference.schedule(reference_context);
+  const std::vector<Assignment> got = schedule(fast, fast_context);
+  const std::vector<Assignment> want = schedule(reference, reference_context);
   ASSERT_EQ(got.size(), want.size())
       << fast.name() << " trial " << trial << ": assignment counts diverge";
   for (std::size_t k = 0; k < want.size(); ++k) {
