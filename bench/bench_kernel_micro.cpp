@@ -28,7 +28,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (double t : times) {
       (void)queue.schedule(t, core::EventPriority::kArrival, "", {});
     }
-    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().id);
+    while (!queue.empty()) benchmark::DoNotOptimize(queue.pop().time);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(count));

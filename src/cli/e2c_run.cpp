@@ -278,14 +278,6 @@ Options parse_args(const std::vector<std::string>& args) {
   return options;
 }
 
-e2c::workload::Intensity parse_intensity(const std::string& name) {
-  using e2c::workload::Intensity;
-  if (e2c::util::iequals(name, "low")) return Intensity::kLow;
-  if (e2c::util::iequals(name, "medium")) return Intensity::kMedium;
-  if (e2c::util::iequals(name, "high")) return Intensity::kHigh;
-  throw e2c::InputError("unknown intensity '" + name + "' (low|medium|high)");
-}
-
 void write_rows(const std::optional<std::string>& path,
                 const std::vector<std::vector<std::string>>& rows) {
   if (!path) return;
@@ -392,16 +384,15 @@ int run(const Options& options) {
     std::cout << "autoscaler enabled (machine 1 always on)\n";
   }
 
+  const auto machine_types = exp::machine_types_of(system);
   workload::Workload trace;
   std::vector<std::string> tenant_names;
   if (options.tenants > 1) {
     require_input(options.generate_intensity.has_value(),
                   "--tenants needs --generate (tenant traces are synthesized "
                   "per tenant; a workload CSV is single-tenant)");
-    std::vector<hetero::MachineTypeId> machine_types;
-    for (const auto& machine : system.machines) machine_types.push_back(machine.type);
-    const double total_rho =
-        workload::intensity_offered_load(parse_intensity(*options.generate_intensity));
+    const double total_rho = workload::intensity_offered_load(
+        workload::parse_intensity(*options.generate_intensity));
     std::vector<e2c::exp::TenantSpec> tenants;
     for (std::size_t i = 0; i < options.tenants; ++i) {
       e2c::exp::TenantSpec spec;
@@ -417,10 +408,8 @@ int run(const Options& options) {
               << " tenants at aggregate intensity '" << *options.generate_intensity
               << "'\n";
   } else if (options.generate_intensity) {
-    std::vector<hetero::MachineTypeId> machine_types;
-    for (const auto& machine : system.machines) machine_types.push_back(machine.type);
     workload::GeneratorConfig generator = workload::config_for_intensity(
-        eet, machine_types, parse_intensity(*options.generate_intensity),
+        eet, machine_types, workload::parse_intensity(*options.generate_intensity),
         options.duration, options.seed);
     trace = workload::generate_workload(eet, generator);
     std::cout << "generated " << trace.size() << " tasks at intensity '"
@@ -485,8 +474,6 @@ int run(const Options& options) {
   if (options.trace_stats_out) {
     auto stats_rows =
         workload::trace_stats_csv(workload::compute_trace_stats(trace, eet), eet);
-    std::vector<hetero::MachineTypeId> machine_types;
-    for (const auto& machine : system.machines) machine_types.push_back(machine.type);
     stats_rows.push_back({"offered_load",
                           util::format_fixed(
                               workload::offered_load(trace, eet, machine_types), 3)});

@@ -30,64 +30,28 @@ void Engine::dispatch_one() {
   auto popped = queue_.pop();
   now_ = popped.time;
   ++processed_;
-  if (!observers_.empty()) {
-    // Labels materialize only here: headless runs never pay for the string.
-    const EventRecord record{popped.id, popped.time, popped.priority, popped.label.str()};
-    for (EngineObserver* observer : observers_) observer->on_event(record);
-  }
   if (popped.fn) popped.fn();
 }
 
 bool Engine::step() {
   if (queue_.empty()) return false;
   dispatch_one();
-  for (EngineObserver* observer : observers_) observer->on_idle(now_);
   return true;
 }
 
 void Engine::run_until(SimTime horizon) {
-  // Fast lane while no observers are attached: inline pop → clock → call with
-  // no label materialization and no per-event observer check beyond the loop
-  // condition. Falls through to dispatch_one() the moment a callback attaches
-  // an observer mid-run (the step-mode UI does exactly that).
-  while (observers_.empty() && !queue_.empty() && *queue_.next_time() <= horizon) {
-    auto popped = queue_.pop_lean();
-    now_ = popped.time;
-    ++processed_;
-    if (popped.fn) popped.fn();
-  }
   while (!queue_.empty() && *queue_.next_time() <= horizon) dispatch_one();
   if (now_ < horizon && horizon < kTimeInfinity) now_ = horizon;
-  for (EngineObserver* observer : observers_) observer->on_idle(now_);
 }
 
 void Engine::run() {
-  // Same fast-lane split as run_until (see comment there).
-  while (observers_.empty() && !queue_.empty()) {
-    auto popped = queue_.pop_lean();
-    now_ = popped.time;
-    ++processed_;
-    if (popped.fn) popped.fn();
-  }
   while (!queue_.empty()) dispatch_one();
-  for (EngineObserver* observer : observers_) observer->on_idle(now_);
 }
 
 void Engine::reset() {
   queue_.clear();
   now_ = 0.0;
   processed_ = 0;
-}
-
-void Engine::add_observer(EngineObserver* observer) {
-  if (observer == nullptr) return;
-  if (std::find(observers_.begin(), observers_.end(), observer) != observers_.end()) return;
-  observers_.push_back(observer);
-}
-
-void Engine::remove_observer(EngineObserver* observer) noexcept {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
 }
 
 }  // namespace e2c::core

@@ -1,32 +1,19 @@
 /// \file engine.hpp
-/// \brief The discrete-event engine: clock, calendar, observers, stepping.
+/// \brief The discrete-event engine: clock, calendar, stepping.
 ///
 /// The engine is deliberately model-agnostic: machines, schedulers and
 /// workloads (higher layers) interact with it only through schedule()/
-/// cancel() and the clock. The GUI-replacement visualizer and the trace
-/// recorder attach as observers.
+/// cancel() and the clock. The step-mode visualizer reads the next event
+/// through peek_next() and advances with step().
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "core/event.hpp"
 #include "core/event_queue.hpp"
 
 namespace e2c::core {
-
-/// Receives notifications as the engine processes events. Observers must not
-/// mutate the engine (they may schedule follow-up work via the model layer).
-class EngineObserver {
- public:
-  virtual ~EngineObserver() = default;
-
-  /// Called immediately before an event's callback executes.
-  virtual void on_event(const EventRecord& record) = 0;
-
-  /// Called when run()/run_until()/step() finishes a processing burst.
-  virtual void on_idle(SimTime now) { (void)now; }
-};
 
 /// Discrete-event simulation engine.
 ///
@@ -44,7 +31,7 @@ class Engine {
 
   /// Schedules \p fn at absolute time \p time. Requires time >= now().
   /// The label is lazy (see EventLabel): pass a literal or a cheap piece-wise
-  /// label; it is only formatted when an observer or the step UI reads it.
+  /// label; it is only formatted when the step UI reads it.
   EventId schedule_at(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
 
   /// Schedules \p fn at now() + delay. Requires delay >= 0.
@@ -68,13 +55,6 @@ class Engine {
   /// model layer rebuilds its state and reschedules arrivals afterwards).
   void reset();
 
-  /// Registers an observer (not owned; must outlive the engine or be
-  /// removed). Duplicate registration is ignored.
-  void add_observer(EngineObserver* observer);
-
-  /// Unregisters an observer; no-op if absent.
-  void remove_observer(EngineObserver* observer) noexcept;
-
   /// Number of events processed since construction/reset.
   [[nodiscard]] std::uint64_t processed_count() const noexcept { return processed_; }
 
@@ -85,12 +65,12 @@ class Engine {
   [[nodiscard]] std::optional<EventRecord> peek_next() const { return queue_.peek(); }
 
  private:
+  /// Pops the earliest event, advances the clock to it and runs its callback.
   void dispatch_one();
 
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t processed_ = 0;
-  std::vector<EngineObserver*> observers_;
 };
 
 }  // namespace e2c::core

@@ -25,7 +25,7 @@ enum class EventPriority : std::uint8_t {
   kDeadline = 1,     ///< deadline check (cancel / drop)
   kArrival = 2,      ///< task arrives into the batch queue
   kSchedule = 3,     ///< scheduler invocation
-  kControl = 4,      ///< bookkeeping (end-of-run, observers, snapshots)
+  kControl = 4,      ///< bookkeeping (transfers, failures, retries, autoscaling)
 };
 
 /// Display name of a priority class ("completion", "arrival", ...).
@@ -88,8 +88,8 @@ class EventFn {
 };
 
 /// Lazy event label: a small POD of string-literal pieces plus an optional
-/// number, materialized into a std::string only when someone (a trace
-/// observer, the step-mode visualizer) actually asks for the text.
+/// number, materialized into a std::string only when someone (the step-mode
+/// visualizer through Engine::peek_next) actually asks for the text.
 ///
 /// Eagerly formatted labels cost one heap-allocated std::string per event —
 /// millions per large run — while headless sweeps never read them. The
@@ -131,9 +131,9 @@ class EventLabel {
   bool has_number_ = false;
 };
 
-/// Immutable metadata describing one processed (or pending) event; consumed
-/// by observers, the trace recorder and the step-mode visualizer. The label
-/// is materialized at record-construction time (see EventLabel).
+/// Immutable metadata describing one pending event, as Engine::peek_next
+/// returns it to the step-mode visualizer. The label is materialized at
+/// record-construction time (see EventLabel).
 struct EventRecord {
   EventId id = kNoEvent;
   SimTime time = 0.0;

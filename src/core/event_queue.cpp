@@ -105,17 +105,10 @@ std::optional<EventRecord> EventQueue::peek() const {
   return EventRecord{slot.id, top.time, top.priority(), slot.label.str()};
 }
 
-EventQueue::PoppedEvent EventQueue::pop() {
+EventQueue::DueEvent EventQueue::pop() {
   e2c::require(!empty(), "EventQueue::pop on empty queue");
   const HeapNode top = take_front();
-  const Slot& slot = slots_[top.slot];
-  return PoppedEvent{slot.id, top.time, top.priority(), slot.label, slot.fn};
-}
-
-EventQueue::LeanEvent EventQueue::pop_lean() {
-  e2c::require(!empty(), "EventQueue::pop on empty queue");
-  const HeapNode top = take_front();
-  return LeanEvent{top.time, slots_[top.slot].fn};
+  return DueEvent{top.time, slots_[top.slot].fn};
 }
 
 void EventQueue::clear() noexcept {

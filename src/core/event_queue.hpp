@@ -54,24 +54,16 @@ class EventQueue {
   /// is materialized — this is the step-mode UI path, not the hot path).
   [[nodiscard]] std::optional<EventRecord> peek() const;
 
-  /// Removes and returns the earliest pending event. Requires !empty().
-  /// The label stays lazy; the engine materializes it only for observers.
-  struct PoppedEvent {
-    EventId id = kNoEvent;
+  /// What the engine consumes of a popped event: its time and callback.
+  /// Ids and labels are read through peek() before the pop.
+  struct DueEvent {
     SimTime time = 0.0;
-    EventPriority priority = EventPriority::kControl;
-    EventLabel label;
     EventFn fn;
   };
-  [[nodiscard]] PoppedEvent pop();
 
-  /// pop() for the headless fast lane: only what the engine's observer-free
-  /// loop consumes (clock + callback), skipping the id/label copy.
-  struct LeanEvent {
-    SimTime time = 0.0;
-    EventFn fn;
-  };
-  [[nodiscard]] LeanEvent pop_lean();
+  /// Removes the earliest pending event and returns its time and callback.
+  /// Requires !empty().
+  [[nodiscard]] DueEvent pop();
 
   /// Number of pending events.
   [[nodiscard]] std::size_t size() const noexcept {

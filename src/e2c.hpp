@@ -8,7 +8,6 @@
 #pragma once
 
 #include "core/engine.hpp"            // discrete-event engine
-#include "core/trace.hpp"             // event trace recorder
 #include "edu/quiz.hpp"               // pre/post scheduling quiz
 #include "edu/survey.hpp"             // survey dataset + Fig. 8 pipeline
 #include "exp/experiment.hpp"         // policy x intensity sweeps

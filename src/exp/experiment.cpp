@@ -23,10 +23,6 @@ const char* cell_status_name(CellStatus status) noexcept {
   return status == CellStatus::kOk ? "ok" : "failed";
 }
 
-const char* backend_name(Backend backend) noexcept {
-  return backend == Backend::kThreads ? "threads" : "procs";
-}
-
 Backend parse_backend(const std::string& name) {
   if (util::iequals(name, "threads")) return Backend::kThreads;
   if (util::iequals(name, "procs")) return Backend::kProcs;

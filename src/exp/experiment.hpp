@@ -140,9 +140,6 @@ enum class Backend {
   kProcs,
 };
 
-/// Display name ("threads" / "procs").
-[[nodiscard]] const char* backend_name(Backend backend) noexcept;
-
 /// Parses a backend name; throws e2c::InputError listing the registered
 /// roster with a nearest-match suggestion (the --policy/--recovery
 /// convention).

@@ -218,6 +218,10 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   std::size_t jobs_served = 0;
   std::string frame;        // recycled inbound frame buffer
   util::ByteWriter writer;  // recycled outbound frame buffer
+  // The loop's clock, read once per iteration when the poll wakes. Every
+  // time rule of that iteration (results, timeouts, backoff, client
+  // deadlines) and the next iteration's dispatch and poll timeout see it.
+  Clock::time_point now = Clock::now();
 
   /// Fds the supervisor owns that forked workers must not inherit: the
   /// listener and every client connection (a worker holding a client fd
@@ -272,7 +276,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     if (it == jobs.end()) return;  // job cancelled while the unit was in flight
     ServeJob& job = it->second;
     if (job.ledger.cell_failed(unit.slot)) return;
-    if (auto failed = job.ledger.charge(unit, ready)) {
+    if (auto failed = job.ledger.charge(unit, ready, now)) {
       say("job " + std::to_string(job.id) + ": cell " + std::to_string(unit.slot) +
           " failed after " + std::to_string(unit.attempt + 1) + " attempts");
       emit_cell(job, unit.slot, std::move(*failed));
@@ -396,7 +400,6 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       writer.clear();
       encode_job_accepted(writer, accepted);
       util::write_frame_zc(fd.get(), writer.bytes());
-      const auto now = Clock::now();
       for (std::uint32_t slot = 0; slot < job.ledger.cells(); ++slot) {
         job.ledger.queue_slot(slot, now, ready);
       }
@@ -449,14 +452,13 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     timeval timeout{};
     timeout.tv_sec = kClientTimeoutSeconds;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-    const auto deadline = Clock::now() + std::chrono::seconds(kClientTimeoutSeconds);
+    const auto deadline = now + std::chrono::seconds(kClientTimeoutSeconds);
     // A prompt client's frame is often in the socket already.
     take_submit(pending.emplace(fd, PendingClient{deadline, 0, {}}).first, draining);
   };
 
   /// Drops the connections that did not deliver a submit frame in time.
   const auto drop_stale_pending = [&] {
-    const auto now = Clock::now();
     for (auto it = pending.begin(); it != pending.end();) {
       if (it->second.deadline > now) {
         ++it;
@@ -500,8 +502,8 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       }
 
       // A worker whose mirror lacks a unit's job gets the job's INI first.
-      dispatch_ready(workers, ready, live_job, writer);
-      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready);
+      dispatch_ready(workers, ready, live_job, writer, now);
+      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready, now);
 
       std::vector<pollfd> fds;
       std::vector<Worker*> worker_of;
@@ -533,6 +535,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       if (rc < 0 && errno != EINTR) {
         throw IoError(std::string("supervisor: poll failed: ") + std::strerror(errno));
       }
+      now = Clock::now();
 
       for (std::size_t i = 0; rc > 0 && i < fds.size(); ++i) {
         if (fds[i].revents == 0) continue;
@@ -565,7 +568,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       }
 
       // Per-unit wall-clock timeout: SIGKILL and requeue.
-      for (const Unit& unit : kill_overdue(workers, options.cell_timeout)) {
+      for (const Unit& unit : kill_overdue(workers, options.cell_timeout, now)) {
         say("job " + std::to_string(unit.job_id) + ": unit " + std::to_string(unit.slot) +
             "/" + std::to_string(unit.rep) + " timed out, killing worker");
         charge(unit);

@@ -15,13 +15,6 @@ namespace e2c::exp {
 
 namespace {
 
-workload::Intensity parse_intensity(const std::string& name) {
-  if (util::iequals(name, "low")) return workload::Intensity::kLow;
-  if (util::iequals(name, "medium")) return workload::Intensity::kMedium;
-  if (util::iequals(name, "high")) return workload::Intensity::kHigh;
-  throw InputError("experiment config: unknown intensity '" + name + "'");
-}
-
 bool parse_flag(const std::string& value, const std::string& what) {
   if (util::iequals(value, "true") || util::iequals(value, "yes") ||
       util::iequals(value, "on") || value == "1") {
@@ -73,7 +66,8 @@ void faults_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
                       ini.where("faults", "mtbf") + ", " + ini.where("faults", "trace") +
                       ")");
     faults.mode = fault::FaultMode::kTrace;
-    faults.trace = fault::load_fault_trace_csv(*trace);
+    // A disabled section injects nothing, so its trace file need not exist.
+    if (faults.enabled) faults.trace = fault::load_fault_trace_csv(*trace);
   }
   if (const auto mtbf = get_bounded(ini, "faults", "mtbf", 0.0, true)) faults.mtbf = *mtbf;
   if (const auto mttr = get_bounded(ini, "faults", "mttr", 0.0, true)) faults.mttr = *mttr;
@@ -202,7 +196,7 @@ ExperimentSpec spec_from_ini(const util::IniFile& ini) {
   require_input(!intensities.empty(), "experiment config: sweep.intensities is required");
   spec.intensities.clear();
   for (const std::string& name : intensities) {
-    spec.intensities.push_back(parse_intensity(name));
+    spec.intensities.push_back(workload::parse_intensity(name));
   }
   if (const auto reps = get_bounded(ini, "sweep", "replications", 1LL)) {
     spec.replications = static_cast<std::size_t>(*reps);
@@ -216,11 +210,16 @@ ExperimentSpec spec_from_ini(const util::IniFile& ini) {
   if (const auto arrival = ini.get("sweep", "arrival")) {
     spec.arrival = workload::parse_arrival_kind(*arrival);
   }
-  if (const auto lo = ini.get_double("sweep", "deadline_lo")) spec.deadline_factor_lo = *lo;
-  if (const auto hi = ini.get_double("sweep", "deadline_hi")) spec.deadline_factor_hi = *hi;
-  require_input(spec.deadline_factor_lo > 0 &&
-                    spec.deadline_factor_hi >= spec.deadline_factor_lo,
-                "experiment config: deadline factors must satisfy 0 < lo <= hi");
+  if (const auto lo = get_bounded(ini, "sweep", "deadline_lo", 0.0, true)) {
+    spec.deadline_factor_lo = *lo;
+  }
+  if (const auto hi = get_bounded(ini, "sweep", "deadline_hi", 0.0, true)) {
+    spec.deadline_factor_hi = *hi;
+  }
+  require_input(spec.deadline_factor_lo <= spec.deadline_factor_hi,
+                "experiment config: sweep.deadline_lo must be <= sweep.deadline_hi (" +
+                    ini.where("sweep", "deadline_lo") + ", " +
+                    ini.where("sweep", "deadline_hi") + ")");
   return spec;
 }
 

@@ -219,7 +219,7 @@ void spawn_worker(Worker& worker, std::vector<Worker>& workers,
 }
 
 bool dispatch(Worker& worker, const Unit& unit, std::uint64_t key, std::string_view ini_text,
-              util::ByteWriter& writer) {
+              util::ByteWriter& writer, Clock::time_point now) {
   try {
     if (std::find(worker.loaded.begin(), worker.loaded.end(), key) == worker.loaded.end()) {
       if (worker.loaded.size() >= kWorkerJobCacheCap) worker.loaded.pop_front();
@@ -237,7 +237,7 @@ bool dispatch(Worker& worker, const Unit& unit, std::uint64_t key, std::string_v
   worker.busy = true;
   worker.unit = unit;
   worker.unit_key = key;
-  worker.started = Clock::now();
+  worker.started = now;
   return true;
 }
 
@@ -277,10 +277,10 @@ std::optional<Unit> reap(Worker& worker) {
   return worker.unit;
 }
 
-std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout) {
+std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout,
+                               Clock::time_point now) {
   std::vector<Unit> overdue;
   if (unit_timeout <= 0.0) return overdue;
-  const auto now = Clock::now();
   for (Worker& worker : workers) {
     if (!worker.alive || !worker.busy) continue;
     if (std::chrono::duration<double>(now - worker.started).count() < unit_timeout) continue;
@@ -291,8 +291,8 @@ std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout
 }
 
 void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
-                    const UnitJobLookup& job_of, util::ByteWriter& writer) {
-  const auto now = Clock::now();
+                    const UnitJobLookup& job_of, util::ByteWriter& writer,
+                    Clock::time_point now) {
   for (Worker& worker : workers) {
     if (!worker.alive || worker.busy) continue;
     std::optional<UnitJob> job;
@@ -310,7 +310,7 @@ void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
     if (next == ready.end()) break;
     const Unit unit = *next;
     ready.erase(next);
-    if (!dispatch(worker, unit, job->key, job->ini_text, writer)) {
+    if (!dispatch(worker, unit, job->key, job->ini_text, writer, now)) {
       // Died while idle: the attempt never started, so it is not charged.
       ready.push_front(unit);
       (void)reap(worker);
@@ -319,9 +319,8 @@ void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
 }
 
 int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
-                    const std::deque<Unit>& ready) {
+                    const std::deque<Unit>& ready, Clock::time_point now) {
   int timeout_ms = 200;
-  const auto now = Clock::now();
   const auto clamp = [&](Clock::time_point when) {
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(when - now).count();
@@ -424,7 +423,8 @@ std::optional<CellResult> UnitLedger::complete(const Unit& unit, reports::Metric
   return cell;
 }
 
-std::optional<CellResult> UnitLedger::charge(const Unit& unit, std::deque<Unit>& ready) {
+std::optional<CellResult> UnitLedger::charge(const Unit& unit, std::deque<Unit>& ready,
+                                             Clock::time_point now) {
   if (failed_[unit.slot] != 0) return std::nullopt;
   if (unit.attempt < retry_.max_retries) {
     ++retries_;
@@ -433,7 +433,7 @@ std::optional<CellResult> UnitLedger::charge(const Unit& unit, std::deque<Unit>&
         std::min(kMaxBackoff,
                  kBackoffBase * std::pow(kBackoffFactor, static_cast<double>(unit.attempt)));
     ready.push_back({job_id_, unit.slot, unit.rep, unit.attempt + 1,
-                     Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                     now + std::chrono::duration_cast<Clock::duration>(
                                         std::chrono::duration<double>(backoff))});
     return std::nullopt;
   }

@@ -21,7 +21,9 @@
 ///
 /// The loop's wake-up and dispatch rules are poll_timeout_ms and
 /// dispatch_ready. The loop itself, and how a drain ends it with or without
-/// a listener, is in serve.hpp.
+/// a listener, is in serve.hpp. No rule here reads the clock: each takes
+/// the loop's `now`, so the loop reads it once per iteration and a test can
+/// pin it.
 #pragma once
 
 #include <signal.h>
@@ -125,10 +127,11 @@ void spawn_worker(Worker& worker, std::vector<Worker>& workers,
 
 /// Sends \p unit of the job keyed \p key to an idle worker, preceded by a
 /// kLoadJob of \p ini_text when the worker's mirror lacks the key, and marks
-/// the worker busy. Returns false when the worker died while idle; the
+/// the worker busy since \p now. Returns false when the worker died while idle; the
 /// attempt never started, so the caller requeues it uncharged and reaps.
 [[nodiscard]] bool dispatch(Worker& worker, const Unit& unit, std::uint64_t key,
-                            std::string_view ini_text, util::ByteWriter& writer);
+                            std::string_view ini_text, util::ByteWriter& writer,
+                            Clock::time_point now);
 
 /// Handles a poll event on a busy worker's result pipe. Returns the Metrics
 /// of its in-flight unit (the worker is idle again), or nullopt when the
@@ -142,8 +145,9 @@ void spawn_worker(Worker& worker, std::vector<Worker>& workers,
 [[nodiscard]] std::optional<Unit> reap(Worker& worker);
 
 /// SIGKILLs and reaps every busy worker whose unit has run \p unit_timeout
-/// seconds or longer (0 disables); returns the units they held.
-[[nodiscard]] std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout);
+/// seconds or longer by \p now (0 disables); returns the units they held.
+[[nodiscard]] std::vector<Unit> kill_overdue(std::vector<Worker>& workers, double unit_timeout,
+                                             Clock::time_point now);
 
 /// The job of a unit as dispatch() needs it: the worker-cache key, and the
 /// INI text sent to a worker whose mirror lacks that key.
@@ -156,21 +160,23 @@ struct UnitJob {
 /// dropped instead of dispatched.
 using UnitJobLookup = std::function<std::optional<UnitJob>(const Unit&)>;
 
-/// Hands released units of \p ready to idle workers in queue order, dropping
-/// the units whose job \p job_of no longer finds as it meets them. A worker
-/// that died while idle (e.g. an external kill -9) is reaped and its unit
-/// goes back to the front of \p ready uncharged: the attempt never started.
+/// Hands the units of \p ready released by \p now to idle workers in queue
+/// order, dropping the units whose job \p job_of no longer finds as it meets
+/// them. A worker that died while idle (e.g. an external kill -9) is reaped
+/// and its unit goes back to the front of \p ready uncharged: the attempt
+/// never started.
 void dispatch_ready(std::vector<Worker>& workers, std::deque<Unit>& ready,
-                    const UnitJobLookup& job_of, util::ByteWriter& writer);
+                    const UnitJobLookup& job_of, util::ByteWriter& writer,
+                    Clock::time_point now);
 
-/// Poll timeout in ms: the nearest deadline of a busy worker's unit, capped
-/// at 200 ms so a drain request never waits long. While some worker is dead
-/// or idle it also clamps to the nearest backoff release in \p ready, the
-/// moment that worker can take the unit. With every worker busy a release
+/// Poll timeout in ms from \p now: the nearest deadline of a busy worker's
+/// unit, capped at 200 ms so a drain request never waits long. While some
+/// worker is dead or idle it also clamps to the nearest backoff release in
+/// \p ready, the moment that worker can take the unit. With every worker busy a release
 /// does not matter: a result frame or hang-up wakes the poll first, and
 /// clamping to a release already past would make the loop spin.
 [[nodiscard]] int poll_timeout_ms(const std::vector<Worker>& workers, double unit_timeout,
-                                  const std::deque<Unit>& ready);
+                                  const std::deque<Unit>& ready, Clock::time_point now);
 
 /// Asks every live worker to exit, then collects it; a worker wedged in a
 /// hung unit gets two seconds before SIGKILL.
@@ -199,10 +205,12 @@ class UnitLedger {
   /// replications remain, for a cell already failed, or for a duplicate.
   [[nodiscard]] std::optional<CellResult> complete(const Unit& unit, reports::Metrics metrics);
 
-  /// Charges a crashed or timed-out unit: requeues it into \p ready after a
-  /// backoff, or, once its retries are exhausted, drops the slot's pending
-  /// units and returns the failed cell. No-op for a cell already failed.
-  [[nodiscard]] std::optional<CellResult> charge(const Unit& unit, std::deque<Unit>& ready);
+  /// Charges a crashed or timed-out unit: requeues it into \p ready, released
+  /// a backoff after \p now, or, once its retries are exhausted, drops the
+  /// slot's pending units and returns the failed cell. No-op for a cell
+  /// already failed.
+  [[nodiscard]] std::optional<CellResult> charge(const Unit& unit, std::deque<Unit>& ready,
+                                                 Clock::time_point now);
 
   [[nodiscard]] bool cell_failed(std::uint32_t slot) const { return failed_[slot] != 0; }
   [[nodiscard]] std::size_t cells() const noexcept { return slots_.size(); }

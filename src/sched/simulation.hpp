@@ -169,7 +169,8 @@ class Simulation final : public machines::MachineListener {
 
   // ---- inspection ---------------------------------------------------------
 
-  /// The engine (exposed for observers/visualizers; do not schedule into it).
+  /// The engine (exposed for the step-mode visualizer and tests that step or
+  /// peek it; do not schedule into it).
   [[nodiscard]] core::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] const core::Engine& engine() const noexcept { return engine_; }
 

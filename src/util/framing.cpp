@@ -59,18 +59,6 @@ std::string ByteReader::str() {
 
 namespace {
 
-void write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t written = ::write(fd, data, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(std::string("pipe: write failed: ") + std::strerror(errno));
-    }
-    data += written;
-    size -= static_cast<std::size_t>(written);
-  }
-}
-
 /// Reads exactly \p size bytes; returns the count actually read, which is
 /// short only when the peer closed the pipe.
 std::size_t read_upto(int fd, char* out, std::size_t size) {
@@ -88,23 +76,6 @@ std::size_t read_upto(int fd, char* out, std::size_t size) {
 }
 
 }  // namespace
-
-void write_frame(int fd, std::string_view payload) {
-  // One buffer, one write loop: small frames land in a single atomic write,
-  // so a SIGKILL'd writer leaves either nothing or a decodable prefix.
-  std::string framed;
-  const auto size = static_cast<std::uint32_t>(payload.size());
-  framed.reserve(sizeof size + payload.size());
-  framed.append(reinterpret_cast<const char*>(&size), sizeof size);
-  framed.append(payload.data(), payload.size());
-  write_all(fd, framed.data(), framed.size());
-}
-
-std::optional<std::string> read_frame(int fd, std::size_t max_payload) {
-  std::string payload;
-  if (!read_frame_into(fd, payload, max_payload)) return std::nullopt;
-  return payload;
-}
 
 void write_frame_zc(int fd, std::string_view payload) {
   std::uint32_t size = static_cast<std::uint32_t>(payload.size());

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -66,39 +65,28 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-/// Writes one length-prefixed frame (u32 payload size + payload bytes) to
-/// \p fd, looping over partial writes and EINTR. Throws e2c::IoError on any
-/// write failure (including EPIPE — callers supervising subprocesses treat
-/// that as the peer having died).
-void write_frame(int fd, std::string_view payload);
-
 /// Payload cap for frames between processes of one binary: worker command
 /// and result channels, process-pool pipes, and service replies to a
 /// submitting client. Far above any real frame (an INI text or one cell's
 /// metrics); it only stops a corrupt length prefix from sizing the buffer.
 inline constexpr std::size_t kMaxChannelFrame = std::size_t{64} << 20;  // 64 MiB
 
-/// Reads one length-prefixed frame from \p fd (blocking). Returns nullopt on
-/// clean EOF before any byte of the frame; throws e2c::IoError when the peer
-/// hangs up mid-frame (a truncated frame is how a crashed writer looks) or
-/// announces a payload larger than \p max_payload.
-[[nodiscard]] std::optional<std::string> read_frame(int fd, std::size_t max_payload);
-
-/// Zero-copy variant of write_frame: the 4-byte length header and \p payload
-/// go out in one writev() — the payload is never copied into a combined
-/// buffer, so a caller encoding into a recycled ByteWriter writes frames
-/// with zero allocations and zero extra copies. Semantics match write_frame
-/// (loops over partial writes and EINTR, throws e2c::IoError on failure).
-/// Note: unlike write_frame, header and payload may land in separate
-/// write()s under a partial write, so this is for stream sockets and for
-/// writers the peer supervises via EOF — not for the crash-journal pipe
-/// path that counts on single-write atomicity.
+/// Writes one length-prefixed frame (u32 payload size + payload bytes) to
+/// \p fd. The 4-byte length header and \p payload go out in one writev()
+/// — the payload is never copied into a combined buffer, so a caller
+/// encoding into a recycled ByteWriter writes frames with zero allocations
+/// and zero extra copies. Loops over partial writes and EINTR; throws
+/// e2c::IoError on any write failure (including EPIPE — callers supervising
+/// subprocesses treat that as the peer having died). Under a partial write
+/// header and payload may land in separate write()s, so a reader must
+/// treat a frame cut short by the writer's death as a crash.
 void write_frame_zc(int fd, std::string_view payload);
 
-/// Recycled-buffer variant of read_frame: reads the next frame's payload
-/// into \p payload (replacing its contents, reusing its capacity). Returns
-/// false on clean EOF before any byte of the frame; throws e2c::IoError on a
-/// mid-frame hangup, or before allocating anything when the length prefix
+/// Reads the next length-prefixed frame's payload from \p fd (blocking)
+/// into \p payload, replacing its contents and reusing its capacity.
+/// Returns false on clean EOF before any byte of the frame; throws
+/// e2c::IoError on a mid-frame hangup (a truncated frame is how a crashed
+/// writer looks), or before allocating anything when the length prefix
 /// exceeds \p max_payload. The steady-state serve loop calls this with one
 /// long-lived buffer per connection, so frame reads stop allocating once
 /// the buffer has grown to the session's largest frame.

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace e2c::workload {
 
@@ -15,6 +16,13 @@ const char* intensity_name(Intensity intensity) noexcept {
     case Intensity::kHigh: return "high";
   }
   return "unknown";
+}
+
+Intensity parse_intensity(const std::string& name) {
+  for (Intensity intensity : {Intensity::kLow, Intensity::kMedium, Intensity::kHigh}) {
+    if (util::iequals(name, intensity_name(intensity))) return intensity;
+  }
+  throw InputError("unknown intensity '" + name + "' (low|medium|high)");
 }
 
 double intensity_offered_load(Intensity intensity) noexcept {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "hetero/eet_matrix.hpp"
@@ -23,6 +24,10 @@ enum class Intensity : int { kLow, kMedium, kHigh };
 
 /// Display name ("low", "medium", "high").
 [[nodiscard]] const char* intensity_name(Intensity intensity) noexcept;
+
+/// Parses a case-insensitive intensity_name(); throws e2c::InputError on
+/// unknown names.
+[[nodiscard]] Intensity parse_intensity(const std::string& name);
 
 /// Offered-load fraction for a preset: low=0.5, medium=1.0, high=2.0.
 [[nodiscard]] double intensity_offered_load(Intensity intensity) noexcept;

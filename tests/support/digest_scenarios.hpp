@@ -1,10 +1,11 @@
 /// \file digest_scenarios.hpp
 /// \brief The run-digest scenario set: the systems and generated workloads
-/// whose full per-task records the run-digest goldens pin. The property
-/// tests check record invariants over the same runs.
+/// whose full per-task records the run-digest goldens pin, and the digest
+/// itself. The property tests check record invariants over the same runs.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sched/simulation.hpp"
 #include "workload/workload.hpp"
@@ -43,5 +44,10 @@ inline constexpr double kDeepQueueDuration = 60.0;
 /// The generated workload of a golden run on \p config (seed 20230607).
 [[nodiscard]] workload::Workload digest_workload(const sched::SystemConfig& config, double rho,
                                                  double duration);
+
+/// FNV-1a digest of every observable of a finished run: the complete
+/// per-task outcome records (timestamps bitwise), the outcome counters, the
+/// clock, the event count and the energy.
+[[nodiscard]] std::uint64_t digest_of(const sched::Simulation& simulation);
 
 }  // namespace e2c::test

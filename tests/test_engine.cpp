@@ -112,38 +112,6 @@ TEST(Engine, ProcessedCountTracksEvents) {
   EXPECT_EQ(engine.processed_count(), 5u);
 }
 
-class CountingObserver final : public e2c::core::EngineObserver {
- public:
-  void on_event(const e2c::core::EventRecord& record) override {
-    labels.push_back(record.label);
-  }
-  void on_idle(double now) override { idle_times.push_back(now); }
-  std::vector<std::string> labels;
-  std::vector<double> idle_times;
-};
-
-TEST(Engine, ObserverSeesEventsInOrder) {
-  Engine engine;
-  CountingObserver observer;
-  engine.add_observer(&observer);
-  (void)engine.schedule_at(2.0, EventPriority::kControl, "late", {});
-  (void)engine.schedule_at(1.0, EventPriority::kControl, "early", {});
-  engine.run();
-  EXPECT_EQ(observer.labels, (std::vector<std::string>{"early", "late"}));
-  EXPECT_FALSE(observer.idle_times.empty());
-}
-
-TEST(Engine, ObserverRemovable) {
-  Engine engine;
-  CountingObserver observer;
-  engine.add_observer(&observer);
-  engine.add_observer(&observer);  // duplicate ignored
-  engine.remove_observer(&observer);
-  (void)engine.schedule_at(1.0, EventPriority::kControl, "x", {});
-  engine.run();
-  EXPECT_TRUE(observer.labels.empty());
-}
-
 TEST(Engine, PeekNextShowsUpcomingEvent) {
   Engine engine;
   EXPECT_FALSE(engine.peek_next().has_value());

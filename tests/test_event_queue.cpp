@@ -16,15 +16,24 @@ namespace {
 
 using e2c::core::EventPriority;
 using e2c::core::EventQueue;
+using e2c::core::EventRecord;
+
+/// Reads the earliest event through peek(), then pops it; the pop must hand
+/// back the time peek() showed.
+EventRecord pop_record(EventQueue& queue) {
+  const EventRecord record = queue.peek().value();
+  EXPECT_DOUBLE_EQ(queue.pop().time, record.time);
+  return record;
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue queue;
   (void)queue.schedule(3.0, EventPriority::kArrival, "c", {});
   (void)queue.schedule(1.0, EventPriority::kArrival, "a", {});
   (void)queue.schedule(2.0, EventPriority::kArrival, "b", {});
-  EXPECT_EQ(queue.pop().label.str(), "a");
-  EXPECT_EQ(queue.pop().label.str(), "b");
-  EXPECT_EQ(queue.pop().label.str(), "c");
+  EXPECT_EQ(pop_record(queue).label, "a");
+  EXPECT_EQ(pop_record(queue).label, "b");
+  EXPECT_EQ(pop_record(queue).label, "c");
 }
 
 TEST(EventQueue, PriorityBreaksTimeTies) {
@@ -34,10 +43,10 @@ TEST(EventQueue, PriorityBreaksTimeTies) {
   (void)queue.schedule(5.0, EventPriority::kDeadline, "deadline", {});
   (void)queue.schedule(5.0, EventPriority::kSchedule, "schedule", {});
   // completion < deadline < arrival < schedule
-  EXPECT_EQ(queue.pop().label.str(), "completion");
-  EXPECT_EQ(queue.pop().label.str(), "deadline");
-  EXPECT_EQ(queue.pop().label.str(), "arrival");
-  EXPECT_EQ(queue.pop().label.str(), "schedule");
+  EXPECT_EQ(pop_record(queue).label, "completion");
+  EXPECT_EQ(pop_record(queue).label, "deadline");
+  EXPECT_EQ(pop_record(queue).label, "arrival");
+  EXPECT_EQ(pop_record(queue).label, "schedule");
 }
 
 TEST(EventQueue, InsertionOrderBreaksFullTies) {
@@ -45,9 +54,9 @@ TEST(EventQueue, InsertionOrderBreaksFullTies) {
   (void)queue.schedule(1.0, EventPriority::kArrival, "first", {});
   (void)queue.schedule(1.0, EventPriority::kArrival, "second", {});
   (void)queue.schedule(1.0, EventPriority::kArrival, "third", {});
-  EXPECT_EQ(queue.pop().label.str(), "first");
-  EXPECT_EQ(queue.pop().label.str(), "second");
-  EXPECT_EQ(queue.pop().label.str(), "third");
+  EXPECT_EQ(pop_record(queue).label, "first");
+  EXPECT_EQ(pop_record(queue).label, "second");
+  EXPECT_EQ(pop_record(queue).label, "third");
 }
 
 TEST(EventQueue, CancelRemovesEvent) {
@@ -56,7 +65,7 @@ TEST(EventQueue, CancelRemovesEvent) {
   (void)queue.schedule(2.0, EventPriority::kArrival, "b", {});
   EXPECT_TRUE(queue.cancel(id));
   EXPECT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.pop().label.str(), "b");
+  EXPECT_EQ(pop_record(queue).label, "b");
 }
 
 TEST(EventQueue, CancelUnknownIdReturnsFalse) {
@@ -149,7 +158,7 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
       const auto expected =
           std::min_element(reference.begin(), reference.end(),
                            [](const auto& a, const auto& b) { return a.first < b.first; });
-      const auto popped = queue.pop();
+      const auto popped = pop_record(queue);
       ASSERT_NE(expected, reference.end());
       EXPECT_EQ(popped.id, expected->second);
       reference.erase(expected);
@@ -159,7 +168,7 @@ TEST_P(EventQueueFuzzTest, MatchesReferenceModel) {
   // Drain and verify the final ordering end to end.
   std::sort(reference.begin(), reference.end());
   for (const auto& [key, id] : reference) {
-    EXPECT_EQ(queue.pop().id, id);
+    EXPECT_EQ(pop_record(queue).id, id);
   }
   EXPECT_TRUE(queue.empty());
 }
@@ -229,7 +238,7 @@ TEST_P(EventQueueMapModelTest, BehavesLikeOrderedMapCalendar) {
     } else {
       const auto expected = model.begin();
       ASSERT_NE(expected, model.end());
-      const auto popped = queue.pop();
+      const auto popped = pop_record(queue);
       EXPECT_EQ(popped.id, expected->second);
       EXPECT_DOUBLE_EQ(popped.time, std::get<0>(expected->first));
       EXPECT_EQ(static_cast<int>(popped.priority), std::get<1>(expected->first));
@@ -246,7 +255,7 @@ TEST_P(EventQueueMapModelTest, BehavesLikeOrderedMapCalendar) {
     }
   }
   while (!model.empty()) {
-    EXPECT_EQ(queue.pop().id, model.begin()->second);
+    EXPECT_EQ(pop_record(queue).id, model.begin()->second);
     model.erase(model.begin());
   }
   EXPECT_TRUE(queue.empty());
@@ -304,7 +313,7 @@ TEST(EventQueue, CancelRootLastAndInteriorNodesKeepOrder) {
   for (const auto& [key, id] : expected) {
     ASSERT_FALSE(queue.empty());
     EXPECT_DOUBLE_EQ(*queue.next_time(), std::get<0>(key));
-    const auto popped = queue.pop();
+    const auto popped = pop_record(queue);
     EXPECT_EQ(popped.id, id);
     EXPECT_EQ(static_cast<int>(popped.priority), std::get<1>(key));
   }
@@ -332,7 +341,7 @@ TEST(EventQueue, TombstoneCompactionBoundsHeapGrowth) {
   }
   // The pinned events survive the churn in exact order.
   for (const auto id : pinned) {
-    EXPECT_EQ(queue.pop().id, id);
+    EXPECT_EQ(pop_record(queue).id, id);
   }
   EXPECT_TRUE(queue.empty());
 }

@@ -15,6 +15,7 @@
 #include "reports/report.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulation.hpp"
+#include "support/event_trace.hpp"
 #include "util/error.hpp"
 #include "workload/workload.hpp"
 
@@ -531,13 +532,7 @@ TEST(FaultSimulation, CrashEvictsOnlyItsOwnTransfersInIdOrder) {
   system.faults = trace_faults({{0, 0.5, 1000.0}});
   Simulation simulation(system, e2c::sched::make_policy("MECT"));
 
-  struct RetryLog : e2c::core::EngineObserver {
-    std::vector<std::string> retries;
-    void on_event(const e2c::core::EventRecord& record) override {
-      if (record.label.rfind("retry task=", 0) == 0) retries.push_back(record.label);
-    }
-  } log;
-  simulation.engine().add_observer(&log);
+  e2c::test::EventTrace trace;
   simulation.load(Workload({make_task(5, 0, 0.0, 1e9), make_task(4, 0, 0.1, 1e9),
                             make_task(3, 1, 0.2, 1e9)}));
   const auto& state = simulation.task_state();
@@ -545,13 +540,13 @@ TEST(FaultSimulation, CrashEvictsOnlyItsOwnTransfersInIdOrder) {
   ASSERT_EQ(state.id(1), 4u);
   ASSERT_EQ(state.id(2), 3u);
 
-  simulation.engine().run_until(0.4);
+  trace.record_until(simulation.engine(), 0.4);
   EXPECT_EQ(simulation.in_flight_count(0), 2u);
   EXPECT_EQ(simulation.in_flight_count(1), 1u);
   EXPECT_EQ(state.machine[0], 0u);
   EXPECT_EQ(state.machine[1], 0u);
 
-  simulation.engine().run_until(0.6);
+  trace.record_until(simulation.engine(), 0.6);
   EXPECT_EQ(simulation.in_flight_count(0), 0u);
   EXPECT_EQ(simulation.in_flight_count(1), 1u);
   EXPECT_EQ(state.status[0], TaskStatus::kRetryWait);
@@ -559,9 +554,12 @@ TEST(FaultSimulation, CrashEvictsOnlyItsOwnTransfersInIdOrder) {
   EXPECT_EQ(state.status[2], TaskStatus::kTransferring);
   EXPECT_EQ(state.machine[2], 1u);
 
-  simulation.run();
-  simulation.engine().remove_observer(&log);
-  EXPECT_EQ(log.retries, (std::vector<std::string>{"retry task=4", "retry task=5"}));
+  trace.record(simulation.engine());
+  std::vector<std::string> retries;
+  for (const auto& record : trace.records()) {
+    if (record.label.rfind("retry task=", 0) == 0) retries.push_back(record.label);
+  }
+  EXPECT_EQ(retries, (std::vector<std::string>{"retry task=4", "retry task=5"}));
   for (std::size_t i = 0; i < state.size(); ++i) {
     EXPECT_EQ(state.status[i], TaskStatus::kCompleted) << "task " << state.id(i);
   }

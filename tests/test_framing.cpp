@@ -16,7 +16,7 @@
 namespace {
 
 using e2c::util::read_frame_into;
-using e2c::util::write_frame;
+using e2c::util::write_frame_zc;
 
 /// A connected AF_UNIX stream pair, closed on scope exit.
 class SocketPair {
@@ -40,9 +40,9 @@ constexpr std::size_t kCap = std::size_t{1} << 20;
 
 TEST(Framing, FramesUpToTheCapRoundTrip) {
   const SocketPair pair;
-  write_frame(pair.writer(), "hello");
-  write_frame(pair.writer(), "");
-  write_frame(pair.writer(), std::string(16, 'x'));
+  write_frame_zc(pair.writer(), "hello");
+  write_frame_zc(pair.writer(), "");
+  write_frame_zc(pair.writer(), std::string(16, 'x'));
   std::string payload;
   ASSERT_TRUE(read_frame_into(pair.reader(), payload, kCap));
   EXPECT_EQ(payload, "hello");
@@ -74,7 +74,7 @@ TEST(Framing, OversizeHeaderIsRejectedBeforeAllocating) {
 
 TEST(Framing, CapAppliesOneByteOverTheLimit) {
   const SocketPair pair;
-  write_frame(pair.writer(), std::string(17, 'x'));
+  write_frame_zc(pair.writer(), std::string(17, 'x'));
   std::string payload;
   EXPECT_THROW((void)read_frame_into(pair.reader(), payload, 16), e2c::IoError);
   EXPECT_LT(payload.capacity(), std::size_t{17});

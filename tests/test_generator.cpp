@@ -260,6 +260,8 @@ TEST(Intensity, NamesAndLoads) {
   EXPECT_DOUBLE_EQ(e2c::workload::intensity_offered_load(Intensity::kLow), 0.5);
   EXPECT_DOUBLE_EQ(e2c::workload::intensity_offered_load(Intensity::kMedium), 1.0);
   EXPECT_DOUBLE_EQ(e2c::workload::intensity_offered_load(Intensity::kHigh), 2.0);
+  EXPECT_EQ(e2c::workload::parse_intensity("MEDIUM"), Intensity::kMedium);
+  EXPECT_THROW((void)e2c::workload::parse_intensity("turbo"), e2c::InputError);
 }
 
 }  // namespace

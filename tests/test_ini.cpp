@@ -296,6 +296,53 @@ TEST(SpecIo, NegativeIntegersRejectedWithTheirLine) {
   EXPECT_NE(fault_seed.find("(line 6)"), std::string::npos) << fault_seed;
 }
 
+TEST(SpecIo, DisabledFaultsSectionNeverOpensItsTrace) {
+  const std::string sweep = "[sweep]\npolicies = MM\nintensities = low\n";
+  const std::string missing = testing::TempDir() + "/e2c_spec_no_such_trace.csv";
+  std::remove(missing.c_str());
+  const auto off = e2c::exp::spec_from_ini(
+      IniFile::parse(sweep + "[faults]\nenabled = false\ntrace = " + missing + "\n"));
+  EXPECT_FALSE(off.system.faults.enabled);
+  EXPECT_TRUE(off.system.faults.trace.empty());
+  // The section's other keys are still checked, and so is the pairing.
+  const std::string seed = input_error([&] {
+    (void)e2c::exp::spec_from_ini(IniFile::parse(
+        sweep + "[faults]\nenabled = false\ntrace = " + missing + "\nseed = -1\n"));
+  });
+  EXPECT_NE(seed.find("faults.seed must be >= 0 (line 7)"), std::string::npos) << seed;
+  const std::string both = input_error([&] {
+    (void)e2c::exp::spec_from_ini(IniFile::parse(
+        sweep + "[faults]\nenabled = false\nmtbf = 100\ntrace = " + missing + "\n"));
+  });
+  EXPECT_NE(both.find("mutually exclusive"), std::string::npos) << both;
+  // Enabled, the same section fails on the missing file.
+  EXPECT_THROW((void)e2c::exp::spec_from_ini(
+                   IniFile::parse(sweep + "[faults]\ntrace = " + missing + "\n")),
+               e2c::IoError);
+}
+
+TEST(SpecIo, DeadlineFactorsRejectedWithTheirLines) {
+  const std::string sweep = "[sweep]\npolicies = MM\nintensities = low\n";
+  const auto error_of = [](const std::string& text) {
+    return input_error([&] { (void)e2c::exp::spec_from_ini(IniFile::parse(text)); });
+  };
+  EXPECT_EQ(error_of(sweep + "deadline_lo = 0\n"),
+            "experiment config: sweep.deadline_lo must be > 0 (line 4)");
+  EXPECT_EQ(error_of(sweep + "deadline_hi = -2\n"),
+            "experiment config: sweep.deadline_hi must be > 0 (line 4)");
+  EXPECT_EQ(error_of(sweep + "deadline_lo = 3\ndeadline_hi = 2\n"),
+            "experiment config: sweep.deadline_lo must be <= sweep.deadline_hi "
+            "(line 4, line 5)");
+  // An absent key is named by its section.key; the default hi is 4.
+  EXPECT_EQ(error_of(sweep + "deadline_lo = 5\n"),
+            "experiment config: sweep.deadline_lo must be <= sweep.deadline_hi "
+            "(line 4, sweep.deadline_hi)");
+  const auto spec =
+      e2c::exp::spec_from_ini(IniFile::parse(sweep + "deadline_lo = 3\ndeadline_hi = 3\n"));
+  EXPECT_DOUBLE_EQ(spec.deadline_factor_lo, 3.0);
+  EXPECT_DOUBLE_EQ(spec.deadline_factor_hi, 3.0);
+}
+
 TEST(SpecIo, RejectsBadFaultsSection) {
   EXPECT_THROW((void)e2c::exp::spec_from_ini(IniFile::parse(
                    "[sweep]\npolicies = MM\nintensities = low\n"
@@ -317,9 +364,11 @@ TEST(SpecIo, RejectsInvalidConfigs) {
                    "[system]\nscenario = marsbase\n"
                    "[sweep]\npolicies = MM\nintensities = low\n")),
                e2c::InputError);  // unknown scenario
-  EXPECT_THROW((void)e2c::exp::spec_from_ini(IniFile::parse(
-                   "[sweep]\npolicies = MM\nintensities = turbo\n")),
-               e2c::InputError);  // unknown intensity
+  EXPECT_EQ(input_error([] {
+              (void)e2c::exp::spec_from_ini(
+                  IniFile::parse("[sweep]\npolicies = MM\nintensities = low, turbo\n"));
+            }),
+            "unknown intensity 'turbo' (low|medium|high)");
 }
 
 TEST(SpecIo, EndToEndRunFromFile) {

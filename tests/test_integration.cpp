@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "e2c.hpp"
+#include "support/event_trace.hpp"
 
 namespace {
 
@@ -161,9 +162,9 @@ TEST(Integration, TraceCsvExportOfFullRun) {
   const Workload workload = e2c::workload::generate_workload(system.eet, generator);
 
   Simulation simulation(system, e2c::sched::make_policy("MECT"));
-  e2c::core::TraceRecorder trace(simulation.engine());
   simulation.load(workload);
-  simulation.run();
+  e2c::test::EventTrace trace;
+  trace.record(simulation.engine());
 
   const auto rows = trace.to_csv_rows();
   EXPECT_GT(rows.size(), workload.size());

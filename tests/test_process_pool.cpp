@@ -158,12 +158,15 @@ TEST(ProcessPool, SupervisorSleepsWhileEveryWorkerIsBusy) {
 }
 
 // poll_timeout_ms, the one wake-up rule of both supervisors. Only the
-// alive/busy/started fields of a Worker matter to it.
+// alive/busy/started fields of a Worker matter to it. The loop passes its
+// clock in, so these cases pin `now` and expect exact timeouts.
+const exp::Clock::time_point kNow{std::chrono::seconds(1000)};
+
 exp::Worker fake_worker(bool alive, bool busy) {
   exp::Worker worker;
   worker.alive = alive;
   worker.busy = busy;
-  worker.started = exp::Clock::now();
+  worker.started = kNow;
   return worker;
 }
 
@@ -177,37 +180,56 @@ TEST(WorkerPool, PollTimeoutIgnoresPastReleasesWhileEveryWorkerIsBusy) {
   std::vector<exp::Worker> workers;
   workers.push_back(fake_worker(true, true));
   workers.push_back(fake_worker(true, true));
-  const auto ready = one_unit_released_at(exp::Clock::now() - std::chrono::seconds(1));
-  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0, ready), 200);
+  const auto ready = one_unit_released_at(kNow - std::chrono::seconds(1));
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0, ready, kNow), 200);
 }
 
 TEST(WorkerPool, PollTimeoutClampsToAReleaseAnIdleOrDeadWorkerCanTake) {
-  const auto ready = one_unit_released_at(exp::Clock::now() + std::chrono::milliseconds(150));
+  const auto ready = one_unit_released_at(kNow + std::chrono::milliseconds(150));
   for (const bool alive : {true, false}) {
     std::vector<exp::Worker> workers;
     workers.push_back(fake_worker(true, true));
     workers.push_back(fake_worker(alive, false));
-    const int timeout = exp::poll_timeout_ms(workers, 0.0, ready);
-    EXPECT_GT(timeout, 0) << (alive ? "idle" : "dead");
-    EXPECT_LE(timeout, 150) << (alive ? "idle" : "dead");
+    EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0, ready, kNow), 150)
+        << (alive ? "idle" : "dead");
   }
   std::vector<exp::Worker> workers;
   workers.push_back(fake_worker(true, false));
   EXPECT_EQ(exp::poll_timeout_ms(workers, 0.0,
-                                 one_unit_released_at(exp::Clock::now() -
-                                                      std::chrono::seconds(1))),
+                                 one_unit_released_at(kNow - std::chrono::seconds(1)), kNow),
             0);
 }
 
 TEST(WorkerPool, PollTimeoutClampsToABusyWorkersUnitDeadline) {
   std::vector<exp::Worker> workers;
   workers.push_back(fake_worker(true, true));
-  const auto past = one_unit_released_at(exp::Clock::now() - std::chrono::seconds(1));
-  const int timeout = exp::poll_timeout_ms(workers, 0.15, past);
-  EXPECT_GT(timeout, 0);
-  EXPECT_LE(timeout, 150);
+  const auto past = one_unit_released_at(kNow - std::chrono::seconds(1));
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past, kNow), 150);
   workers.front().started -= std::chrono::seconds(1);  // overdue: wake at once
-  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past), 0);
+  EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past, kNow), 0);
+}
+
+TEST(WorkerPool, ChargeReleasesTheRetryABackoffAfterNow) {
+  exp::UnitLedger ledger(/*job_id=*/7, {exp::Slot{"MECT", Intensity::kLow}},
+                         /*reps=*/1, exp::RequeuePolicy{2});
+  std::deque<exp::Unit> ready;
+  exp::Unit unit;
+  unit.job_id = 7;
+  EXPECT_FALSE(ledger.charge(unit, ready, kNow).has_value());
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready.front().attempt, 1u);
+  EXPECT_EQ(ready.front().release, kNow + std::chrono::milliseconds(50));
+  unit = ready.front();
+  ready.clear();
+  EXPECT_FALSE(ledger.charge(unit, ready, kNow).has_value());
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready.front().release, kNow + std::chrono::milliseconds(100));  // doubled
+  unit = ready.front();
+  ready.clear();
+  const auto failed = ledger.charge(unit, ready, kNow);  // retries exhausted
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status, exp::CellStatus::kFailed);
+  EXPECT_TRUE(ready.empty());
 }
 
 TEST(ProcessPool, CrashedWorkerIsRetriedAndSweepCompletes) {

@@ -5,12 +5,12 @@
 
 #include <tuple>
 
-#include "core/trace.hpp"
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
 #include "reports/metrics.hpp"
 #include "sched/registry.hpp"
 #include "support/digest_scenarios.hpp"
+#include "support/event_trace.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -54,15 +54,14 @@ class PolicyInvariantTest : public testing::TestWithParam<PropertyCase> {
 
     simulation_ = std::make_unique<Simulation>(system_,
                                                e2c::sched::make_policy(param.policy));
-    trace_ = std::make_unique<e2c::core::TraceRecorder>(simulation_->engine());
     simulation_->load(workload_);
-    simulation_->run();
+    trace_.record(simulation_->engine());
   }
 
   e2c::sched::SystemConfig system_;
   e2c::workload::Workload workload_;
   std::unique_ptr<Simulation> simulation_;
-  std::unique_ptr<e2c::core::TraceRecorder> trace_;
+  e2c::test::EventTrace trace_;
 };
 
 TEST_P(PolicyInvariantTest, EveryTaskReachesExactlyOneTerminalState) {
@@ -154,8 +153,8 @@ TEST_P(PolicyInvariantTest, EnergyWithinPowerEnvelope) {
 
 TEST_P(PolicyInvariantTest, EventOrderingIsMonotonic) {
   run_case();
-  EXPECT_TRUE(trace_->is_monotonic());
-  EXPECT_GT(trace_->records().size(), workload_.size());  // >= one event per task
+  EXPECT_TRUE(trace_.is_monotonic());
+  EXPECT_GT(trace_.records().size(), workload_.size());  // >= one event per task
 }
 
 TEST_P(PolicyInvariantTest, ImmediateModeNeverCancels) {
@@ -227,6 +226,32 @@ TEST(TaskRecordProperty, CompletionOrMissTimeFollowsTerminalStatus) {
     SCOPED_TRACE("deepq" + std::to_string(capacity));
     for (const std::string& policy : e2c::sched::batch_policy_names()) {
       expect_one_end_instant(system, workload, policy);
+    }
+  }
+}
+
+// Pressing "Increment" until the calendar is empty must give the run that
+// "Run" gives: over the run-digest scenario set, under every policy, the
+// step loop of EventTrace::record and Simulation::run() end with the same
+// run digest.
+TEST(StepProperty, SteppingToTheEndEqualsRunning) {
+  for (const e2c::test::DigestScenario& scenario : e2c::test::kDigestScenarios) {
+    const auto system = scenario.make();
+    const auto workload = e2c::test::digest_workload(system, e2c::test::kDigestRho,
+                                                     e2c::test::kDigestDuration);
+    for (const std::string& policy : e2c::sched::PolicyRegistry::instance().names()) {
+      SCOPED_TRACE(std::string(scenario.name) + "/" + policy);
+      Simulation ran(system, e2c::sched::make_policy(policy));
+      ran.load(workload);
+      ran.run();
+
+      Simulation stepped(system, e2c::sched::make_policy(policy));
+      stepped.load(workload);
+      e2c::test::EventTrace trace;
+      trace.record(stepped.engine());
+
+      EXPECT_EQ(e2c::test::digest_of(stepped), e2c::test::digest_of(ran));
+      EXPECT_EQ(trace.records().size(), ran.engine().processed_count());
     }
   }
 }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,66 +37,7 @@ namespace {
 using e2c::sched::Simulation;
 using e2c::sched::SystemConfig;
 
-class Fnv1a {
- public:
-  void add_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xFFu;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_double(double value) noexcept {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    add_u64(bits);
-  }
-  // Sentinel times hash exactly as the old optional columns did: a
-  // presence word followed by the value (0.0 when unset).
-  void add_time(double value) noexcept {
-    const bool set = e2c::core::time_set(value);
-    add_u64(set ? 1u : 0u);
-    add_double(set ? value : 0.0);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-/// Every observable of a finished run: the complete per-task outcome records,
-/// the outcome counters, the clock, the event count and the energy.
-std::uint64_t digest_of(const Simulation& simulation) {
-  Fnv1a digest;
-  const auto& state = simulation.task_state();
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    digest.add_u64(state.id(i));
-    digest.add_u64(state.type(i));
-    digest.add_u64(static_cast<std::uint64_t>(state.status[i]));
-    digest.add_u64(state.machine[i] == e2c::workload::kNoMachine
-                       ? ~0ull
-                       : static_cast<std::uint64_t>(state.machine[i]));
-    digest.add_time(state.assignment_time[i]);
-    digest.add_time(state.start_time[i]);
-    digest.add_time(state.completion_time(i));
-    digest.add_time(state.missed_time(i));
-    digest.add_u64(state.retries(i));
-    digest.add_double(state.useful_seconds[i]);
-    digest.add_double(state.lost_seconds[i]);
-    digest.add_double(state.checkpoint_overhead_seconds(i));
-    digest.add_double(state.machine_seconds[i]);
-  }
-  const auto& counters = simulation.counters();
-  digest.add_u64(counters.total);
-  digest.add_u64(counters.completed);
-  digest.add_u64(counters.cancelled);
-  digest.add_u64(counters.dropped);
-  digest.add_u64(counters.failed);
-  digest.add_u64(counters.requeued);
-  digest.add_double(simulation.engine().now());
-  digest.add_u64(simulation.engine().processed_count());
-  digest.add_double(simulation.total_energy_joules());
-  return digest.value();
-}
+using e2c::test::digest_of;
 
 std::uint64_t run_digest(SystemConfig config, std::unique_ptr<e2c::sched::Policy> policy,
                          double rho = e2c::test::kDigestRho,

@@ -4,13 +4,13 @@
 // both an immediate and a batch policy.
 #include <gtest/gtest.h>
 
-#include "core/trace.hpp"
 #include "exp/scenario.hpp"
 #include "hetero/pet_matrix.hpp"
 #include "mem/model_cache.hpp"
 #include "net/comm_model.hpp"
 #include "reports/metrics.hpp"
 #include "sched/registry.hpp"
+#include "support/event_trace.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -89,21 +89,17 @@ class SubstrateComboTest : public testing::TestWithParam<ComboCase> {
         system_.eet, machine_types, e2c::workload::Intensity::kMedium, 60.0, seed);
     workload_ = e2c::workload::generate_workload(system_.eet, generator);
 
-    // The recorder observes the simulation's engine: detach it before the
-    // old simulation (and engine) is destroyed, or its destructor would
-    // unregister from freed memory.
-    trace_.reset();
     simulation_ = std::make_unique<Simulation>(system_,
                                                e2c::sched::make_policy(GetParam().policy));
-    trace_ = std::make_unique<e2c::core::TraceRecorder>(simulation_->engine());
     simulation_->load(workload_);
-    simulation_->run();
+    trace_.clear();
+    trace_.record(simulation_->engine());
   }
 
   e2c::sched::SystemConfig system_;
   e2c::workload::Workload workload_;
   std::unique_ptr<Simulation> simulation_;
-  std::unique_ptr<e2c::core::TraceRecorder> trace_;
+  e2c::test::EventTrace trace_;
 };
 
 TEST_P(SubstrateComboTest, RunTerminatesWithEveryTaskTerminal) {
@@ -148,7 +144,7 @@ TEST_P(SubstrateComboTest, RecordsConsistentUnderAllSubstrates) {
 
 TEST_P(SubstrateComboTest, EventOrderingMonotonic) {
   run_case();
-  EXPECT_TRUE(trace_->is_monotonic());
+  EXPECT_TRUE(trace_.is_monotonic());
 }
 
 TEST_P(SubstrateComboTest, EnergyNonNegativeAndBounded) {
