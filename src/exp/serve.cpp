@@ -218,10 +218,13 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   std::size_t jobs_served = 0;
   std::string frame;        // recycled inbound frame buffer
   util::ByteWriter writer;  // recycled outbound frame buffer
-  // The loop's clock, read once per iteration when the poll wakes. Every
-  // time rule of that iteration (results, timeouts, backoff, client
-  // deadlines) and the next iteration's dispatch and poll timeout see it.
-  Clock::time_point now = Clock::now();
+  // The loop's clock, read twice per iteration. Dispatch and the poll
+  // timeout read it afresh, so a unit's budget starts when it is handed out:
+  // the sweep before them (client writes, journal appends, kills, respawns)
+  // can take seconds and must not count against it. Once the poll wakes it
+  // is read again for every rule of the sweep (results, timeouts, backoff,
+  // client deadlines).
+  Clock::time_point now;
 
   /// Fds the supervisor owns that forked workers must not inherit: the
   /// listener and every client connection (a worker holding a client fd
@@ -502,6 +505,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       }
 
       // A worker whose mirror lacks a unit's job gets the job's INI first.
+      now = Clock::now();
       dispatch_ready(workers, ready, live_job, writer, now);
       const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready, now);
 

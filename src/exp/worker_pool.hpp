@@ -22,8 +22,8 @@
 /// The loop's wake-up and dispatch rules are poll_timeout_ms and
 /// dispatch_ready. The loop itself, and how a drain ends it with or without
 /// a listener, is in serve.hpp. No rule here reads the clock: each takes
-/// the loop's `now`, so the loop reads it once per iteration and a test can
-/// pin it.
+/// the loop's `now`, so the loop decides when to read it and a test can pin
+/// it.
 #pragma once
 
 #include <signal.h>

@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "util/error.hpp"
 #include "util/framing.hpp"
 #include "util/ini.hpp"
+#include "util/subprocess.hpp"
 
 namespace {
 
@@ -207,6 +210,44 @@ TEST(WorkerPool, PollTimeoutClampsToABusyWorkersUnitDeadline) {
   EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past, kNow), 150);
   workers.front().started -= std::chrono::seconds(1);  // overdue: wake at once
   EXPECT_EQ(exp::poll_timeout_ms(workers, 0.15, past, kNow), 0);
+}
+
+// dispatch_ready starts a unit's budget at the `now` it is given, so
+// kill_overdue leaves the unit alone until the whole timeout has passed since
+// then. The worker is a paused child, so a unit wrongly found overdue kills
+// only that child.
+TEST(WorkerPool, DispatchStartsTheBudgetAtTheGivenNow) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    for (;;) ::pause();
+  }
+  std::vector<exp::Worker> workers(1);
+  exp::Worker& worker = workers.front();
+  worker.pid = child;
+  worker.cmd = std::make_unique<e2c::util::Pipe>();
+  worker.res = std::make_unique<e2c::util::Pipe>();
+  worker.alive = true;
+  auto ready = one_unit_released_at(kNow);
+  e2c::util::ByteWriter writer;
+  exp::dispatch_ready(
+      workers, ready,
+      [](const exp::Unit&) -> std::optional<exp::UnitJob> { return exp::UnitJob{1, "[sweep]"}; },
+      writer, kNow);
+  EXPECT_TRUE(ready.empty());
+  EXPECT_TRUE(worker.busy);
+  EXPECT_EQ(worker.started, kNow);
+
+  const double timeout = 2.0;
+  const auto just_before = kNow + std::chrono::seconds(2) - std::chrono::milliseconds(1);
+  EXPECT_TRUE(exp::kill_overdue(workers, timeout, just_before).empty());
+  EXPECT_TRUE(worker.alive);
+  EXPECT_EQ(exp::kill_overdue(workers, timeout, kNow + std::chrono::seconds(2)).size(), 1u);
+  EXPECT_FALSE(worker.alive);  // killed and reaped
+  if (worker.alive) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, nullptr, 0);
+  }
 }
 
 TEST(WorkerPool, ChargeReleasesTheRetryABackoffAfterNow) {

@@ -10,6 +10,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -552,6 +553,69 @@ TEST(Serve, RetriesExhaustedDegradesCellAndClientStillCompletes) {
 
   // The degraded job must not linger in the backlog: the drain sees an
   // empty service and exits 0 promptly.
+  stop_service(service);
+}
+
+// A client that stops reading holds the supervisor in one write for up to
+// SO_SNDTIMEO (5 s). That time must not count against the units dispatched
+// after the write: with a 4 s cell timeout, a second client's job completes
+// with no unit killed and no retry. The second job's two units differ in
+// length, so when two workers take them right after the stall, the shorter
+// one's result wakes the supervisor while the longer one still runs, and
+// its timeout is checked.
+TEST(Serve, StalledClientDoesNotSpendAnotherJobsCellTimeout) {
+  // 9 cells x 200 replications: the stalled job's cell frames fill the
+  // socket buffer long before its units run out.
+  const std::string stalled_text =
+      "[sweep]\n"
+      "policies = FCFS, MECT, MM\n"
+      "intensities = low, medium, high\n"
+      "replications = 200\n"
+      "duration = 5\n"
+      "seed = 3\n";
+  const std::string text =
+      "[sweep]\n"
+      "policies = FCFS\n"
+      "intensities = low, high\n"
+      "replications = 1\n"
+      "duration = 10000\n"
+      "seed = 7\n";
+  const std::string expected = csv_of(direct_run(text));
+  const std::string socket_path = temp_path("serve_stalled.sock");
+  ServiceProcess service = start_service(
+      socket_path, {"--serve-workers", "2", "--cell-timeout", "4", "--max-retries", "1"});
+  wait_for_service(socket_path);
+
+  const int stalled = connect_raw(socket_path);
+  ASSERT_GE(stalled, 0);
+  util::ByteWriter writer;
+  exp::encode_job_submit(writer, {stalled_text});
+  util::write_frame_zc(stalled, writer.bytes());
+
+  const auto result = exp::submit_job(socket_path, text);
+  EXPECT_EQ(csv_of(result), expected);
+  EXPECT_EQ(result.health.failed_cells, 0u);
+  EXPECT_EQ(result.health.retries, 0u) << "a unit was charged for the stalled write";
+
+  // The stall did happen: the service gave the stalled job up and closed the
+  // connection without a done frame.
+  timeval receive_timeout{};
+  receive_timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(stalled, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
+                         sizeof receive_timeout),
+            0);
+  bool done = false;
+  std::string frame;
+  try {
+    while (util::read_frame_into(stalled, frame, util::kMaxChannelFrame)) {
+      done = done || exp::peek_job_frame(frame) == exp::JobFrame::kDone;
+    }
+  } catch (const e2c::Error&) {
+    // A frame cut off where the service gave up its write.
+  }
+  ::close(stalled);
+  EXPECT_FALSE(done) << "the stalled client's job was never dropped";
+
   stop_service(service);
 }
 
