@@ -24,7 +24,6 @@
 #include "exp/spec_io.hpp"
 #include "exp/tenants.hpp"
 #include "fault/fault_model.hpp"
-#include "hetero/machine_catalog.hpp"
 #include "hetero/pet_matrix.hpp"
 #include "net/comm_model.hpp"
 #include "reports/report.hpp"
@@ -44,11 +43,9 @@
 namespace {
 
 struct Options {
-  std::string eet_path;
   std::string workload_path;
   std::optional<std::string> generate_intensity;
   std::string policy = "FCFS";
-  std::size_t queue_size = 2;
   std::uint64_t seed = 42;
   double duration = 200.0;
   bool live = false;
@@ -64,18 +61,10 @@ struct Options {
   std::optional<std::string> html_out;
   bool list_policies = false;
   bool help = false;
-  // stochastic execution
-  std::optional<std::string> pet_kind;
-  double pet_cv = 0.3;
-  // communication model
-  std::optional<double> payload_mb;
-  double bandwidth = 100.0;
-  double link_latency = 0.0;
-  // elasticity
-  bool autoscale = false;
-  // fault injection, recovery strategy and shared checkpoint I/O, as the
-  // [faults]/[recovery]/[io] keys of an experiment config (see kConfigFlags)
-  e2c::util::IniFile fault_config;
+  // the system: EET, queues, PET, comm, elasticity, fault injection,
+  // recovery strategy and shared checkpoint I/O, as the [system]/[faults]/
+  // [recovery]/[io] keys of an experiment config (see kConfigFlags)
+  e2c::util::IniFile config;
   // multi-tenant workloads
   std::size_t tenants = 1;
 };
@@ -171,14 +160,23 @@ Exit codes:
 
 /// A flag that sets one key of an experiment config. Its value is read,
 /// checked and reported by the same code as the config file's
-/// (exp::fault_config_from_ini), with the flag as the key's locator.
+/// (exp::system_from_ini), with the flag as the key's locator.
 struct ConfigFlag {
   std::string_view flag;
   std::string_view section;
   std::string_view key;
+  std::string_view value = {};  ///< set by a flag that takes no value
 };
 
-constexpr std::array<ConfigFlag, 18> kConfigFlags{{
+constexpr std::array<ConfigFlag, 26> kConfigFlags{{
+    {"--eet", "system", "eet"},
+    {"--queue-size", "system", "queue_size"},
+    {"--pet", "system", "pet"},
+    {"--pet-cv", "system", "pet_cv"},
+    {"--payload-mb", "system", "payload_mb"},
+    {"--bandwidth", "system", "bandwidth"},
+    {"--latency", "system", "latency"},
+    {"--autoscale", "system", "autoscale", "true"},
     {"--mtbf", "faults", "mtbf"},
     {"--mttr", "faults", "mttr"},
     {"--fault-seed", "faults", "seed"},
@@ -216,12 +214,9 @@ Options parse_args(const std::vector<std::string>& args) {
     if (arg == "--help" || arg == "-h") options.help = true;
     else if (arg == "--list-policies") options.list_policies = true;
     else if (arg == "--live") options.live = true;
-    else if (arg == "--eet") options.eet_path = need_value(i++, arg);
     else if (arg == "--workload") options.workload_path = need_value(i++, arg);
     else if (arg == "--generate") options.generate_intensity = need_value(i++, arg);
     else if (arg == "--policy") options.policy = need_value(i++, arg);
-    else if (arg == "--pet") options.pet_kind = need_value(i++, arg);
-    else if (arg == "--autoscale") options.autoscale = true;
     else if (arg == "--summary") options.summary_out = need_value(i++, arg);
     else if (arg == "--task-report") options.task_out = need_value(i++, arg);
     else if (arg == "--machine-report") options.machine_out = need_value(i++, arg);
@@ -231,11 +226,7 @@ Options parse_args(const std::vector<std::string>& args) {
     else if (arg == "--trace-stats") options.trace_stats_out = need_value(i++, arg);
     else if (arg == "--gantt") options.gantt_out = need_value(i++, arg);
     else if (arg == "--html") options.html_out = need_value(i++, arg);
-    else if (arg == "--queue-size") {
-      const auto value = e2c::util::parse_int(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0, "--queue-size needs an integer >= 0");
-      options.queue_size = static_cast<std::size_t>(*value);
-    } else if (arg == "--seed") {
+    else if (arg == "--seed") {
       const auto value = e2c::util::parse_int(need_value(i++, arg));
       e2c::require_input(value.has_value() && *value >= 0, "--seed needs an integer >= 0");
       options.seed = static_cast<std::uint64_t>(*value);
@@ -247,25 +238,10 @@ Options parse_args(const std::vector<std::string>& args) {
       const auto value = e2c::util::parse_double(need_value(i++, arg));
       e2c::require_input(value.has_value() && *value > 0, "--speed needs a number > 0");
       options.speed = *value;
-    } else if (arg == "--pet-cv") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0, "--pet-cv needs a number >= 0");
-      options.pet_cv = *value;
-    } else if (arg == "--payload-mb") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0,
-                         "--payload-mb needs a number >= 0");
-      options.payload_mb = *value;
-    } else if (arg == "--bandwidth") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value > 0, "--bandwidth needs a number > 0");
-      options.bandwidth = *value;
-    } else if (arg == "--latency") {
-      const auto value = e2c::util::parse_double(need_value(i++, arg));
-      e2c::require_input(value.has_value() && *value >= 0, "--latency needs a number >= 0");
-      options.link_latency = *value;
     } else if (const ConfigFlag* flag = find_config_flag(arg)) {
-      options.fault_config.add(flag->section, flag->key, need_value(i++, arg), arg);
+      options.config.add(flag->section, flag->key,
+                         flag->value.empty() ? need_value(i++, arg) : std::string(flag->value),
+                         arg);
     } else if (arg == "--tenants") {
       const auto value = e2c::util::parse_int(need_value(i++, arg));
       e2c::require_input(value.has_value() && *value >= 1,
@@ -306,36 +282,29 @@ int run(const Options& options) {
     }
     return 0;
   }
-  require_input(!options.eet_path.empty(), "--eet is required (see --help)");
-
-  hetero::EetMatrix eet = hetero::EetMatrix::load_csv(options.eet_path);
-  sched::SystemConfig system = sched::make_default_system(eet, options.queue_size);
-
-  if (options.pet_kind) {
-    system.pet = hetero::PetMatrix::homoscedastic(
-        eet, hetero::parse_pet_kind(*options.pet_kind), options.pet_cv);
-    std::cout << "stochastic execution: " << *options.pet_kind
-              << " (cv=" << options.pet_cv << ")\n";
-  }
-  if (options.payload_mb) {
-    system.comm = net::CommModel::uniform(
-        eet.task_type_count(), eet.machine_type_count(), *options.payload_mb,
-        net::LinkSpec{options.link_latency, options.bandwidth});
-    std::cout << "communication model: " << *options.payload_mb << " MB/task at "
-              << options.bandwidth << " MB/s\n";
-  }
-  const util::IniFile& config = options.fault_config;
+  const util::IniFile& config = options.config;
+  require_input(!config.get_or("system", "eet", "").empty(), "--eet is required (see --help)");
   // Section presence alone enables faults with a default mtbf, so a flag
   // must not start injecting failures without a fault source.
-  require_input(config.sections().empty() || config.get("faults", "mtbf") ||
-                    config.get("faults", "trace"),
+  require_input(!(config.has_section("faults") || config.has_section("recovery") ||
+                  config.has_section("io")) ||
+                    config.get("faults", "mtbf") || config.get("faults", "trace"),
                 "retry/fault/recovery/io flags need --mtbf or --fault-trace");
   require_input(!config.has_section("io") || config.get("io", "bandwidth"),
                 "--io-strategy/--io-ckpt-bytes/--io-restart-bytes/--io-writers "
                 "need --io-bandwidth");
   // The reader rejects an inconsistent combination (exit 2), e.g. auto-τ with
-  // a fault trace or more replicas than machines, before anything is built.
-  system.faults = exp::fault_config_from_ini(config, system.machines.size());
+  // a fault trace or more replicas than machines, before anything runs.
+  const sched::SystemConfig system = exp::system_from_ini(config);
+  const hetero::EetMatrix& eet = system.eet;
+  if (system.pet) {
+    std::cout << "stochastic execution: " << *config.get("system", "pet")
+              << " (cv=" << system.pet->cell(0, 0).cv << ")\n";
+  }
+  if (system.comm) {
+    std::cout << "communication model: " << system.comm->payload_mb(0) << " MB/task at "
+              << system.comm->link(0).bandwidth_mb_per_s << " MB/s\n";
+  }
   if (system.faults.enabled) {
     const fault::FaultConfig& faults = system.faults;
     const fault::RecoveryConfig& recovery = faults.recovery;
@@ -371,16 +340,7 @@ int run(const Options& options) {
       std::cout << "recovery: replicate k=" << recovery.replicas << "\n";
     }
   }
-  if (options.autoscale) {
-    system.autoscaler.enabled = true;
-    system.autoscaler.interval = 2.0;
-    system.autoscaler.queue_high = 4;
-    system.autoscaler.queue_low = 0;
-    system.autoscaler.boot_delay = 2.0;
-    system.autoscaler.min_online = 1;
-    for (std::size_t m = 1; m < system.machines.size(); ++m) {
-      system.autoscaler.initially_offline.push_back(m);
-    }
+  if (system.autoscaler.enabled) {
     std::cout << "autoscaler enabled (machine 1 always on)\n";
   }
 

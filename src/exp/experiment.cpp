@@ -294,6 +294,38 @@ std::uint64_t spec_digest(const ExperimentSpec& spec) noexcept {
     fnv1a(hash, double_bits(spec.system.faults.mttr));
     fnv1a(hash, spec.system.faults.seed);
   }
+  // PET, comm and autoscaler only when set, so a spec without them keeps
+  // the digest it had before they were hashed. Each has its own tag.
+  if (const auto& pet = spec.system.pet) {
+    fnv1a(hash, 1);
+    for (std::size_t type = 0; type < pet->task_type_count(); ++type) {
+      for (std::size_t machine = 0; machine < pet->machine_type_count(); ++machine) {
+        const hetero::PetCell& cell = pet->cell(type, machine);
+        fnv1a(hash, static_cast<std::uint64_t>(cell.kind));
+        fnv1a(hash, double_bits(cell.cv));
+      }
+    }
+  }
+  if (const auto& comm = spec.system.comm) {
+    fnv1a(hash, 2);
+    for (std::size_t type = 0; type < comm->task_type_count(); ++type) {
+      fnv1a(hash, double_bits(comm->payload_mb(type)));
+    }
+    for (std::size_t machine = 0; machine < comm->machine_type_count(); ++machine) {
+      fnv1a(hash, double_bits(comm->link(machine).latency_seconds));
+      fnv1a(hash, double_bits(comm->link(machine).bandwidth_mb_per_s));
+    }
+  }
+  if (const sched::AutoscalerConfig& autoscaler = spec.system.autoscaler;
+      autoscaler.enabled) {
+    fnv1a(hash, 3);
+    fnv1a(hash, double_bits(autoscaler.interval));
+    fnv1a(hash, autoscaler.queue_high);
+    fnv1a(hash, autoscaler.queue_low);
+    fnv1a(hash, double_bits(autoscaler.boot_delay));
+    fnv1a(hash, autoscaler.min_online);
+    for (const std::size_t machine : autoscaler.initially_offline) fnv1a(hash, machine);
+  }
   return hash;
 }
 

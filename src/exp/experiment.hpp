@@ -194,8 +194,9 @@ struct RunOptions {
 
 /// Stable digest of the sweep-shaping fields of a spec (policies,
 /// intensities, replications, duration, seed, arrival, deadline factors,
-/// machine count). The journal header records it so `--resume` refuses to
-/// merge results produced by a different sweep.
+/// machine count and queue size, the fault knobs, and PET, comm and the
+/// autoscaler when set). The journal header records it so `--resume`
+/// refuses to merge results produced by a different sweep.
 [[nodiscard]] std::uint64_t spec_digest(const ExperimentSpec& spec) noexcept;
 
 namespace detail {

@@ -6,6 +6,8 @@
 
 #include "exp/scenario.hpp"
 #include "fault/fault_model.hpp"
+#include "hetero/pet_matrix.hpp"
+#include "net/comm_model.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -15,17 +17,19 @@ namespace e2c::exp {
 
 namespace {
 
-bool parse_flag(const std::string& value, const std::string& what) {
-  if (util::iequals(value, "true") || util::iequals(value, "yes") ||
-      util::iequals(value, "on") || value == "1") {
-    return true;
+/// section.key when present, as a boolean (true/yes/on/1 or false/no/off/0).
+std::optional<bool> get_flag(const util::IniFile& ini, const std::string& section,
+                             const std::string& key) {
+  const auto value = ini.get(section, key);
+  if (!value) return std::nullopt;
+  for (const char* yes : {"true", "yes", "on", "1"}) {
+    if (util::iequals(*value, yes)) return true;
   }
-  if (util::iequals(value, "false") || util::iequals(value, "no") ||
-      util::iequals(value, "off") || value == "0") {
-    return false;
+  for (const char* no : {"false", "no", "off", "0"}) {
+    if (util::iequals(*value, no)) return false;
   }
-  throw InputError("experiment config: " + what + " must be a boolean, got '" + value +
-                   "'");
+  throw InputError("experiment config: " + section + "." + key + " must be a boolean, got '" +
+                   *value + "' (" + ini.where(section, key) + ")");
 }
 
 /// section.key when present, as a double (T = double) or an integer
@@ -53,12 +57,33 @@ std::optional<T> get_bounded(const util::IniFile& ini, const std::string& sectio
   return value;
 }
 
+/// get_bounded into \p field, converted, when the key is present.
+template <typename Field, typename T>
+void read_bounded(Field& field, const util::IniFile& ini, const std::string& section,
+                  const std::string& key, T min, bool strict = false, const char* note = "") {
+  if (const auto value = get_bounded(ini, section, key, min, strict, note)) {
+    field = static_cast<Field>(*value);
+  }
+}
+
+/// \p name, a value of section.key, read by \p parse: one of the readers of
+/// a named choice (an intensity, a PET kind, a strategy), which throw
+/// e2c::InputError on an unknown name. The error gains the key's where()
+/// locator, as a bound violation does.
+template <typename Parse>
+auto parse_named(const util::IniFile& ini, const std::string& section, const std::string& key,
+                 const std::string& name, Parse parse) {
+  try {
+    return parse(name);
+  } catch (const InputError& error) {
+    throw InputError(std::string(error.what()) + " (" + ini.where(section, key) + ")");
+  }
+}
+
 void faults_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
   if (!ini.has_section("faults")) return;
   faults.enabled = true;
-  if (const auto enabled = ini.get("faults", "enabled")) {
-    faults.enabled = parse_flag(*enabled, "faults.enabled");
-  }
+  if (const auto enabled = get_flag(ini, "faults", "enabled")) faults.enabled = *enabled;
   if (const auto trace = ini.get("faults", "trace")) {
     require_input(!ini.get("faults", "mtbf"),
                   "experiment config: faults.mtbf and faults.trace are mutually "
@@ -69,24 +94,14 @@ void faults_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
     // A disabled section injects nothing, so its trace file need not exist.
     if (faults.enabled) faults.trace = fault::load_fault_trace_csv(*trace);
   }
-  if (const auto mtbf = get_bounded(ini, "faults", "mtbf", 0.0, true)) faults.mtbf = *mtbf;
-  if (const auto mttr = get_bounded(ini, "faults", "mttr", 0.0, true)) faults.mttr = *mttr;
-  if (const auto seed = get_bounded(ini, "faults", "seed", 0LL)) {
-    faults.seed = static_cast<std::uint64_t>(*seed);
-  }
+  read_bounded(faults.mtbf, ini, "faults", "mtbf", 0.0, true);
+  read_bounded(faults.mttr, ini, "faults", "mttr", 0.0, true);
+  read_bounded(faults.seed, ini, "faults", "seed", 0LL);
   fault::RetryPolicy& retry = faults.retry;
-  if (const auto retries = get_bounded(ini, "faults", "max_retries", 0LL)) {
-    retry.max_retries = static_cast<std::size_t>(*retries);
-  }
-  if (const auto backoff = get_bounded(ini, "faults", "backoff", 0.0)) {
-    retry.backoff_base = *backoff;
-  }
-  if (const auto factor = get_bounded(ini, "faults", "backoff_factor", 1.0)) {
-    retry.backoff_factor = *factor;
-  }
-  if (const auto cap = get_bounded(ini, "faults", "max_backoff", 0.0, true)) {
-    retry.max_backoff = *cap;
-  }
+  read_bounded(retry.max_retries, ini, "faults", "max_retries", 0LL);
+  read_bounded(retry.backoff_base, ini, "faults", "backoff", 0.0);
+  read_bounded(retry.backoff_factor, ini, "faults", "backoff_factor", 1.0);
+  read_bounded(retry.max_backoff, ini, "faults", "max_backoff", 0.0, true);
 }
 
 void recovery_from_ini(const util::IniFile& ini, fault::FaultConfig& faults,
@@ -97,18 +112,13 @@ void recovery_from_ini(const util::IniFile& ini, fault::FaultConfig& faults,
                 "strategies only act on injected failures");
   fault::RecoveryConfig& recovery = faults.recovery;
   if (const auto strategy = ini.get("recovery", "strategy")) {
-    recovery.strategy = fault::parse_recovery_strategy(*strategy);
+    recovery.strategy = parse_named(ini, "recovery", "strategy", *strategy,
+                                    fault::parse_recovery_strategy);
   }
-  if (const auto interval = get_bounded(ini, "recovery", "checkpoint_interval", 0.0, false,
-                                        ", 0 derives the Young/Daly optimum")) {
-    recovery.checkpoint_interval = *interval;
-  }
-  if (const auto cost = get_bounded(ini, "recovery", "checkpoint_cost", 0.0)) {
-    recovery.checkpoint_cost = *cost;
-  }
-  if (const auto cost = get_bounded(ini, "recovery", "restart_cost", 0.0)) {
-    recovery.restart_cost = *cost;
-  }
+  read_bounded(recovery.checkpoint_interval, ini, "recovery", "checkpoint_interval", 0.0, false,
+               ", 0 derives the Young/Daly optimum");
+  read_bounded(recovery.checkpoint_cost, ini, "recovery", "checkpoint_cost", 0.0);
+  read_bounded(recovery.restart_cost, ini, "recovery", "restart_cost", 0.0);
   if (const auto replicas = get_bounded(ini, "recovery", "replicas", 1LL)) {
     require_input(static_cast<std::size_t>(*replicas) <= machine_count,
                   "experiment config: recovery.replicas (" + std::to_string(*replicas) +
@@ -132,90 +142,118 @@ void io_from_ini(const util::IniFile& ini, fault::FaultConfig& faults) {
                 "experiment config: io.bandwidth is required (bytes/second of the "
                 "shared checkpoint channel)");
   io.bandwidth = *bandwidth;
-  if (const auto bytes = get_bounded(ini, "io", "checkpoint_bytes", 0.0, false,
-                                     ", 0 derives checkpoint_cost x bandwidth")) {
-    io.checkpoint_bytes = *bytes;
-  }
-  if (const auto bytes = get_bounded(ini, "io", "restart_bytes", 0.0, false,
-                                     ", 0 derives restart_cost x bandwidth")) {
-    io.restart_bytes = *bytes;
-  }
+  read_bounded(io.checkpoint_bytes, ini, "io", "checkpoint_bytes", 0.0, false,
+               ", 0 derives checkpoint_cost x bandwidth");
+  read_bounded(io.restart_bytes, ini, "io", "restart_bytes", 0.0, false,
+               ", 0 derives restart_cost x bandwidth");
   if (const auto strategy = ini.get("io", "strategy")) {
-    io.strategy = fault::parse_io_strategy(*strategy);
+    io.strategy = parse_named(ini, "io", "strategy", *strategy, fault::parse_io_strategy);
   }
-  if (const auto writers = get_bounded(ini, "io", "max_writers", 1LL)) {
-    io.max_writers = static_cast<std::size_t>(*writers);
+  read_bounded(io.max_writers, ini, "io", "max_writers", 1LL);
+}
+
+/// [system] scenario | eet, and queue_size: the machines and their queues.
+sched::SystemConfig machines_from_ini(const util::IniFile& ini) {
+  std::size_t queue = 2;
+  read_bounded(queue, ini, "system", "queue_size", 0LL, false, ", 0 = unbounded");
+  if (const auto eet_path = ini.get("system", "eet")) {
+    return sched::make_default_system(hetero::EetMatrix::load_csv(*eet_path), queue);
+  }
+  const std::string scenario = ini.get_or("system", "scenario", "heterogeneous");
+  if (util::iequals(scenario, "heterogeneous")) return heterogeneous_classroom(queue);
+  if (util::iequals(scenario, "homogeneous")) return homogeneous_classroom(queue);
+  throw InputError("experiment config: unknown scenario '" + scenario +
+                   "' (heterogeneous | homogeneous | eet = file.csv)");
+}
+
+/// Throws unless \p key is absent or \p needed is present, naming both.
+void require_pair(const util::IniFile& ini, const std::string& key, const std::string& needed,
+                  const char* why) {
+  require_input(!ini.get("system", key) || ini.get("system", needed), [&] {
+    return "experiment config: system." + key + " needs system." + needed + ": " + why +
+           " (" + ini.where("system", key) + ", " + ini.where("system", needed) + ")";
+  });
+}
+
+/// [system] pet and pet_cv: stochastic execution times around the EET.
+void pet_from_ini(const util::IniFile& ini, sched::SystemConfig& system) {
+  require_pair(ini, "pet_cv", "pet", "the cv shapes the PET distribution");
+  double cv = 0.3;
+  read_bounded(cv, ini, "system", "pet_cv", 0.0);
+  if (const auto kind = ini.get("system", "pet")) {
+    system.pet = hetero::PetMatrix::homoscedastic(
+        system.eet, parse_named(ini, "system", "pet", *kind, hetero::parse_pet_kind), cv);
+  }
+}
+
+/// [system] payload_mb, bandwidth (MB/s) and latency (s): one payload for
+/// every task type over one link to every machine type.
+void comm_from_ini(const util::IniFile& ini, sched::SystemConfig& system) {
+  for (const char* key : {"bandwidth", "latency"}) {
+    require_pair(ini, key, "payload_mb", "the link carries task payloads only");
+  }
+  const auto payload = get_bounded(ini, "system", "payload_mb", 0.0);
+  net::LinkSpec link{0.0, 100.0};
+  read_bounded(link.bandwidth_mb_per_s, ini, "system", "bandwidth", 0.0, true);
+  read_bounded(link.latency_seconds, ini, "system", "latency", 0.0);
+  if (!payload) return;
+  system.comm = net::CommModel::uniform(system.eet.task_type_count(),
+                                        system.eet.machine_type_count(), *payload, link);
+}
+
+/// [system] autoscale: the classroom elasticity preset. Machine 1 stays on;
+/// the rest start offline and boot (2 s) when the batch queue reaches 4,
+/// checked every 2 s. The preset is fixed: only the switch is a key.
+void autoscaler_from_ini(const util::IniFile& ini, sched::SystemConfig& system) {
+  if (!get_flag(ini, "system", "autoscale").value_or(false)) return;
+  system.autoscaler = {.enabled = true, .interval = 2.0, .queue_high = 4, .queue_low = 0,
+                       .boot_delay = 2.0, .min_online = 1, .initially_offline = {}};
+  for (std::size_t m = 1; m < system.machines.size(); ++m) {
+    system.autoscaler.initially_offline.push_back(m);
   }
 }
 
 }  // namespace
 
-fault::FaultConfig fault_config_from_ini(const util::IniFile& ini,
-                                         std::size_t machine_count) {
-  fault::FaultConfig faults;
+sched::SystemConfig system_from_ini(const util::IniFile& ini) {
+  sched::SystemConfig system = machines_from_ini(ini);
+  pet_from_ini(ini, system);
+  comm_from_ini(ini, system);
+  autoscaler_from_ini(ini, system);
   // [faults] — presence of the section enables fault injection unless
   // `enabled = false` opts out explicitly.
+  fault::FaultConfig& faults = system.faults;
   faults_from_ini(ini, faults);
   // [recovery] — checkpoint/replicate parameters; needs [faults] to matter.
-  recovery_from_ini(ini, faults, machine_count);
+  recovery_from_ini(ini, faults, system.machines.size());
   // [io] — shared checkpoint-I/O channel; needs [recovery]'s checkpoint
   // strategy (FaultConfig::validate enforces the combination).
   io_from_ini(ini, faults);
-  faults.validate(machine_count);
-  return faults;
+  faults.validate(system.machines.size());
+  return system;
 }
 
 ExperimentSpec spec_from_ini(const util::IniFile& ini) {
   ExperimentSpec spec;
-
-  // [system]
-  const std::string scenario = ini.get_or("system", "scenario", "heterogeneous");
-  const auto queue_size =
-      get_bounded(ini, "system", "queue_size", 0LL, false, ", 0 = unbounded");
-  const std::size_t queue =
-      queue_size ? static_cast<std::size_t>(*queue_size) : std::size_t{2};
-  if (const auto eet_path = ini.get("system", "eet")) {
-    spec.system =
-        sched::make_default_system(hetero::EetMatrix::load_csv(*eet_path), queue);
-  } else if (util::iequals(scenario, "heterogeneous")) {
-    spec.system = heterogeneous_classroom(queue);
-  } else if (util::iequals(scenario, "homogeneous")) {
-    spec.system = homogeneous_classroom(queue);
-  } else {
-    throw InputError("experiment config: unknown scenario '" + scenario +
-                     "' (heterogeneous | homogeneous | eet = file.csv)");
-  }
-
-  // [faults], [recovery], [io]
-  spec.system.faults = fault_config_from_ini(ini, spec.system.machines.size());
+  spec.system = system_from_ini(ini);
 
   // [sweep]
   spec.policies = ini.get_list("sweep", "policies");
   require_input(!spec.policies.empty(), "experiment config: sweep.policies is required");
   const auto intensities = ini.get_list("sweep", "intensities");
   require_input(!intensities.empty(), "experiment config: sweep.intensities is required");
-  spec.intensities.clear();
   for (const std::string& name : intensities) {
-    spec.intensities.push_back(workload::parse_intensity(name));
+    spec.intensities.push_back(
+        parse_named(ini, "sweep", "intensities", name, workload::parse_intensity));
   }
-  if (const auto reps = get_bounded(ini, "sweep", "replications", 1LL)) {
-    spec.replications = static_cast<std::size_t>(*reps);
-  }
-  if (const auto duration = get_bounded(ini, "sweep", "duration", 0.0, true)) {
-    spec.duration = *duration;
-  }
-  if (const auto seed = get_bounded(ini, "sweep", "seed", 0LL)) {
-    spec.base_seed = static_cast<std::uint64_t>(*seed);
-  }
+  read_bounded(spec.replications, ini, "sweep", "replications", 1LL);
+  read_bounded(spec.duration, ini, "sweep", "duration", 0.0, true);
+  read_bounded(spec.base_seed, ini, "sweep", "seed", 0LL);
   if (const auto arrival = ini.get("sweep", "arrival")) {
-    spec.arrival = workload::parse_arrival_kind(*arrival);
+    spec.arrival = parse_named(ini, "sweep", "arrival", *arrival, workload::parse_arrival_kind);
   }
-  if (const auto lo = get_bounded(ini, "sweep", "deadline_lo", 0.0, true)) {
-    spec.deadline_factor_lo = *lo;
-  }
-  if (const auto hi = get_bounded(ini, "sweep", "deadline_hi", 0.0, true)) {
-    spec.deadline_factor_hi = *hi;
-  }
+  read_bounded(spec.deadline_factor_lo, ini, "sweep", "deadline_lo", 0.0, true);
+  read_bounded(spec.deadline_factor_hi, ini, "sweep", "deadline_hi", 0.0, true);
   require_input(spec.deadline_factor_lo <= spec.deadline_factor_hi,
                 "experiment config: sweep.deadline_lo must be <= sweep.deadline_hi (" +
                     ini.where("sweep", "deadline_lo") + ", " +
@@ -231,11 +269,6 @@ ExperimentOutputs outputs_from_ini(const util::IniFile& ini) {
   return outputs;
 }
 
-ExperimentResult run_experiment_file(const std::string& path, std::size_t workers,
-                                     const ProgressFn& progress) {
-  return run_experiment_file(util::IniFile::load(path), workers, progress);
-}
-
 void write_outputs(const ExperimentResult& result, const ExperimentOutputs& outputs) {
   if (outputs.csv_path) {
     util::write_csv_file(*outputs.csv_path, result_csv(result));
@@ -244,16 +277,6 @@ void write_outputs(const ExperimentResult& result, const ExperimentOutputs& outp
     viz::save_bar_chart_svg(completion_chart(result, outputs.title),
                             *outputs.chart_svg_path);
   }
-}
-
-ExperimentResult run_experiment_file(const util::IniFile& ini, std::size_t workers,
-                                     const ProgressFn& progress) {
-  RunOptions options;
-  options.workers = workers;
-  options.progress = progress;
-  ExperimentResult result = run_experiment(spec_from_ini(ini), options);
-  write_outputs(result, outputs_from_ini(ini));
-  return result;
 }
 
 }  // namespace e2c::exp

@@ -6,7 +6,15 @@
 ///
 ///   [system]
 ///   scenario = heterogeneous      ; or homogeneous, or eet = path/to.csv
-///   queue_size = 2
+///   queue_size = 2                ; machine queue slots; 0 = unbounded
+///   pet = lognormal               ; optional stochastic execution around the EET:
+///                                 ; normal | uniform | exponential | lognormal
+///   pet_cv = 0.3                  ; coefficient of variation (needs pet)
+///   payload_mb = 4                ; optional communication model: MB per task
+///   bandwidth = 100               ; link MB/s (needs payload_mb; [io] bandwidth is B/s)
+///   latency = 0                   ; link latency in seconds (needs payload_mb)
+///   autoscale = false             ; true: machine 1 always on, the rest started
+///                                 ; by the autoscaler (a fixed preset)
 ///
 ///   [faults]                      ; optional; presence enables fault injection
 ///   mtbf = 100                    ; mean time between failures (s)
@@ -50,12 +58,11 @@
 ///   chart_svg = results.svg       ; optional
 #pragma once
 
-#include <cstddef>
 #include <optional>
 #include <string>
 
 #include "exp/experiment.hpp"
-#include "fault/fault_model.hpp"
+#include "sched/simulation.hpp"
 #include "util/ini.hpp"
 
 namespace e2c::exp {
@@ -67,35 +74,21 @@ struct ExperimentOutputs {
   std::optional<std::string> chart_svg_path;
 };
 
+/// Builds the simulated system from [system], [faults], [recovery] and [io].
+/// Throws e2c::InputError naming the offending key's where() locator. This
+/// is the only reader of these settings: spec_from_ini calls it, and e2c_run
+/// maps its system flags onto the same keys with IniFile::add.
+[[nodiscard]] sched::SystemConfig system_from_ini(const util::IniFile& ini);
+
 /// Builds an ExperimentSpec from a parsed config. Throws e2c::InputError on
 /// missing/invalid fields (unknown scenario, unknown policy names are caught
 /// later by run_experiment).
 [[nodiscard]] ExperimentSpec spec_from_ini(const util::IniFile& ini);
-
-/// Reads [faults], [recovery] and [io] into a FaultConfig and validates it
-/// for \p machine_count machines. Throws e2c::InputError naming the
-/// offending key's where() locator. This is the only reader of these
-/// settings: spec_from_ini calls it, and e2c_run maps its flags onto the
-/// same keys with IniFile::add.
-[[nodiscard]] fault::FaultConfig fault_config_from_ini(const util::IniFile& ini,
-                                                       std::size_t machine_count);
 
 /// Reads the [output] section.
 [[nodiscard]] ExperimentOutputs outputs_from_ini(const util::IniFile& ini);
 
 /// Writes the CSV and completion chart \p outputs names for \p result.
 void write_outputs(const ExperimentResult& result, const ExperimentOutputs& outputs);
-
-/// Runs an already-parsed config end to end — runs the sweep, writes the
-/// configured outputs, and returns the result. \p progress (optional) fires
-/// after each cell (see exp::ProgressFn).
-[[nodiscard]] ExperimentResult run_experiment_file(const util::IniFile& ini,
-                                                   std::size_t workers = 0,
-                                                   const ProgressFn& progress = {});
-
-/// Convenience: load a config file and run it end to end.
-[[nodiscard]] ExperimentResult run_experiment_file(const std::string& path,
-                                                   std::size_t workers = 0,
-                                                   const ProgressFn& progress = {});
 
 }  // namespace e2c::exp

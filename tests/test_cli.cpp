@@ -129,6 +129,33 @@ TEST(Cli, SubstrateFlagsCompose) {
   EXPECT_NE(result.output.find("autoscaler enabled"), std::string::npos);
 }
 
+TEST(Cli, SystemFlagErrorsNameTheFlag) {
+  const std::string base = "--eet " + data("eet_heterogeneous.csv") + " --generate low ";
+  const auto queue = run_command(base + "--queue-size -1");
+  EXPECT_EQ(queue.exit_code, 2);
+  EXPECT_NE(queue.output.find("system.queue_size must be >= 0, 0 = unbounded (--queue-size)"),
+            std::string::npos)
+      << queue.output;
+  const auto cv = run_command(base + "--pet normal --pet-cv -1");
+  EXPECT_EQ(cv.exit_code, 2);
+  EXPECT_NE(cv.output.find("system.pet_cv must be >= 0 (--pet-cv)"), std::string::npos)
+      << cv.output;
+  const auto bandwidth = run_command(base + "--payload-mb 4 --bandwidth 0");
+  EXPECT_EQ(bandwidth.exit_code, 2);
+  EXPECT_NE(bandwidth.output.find("system.bandwidth must be > 0 (--bandwidth)"),
+            std::string::npos)
+      << bandwidth.output;
+  // A value its partner flag would use is no longer dropped in silence.
+  const auto lone_cv = run_command(base + "--pet-cv -1");
+  EXPECT_EQ(lone_cv.exit_code, 2);
+  EXPECT_NE(lone_cv.output.find("(--pet-cv, system.pet)"), std::string::npos)
+      << lone_cv.output;
+  const auto lone_bandwidth = run_command(base + "--bandwidth 0");
+  EXPECT_EQ(lone_bandwidth.exit_code, 2);
+  EXPECT_NE(lone_bandwidth.output.find("(--bandwidth, system.payload_mb)"), std::string::npos)
+      << lone_bandwidth.output;
+}
+
 TEST(Cli, BadArgumentsFailWithMessage) {
   EXPECT_NE(run_command("--bogus-flag").exit_code, 0);
   EXPECT_NE(run_command("--policy MECT").exit_code, 0);  // missing --eet

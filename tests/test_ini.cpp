@@ -7,7 +7,13 @@
 #include <cstdio>
 #include <fstream>
 
+#include "exp/experiment.hpp"
+#include "exp/scenario.hpp"
 #include "exp/spec_io.hpp"
+#include "hetero/pet_matrix.hpp"
+#include "net/comm_model.hpp"
+#include "sched/registry.hpp"
+#include "support/digest_scenarios.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -368,7 +374,103 @@ TEST(SpecIo, RejectsInvalidConfigs) {
               (void)e2c::exp::spec_from_ini(
                   IniFile::parse("[sweep]\npolicies = MM\nintensities = low, turbo\n"));
             }),
-            "unknown intensity 'turbo' (low|medium|high)");
+            "unknown intensity 'turbo' (low|medium|high) (line 3)");
+}
+
+TEST(SpecIo, NamedChoicesRejectedWithTheirLines) {
+  const std::string sweep = "[sweep]\npolicies = MM\nintensities = low\n";
+  const auto error_of = [](const std::string& text) {
+    return input_error([&] { (void)e2c::exp::spec_from_ini(IniFile::parse(text)); });
+  };
+  EXPECT_EQ(error_of(sweep + "arrival = zipf\n"), "unknown arrival process: 'zipf' (line 4)");
+  EXPECT_EQ(error_of("[system]\npet = gamma\n" + sweep),
+            "unknown PET distribution: 'gamma' (line 2)");
+  const std::string faults = sweep + "[faults]\nmtbf = 100\n";
+  const std::string recovery = error_of(faults + "[recovery]\nstrategy = checkpont\n");
+  EXPECT_NE(recovery.find("did you mean 'checkpoint'"), std::string::npos) << recovery;
+  EXPECT_NE(recovery.find(") (line 7)"), std::string::npos) << recovery;
+  const std::string io = error_of(faults +
+                                  "[recovery]\nstrategy = checkpoint\n"
+                                  "[io]\nbandwidth = 100\nstrategy = coop\n");
+  EXPECT_EQ(io, "unknown io strategy: 'coop' (valid: selfish | cooperative) (line 10)");
+  EXPECT_EQ(error_of("[system]\nautoscale = maybe\n" + sweep),
+            "experiment config: system.autoscale must be a boolean, got 'maybe' (line 2)");
+}
+
+TEST(SpecIo, SystemPairingsAndBoundsRejectedWithTheirLines) {
+  const std::string sweep = "[sweep]\npolicies = MM\nintensities = low\n";
+  const auto error_of = [&](const std::string& system) {
+    return input_error([&] {
+      (void)e2c::exp::spec_from_ini(IniFile::parse("[system]\n" + system + sweep));
+    });
+  };
+  // A value whose partner is missing would be ignored, so it is an error.
+  EXPECT_EQ(error_of("pet_cv = 0.5\n"),
+            "experiment config: system.pet_cv needs system.pet: the cv shapes the PET "
+            "distribution (line 2, system.pet)");
+  EXPECT_EQ(error_of("bandwidth = 10\n"),
+            "experiment config: system.bandwidth needs system.payload_mb: the link "
+            "carries task payloads only (line 2, system.payload_mb)");
+  EXPECT_EQ(error_of("latency = 1\n"),
+            "experiment config: system.latency needs system.payload_mb: the link "
+            "carries task payloads only (line 2, system.payload_mb)");
+  EXPECT_EQ(error_of("pet = normal\npet_cv = -1\n"),
+            "experiment config: system.pet_cv must be >= 0 (line 3)");
+  EXPECT_EQ(error_of("payload_mb = -1\n"),
+            "experiment config: system.payload_mb must be >= 0 (line 2)");
+  EXPECT_EQ(error_of("payload_mb = 1\nbandwidth = 0\n"),
+            "experiment config: system.bandwidth must be > 0 (line 3)");
+  EXPECT_EQ(error_of("payload_mb = 1\nlatency = -1\n"),
+            "experiment config: system.latency must be >= 0 (line 3)");
+  // Neither substrate without its keys; each with them.
+  const auto plain = e2c::exp::system_from_ini(IniFile::parse("[system]\n"));
+  EXPECT_FALSE(plain.pet.has_value());
+  EXPECT_FALSE(plain.comm.has_value());
+  EXPECT_FALSE(plain.autoscaler.enabled);
+  const auto off = e2c::exp::system_from_ini(IniFile::parse("[system]\nautoscale = off\n"));
+  EXPECT_FALSE(off.autoscaler.enabled);
+  const auto link = e2c::exp::system_from_ini(
+      IniFile::parse("[system]\npayload_mb = 2\nlatency = 0.5\n"));
+  ASSERT_TRUE(link.comm.has_value());
+  EXPECT_DOUBLE_EQ(link.comm->link(0).latency_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(link.comm->link(0).bandwidth_mb_per_s, 100.0);  // default MB/s
+}
+
+/// The run digest of \p system under MM on the golden scenarios' workload.
+std::uint64_t mm_digest(e2c::sched::SystemConfig system) {
+  const auto trace = e2c::test::digest_workload(system, e2c::test::kDigestRho,
+                                                e2c::test::kDigestDuration);
+  e2c::sched::Simulation simulation(std::move(system), e2c::sched::make_policy("MM"));
+  simulation.load(trace);
+  simulation.run();
+  return e2c::test::digest_of(simulation);
+}
+
+TEST(SpecIo, SystemKeysBuildWhatTheFlagsBuilt) {
+  const auto read = e2c::exp::system_from_ini(IniFile::parse(
+      "[system]\npet = lognormal\npet_cv = 0.3\npayload_mb = 4\nbandwidth = 32\n"
+      "autoscale = true\n"));
+  // The same system built field by field, as e2c_run built it from
+  // --pet lognormal --pet-cv 0.3 --payload-mb 4 --bandwidth 32 --autoscale.
+  e2c::sched::SystemConfig by_hand = e2c::exp::heterogeneous_classroom(2);
+  const auto& eet = by_hand.eet;
+  by_hand.pet =
+      e2c::hetero::PetMatrix::homoscedastic(eet, e2c::hetero::PetKind::kLognormal, 0.3);
+  by_hand.comm = e2c::net::CommModel::uniform(eet.task_type_count(), eet.machine_type_count(),
+                                              4.0, e2c::net::LinkSpec{0.0, 32.0});
+  by_hand.autoscaler.enabled = true;
+  by_hand.autoscaler.interval = 2.0;
+  by_hand.autoscaler.queue_high = 4;
+  by_hand.autoscaler.queue_low = 0;
+  by_hand.autoscaler.boot_delay = 2.0;
+  by_hand.autoscaler.min_online = 1;
+  for (std::size_t m = 1; m < by_hand.machines.size(); ++m) {
+    by_hand.autoscaler.initially_offline.push_back(m);
+  }
+  const std::uint64_t expected = mm_digest(by_hand);
+  EXPECT_EQ(mm_digest(read), expected);
+  // The keys reach the run: without them the digest differs.
+  EXPECT_NE(mm_digest(e2c::exp::heterogeneous_classroom(2)), expected);
 }
 
 TEST(SpecIo, EndToEndRunFromFile) {
@@ -383,7 +485,11 @@ TEST(SpecIo, EndToEndRunFromFile) {
         << "[output]\ntitle = e2e\ncsv = " << csv_path << "\nchart_svg = " << svg_path
         << "\n";
   }
-  const auto result = e2c::exp::run_experiment_file(config_path, 2);
+  const IniFile ini = IniFile::load(config_path);
+  e2c::exp::RunOptions options;
+  options.workers = 2;
+  const auto result = e2c::exp::run_experiment(e2c::exp::spec_from_ini(ini), options);
+  e2c::exp::write_outputs(result, e2c::exp::outputs_from_ini(ini));
   EXPECT_EQ(result.cells.size(), 1u);
   std::ifstream csv(csv_path);
   std::ifstream svg(svg_path);

@@ -27,6 +27,7 @@
 #include "exp/scenario.hpp"
 #include "exp/spec_io.hpp"
 #include "exp/worker_pool.hpp"
+#include "hetero/pet_matrix.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
@@ -386,6 +387,13 @@ TEST(ProcessPool, ResumeRejectsJournalFromDifferentSweep) {
   other.base_seed = 8;  // different sweep => different spec digest
   options.resume = true;
   EXPECT_THROW((void)exp::run_experiment(other, options), e2c::InputError);
+
+  // Stochastic execution alone makes a different sweep too.
+  auto stochastic = small_spec();
+  stochastic.system.pet = e2c::hetero::PetMatrix::homoscedastic(
+      stochastic.system.eet, e2c::hetero::PetKind::kLognormal, 0.3);
+  EXPECT_NE(exp::spec_digest(stochastic), exp::spec_digest(small_spec()));
+  EXPECT_THROW((void)exp::run_experiment(stochastic, options), e2c::InputError);
 }
 
 TEST(Journal, DropsTornFinalLineKeepsRest) {

@@ -292,7 +292,8 @@ TEST(JobCodec, JobKeyIsStableAndTextSensitive) {
 
 TEST(Serve, TwoConcurrentClientsByteIdenticalToDirectRuns) {
   const std::string text_a = config_text(7);
-  const std::string text_b = config_text(9);
+  // Stochastic execution and transfers ride along in the second job.
+  const std::string text_b = "[system]\npet = lognormal\npayload_mb = 4\n" + config_text(9);
   const std::string expected_a = csv_of(direct_run(text_a));
   const std::string expected_b = csv_of(direct_run(text_b));
 

@@ -15,7 +15,7 @@
 # tests/support) drops below 70% of the committed BENCH_sched_hotpath.json
 # baseline. It also runs the repository benchmark's self-tests and 2 s
 # `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
-# the recorded ones; the megarun run also fails above a 300 MB peak RSS (its
+# the recorded ones; the megarun run also fails above a 235 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
