@@ -1,6 +1,5 @@
 #include "exp/serve.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -9,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -38,8 +38,9 @@ namespace {
 constexpr std::size_t kMaxSubmitFrame = std::size_t{1} << 20;
 
 /// How long a connection may take to deliver its submit frame, and how long
-/// a write to an admitted client may block before the client counts as gone.
-constexpr int kClientTimeoutSeconds = 5;
+/// an admitted client may leave its queued frames unread before it counts as
+/// gone.
+constexpr auto kClientTimeout = std::chrono::seconds(5);
 
 // ---- socket plumbing -----------------------------------------------------
 
@@ -172,7 +173,9 @@ Intake read_submit(int fd, PendingClient& client) {
 
 /// One sweep on the supervisor loop: its config text (shipped to workers
 /// lacking it), its unit ledger, and where its finished cells go. A
-/// submitted job streams them to its client connection. The one-shot
+/// submitted job streams them to its client connection, a nonblocking fd:
+/// its frames queue in `outbox` and go out as fast as the client reads, so a
+/// client that stops reading holds up only its own job. The one-shot
 /// `--backend procs` sweep has no client (client_fd < 0): it keeps them in
 /// `cells` for the caller and reports each one to `progress`.
 struct ServeJob {
@@ -183,13 +186,52 @@ struct ServeJob {
   std::size_t cells_owed = 0;  ///< cells to deliver: all but the resumed ones
   int client_fd = -1;
   bool client_dead = false;
+  bool done_queued = false;      ///< the kDone frame is in the outbox
+  std::string outbox{};          ///< length-prefixed frames not yet written
+  std::size_t outbox_sent = 0;   ///< bytes of outbox the socket took
+  /// While outbox holds unsent bytes: when the client counts as gone unless
+  /// it reads some of them first.
+  Clock::time_point write_deadline{};
   std::size_t cells_done = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::optional<SweepJournal> journal;
   std::vector<std::optional<CellResult>> cells{};  ///< by slot; only without a client
   ProgressFn progress{};
+
+  [[nodiscard]] bool outbox_pending() const noexcept { return outbox_sent < outbox.size(); }
 };
+
+/// Writes what the client's socket takes of \p job's outbox without
+/// blocking. Any progress moves the write deadline to \p now plus the
+/// client timeout; a write error marks the client dead.
+void flush_outbox(ServeJob& job, Clock::time_point now) {
+  while (job.outbox_pending()) {
+    const ssize_t wrote = ::send(job.client_fd, job.outbox.data() + job.outbox_sent,
+                                 job.outbox.size() - job.outbox_sent, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (wrote <= 0) {
+      job.client_dead = true;
+      return;
+    }
+    job.outbox_sent += static_cast<std::size_t>(wrote);
+    job.write_deadline = now + kClientTimeout;
+  }
+  job.outbox.clear();
+  job.outbox_sent = 0;
+}
+
+/// Queues one length-prefixed frame for \p job's client and writes what the
+/// socket takes at once. A frame queued behind nothing starts the wait for
+/// the client at \p now.
+void send_frame(ServeJob& job, std::string_view payload, Clock::time_point now) {
+  if (!job.outbox_pending()) job.write_deadline = now + kClientTimeout;
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  job.outbox.append(reinterpret_cast<const char*>(&size), sizeof size);
+  job.outbox.append(payload);
+  flush_outbox(job, now);
+}
 
 /// The one supervisor loop. It keeps the worker pool at strength, hands
 /// ready units to idle workers, enforces unit timeouts, and turns every
@@ -240,7 +282,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   };
 
   /// Records a finished (ok or failed) cell: bump counters, journal, then
-  /// stream it to the client or keep it for the caller. A write failure
+  /// queue it for the client or keep it for the caller. A write failure
   /// marks the client dead; the job is cancelled at the next finalize pass.
   const auto emit_cell = [&](ServeJob& job, std::uint32_t slot, CellResult cell) {
     if (cell.status == CellStatus::kOk) {
@@ -263,11 +305,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     cell_frame.cell_payload = encode_cell(cell);
     writer.clear();
     encode_job_cell(writer, cell_frame);
-    try {
-      util::write_frame_zc(job.client_fd, writer.bytes());
-    } catch (const IoError&) {
-      job.client_dead = true;
-    }
+    send_frame(job, writer.bytes(), now);
   };
 
   /// A crashed or timed-out unit: requeued with backoff, or its cell fails.
@@ -291,10 +329,25 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   };
 
   /// Closes client connections and erases client jobs that are finished
-  /// (send kDone) or abandoned (drop their pending units).
+  /// (kDone queued and written) or abandoned (drop their pending units). A
+  /// client that read none of its queued frames for kClientTimeout is
+  /// abandoned too.
   const auto finalize_jobs = [&] {
     for (auto it = jobs.begin(); it != jobs.end();) {
       ServeJob& job = it->second;
+      const bool finished = job.client_fd >= 0 && job.cells_done == job.cells_owed;
+      if (finished && !job.client_dead && !job.done_queued) {
+        JobDone done;
+        done.completed_cells = job.completed;
+        done.failed_cells = job.failed;
+        done.retries = job.ledger.retries();
+        done.workers = pool_size;
+        writer.clear();
+        encode_job_done(writer, done);
+        send_frame(job, writer.bytes(), now);
+        job.done_queued = true;
+      }
+      if (job.outbox_pending() && job.write_deadline <= now) job.client_dead = true;
       if (job.client_dead) {
         ready.erase(std::remove_if(
                         ready.begin(), ready.end(),
@@ -305,20 +358,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
         it = jobs.erase(it);
         continue;
       }
-      if (job.client_fd >= 0 && job.cells_done == job.cells_owed) {
-        JobDone done;
-        done.completed_cells = job.completed;
-        done.failed_cells = job.failed;
-        done.retries = job.ledger.retries();
-        done.workers = pool_size;
-        writer.clear();
-        encode_job_done(writer, done);
-        try {
-          util::write_frame_zc(job.client_fd, writer.bytes());
-        } catch (const IoError&) {
-          // Result already journaled; nothing left to salvage for a client
-          // that vanished between the last cell and the done frame.
-        }
+      if (finished && !job.outbox_pending()) {
         ::close(job.client_fd);
         ++jobs_served;
         say("job " + std::to_string(job.id) + " done: " + std::to_string(job.completed) +
@@ -344,8 +384,10 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
                                      [](const Worker& w) { return w.busy; }));
   };
 
-  /// A complete submit frame on \p raw_fd (blocking again): admit the job
-  /// or busy-reject it, and queue its units.
+  /// A complete submit frame on \p raw_fd: admit the job or reject it, and
+  /// queue its units. A rejection is one small frame on a fresh socket, so
+  /// its nonblocking write goes through; if it does not, the connection is
+  /// dropped.
   const auto admit = [&](int raw_fd, std::string_view submit_frame, bool draining) {
     FdGuard fd(raw_fd);
     try {
@@ -395,31 +437,31 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
                    .ledger = UnitLedger(id, build_slots(spec), reps, retry),
                    .journal = std::move(journal)};
       job.cells_owed = job.ledger.cells();
+      job.client_fd = fd.release();
+      ServeJob& admitted = jobs.emplace(id, std::move(job)).first->second;
       JobAccepted accepted;
-      accepted.job_id = job.id;
-      accepted.cells_total = static_cast<std::uint32_t>(job.cells_owed);
+      accepted.job_id = id;
+      accepted.cells_total = static_cast<std::uint32_t>(admitted.cells_owed);
       accepted.replications = reps;
       accepted.workers = static_cast<std::uint32_t>(pool_size);
       writer.clear();
       encode_job_accepted(writer, accepted);
-      util::write_frame_zc(fd.get(), writer.bytes());
-      for (std::uint32_t slot = 0; slot < job.ledger.cells(); ++slot) {
-        job.ledger.queue_slot(slot, now, ready);
+      send_frame(admitted, writer.bytes(), now);
+      for (std::uint32_t slot = 0; slot < admitted.ledger.cells(); ++slot) {
+        admitted.ledger.queue_slot(slot, now, ready);
       }
-      say("accepted job " + std::to_string(job.id) + ": " +
-          std::to_string(job.ledger.cells()) + " cells x " + std::to_string(reps) +
-          " reps (" + std::to_string(jobs.size() + 1) + "/" + std::to_string(backlog) +
+      say("accepted job " + std::to_string(id) + ": " +
+          std::to_string(admitted.ledger.cells()) + " cells x " + std::to_string(reps) +
+          " reps (" + std::to_string(jobs.size()) + "/" + std::to_string(backlog) +
           " in service)");
-      job.client_fd = fd.release();
-      jobs.emplace(job.id, std::move(job));
     } catch (const Error&) {
       // Unreadable or unparsable submit conversation: drop the connection.
     }
   };
 
   /// Reads what a pending connection sent; once its submit frame is whole,
-  /// the fd returns to blocking mode, so emit_cell's writes block for at
-  /// most SO_SNDTIMEO, and the job is admitted.
+  /// the job is admitted. The fd stays nonblocking: the supervisor never
+  /// waits on one client's socket.
   const auto take_submit = [&](std::map<int, PendingClient>::iterator it, bool draining) {
     const int fd = it->first;
     const Intake intake = read_submit(fd, it->second);
@@ -430,7 +472,6 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       ::close(fd);
       return;
     }
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
     admit(fd, std::string_view(bytes).substr(kFrameHeader), draining);
   };
 
@@ -438,10 +479,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   /// has arrived, so a stalled submitter never blocks the supervisor. With
   /// kMaxPendingClients already waiting, the oldest is dropped first, so a
   /// flood of silent connects holds a bounded number of fds and a prompt
-  /// client, whose frame is read at once, is still admitted. The
-  /// SO_SNDTIMEO sticks to the fd: a receiver that stops draining its
-  /// socket (e.g. SIGSTOPed) times out every later write, which throws
-  /// IoError and marks the client dead exactly like a hangup.
+  /// client, whose frame is read at once, is still admitted.
   const auto accept_client = [&](bool draining) {
     if (pending.size() >= kMaxPendingClients) {
       const auto oldest = std::min_element(
@@ -452,10 +490,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     }
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;
-    timeval timeout{};
-    timeout.tv_sec = kClientTimeoutSeconds;
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-    const auto deadline = now + std::chrono::seconds(kClientTimeoutSeconds);
+    const auto deadline = now + kClientTimeout;
     // A prompt client's frame is often in the socket already.
     take_submit(pending.emplace(fd, PendingClient{deadline, 0, {}}).first, draining);
   };
@@ -507,7 +542,14 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       // A worker whose mirror lacks a unit's job gets the job's INI first.
       now = Clock::now();
       dispatch_ready(workers, ready, live_job, writer, now);
-      const int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready, now);
+      int timeout_ms = poll_timeout_ms(workers, options.cell_timeout, ready, now);
+      for (const auto& [id, job] : jobs) {
+        if (job.client_dead || !job.outbox_pending()) continue;
+        const auto remaining =
+            std::chrono::duration_cast<std::chrono::milliseconds>(job.write_deadline - now);
+        timeout_ms = std::min<int>(timeout_ms,
+                                   static_cast<int>(std::max<long long>(0, remaining.count())));
+      }
 
       std::vector<pollfd> fds;
       std::vector<Worker*> worker_of;
@@ -525,7 +567,8 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       }
       for (auto& [id, job] : jobs) {
         if (job.client_fd < 0 || job.client_dead) continue;
-        fds.push_back({job.client_fd, POLLIN, 0});
+        const short events = job.outbox_pending() ? POLLIN | POLLOUT : POLLIN;
+        fds.push_back({job.client_fd, events, 0});
         worker_of.push_back(nullptr);
         job_of.push_back(id);
       }
@@ -564,10 +607,15 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
           take_submit(it, draining);
           continue;
         }
-        // Client connection: submitters never speak after kSubmit, so any
-        // readable event is a hangup (or a protocol breach) — cancel.
+        // Client connection: room for queued frames, or, since submitters
+        // never speak after kSubmit, a hangup (or a protocol breach) —
+        // cancel.
         if (const auto it = jobs.find(job_of[i]); it != jobs.end()) {
-          it->second.client_dead = true;
+          if ((fds[i].revents & ~POLLOUT) != 0) {
+            it->second.client_dead = true;
+          } else {
+            flush_outbox(it->second, now);
+          }
         }
       }
 

@@ -70,7 +70,7 @@ std::vector<TenantOutcome> tenant_outcomes(const sched::Simulation& simulation) 
     if (!is_clone) ++outcome.tasks;
     if (state.completed(i)) ++outcome.completed;
     outcome.useful_seconds += state.useful_seconds[i];
-    outcome.lost_seconds += state.lost_seconds[i];
+    outcome.lost_seconds += state.lost_seconds(i);
     outcome.checkpoint_overhead_seconds += state.checkpoint_overhead_seconds(i);
     outcome.machine_seconds += state.machine_seconds[i];
     if (state.has_checkpoint_column()) outcome.checkpoints += state.checkpoint_times[i].size();

@@ -308,7 +308,7 @@ double Machine::settle_aborted_run(const RunningEntry& run, core::SimTime now) c
   // Useful (committed) work was already credited at each commit; only the
   // un-committed tail is lost. A partially written checkpoint or restart
   // phase is overhead that bought nothing, but it still occupied the machine.
-  task_state_->lost_seconds[task] += std::max(0.0, work_executed - run.work_committed);
+  task_state_->add_lost_seconds(task, std::max(0.0, work_executed - run.work_committed));
   if (run.phase != RunPhase::kWork) {
     task_state_->add_checkpoint_overhead(task, std::max(0.0, now - run.phase_started_at));
   }

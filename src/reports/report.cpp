@@ -56,7 +56,7 @@ std::vector<std::vector<std::string>> task_report(const sched::Simulation& simul
                     opt_time(state.response_time(i)),
                     std::to_string(state.retries(i)),
                     util::format_fixed(state.useful_seconds[i], 2),
-                    util::format_fixed(state.lost_seconds[i], 2),
+                    util::format_fixed(state.lost_seconds(i), 2),
                     util::format_fixed(state.checkpoint_overhead_seconds(i), 2),
                     primary == workload::kNoTaskId ? std::string{}
                                                    : std::to_string(primary)});

@@ -880,7 +880,7 @@ void Simulation::replicate_workload(std::size_t replicas) {
 
 double Simulation::lost_work_seconds() const {
   double total = 0.0;
-  for (double lost : state_.lost_seconds) total += lost;
+  for (std::size_t i = 0; i < state_.size(); ++i) total += state_.lost_seconds(i);
   return total;
 }
 

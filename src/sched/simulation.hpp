@@ -311,13 +311,14 @@ class Simulation final : public machines::MachineListener {
   /// with arbitrary ids (hand-written CSVs, replica clones).
   bool dense_ids_ = false;
   std::unordered_map<workload::TaskId, std::size_t> index_map_;
-  /// Pending deadline-check event per task index (kNoEvent when none). The
-  /// one per-task column of the Simulation that every run allocates;
-  /// retry_event_, group_of_ and in_flight_ below exist only for the
-  /// features that use them.
+  /// Pending deadline-check event per task index (kNoEvent when none). With
+  /// the batch queue's 4-byte node handle, one of the two per-task columns
+  /// of the Simulation that every run allocates; retry_event_, group_of_ and
+  /// in_flight_ below exist only for the features that use them.
   std::vector<core::EventId> deadline_event_;
   /// Batch queue over task indices: O(1) membership/removal, per-type lists
-  /// in arrival order (see TaskIndexQueue).
+  /// in arrival order, links in a node pool sized by the peak queue length
+  /// (see TaskIndexQueue).
   TaskIndexQueue batch_queue_;
   std::vector<workload::TaskId> missed_order_;
 

@@ -15,31 +15,38 @@
 namespace e2c::sched {
 
 /// The batch queue's backing structure. Tasks are dense indices 0..n-1 into
-/// a bound definitions span; each enqueued task sits in the intrusive
-/// doubly-linked list of its task type, threaded through two flat arrays,
-/// and carries an insertion sequence number. push_back/erase/contains are
-/// O(1), a type's list is in arrival (insertion) order, and the sequence
-/// numbers order tasks across types — so a mapper whose scores depend only
-/// on the task type (ELARE/FELARE) walks a few short per-type lists instead
-/// of the whole queue, while the full arrival order is a merge by sequence.
+/// a bound definitions span; each enqueued task owns one node of a recycled
+/// pool, linked into the doubly-linked list of its task type, and the node
+/// carries an insertion sequence number. push_back/erase/contains are O(1),
+/// a type's list is in arrival (insertion) order, and the sequence numbers
+/// order tasks across types — so a mapper whose scores depend only on the
+/// task type (ELARE/FELARE) walks a few short per-type lists instead of the
+/// whole queue, while the full arrival order is a merge by sequence.
+///
+/// Per task row the queue keeps only a 4-byte node handle (kNil: not
+/// queued). The links and the sequence number live in the pool, whose
+/// erased nodes go on a free list and are reused by later pushes, so it
+/// grows to the peak queue length, not to the trace length.
 ///
 /// A task index may re-enter the queue after leaving it (fault retries); it
-/// then takes a fresh sequence number and sorts last, exactly as the old
-/// single arrival-ordered list appended it at the tail.
+/// then takes a fresh node and sequence number and sorts last, exactly as
+/// the old single arrival-ordered list appended it at the tail.
 class TaskIndexQueue {
  public:
-  /// List terminator returned by head() and next().
+  /// List terminator returned by head() and next(), and the node handle of
+  /// a task that is not queued.
   static constexpr std::int32_t kNil = -1;
 
   /// Binds the queue to \p defs (task index i is defs[i]) with one list per
-  /// task type in [0, type_count), and empties it.
+  /// task type in [0, type_count), and empties it. The pool keeps its
+  /// capacity for the next run.
   void reset(std::span<const workload::TaskDef> defs, std::size_t type_count) {
     require(defs.size() <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
             "TaskIndexQueue::reset: too many tasks");
     defs_ = defs;
-    next_.assign(defs.size(), kNil);
-    prev_.assign(defs.size(), kNil);
-    seq_.assign(defs.size(), 0);
+    node_of_.assign(defs.size(), kNil);
+    pool_.clear();
+    free_ = kNil;
     lists_.assign(type_count, List{});
     live_types_.clear();
     next_seq_ = 1;
@@ -51,24 +58,32 @@ class TaskIndexQueue {
   /// Appends \p index at the tail of its type's list. Requires index < the
   /// bound task count, a type below type_count() and not already enqueued.
   void push_back(std::size_t index) {
-    require(index < seq_.size(), "TaskIndexQueue::push_back: index out of range");
-    require(seq_[index] == 0, "TaskIndexQueue::push_back: index already enqueued");
+    require(index < node_of_.size(), "TaskIndexQueue::push_back: index out of range");
+    require(node_of_[index] == kNil, "TaskIndexQueue::push_back: index already enqueued");
     const hetero::TaskTypeId type = defs_[index].type;
     require(type < lists_.size(), "TaskIndexQueue::push_back: task type out of range");
-    // 0 marks "not enqueued", so the counter may not wrap: 2^32 - 1 pushes
-    // per reset() is the queue's capacity.
+    // The merge orders by sequence number, so the counter may not wrap:
+    // 2^32 - 1 pushes per reset() is the queue's capacity.
     require(next_seq_ != 0, "TaskIndexQueue::push_back: sequence numbers exhausted");
     List& list = lists_[type];
-    const auto node = static_cast<std::int32_t>(index);
-    seq_[index] = next_seq_++;
-    next_[index] = kNil;
-    prev_[index] = list.tail;
+    // At most one node per task row is live, so the pool never outgrows the
+    // int32 handles reset() checked the row count against.
+    std::int32_t node = free_;
+    if (node != kNil) {
+      free_ = pool_[static_cast<std::size_t>(node)].next;
+    } else {
+      node = static_cast<std::int32_t>(pool_.size());
+      pool_.emplace_back();
+    }
+    pool_[static_cast<std::size_t>(node)] =
+        Node{static_cast<std::uint32_t>(index), list.tail, kNil, next_seq_++};
     if (list.tail != kNil) {
-      next_[static_cast<std::size_t>(list.tail)] = node;
+      pool_[static_cast<std::size_t>(list.tail)].next = node;
     } else {
       list.head = node;
     }
     list.tail = node;
+    node_of_[index] = node;
     if (list.count++ == 0) {
       list.live_slot = live_types_.size();
       live_types_.push_back(type);
@@ -77,25 +92,26 @@ class TaskIndexQueue {
     ordered_valid_ = false;
   }
 
-  /// Unlinks \p index; returns false when it is not in the queue.
+  /// Unlinks \p index and returns its node to the free list; returns false
+  /// when it is not in the queue.
   bool erase(std::size_t index) {
     if (!contains(index)) return false;
     List& list = lists_[defs_[index].type];
-    const std::int32_t before = prev_[index];
-    const std::int32_t after = next_[index];
-    if (before != kNil) {
-      next_[static_cast<std::size_t>(before)] = after;
+    const std::int32_t node = node_of_[index];
+    Node& unlinked = pool_[static_cast<std::size_t>(node)];
+    if (unlinked.prev != kNil) {
+      pool_[static_cast<std::size_t>(unlinked.prev)].next = unlinked.next;
     } else {
-      list.head = after;
+      list.head = unlinked.next;
     }
-    if (after != kNil) {
-      prev_[static_cast<std::size_t>(after)] = before;
+    if (unlinked.next != kNil) {
+      pool_[static_cast<std::size_t>(unlinked.next)].prev = unlinked.prev;
     } else {
-      list.tail = before;
+      list.tail = unlinked.prev;
     }
-    seq_[index] = 0;
-    next_[index] = kNil;
-    prev_[index] = kNil;
+    unlinked.next = free_;
+    free_ = node;
+    node_of_[index] = kNil;
     if (--list.count == 0) {
       const hetero::TaskTypeId moved = live_types_.back();
       live_types_[list.live_slot] = moved;
@@ -108,8 +124,14 @@ class TaskIndexQueue {
   }
 
   [[nodiscard]] bool contains(std::size_t index) const noexcept {
-    return index < seq_.size() && seq_[index] != 0;
+    return index < node_of_.size() && node_of_[index] != kNil;
   }
+
+  /// The node task \p index occupies while queued, kNil otherwise.
+  [[nodiscard]] std::int32_t node_of(std::size_t index) const { return node_of_[index]; }
+
+  /// Nodes the pool holds, live or free: the peak queue length since reset().
+  [[nodiscard]] std::size_t pool_size() const noexcept { return pool_.size(); }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -126,22 +148,22 @@ class TaskIndexQueue {
   /// Enqueued tasks of \p type.
   [[nodiscard]] std::size_t count(hetero::TaskTypeId type) const { return lists_[type].count; }
 
-  /// Oldest enqueued task index of \p type, or kNil.
+  /// Node of the oldest enqueued task of \p type, or kNil.
   [[nodiscard]] std::int32_t head(hetero::TaskTypeId type) const { return lists_[type].head; }
 
-  /// The task enqueued after \p node in the same type's list, or kNil.
+  /// Node of the task enqueued after \p node in the same type's list, or kNil.
   [[nodiscard]] std::int32_t next(std::int32_t node) const {
-    return next_[static_cast<std::size_t>(node)];
+    return pool_[static_cast<std::size_t>(node)].next;
   }
 
-  /// Insertion sequence number of an enqueued task (lower = earlier).
+  /// Insertion sequence number of the task at \p node (lower = earlier).
   [[nodiscard]] std::uint32_t seq(std::int32_t node) const {
-    return seq_[static_cast<std::size_t>(node)];
+    return pool_[static_cast<std::size_t>(node)].seq;
   }
 
-  /// Definition of task \p node.
+  /// Definition of the task at \p node.
   [[nodiscard]] const workload::TaskDef& def(std::int32_t node) const {
-    return defs_[static_cast<std::size_t>(node)];
+    return defs_[pool_[static_cast<std::size_t>(node)].row];
   }
 
   /// Every enqueued task, oldest first: the per-type lists merged by
@@ -157,6 +179,14 @@ class TaskIndexQueue {
   }
 
  private:
+  /// One queued task: its row, its neighbours in its type's list and its
+  /// sequence number. A free node links the free list through `next`.
+  struct Node {
+    std::uint32_t row = 0;
+    std::int32_t prev = kNil;
+    std::int32_t next = kNil;
+    std::uint32_t seq = 0;
+  };
   struct List {
     std::int32_t head = kNil;
     std::int32_t tail = kNil;
@@ -187,9 +217,9 @@ class TaskIndexQueue {
   }
 
   std::span<const workload::TaskDef> defs_;
-  std::vector<std::int32_t> next_;
-  std::vector<std::int32_t> prev_;
-  std::vector<std::uint32_t> seq_;  ///< 0 = not enqueued
+  std::vector<std::int32_t> node_of_;  ///< per task row; kNil = not enqueued
+  std::vector<Node> pool_;
+  std::int32_t free_ = kNil;  ///< head of the free-node list
   std::vector<List> lists_;
   std::vector<hetero::TaskTypeId> live_types_;
   std::uint32_t next_seq_ = 1;

@@ -34,10 +34,9 @@ IniFile IniFile::parse(const std::string& text, const std::string& source) {
       require_input(line.back() == ']' && line.size() > 2,
                     "INI line " + std::to_string(line_number) + ": malformed section");
       section = to_lower(trim(std::string_view(line).substr(1, line.size() - 2)));
-      if (std::find(ini.section_order_.begin(), ini.section_order_.end(), section) ==
-          ini.section_order_.end()) {
-        ini.section_order_.push_back(section);
-      }
+      // A header is an entry with an empty key, which no get() asks for, so
+      // has_section() sees a section that holds no pairs.
+      ini.entries_.push_back(Entry{section, {}, {}, line_number, {}});
       continue;
     }
     const auto eq = line.find('=');
@@ -46,25 +45,15 @@ IniFile IniFile::parse(const std::string& text, const std::string& source) {
     std::string key = to_lower(trim(std::string_view(line).substr(0, eq)));
     std::string value{trim(std::string_view(line).substr(eq + 1))};
     require_input(!key.empty(), "INI line " + std::to_string(line_number) + ": empty key");
-    ini.append(Entry{section, std::move(key), std::move(value), line_number, {}});
+    ini.entries_.push_back(Entry{section, std::move(key), std::move(value), line_number, {}});
   }
   return ini;
 }
 
 void IniFile::add(std::string_view section, std::string_view key, std::string value,
                   std::string locator) {
-  append(Entry{to_lower(section), to_lower(key), std::move(value), 0, std::move(locator)});
-}
-
-void IniFile::append(Entry entry) {
-  // Keys above the first header belong to the unnamed section, which
-  // sections() does not list.
-  if (!entry.section.empty() &&
-      std::find(section_order_.begin(), section_order_.end(), entry.section) ==
-          section_order_.end()) {
-    section_order_.push_back(entry.section);
-  }
-  entries_.push_back(std::move(entry));
+  entries_.push_back(
+      Entry{to_lower(section), to_lower(key), std::move(value), 0, std::move(locator)});
 }
 
 IniFile IniFile::load(const std::string& path) {
@@ -144,10 +133,8 @@ std::vector<std::string> IniFile::get_list(const std::string& section,
 
 bool IniFile::has_section(const std::string& section) const noexcept {
   const std::string s = to_lower(section);
-  return std::find(section_order_.begin(), section_order_.end(), s) !=
-         section_order_.end();
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [&](const Entry& entry) { return entry.section == s; });
 }
-
-std::vector<std::string> IniFile::sections() const { return section_order_; }
 
 }  // namespace e2c::util

@@ -65,9 +65,6 @@ class IniFile {
   /// True if the section exists (even if empty).
   [[nodiscard]] bool has_section(const std::string& section) const noexcept;
 
-  /// All section names in file order.
-  [[nodiscard]] std::vector<std::string> sections() const;
-
  private:
   struct Entry {
     std::string section;
@@ -76,9 +73,7 @@ class IniFile {
     std::size_t line = 0;
     std::string locator;  ///< where() text; empty means format the line
   };
-  void append(Entry entry);
-  std::vector<Entry> entries_;
-  std::vector<std::string> section_order_;
+  std::vector<Entry> entries_;  ///< pairs and section headers, in file order
   std::string source_;  ///< display name for where(); empty for in-memory text
 };
 

@@ -102,7 +102,7 @@ std::string render_frame(const sched::Simulation& simulation,
     for (std::size_t i = 0; i < state.size(); ++i) {
       const std::uint32_t tenant = state.tenant(i);
       if (tenant >= lost.size()) continue;
-      lost[tenant] += state.lost_seconds[i];
+      lost[tenant] += state.lost_seconds(i);
       ckpt[tenant] += state.checkpoint_overhead_seconds(i);
     }
     for (std::size_t i = 0; i < lost.size(); ++i) {

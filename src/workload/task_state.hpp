@@ -30,9 +30,13 @@
 /// the run injects faults / replicates / checkpoints, so the common path
 /// never allocates them. Only a fault run requeues a task, and only a
 /// checkpoint run pays checkpoint overhead or resumes from a fraction other
-/// than 0. The retry count and the overhead are private behind accessors
-/// that read 0 when their column is absent, so the reports and the run-digest
-/// goldens read them per task on every run without indexing an empty vector.
+/// than 0. The lost-work column is lazy too, but keyed on an event instead of
+/// a feature: any run may drop a running task at its deadline, so the column
+/// is sized on the first aborted run (add_lost_seconds) and a run that never
+/// aborts one never allocates it. The retry count, the overhead and the lost
+/// work are private behind accessors that read 0 when their column is absent,
+/// so the reports and the run-digest goldens read them per task on every run
+/// without indexing an empty vector.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +74,6 @@ struct TaskStateSoA {
   // The waste decomposition the reports export: for every machine the task
   // touched, useful + lost + checkpoint_overhead == machine_seconds.
   std::vector<double> useful_seconds;
-  std::vector<double> lost_seconds;
   std::vector<double> machine_seconds;
 
   // --- lazy columns (empty unless the feature is active) ---
@@ -109,8 +112,8 @@ struct TaskStateSoA {
     start_time.assign(n, core::kTimeUnset);
     end_time.assign(n, core::kTimeUnset);
     useful_seconds.assign(n, 0.0);
-    lost_seconds.assign(n, 0.0);
     machine_seconds.assign(n, 0.0);
+    lost_seconds_.clear();
     retries_.clear();
     replica_of.clear();
     checkpoint_times.clear();
@@ -205,11 +208,28 @@ struct TaskStateSoA {
     checkpoint_overhead_[i] += seconds;
   }
 
-  /// Capacity of the lazy retries and checkpoint-overhead columns, which is 0
-  /// on a run that neither injects faults nor checkpoints.
+  /// Work executed and then lost to a crash, a deadline drop of a running
+  /// task or a replica cancel; 0 when the run never aborted a running task.
+  [[nodiscard]] double lost_seconds(std::size_t i) const noexcept {
+    return lost_seconds_.empty() ? 0.0 : lost_seconds_[i];
+  }
+
+  /// Charges \p seconds of lost work to row \p i, sizing the column (all 0)
+  /// on the run's first call.
+  void add_lost_seconds(std::size_t i, double seconds) {
+    if (lost_seconds_.empty()) lost_seconds_.assign(size(), 0.0);
+    lost_seconds_[i] += seconds;
+  }
+
+  /// Capacity of the lazy retries, checkpoint-overhead and lost-work columns:
+  /// 0 on a run that injects no faults, does not checkpoint and aborts no
+  /// running task, respectively.
   [[nodiscard]] std::size_t retry_capacity() const noexcept { return retries_.capacity(); }
   [[nodiscard]] std::size_t checkpoint_overhead_capacity() const noexcept {
     return checkpoint_overhead_.capacity();
+  }
+  [[nodiscard]] std::size_t lost_seconds_capacity() const noexcept {
+    return lost_seconds_.capacity();
   }
 
   /// Response time (completion - arrival); kTimeUnset when not completed.
@@ -226,6 +246,7 @@ struct TaskStateSoA {
 
  private:
   std::vector<TaskDef> owned_;  ///< backing storage when adopt() was used
+  std::vector<double> lost_seconds_;  ///< lazy: sized by the first add_lost_seconds()
   std::vector<std::uint32_t> retries_;  ///< lazy: sized by enable_retry_column()
   std::vector<double> checkpoint_overhead_;  ///< lazy: sized with the checkpoint columns
 };

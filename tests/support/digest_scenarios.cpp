@@ -85,7 +85,7 @@ std::uint64_t digest_of(const sched::Simulation& simulation) {
     digest.add_time(state.missed_time(i));
     digest.add_u64(state.retries(i));
     digest.add_double(state.useful_seconds[i]);
-    digest.add_double(state.lost_seconds[i]);
+    digest.add_double(state.lost_seconds(i));
     digest.add_double(state.checkpoint_overhead_seconds(i));
     digest.add_double(state.machine_seconds[i]);
   }

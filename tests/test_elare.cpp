@@ -160,7 +160,7 @@ TEST(TaskIndexQueue, PerTypeListsKeepArrivalOrderAndRetriesSortLast) {
   };
   EXPECT_EQ(walk(0), (std::vector<e2c::workload::TaskId>{10, 14, 12}));
   EXPECT_EQ(walk(1), (std::vector<e2c::workload::TaskId>{11, 13}));
-  EXPECT_GT(queue.seq(2), queue.seq(4));
+  EXPECT_GT(queue.seq(queue.node_of(2)), queue.seq(queue.node_of(4)));
 
   std::vector<e2c::workload::TaskId> ordered;
   for (const auto* task : queue.ordered()) ordered.push_back(task->id);
@@ -210,6 +210,43 @@ void check_against_arrival_list(std::size_t type_count) {
 TEST(TaskIndexQueue, MatchesAnArrivalOrderedListUnderRandomChurn) {
   check_against_arrival_list(5);   // few lists, long ones
   check_against_arrival_list(40);  // many lists, short ones
+}
+
+TEST(TaskIndexQueue, PoolIsSizedByThePeakQueueLength) {
+  // Many tasks pass through a queue that never holds more than kPeak at
+  // once, some of them twice (retries): erased nodes are reused, so the
+  // pool stays at the peak however long the trace is.
+  constexpr std::size_t kTasks = 5000;
+  constexpr std::size_t kPeak = 7;
+  std::mt19937 rng(99);
+  std::vector<e2c::workload::TaskDef> defs;
+  for (std::size_t i = 0; i < kTasks; ++i) defs.push_back(queued_task(i, rng() % 4));
+  e2c::sched::TaskIndexQueue queue;
+  queue.reset(defs, 4);
+  std::vector<std::size_t> model;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    while (model.size() >= kPeak || (!model.empty() && rng() % 3 == 0)) {
+      const std::size_t at = rng() % model.size();
+      const std::size_t index = model[at];
+      EXPECT_TRUE(queue.erase(index));
+      EXPECT_EQ(queue.node_of(index), e2c::sched::TaskIndexQueue::kNil);
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+      if (rng() % 5 == 0 && model.size() < kPeak) {
+        queue.push_back(index);  // a retry re-enters behind everything
+        model.push_back(index);
+      }
+    }
+    queue.push_back(i);
+    model.push_back(i);
+    ASSERT_LE(queue.pool_size(), kPeak) << "task " << i;
+  }
+  ASSERT_EQ(queue.ordered().size(), model.size());
+  for (std::size_t k = 0; k < model.size(); ++k) {
+    EXPECT_EQ(queue.ordered()[k], &defs[model[k]]);
+  }
+  queue.reset(defs, 4);
+  EXPECT_EQ(queue.pool_size(), 0u);
+  EXPECT_FALSE(queue.contains(model.front()));
 }
 
 TEST(TaskIndexQueue, RejectsDuplicatesAndUnknownTypes) {

@@ -32,7 +32,8 @@ TEST(Ini, ParsesSectionsAndPairs) {
   EXPECT_EQ(ini.get_int("system", "queue_size").value(), 2);
   EXPECT_TRUE(ini.has_section("sweep"));
   EXPECT_FALSE(ini.has_section("output"));
-  EXPECT_EQ(ini.sections(), (std::vector<std::string>{"system", "sweep"}));
+  EXPECT_TRUE(ini.has_section("system"));
+  EXPECT_TRUE(IniFile::parse("[Faults]\n").has_section("faults"));  // a header alone
 }
 
 TEST(Ini, CommentsAndWhitespace) {
@@ -122,7 +123,8 @@ TEST(Ini, AddedEntriesCarryTheirLocator) {
   EXPECT_EQ(ini.where("faults", "mtbf"), "--mtbf");
   EXPECT_EQ(ini.get("faults", "trace").value(), " run;1#a.csv");
   EXPECT_EQ(ini.where("faults", "trace"), "--fault-trace");
-  EXPECT_EQ(ini.sections(), (std::vector<std::string>{"faults", "recovery"}));
+  EXPECT_TRUE(ini.has_section("faults"));
+  EXPECT_TRUE(ini.has_section("recovery"));
 
   IniFile flags;
   flags.add("faults", "mtbf", "abc", "--mtbf");

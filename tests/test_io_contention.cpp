@@ -61,7 +61,7 @@ TaskDef make_task(std::uint64_t id, std::size_t type, double arrival, double dea
 void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
+    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds(i) +
                     state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
@@ -208,7 +208,7 @@ TEST(IoContention, UncontendedChannelMatchesFixedCostRun) {
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_NEAR(state.completion_time(0), 16.0, 1e-9);
   EXPECT_NEAR(state.useful_seconds[0], 10.0, 1e-9);
-  EXPECT_NEAR(state.lost_seconds[0], 1.5, 1e-9);
+  EXPECT_NEAR(state.lost_seconds(0), 1.5, 1e-9);
   EXPECT_NEAR(state.checkpoint_overhead_seconds(0), 2.5, 1e-9);
   EXPECT_NEAR(state.machine_seconds[0], 14.0, 1e-9);
   ASSERT_NE(simulation.io_channel(), nullptr);
@@ -250,7 +250,7 @@ TEST(IoContention, DalyWasteMatchesClosedFormAcrossMtbfSweep) {
     double lost = 0.0, overhead = 0.0, machine_seconds = 0.0;
     const auto& state = simulation.task_state();
     for (std::size_t i = 0; i < state.size(); ++i) {
-      lost += state.lost_seconds[i];
+      lost += state.lost_seconds(i);
       overhead += state.checkpoint_overhead_seconds(i);
       machine_seconds += state.machine_seconds[i];
     }
@@ -286,7 +286,7 @@ double total_waste(const Simulation& simulation) {
   double waste = 0.0;
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    waste += state.lost_seconds[i] + state.checkpoint_overhead_seconds(i);
+    waste += state.lost_seconds(i) + state.checkpoint_overhead_seconds(i);
   }
   return waste;
 }

@@ -58,7 +58,7 @@ FaultConfig trace_faults(std::vector<FaultTraceEntry> entries) {
 void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
+    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds(i) +
                     state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
@@ -89,7 +89,7 @@ TEST(CheckpointRecovery, ResumesFromLastCheckpointAfterCrash) {
   EXPECT_EQ(state.retries(0), 1u);
   EXPECT_DOUBLE_EQ(state.completion_time(0), 13.0);
   EXPECT_DOUBLE_EQ(state.useful_seconds[0], 10.0);
-  EXPECT_DOUBLE_EQ(state.lost_seconds[0], 1.0);
+  EXPECT_DOUBLE_EQ(state.lost_seconds(0), 1.0);
   EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds(0), 0.0);
   EXPECT_DOUBLE_EQ(state.machine_seconds[0], 11.0);
   // Two commits per run: t = 2, 4 before the crash; t = 9, 11 after.
@@ -124,7 +124,7 @@ TEST(CheckpointRecovery, ChargesWriteAndRestartCosts) {
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_NEAR(state.completion_time(0), 16.0, 1e-9);
   EXPECT_NEAR(state.useful_seconds[0], 10.0, 1e-9);
-  EXPECT_NEAR(state.lost_seconds[0], 1.5, 1e-9);
+  EXPECT_NEAR(state.lost_seconds(0), 1.5, 1e-9);
   EXPECT_NEAR(state.checkpoint_overhead_seconds(0), 2.5, 1e-9);
   EXPECT_NEAR(state.machine_seconds[0], 14.0, 1e-9);
   EXPECT_EQ(simulation.checkpoints_taken(), 3u);
@@ -174,7 +174,7 @@ TEST(CheckpointRecovery, ResumeOnDifferentMachineUsesItsOwnSpeed) {
   // Crash at 2 with commits at 1 and 2: fraction 2/4 = 0.5. Retry at 3 maps
   // to m1; the remaining half of T1 there is 0.5 · 6 = 3 s -> done at 6.
   EXPECT_DOUBLE_EQ(state.completion_time(0), 6.0);
-  EXPECT_DOUBLE_EQ(state.lost_seconds[0], 0.0);
+  EXPECT_DOUBLE_EQ(state.lost_seconds(0), 0.0);
   expect_waste_invariant(simulation);
 }
 
@@ -349,7 +349,7 @@ TEST(RecoveryWaste, ResubmitMatchesPriorBehaviourExactly) {
   const auto& state = simulation.task_state();
   EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
   EXPECT_DOUBLE_EQ(state.completion_time(0), 9.0);  // as in test_fault.cpp
-  EXPECT_DOUBLE_EQ(state.lost_seconds[0], 2.0);     // 2 s burned on m0
+  EXPECT_DOUBLE_EQ(state.lost_seconds(0), 2.0);     // 2 s burned on m0
   EXPECT_DOUBLE_EQ(state.useful_seconds[0], 6.0);   // full T1-on-m1 run
   EXPECT_DOUBLE_EQ(state.checkpoint_overhead_seconds(0), 0.0);
   EXPECT_EQ(simulation.checkpoints_taken(), 0u);

@@ -211,7 +211,7 @@ RunOutcome run_outcome(SystemConfig config, std::unique_ptr<e2c::sched::Policy> 
                                         state.assignment_time[i], state.start_time[i],
                                         state.completion_time(i), state.missed_time(i),
                                         state.retries(i), state.useful_seconds[i],
-                                        state.lost_seconds[i],
+                                        state.lost_seconds(i),
                                         state.checkpoint_overhead_seconds(i),
                                         state.machine_seconds[i]});
   }

@@ -557,23 +557,35 @@ TEST(Serve, RetriesExhaustedDegradesCellAndClientStillCompletes) {
   stop_service(service);
 }
 
-// A client that stops reading holds the supervisor in one write for up to
-// SO_SNDTIMEO (5 s). That time must not count against the units dispatched
-// after the write: with a 4 s cell timeout, a second client's job completes
-// with no unit killed and no retry. The second job's two units differ in
-// length, so when two workers take them right after the stall, the shorter
-// one's result wakes the supervisor while the longer one still runs, and
-// its timeout is checked.
+/// A job whose cell frames fill a client's socket buffer long before its
+/// units run out: 9 cells x 200 replications.
+const char* const kStallingJob =
+    "[sweep]\n"
+    "policies = FCFS, MECT, MM\n"
+    "intensities = low, medium, high\n"
+    "replications = 200\n"
+    "duration = 5\n"
+    "seed = 3\n";
+
+/// Connects to \p socket_path and submits \p ini_text without reading any
+/// reply: a client that stalls once its socket buffer is full.
+int submit_and_stall(const std::string& socket_path, const std::string& ini_text) {
+  const int fd = connect_raw(socket_path);
+  if (fd < 0) return fd;
+  util::ByteWriter writer;
+  exp::encode_job_submit(writer, {ini_text});
+  util::write_frame_zc(fd, writer.bytes());
+  return fd;
+}
+
+// A client that stops reading must not cost the units of another client's
+// job their cell timeout: with a 4 s cell timeout, a second client's job
+// completes with no unit killed and no retry. The second job's two units
+// differ in length, so when two workers take them, the shorter one's result
+// wakes the supervisor while the longer one still runs, and its timeout is
+// checked. The stalled client itself is dropped, without a done frame, once
+// it has read nothing for the service's 5 s client timeout.
 TEST(Serve, StalledClientDoesNotSpendAnotherJobsCellTimeout) {
-  // 9 cells x 200 replications: the stalled job's cell frames fill the
-  // socket buffer long before its units run out.
-  const std::string stalled_text =
-      "[sweep]\n"
-      "policies = FCFS, MECT, MM\n"
-      "intensities = low, medium, high\n"
-      "replications = 200\n"
-      "duration = 5\n"
-      "seed = 3\n";
   const std::string text =
       "[sweep]\n"
       "policies = FCFS\n"
@@ -587,19 +599,19 @@ TEST(Serve, StalledClientDoesNotSpendAnotherJobsCellTimeout) {
       socket_path, {"--serve-workers", "2", "--cell-timeout", "4", "--max-retries", "1"});
   wait_for_service(socket_path);
 
-  const int stalled = connect_raw(socket_path);
+  const int stalled = submit_and_stall(socket_path, kStallingJob);
   ASSERT_GE(stalled, 0);
-  util::ByteWriter writer;
-  exp::encode_job_submit(writer, {stalled_text});
-  util::write_frame_zc(stalled, writer.bytes());
+  const auto stalled_at = std::chrono::steady_clock::now();
 
   const auto result = exp::submit_job(socket_path, text);
   EXPECT_EQ(csv_of(result), expected);
   EXPECT_EQ(result.health.failed_cells, 0u);
-  EXPECT_EQ(result.health.retries, 0u) << "a unit was charged for the stalled write";
+  EXPECT_EQ(result.health.retries, 0u) << "a unit was charged for the stalled client";
 
-  // The stall did happen: the service gave the stalled job up and closed the
-  // connection without a done frame.
+  // The stall did happen: once the client timeout has passed, the service
+  // has given the stalled job up and closed the connection without a done
+  // frame. The client reads nothing until then.
+  std::this_thread::sleep_until(stalled_at + std::chrono::seconds(7));
   timeval receive_timeout{};
   receive_timeout.tv_sec = 10;
   ASSERT_EQ(::setsockopt(stalled, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout,
@@ -617,6 +629,29 @@ TEST(Serve, StalledClientDoesNotSpendAnotherJobsCellTimeout) {
   ::close(stalled);
   EXPECT_FALSE(done) << "the stalled client's job was never dropped";
 
+  stop_service(service);
+}
+
+// The supervisor never waits on one client's socket: while a client that
+// stopped reading holds a full socket buffer, a second client's job is
+// served at its usual pace, not after the stalled client's 5 s timeout.
+TEST(Serve, StalledClientDoesNotDelayAnotherJob) {
+  const std::string text = config_text(7);
+  const std::string expected = csv_of(direct_run(text));
+  const std::string socket_path = temp_path("serve_stall_other.sock");
+  ServiceProcess service = start_service(socket_path, {"--serve-workers", "2"});
+  wait_for_service(socket_path);
+
+  const int stalled = submit_and_stall(socket_path, kStallingJob);
+  ASSERT_GE(stalled, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = exp::submit_job(socket_path, text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_EQ(csv_of(result), expected);
+  EXPECT_LT(seconds, 2.0) << "a job behind a stalled client took " << seconds << " s";
+
+  ::close(stalled);
   stop_service(service);
 }
 

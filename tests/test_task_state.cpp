@@ -54,7 +54,7 @@ StatusScan scan_statuses(const e2c::workload::TaskStateSoA& state) {
 void expect_waste_invariant(const Simulation& simulation) {
   const auto& state = simulation.task_state();
   for (std::size_t i = 0; i < state.size(); ++i) {
-    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds[i] +
+    EXPECT_NEAR(state.useful_seconds[i] + state.lost_seconds(i) +
                     state.checkpoint_overhead_seconds(i),
                 state.machine_seconds[i], 1e-9)
         << "task " << state.id(i) << " ("
@@ -194,6 +194,65 @@ TEST(TaskStateLayout, CheckpointColumnsAreLazy) {
     EXPECT_EQ(state.retries(i), 0u);
     EXPECT_EQ(state.checkpoint_overhead_seconds(i), 0.0);
   }
+}
+
+TEST(TaskStateLayout, LostWorkColumnIsSizedOnFirstLoss) {
+  std::vector<TaskDef> trace(3);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = i;
+  e2c::workload::TaskStateSoA state;
+  state.bind(trace);
+  EXPECT_EQ(state.lost_seconds_capacity(), 0u);
+  EXPECT_EQ(state.lost_seconds(1), 0.0);
+
+  state.add_lost_seconds(1, 0.5);
+  state.add_lost_seconds(1, 0.25);
+  EXPECT_GE(state.lost_seconds_capacity(), 3u);
+  EXPECT_EQ(state.lost_seconds(0), 0.0);
+  EXPECT_EQ(state.lost_seconds(1), 0.75);
+  EXPECT_EQ(state.lost_seconds(2), 0.0);
+
+  state.reset();
+  for (std::size_t i = 0; i < state.size(); ++i) EXPECT_EQ(state.lost_seconds(i), 0.0);
+}
+
+/// A fault-free MECT run of 20 tasks arriving 3 s apart, each with
+/// \p slack seconds between its arrival and its deadline. Every EET of the
+/// classroom system is at least 1.2 s, so a slack below that drops each task
+/// mapped to an idle machine while it runs; a large one drops none.
+std::unique_ptr<Simulation> run_with_slack(double slack) {
+  SystemConfig system = e2c::exp::heterogeneous_classroom(2);
+  const std::size_t types = system.eet.task_type_count();
+  std::vector<TaskDef> tasks;
+  for (std::size_t i = 0; i < 20; ++i) {
+    TaskDef task;
+    task.id = i;
+    task.type = static_cast<std::uint32_t>(i % types);
+    task.arrival = 3.0 * static_cast<double>(i);
+    task.deadline = task.arrival + slack;
+    tasks.push_back(task);
+  }
+  auto simulation =
+      std::make_unique<Simulation>(std::move(system), e2c::sched::make_policy("MECT"));
+  simulation->load(Workload(std::move(tasks)));
+  simulation->run();
+  return simulation;
+}
+
+TEST(TaskStateLayout, OnlyRunsThatAbortARunningTaskAllocateTheLostColumn) {
+  const auto relaxed = run_with_slack(1000.0);
+  EXPECT_EQ(relaxed->counters().completed, 20u);
+  EXPECT_EQ(relaxed->task_state().lost_seconds_capacity(), 0u);
+  EXPECT_EQ(relaxed->lost_work_seconds(), 0.0);
+  for (std::size_t i = 0; i < relaxed->task_state().size(); ++i) {
+    EXPECT_EQ(relaxed->task_state().lost_seconds(i), 0.0) << "task " << i;
+  }
+  expect_waste_invariant(*relaxed);
+
+  const auto tight = run_with_slack(0.5);
+  EXPECT_GT(tight->counters().dropped, 0u);
+  EXPECT_GE(tight->task_state().lost_seconds_capacity(), tight->task_state().size());
+  EXPECT_GT(tight->lost_work_seconds(), 0.0);
+  expect_waste_invariant(*tight);
 }
 
 TEST(TaskStateLayout, OnlyCheckpointRunsAllocateCheckpointColumns) {

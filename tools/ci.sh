@@ -15,7 +15,7 @@
 # tests/support) drops below 70% of the committed BENCH_sched_hotpath.json
 # baseline. It also runs the repository benchmark's self-tests and 2 s
 # `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
-# the recorded ones; the megarun run also fails above a 235 MB peak RSS (its
+# the recorded ones; the megarun run also fails above a 200 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
@@ -208,14 +208,14 @@ run_bench_smoke() {
     }
     echo "${workload} digest ok"
     if [[ "${workload}" == megarun ]]; then
-      # Per-task state is ~105 B over 2M tasks (~212 MB peak); the ceiling
-      # is that plus ~10%, so per-task state that grows by more than ~11 B
-      # (~23 MB), e.g. two lazy columns going dense again, fails here.
+      # Per-task state is ~89 B over 2M tasks (~182 MB peak); the ceiling
+      # is that plus ~10%, so per-task state that grows by more than ~9 B
+      # (~18 MB), e.g. one lazy column going dense again, fails here.
       python3 -c 'import json, sys
 rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]
-print("megarun peak_rss_mb %.1f (ceiling 235)" % rss)
-sys.exit(0 if rss <= 235 else 1)' "${result}" || {
-        echo "bench smoke: megarun peak RSS above the 235 MB ceiling" >&2
+print("megarun peak_rss_mb %.1f (ceiling 200)" % rss)
+sys.exit(0 if rss <= 200 else 1)' "${result}" || {
+        echo "bench smoke: megarun peak RSS above the 200 MB ceiling" >&2
         exit 1
       }
     fi
