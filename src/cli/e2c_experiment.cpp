@@ -23,9 +23,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <iterator>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -35,6 +33,7 @@
 #include "exp/spec_io.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 #include "viz/bar_chart.hpp"
 
@@ -47,14 +46,6 @@ const std::vector<std::string> kKnownFlags = {
     "--journal", "--resume",   "--serve",   "--submit",       "--serve-workers",
     "--backlog",
 };
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw e2c::IoError("cannot read config file '" + path + "'");
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) throw e2c::IoError("cannot read config file '" + path + "'");
-  return text;
-}
 
 }  // namespace
 
@@ -306,7 +297,7 @@ int main(int argc, char** argv) {
       // the same bytes with the same parser, so the submitted sweep is the
       // same sweep a direct run would execute. Outputs are written
       // client-side, against the client's working directory.
-      const std::string config_text = read_text_file(positional[0]);
+      const std::string config_text = util::read_file(positional[0]);
       const util::IniFile ini = util::IniFile::parse(config_text, positional[0]);
       outputs = exp::outputs_from_ini(ini);
       result = exp::submit_job(submit_socket, config_text, options.progress);

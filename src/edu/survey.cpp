@@ -197,7 +197,13 @@ SurveyDataset SurveyDataset::from_csv_rows(
 }
 
 SurveyDataset SurveyDataset::load_csv(const std::string& path) {
-  return from_csv_rows(util::read_csv_file(path).rows);
+  const util::CsvDoc doc = util::read_csv_doc(path);
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(doc.row_count());
+  for (std::size_t r = 0; r < doc.row_count(); ++r) {
+    rows.emplace_back(doc.row(r).begin(), doc.row(r).end());
+  }
+  return from_csv_rows(rows);
 }
 
 void SurveyDataset::save_csv(const std::string& path) const {

@@ -1,15 +1,16 @@
 #include "exp/experiment.hpp"
 
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <future>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "exp/journal.hpp"
 #include "exp/scenario.hpp"
 #include "exp/serve.hpp"
-#include "exp/sim_pool.hpp"
+#include "exp/worker_pool.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -97,24 +98,12 @@ workload::GeneratorConfig generator_for(
 
 reports::Metrics run_single(const ExperimentSpec& spec, const std::string& policy_name,
                             workload::Intensity intensity, std::size_t replication) {
-  const auto machine_types = machine_types_of(spec.system);
-  const workload::Workload trace = workload::generate_workload(
-      spec.system.eet, generator_for(spec, machine_types, intensity, replication));
-
+  const workload::Workload trace =
+      detail::generate_trace(spec, machine_types_of(spec.system), intensity, replication);
   sched::Simulation simulation(spec.system, sched::make_policy(policy_name));
   simulation.load(trace);
   simulation.run();
   return reports::compute_metrics(simulation);
-}
-
-void validate_spec(const ExperimentSpec& spec) {
-  require_input(!spec.policies.empty(), "experiment: no policies");
-  require_input(!spec.intensities.empty(), "experiment: no intensities");
-  require_input(spec.replications > 0, "experiment: replications must be > 0");
-  for (const std::string& policy : spec.policies) {
-    require_input(sched::PolicyRegistry::instance().contains(policy),
-                  "experiment: unknown policy '" + policy + "'");
-  }
 }
 
 void fnv1a(std::uint64_t& hash, std::uint64_t value) noexcept {
@@ -139,132 +128,61 @@ std::uint64_t double_bits(double value) noexcept {
   return bits;
 }
 
-/// Runs the sweep on the in-process thread pool, skipping cells already in
-/// \p resumed and journaling each freshly computed cell.
+/// Runs the sweep on the in-process thread pool, on the job, unit runner and
+/// ledger of the process backend and the service.
 ///
 /// Work is sharded per (cell, replication): a 4x3 sweep is 120 independent
 /// replication tasks rather than 12 coarse cell tasks, so the pool stays fed
-/// at any worker count. Tasks are bulk-submitted (one lock per worker queue,
-/// one wake) and their futures merge back into cells in deterministic
-/// slot-major, replication-minor order — the result CSV is byte-identical
-/// across worker counts and to the process backend.
-ExperimentResult run_experiment_threads(const ExperimentSpec& spec,
-                                        const RunOptions& options,
-                                        std::map<std::size_t, CellResult> resumed,
-                                        SweepJournal* journal) {
-  ExperimentResult result;
-  result.spec = spec;
-  result.health.resumed_cells = resumed.size();
-  const std::size_t intensity_count = spec.intensities.size();
-  const std::size_t cells_total = spec.policies.size() * intensity_count;
-  const std::size_t fresh_total = cells_total - resumed.size();
-  const std::size_t reps = spec.replications;
+/// at any worker count. Under kShared this thread fills the job's traces
+/// before any task is submitted, so the tasks only read the job. Tasks are
+/// bulk-submitted (one lock per worker queue, one wake) and their futures go
+/// to the ledger in slot-major, replication-minor order, so cells finish in
+/// slot order and the result CSV is byte-identical across worker counts and
+/// to the process backend. A unit that throws fails its cell at once
+/// (RequeuePolicy{0}) and the sweep keeps going.
+ExperimentResult run_experiment_threads(const ExperimentSpec& spec, const RunOptions& options,
+                                        SweepCells cells) {
+  CachedJob job = make_cached_job(/*key=*/0, spec);
+  const auto reps = static_cast<std::uint32_t>(spec.replications);
+  std::vector<std::uint32_t> fresh;
+  for (std::uint32_t slot = 0; slot < job.slots.size(); ++slot) {
+    if (!cells.has(slot)) fresh.push_back(slot);
+  }
 
-  std::size_t fresh_done = 0;
-  const auto record = [&](std::size_t slot, CellResult cell, bool fresh) {
-    if (cell.status == CellStatus::kOk) {
-      ++result.health.completed_cells;
-    } else {
-      ++result.health.failed_cells;
+  std::vector<std::function<reports::Metrics()>> tasks;
+  tasks.reserve(fresh.size() * reps);
+  for (const std::uint32_t slot : fresh) {
+    const Slot& cell = job.slots[slot];
+    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+      if (options.plane == DataPlane::kShared) {
+        (void)job.trace(cell.intensity, rep);
+        tasks.push_back([&job, slot, rep] { return run_unit(job, slot, rep); });
+      } else {
+        tasks.push_back([&spec, &cell, rep] {
+          return run_single(spec, cell.policy, cell.intensity, rep);
+        });
+      }
     }
-    if (fresh && journal != nullptr) journal->append(slot, cell);
-    result.cells.push_back(std::move(cell));
-    if (fresh && options.progress) {
-      options.progress(++fresh_done, fresh_total, result.cells.back());
-    }
-  };
+  }
 
   util::ThreadPool pool(options.workers);
-  result.health.workers = pool.worker_count();
-
-  // Build one replication task per fresh (slot, rep), slot-major. Both data
-  // planes produce the same task shape; they differ only in how a task
-  // provisions its trace and Simulation.
-  using RepTask = std::function<reports::Metrics()>;
-  std::vector<RepTask> tasks;
-  tasks.reserve(fresh_total * reps);
-
-  // kShared inputs, built once and aliased read-only by every task: one
-  // SystemConfig for every leased Simulation, one trace per (intensity,
-  // replication) for every policy. Declared at this scope so they outlive
-  // the futures.
-  std::shared_ptr<const sched::SystemConfig> system;
-  std::vector<std::vector<std::shared_ptr<const workload::Workload>>> traces;
-  if (options.plane == DataPlane::kShared) {
-    system = std::make_shared<const sched::SystemConfig>(spec.system);
-    const auto machine_types = machine_types_of(spec.system);
-    traces.reserve(intensity_count);
-    for (workload::Intensity intensity : spec.intensities) {
-      std::vector<std::shared_ptr<const workload::Workload>> per_rep;
-      per_rep.reserve(reps);
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        per_rep.push_back(std::make_shared<const workload::Workload>(
-            workload::generate_workload(spec.system.eet,
-                                        generator_for(spec, machine_types, intensity, rep))));
-      }
-      traces.push_back(std::move(per_rep));
-    }
-  }
-
-  std::size_t slot = 0;
-  for (const std::string& policy : spec.policies) {
-    for (std::size_t i = 0; i < intensity_count; ++i, ++slot) {
-      if (resumed.count(slot) != 0) continue;
-      const workload::Intensity intensity = spec.intensities[i];
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        if (options.plane == DataPlane::kShared) {
-          tasks.push_back([system, policy, trace = traces[i][rep]] {
-            sched::Simulation& simulation =
-                lease_simulation(system, sched::make_policy(policy));
-            simulation.load(trace);
-            simulation.run();
-            return reports::compute_metrics(simulation);
-          });
-        } else {
-          tasks.push_back([&spec, policy, intensity, rep] {
-            return run_single(spec, policy, intensity, rep);
-          });
-        }
-      }
-    }
-  }
   std::vector<std::future<reports::Metrics>> futures = pool.submit_bulk(std::move(tasks));
-
-  // Merge replications back into cells in slot order. A replication that
-  // threw marks its cell failed (empty runs, status row) and the sweep keeps
-  // going — the threads backend degrades exactly like the procs backend
-  // instead of aborting the whole sweep out of future::get().
-  result.cells.reserve(cells_total);
-  std::size_t next_future = 0;
-  slot = 0;
-  for (const std::string& policy : spec.policies) {
-    for (std::size_t i = 0; i < intensity_count; ++i, ++slot) {
-      if (auto found = resumed.find(slot); found != resumed.end()) {
-        record(slot, std::move(found->second), /*fresh=*/false);
-        continue;
+  UnitLedger ledger(/*job_id=*/0, job.slots, reps, RequeuePolicy{.max_retries = 0});
+  std::deque<Unit> no_requeue;
+  auto future = futures.begin();
+  for (const std::uint32_t slot : fresh) {
+    for (std::uint32_t rep = 0; rep < reps; ++rep, ++future) {
+      const Unit unit{.slot = slot, .rep = rep, .release = {}};
+      std::optional<CellResult> cell;
+      try {
+        cell = ledger.complete(unit, future->get());
+      } catch (...) {
+        cell = ledger.charge(unit, no_requeue, Clock::now());
       }
-      CellResult cell;
-      cell.policy = policy;
-      cell.intensity = spec.intensities[i];
-      cell.runs.reserve(reps);
-      bool threw = false;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        try {
-          reports::Metrics metrics = futures[next_future + rep].get();
-          if (!threw) cell.runs.push_back(std::move(metrics));
-        } catch (...) {
-          threw = true;
-        }
-      }
-      next_future += reps;
-      if (threw) {
-        cell.runs.clear();
-        cell.status = CellStatus::kFailed;
-      }
-      record(slot, std::move(cell), /*fresh=*/true);
+      if (cell) cells.record(slot, std::move(*cell));
     }
   }
-  return result;
+  return std::move(cells).result(spec, pool.worker_count(), ledger.retries());
 }
 
 }  // namespace
@@ -331,6 +249,16 @@ std::uint64_t spec_digest(const ExperimentSpec& spec) noexcept {
 
 namespace detail {
 
+void validate_spec(const ExperimentSpec& spec) {
+  require_input(!spec.policies.empty(), "experiment: no policies");
+  require_input(!spec.intensities.empty(), "experiment: no intensities");
+  require_input(spec.replications > 0, "experiment: replications must be > 0");
+  for (const std::string& policy : spec.policies) {
+    require_input(sched::PolicyRegistry::instance().contains(policy),
+                  "experiment: unknown policy '" + policy + "'");
+  }
+}
+
 workload::Workload generate_trace(const ExperimentSpec& spec,
                                   const std::vector<hetero::MachineTypeId>& machine_types,
                                   workload::Intensity intensity,
@@ -342,7 +270,7 @@ workload::Workload generate_trace(const ExperimentSpec& spec,
 }  // namespace detail
 
 ExperimentResult run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
-  validate_spec(spec);
+  detail::validate_spec(spec);
   require_input(options.cell_timeout >= 0.0, "experiment: cell_timeout must be >= 0");
   require_input(!options.resume || !options.journal_path.empty(),
                 "experiment: resume needs a journal path");
@@ -375,11 +303,11 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const RunOptions& op
     }
   }
 
+  SweepCells cells(cells_total, std::move(resumed), std::move(journal), options.progress);
   if (options.backend == Backend::kProcs) {
-    return run_experiment_procs(spec, options, std::move(resumed), std::move(journal));
+    return run_experiment_procs(spec, options, std::move(cells));
   }
-  return run_experiment_threads(spec, options, std::move(resumed),
-                                journal ? &*journal : nullptr);
+  return run_experiment_threads(spec, options, std::move(cells));
 }
 
 ExperimentResult run_experiment(const ExperimentSpec& spec, std::size_t workers,

@@ -6,6 +6,13 @@
 /// sees the identical trace, exactly as the students ran the same CSV
 /// workload through each scheduling method. Replications vary the seed so
 /// the reported completion percentages carry confidence intervals.
+///
+/// Every backend runs a sweep through one unit pipeline (exp/worker_pool):
+/// the sweep is sharded into (cell, replication) units of one job, each
+/// unit runs through run_unit, a UnitLedger assembles the cells, and
+/// SweepCells journals them, reports progress and builds the result. The
+/// backends differ only in where units run: a thread pool, forked worker
+/// processes, or the resident service's warm workers.
 #pragma once
 
 #include <cstddef>
@@ -129,8 +136,8 @@ using ProgressFn = std::function<void(
 
 /// Execution backend of the sweep.
 enum class Backend {
-  /// In-process thread pool (the PR-5 data plane). Fastest setup; one
-  /// wedged or crashing cell takes the whole invocation down.
+  /// In-process thread pool. Fastest setup; a throwing unit fails its cell,
+  /// but one wedged or crashing unit takes the whole invocation down.
   kThreads,
   /// Forked worker processes, (cell, replication) units sharded over a work
   /// queue, results serialized back over pipes. The parent supervises:
@@ -184,7 +191,7 @@ struct RunOptions {
 /// shared across threads: under kShared each worker leases its own
 /// thread-local Simulation (reset between replications) and only aliases
 /// immutable traces/config; under kPerRun each replication builds
-/// everything afresh. Replications merge back into cells in deterministic
+/// everything afresh. Replications go to the ledger in deterministic
 /// (policy-major, intensity-minor, replication) order, so the result CSV is
 /// byte-identical across worker counts.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec,
@@ -200,6 +207,11 @@ struct RunOptions {
 [[nodiscard]] std::uint64_t spec_digest(const ExperimentSpec& spec) noexcept;
 
 namespace detail {
+/// The checks a sweep passes before it runs, on either backend and at the
+/// service's admission: some policies and intensities, replications > 0,
+/// and every policy registered. Throws e2c::InputError.
+void validate_spec(const ExperimentSpec& spec);
+
 /// Regenerates the paired trace of one (intensity, replication) — a pure
 /// function of the spec, identical across every policy, data plane, and
 /// backend. \p machine_types must be machine_types_of(spec.system). Worker

@@ -6,11 +6,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "exp/cell_codec.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/framing.hpp"
 #include "util/string_util.hpp"
 
@@ -89,11 +88,7 @@ SweepJournal::~SweepJournal() {
 }
 
 JournalContents read_journal(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw IoError("journal: cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = util::read_file(path);
 
   JournalContents contents;
   std::size_t offset = 0;

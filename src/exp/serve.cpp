@@ -22,7 +22,6 @@
 #include "exp/journal.hpp"
 #include "exp/spec_io.hpp"
 #include "exp/worker_pool.hpp"
-#include "sched/registry.hpp"
 #include "util/error.hpp"
 #include "util/framing.hpp"
 #include "util/ini.hpp"
@@ -172,18 +171,18 @@ Intake read_submit(int fd, PendingClient& client) {
 }
 
 /// One sweep on the supervisor loop: its config text (shipped to workers
-/// lacking it), its unit ledger, and where its finished cells go. A
-/// submitted job streams them to its client connection, a nonblocking fd:
-/// its frames queue in `outbox` and go out as fast as the client reads, so a
-/// client that stops reading holds up only its own job. The one-shot
-/// `--backend procs` sweep has no client (client_fd < 0): it keeps them in
-/// `cells` for the caller and reports each one to `progress`.
+/// lacking it), its unit ledger, and its cells, which count and journal
+/// every finished cell. A submitted job streams them to its client
+/// connection, a nonblocking fd: its frames queue in `outbox` and go out as
+/// fast as the client reads, so a client that stops reading holds up only
+/// its own job. The one-shot `--backend procs` sweep has no client
+/// (client_fd < 0): its cells keep them for the caller.
 struct ServeJob {
   std::uint64_t id = 0;
   std::uint64_t key = 0;
   std::string ini_text{};
   UnitLedger ledger;
-  std::size_t cells_owed = 0;  ///< cells to deliver: all but the resumed ones
+  SweepCells cells;
   int client_fd = -1;
   bool client_dead = false;
   bool done_queued = false;      ///< the kDone frame is in the outbox
@@ -192,12 +191,6 @@ struct ServeJob {
   /// While outbox holds unsent bytes: when the client counts as gone unless
   /// it reads some of them first.
   Clock::time_point write_deadline{};
-  std::size_t cells_done = 0;
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-  std::optional<SweepJournal> journal;
-  std::vector<std::optional<CellResult>> cells{};  ///< by slot; only without a client
-  ProgressFn progress{};
 
   [[nodiscard]] bool outbox_pending() const noexcept { return outbox_sent < outbox.size(); }
 };
@@ -281,27 +274,20 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     return fds;
   };
 
-  /// Records a finished (ok or failed) cell: bump counters, journal, then
+  /// Records a finished (ok or failed) cell: count and journal it, then
   /// queue it for the client or keep it for the caller. A write failure
   /// marks the client dead; the job is cancelled at the next finalize pass.
   const auto emit_cell = [&](ServeJob& job, std::uint32_t slot, CellResult cell) {
-    if (cell.status == CellStatus::kOk) {
-      ++job.completed;
-    } else {
-      ++job.failed;
-    }
-    ++job.cells_done;
-    if (job.journal) job.journal->append(slot, cell);
     if (job.client_fd < 0) {
-      const CellResult& kept = *(job.cells[slot] = std::move(cell));
-      if (job.progress) job.progress(job.cells_done, job.cells_owed, kept);
+      job.cells.record(slot, std::move(cell));
       return;
     }
+    job.cells.count(slot, cell);
     if (job.client_dead) return;
     JobCell cell_frame;
     cell_frame.slot = slot;
-    cell_frame.cells_done = static_cast<std::uint32_t>(job.cells_done);
-    cell_frame.cells_total = static_cast<std::uint32_t>(job.cells_owed);
+    cell_frame.cells_done = static_cast<std::uint32_t>(job.cells.done());
+    cell_frame.cells_total = static_cast<std::uint32_t>(job.cells.owed());
     cell_frame.cell_payload = encode_cell(cell);
     writer.clear();
     encode_job_cell(writer, cell_frame);
@@ -335,11 +321,11 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
   const auto finalize_jobs = [&] {
     for (auto it = jobs.begin(); it != jobs.end();) {
       ServeJob& job = it->second;
-      const bool finished = job.client_fd >= 0 && job.cells_done == job.cells_owed;
+      const bool finished = job.client_fd >= 0 && job.cells.done() == job.cells.owed();
       if (finished && !job.client_dead && !job.done_queued) {
         JobDone done;
-        done.completed_cells = job.completed;
-        done.failed_cells = job.failed;
+        done.completed_cells = job.cells.completed();
+        done.failed_cells = job.cells.failed();
         done.retries = job.ledger.retries();
         done.workers = pool_size;
         writer.clear();
@@ -361,8 +347,8 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       if (finished && !job.outbox_pending()) {
         ::close(job.client_fd);
         ++jobs_served;
-        say("job " + std::to_string(job.id) + " done: " + std::to_string(job.completed) +
-            " ok, " + std::to_string(job.failed) + " failed, " +
+        say("job " + std::to_string(job.id) + " done: " + std::to_string(job.cells.completed()) +
+            " ok, " + std::to_string(job.cells.failed()) + " failed, " +
             std::to_string(job.ledger.retries()) + " retries");
         it = jobs.erase(it);
         continue;
@@ -378,7 +364,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
     if (listen_fd >= 0) return draining && jobs.empty();
     return std::all_of(jobs.begin(), jobs.end(),
                        [](const auto& entry) {
-                         return entry.second.cells_done == entry.second.cells_owed;
+                         return entry.second.cells.done() == entry.second.cells.owed();
                        }) ||
            (draining && std::none_of(workers.begin(), workers.end(),
                                      [](const Worker& w) { return w.busy; }));
@@ -410,13 +396,7 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       std::optional<SweepJournal> journal;
       try {
         spec = spec_from_ini(util::IniFile::parse(submit.ini_text, "submitted config"));
-        require_input(!spec.policies.empty(), "submitted config: no policies");
-        require_input(!spec.intensities.empty(), "submitted config: no intensities");
-        require_input(spec.replications > 0, "submitted config: replications must be > 0");
-        for (const std::string& policy : spec.policies) {
-          require_input(sched::PolicyRegistry::instance().contains(policy),
-                        "submitted config: unknown policy '" + policy + "'");
-        }
+        detail::validate_spec(spec);
         if (!options.journal_prefix.empty()) {
           journal.emplace(SweepJournal::create(
               options.journal_prefix + ".job" + std::to_string(next_job_id),
@@ -431,17 +411,17 @@ std::size_t supervise(const ServeOptions& options, std::size_t pool_size, int li
       }
       const std::uint64_t id = next_job_id++;
       const auto reps = static_cast<std::uint32_t>(spec.replications);
+      const std::vector<Slot> slots = build_slots(spec);
       ServeJob job{.id = id,
                    .key = job_key_of(submit.ini_text),
                    .ini_text = std::move(submit.ini_text),
-                   .ledger = UnitLedger(id, build_slots(spec), reps, retry),
-                   .journal = std::move(journal)};
-      job.cells_owed = job.ledger.cells();
+                   .ledger = UnitLedger(id, slots, reps, retry),
+                   .cells = SweepCells(slots.size(), {}, std::move(journal), {})};
       job.client_fd = fd.release();
       ServeJob& admitted = jobs.emplace(id, std::move(job)).first->second;
       JobAccepted accepted;
       accepted.job_id = id;
-      accepted.cells_total = static_cast<std::uint32_t>(admitted.cells_owed);
+      accepted.cells_total = static_cast<std::uint32_t>(admitted.cells.owed());
       accepted.replications = reps;
       accepted.workers = static_cast<std::uint32_t>(pool_size);
       writer.clear();
@@ -671,31 +651,22 @@ std::size_t run_serve(const ServeOptions& options) {
 }
 
 ExperimentResult run_experiment_procs(const ExperimentSpec& spec, const RunOptions& options,
-                                      std::map<std::size_t, CellResult> resumed,
-                                      std::optional<SweepJournal> journal) {
+                                      SweepCells cells) {
   // The one job every worker runs, in its cache before fork(): the spec and
   // any policy registered at run time reach the worker with the address
   // space, never through an INI round-trip.
   const CachedJob cached = make_cached_job(/*key=*/0, spec);
-  const std::size_t cells_total = cached.slots.size();
   std::map<std::uint64_t, ServeJob> jobs;
   ServeJob& job =
       jobs.emplace(0, ServeJob{.ledger = UnitLedger(/*job_id=*/0, cached.slots,
                                                     static_cast<std::uint32_t>(spec.replications),
                                                     {options.max_retries}),
-                               .cells_owed = cells_total - resumed.size(),
-                               .journal = std::move(journal),
-                               .cells = std::vector<std::optional<CellResult>>(cells_total),
-                               .progress = options.progress})
+                               .cells = std::move(cells)})
           .first->second;
   std::deque<Unit> ready;
   const auto start = Clock::now();
-  for (std::uint32_t slot = 0; slot < cells_total; ++slot) {
-    if (const auto it = resumed.find(slot); it != resumed.end()) {
-      job.cells[slot] = std::move(it->second);
-    } else {
-      job.ledger.queue_slot(slot, start, ready);
-    }
+  for (std::uint32_t slot = 0; slot < cached.slots.size(); ++slot) {
+    if (!job.cells.has(slot)) job.ledger.queue_slot(slot, start, ready);
   }
 
   ServeOptions loop;
@@ -706,20 +677,7 @@ ExperimentResult run_experiment_procs(const ExperimentSpec& spec, const RunOptio
   const std::size_t workers = util::ThreadPool::resolve_worker_count(options.workers);
   (void)supervise(loop, std::min(workers, ready.size()), /*listen_fd=*/-1, &cached, jobs,
                   ready);
-
-  ExperimentResult result;
-  result.spec = spec;
-  result.health.workers = workers;
-  result.health.resumed_cells = resumed.size();
-  result.health.completed_cells = resumed.size() + job.completed;
-  result.health.failed_cells = job.failed;
-  result.health.retries = job.ledger.retries();
-  result.health.drained = job.cells_done < job.cells_owed;
-  result.cells.reserve(cells_total);
-  for (auto& cell : job.cells) {
-    if (cell) result.cells.push_back(std::move(*cell));
-  }
-  return result;
+  return std::move(job.cells).result(spec, workers, job.ledger.retries());
 }
 
 ExperimentResult submit_job(const std::string& socket_path, const std::string& ini_text,

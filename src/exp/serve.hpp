@@ -12,12 +12,13 @@
 /// text's digest, so a repeat submission runs replications against warm
 /// engines — no fork, no arena rebuild, no trace regeneration.
 ///
-/// One poll() loop supervises both modes, with the workers, unit protocol
-/// and bookkeeping of exp/worker_pool.hpp: per-unit wall-clock timeouts
-/// (SIGKILL + requeue), crash detection via pipe hangup, retry with
-/// exponential backoff, graceful degradation to failed cells, and crash-safe
-/// journals of whole cells. What differs follows from whether the loop has a
-/// listener:
+/// One poll() loop supervises both modes. It runs units through the job,
+/// unit runner, ledger and cell collector that every backend shares, on the
+/// worker processes and unit protocol of exp/worker_pool.hpp: per-unit
+/// wall-clock timeouts (SIGKILL + requeue), crash detection via pipe hangup,
+/// retry with exponential backoff, graceful degradation to failed cells, and
+/// crash-safe journals of whole cells. What differs follows from whether the
+/// loop has a listener:
 ///  - With one (run_serve), it admits submitted jobs and streams their cells
 ///    to each client. Admission is a bounded queue: beyond `backlog` jobs in
 ///    service, a submit is answered with a busy frame and closed. A
@@ -76,17 +77,16 @@ struct ServeOptions {
 /// listening — is removed and rebound automatically.
 std::size_t run_serve(const ServeOptions& options);
 
+class SweepCells;
+
 /// Runs a sweep on the same loop as one job preloaded into every worker
 /// before fork() (so programmatic specs and policies registered at run time
-/// work), with no socket and a pool of min(workers, queued units). \p
-/// resumed maps slot index → cell restored from the journal (merged into the
-/// result, never queued); \p journal receives each freshly completed or
-/// failed cell. Called by run_experiment when options.backend ==
-/// Backend::kProcs.
+/// work), with no socket and a pool of min(workers, queued units). \p cells
+/// holds the cells restored from the journal (merged into the result, never
+/// queued) and takes each freshly completed or failed cell. Called by
+/// run_experiment when options.backend == Backend::kProcs.
 [[nodiscard]] ExperimentResult run_experiment_procs(const ExperimentSpec& spec,
-                                                    const RunOptions& options,
-                                                    std::map<std::size_t, CellResult> resumed,
-                                                    std::optional<SweepJournal> journal);
+                                                    const RunOptions& options, SweepCells cells);
 
 /// Client half: submits \p ini_text (a full experiment config) to the
 /// service at \p socket_path, streams per-cell results (firing \p progress

@@ -99,7 +99,6 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
           const WorkerRunUnit unit = decode_worker_run_unit(frame);
           CachedJob* job = find_cached(cache, unit.job_key);
           if (job == nullptr) ::_exit(3);  // supervisor mirror out of sync
-          const Slot& slot = job->slots.at(unit.slot);
           if (unit.attempt == 0 && unit_matches(crash_unit, unit.slot, unit.rep)) {
             ::raise(SIGKILL);
           }
@@ -114,22 +113,12 @@ CachedJob* find_cached(std::deque<CachedJob>& cache, std::uint64_t key) {
               ::usleep(static_cast<useconds_t>(*parsed) * 1000);
             }
           }
-          auto& trace = job->traces[{static_cast<int>(slot.intensity), unit.rep}];
-          if (!trace) {
-            trace = std::make_shared<const workload::Workload>(detail::generate_trace(
-                job->spec, job->machine_types, slot.intensity, unit.rep));
-          }
-          sched::Simulation& simulation =
-              lease_simulation(job->system, sched::make_policy(slot.policy));
-          simulation.load(trace);
-          simulation.run();
           WorkerUnitResult result;
           result.job_key = unit.job_key;
           result.slot = unit.slot;
           result.rep = unit.rep;
           result.attempt = unit.attempt;
-          result.metrics_payload =
-              encode_metrics_payload(reports::compute_metrics(simulation));
+          result.metrics_payload = encode_metrics_payload(run_unit(*job, unit.slot, unit.rep));
           writer.clear();
           encode_worker_unit_result(writer, result);
           util::write_frame_zc(res_fd, writer.bytes());
@@ -188,6 +177,23 @@ CachedJob make_cached_job(std::uint64_t key, ExperimentSpec spec) {
   job.machine_types = machine_types_of(*job.system);
   job.slots = build_slots(job.spec);
   return job;
+}
+
+const std::shared_ptr<const workload::Workload>& CachedJob::trace(
+    workload::Intensity intensity, std::uint32_t rep) {
+  const std::pair<int, std::uint32_t> at{static_cast<int>(intensity), rep};
+  if (const auto found = traces.find(at); found != traces.end()) return found->second;
+  return traces[at] = std::make_shared<const workload::Workload>(
+             detail::generate_trace(spec, machine_types, intensity, rep));
+}
+
+reports::Metrics run_unit(CachedJob& job, std::uint32_t slot, std::uint32_t rep) {
+  const Slot& cell = job.slots.at(slot);
+  const auto& trace = job.trace(cell.intensity, rep);
+  sched::Simulation& simulation = lease_simulation(job.system, sched::make_policy(cell.policy));
+  simulation.load(trace);
+  simulation.run();
+  return reports::compute_metrics(simulation);
 }
 
 void spawn_worker(Worker& worker, std::vector<Worker>& workers,
@@ -452,6 +458,45 @@ std::optional<CellResult> UnitLedger::charge(const Unit& unit, std::deque<Unit>&
   failed.status = CellStatus::kFailed;
   failed.attempts = unit.attempt + 1;
   return failed;
+}
+
+SweepCells::SweepCells(std::size_t cells_total, std::map<std::size_t, CellResult> resumed,
+                       std::optional<SweepJournal> journal, ProgressFn progress)
+    : cells_(cells_total),
+      resumed_(resumed.size()),
+      owed_(cells_total - resumed.size()),
+      journal_(std::move(journal)),
+      progress_(std::move(progress)) {
+  for (auto& [slot, cell] : resumed) cells_[slot] = std::move(cell);
+}
+
+void SweepCells::count(std::uint32_t slot, const CellResult& cell) {
+  ++(cell.status == CellStatus::kOk ? completed_ : failed_);
+  ++done_;
+  if (journal_) journal_->append(slot, cell);
+}
+
+void SweepCells::record(std::uint32_t slot, CellResult cell) {
+  count(slot, cell);
+  const CellResult& kept = *(cells_[slot] = std::move(cell));
+  if (progress_) progress_(done_, owed_, kept);
+}
+
+ExperimentResult SweepCells::result(const ExperimentSpec& spec, std::size_t workers,
+                                    std::size_t retries) && {
+  ExperimentResult result;
+  result.spec = spec;
+  result.health = {.completed_cells = resumed_ + completed_,
+                   .failed_cells = failed_,
+                   .retries = retries,
+                   .resumed_cells = resumed_,
+                   .workers = workers,
+                   .drained = done_ < owed_};
+  result.cells.reserve(cells_.size());
+  for (auto& cell : cells_) {
+    if (cell) result.cells.push_back(std::move(*cell));
+  }
+  return result;
 }
 
 }  // namespace e2c::exp

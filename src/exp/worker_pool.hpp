@@ -1,15 +1,21 @@
 /// \file worker_pool.hpp
-/// \brief Worker processes and unit bookkeeping of the supervisor loop in
-/// serve.cpp, which runs both crash-isolated modes: the resident `--serve`
-/// service and the one-shot `--backend procs` sweep. Internal to e2c_exp.
+/// \brief The unit pipeline every sweep backend shares, and the worker
+/// processes of the supervisor loop in serve.cpp. Internal to e2c_exp.
 ///
-/// Both modes shard a sweep into (cell, replication) units and run them on
-/// forked worker processes that speak the job_codec worker frames:
-/// kLoadJob / kRunUnit / kShutdown in, kUnitResult out. A worker keeps a
-/// small FIFO cache of jobs (parsed spec, paired traces, Simulation leases);
-/// serve fills it with kLoadJob, procs preloads its one job before fork() so
-/// programmatic specs and policies registered at run time reach the worker
-/// without an INI round-trip.
+/// Every backend shards a sweep into (cell, replication) units and runs each
+/// one the same way: a CachedJob holds the parsed spec, its SystemConfig and
+/// the paired traces; run_unit runs one unit on the calling thread's leased
+/// Simulation; a UnitLedger turns finished and failed units into cells; and
+/// SweepCells counts, journals and delivers those cells. The threads backend
+/// runs units on a thread pool and charges a throwing unit under
+/// RequeuePolicy{0}, so its cell fails on the first throw. The crash-isolated
+/// modes, the resident `--serve` service and the one-shot `--backend procs`
+/// sweep, run them on forked worker processes that speak the job_codec
+/// worker frames: kLoadJob / kRunUnit / kShutdown in, kUnitResult out. A
+/// worker keeps a small FIFO cache of jobs and fills their traces lazily;
+/// serve fills the cache with kLoadJob, procs preloads its one job before
+/// fork() so programmatic specs and policies registered at run time reach the
+/// worker without an INI round-trip.
 ///
 /// A UnitLedger holds one job's per-unit state: metrics by (slot,
 /// replication), replications left, failed flag and retry count per slot.
@@ -17,7 +23,7 @@
 /// the whole cell up, and assembles finished cells in replication order, so
 /// every backend merges bit-exact Metrics in the same order and the result
 /// CSVs stay byte-identical. `cell_timeout` and `max_retries` therefore
-/// count per replication unit in both modes.
+/// count per replication unit in both process modes.
 ///
 /// The loop's wake-up and dispatch rules are poll_timeout_ms and
 /// dispatch_ready. The loop itself, and how a drain ends it with or without
@@ -43,6 +49,7 @@
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/journal.hpp"
 #include "util/framing.hpp"
 #include "util/subprocess.hpp"
 
@@ -78,10 +85,11 @@ class ScopedDrainHandlers {
   struct sigaction old_term_ {};
 };
 
-/// A job a worker keeps warm: parsed spec, its SystemConfig (the sim_pool
-/// lease key), and every paired trace generated so far. Two serve
-/// submissions with identical config text share one entry — the repeat
-/// fast path: no parse, no trace regeneration, warm Simulation leases.
+/// A sweep's job: parsed spec, its SystemConfig (the sim_pool lease key),
+/// and every paired trace generated so far. A worker process keeps jobs
+/// warm: two serve submissions with identical config text share one entry —
+/// the repeat fast path: no parse, no trace regeneration, warm Simulation
+/// leases.
 struct CachedJob {
   std::uint64_t key = 0;
   ExperimentSpec spec;
@@ -91,9 +99,20 @@ struct CachedJob {
   /// Paired traces by (intensity, replication), shared by every policy slot.
   std::map<std::pair<int, std::uint32_t>, std::shared_ptr<const workload::Workload>>
       traces;
+
+  /// The paired trace of (\p intensity, \p rep), generated into `traces` on
+  /// first use. A job shared across threads has every trace its units need
+  /// filled first, so concurrent calls only read.
+  const std::shared_ptr<const workload::Workload>& trace(workload::Intensity intensity,
+                                                         std::uint32_t rep);
 };
 
 [[nodiscard]] CachedJob make_cached_job(std::uint64_t key, ExperimentSpec spec);
+
+/// Runs replication \p rep of \p slot of \p job on the calling thread's
+/// leased Simulation and returns its metrics: the one unit body of every
+/// backend.
+[[nodiscard]] reports::Metrics run_unit(CachedJob& job, std::uint32_t slot, std::uint32_t rep);
 
 /// One (job, slot, replication) unit awaiting dispatch or in flight.
 struct Unit {
@@ -226,6 +245,45 @@ class UnitLedger {
   std::vector<char> failed_;
   std::vector<std::uint32_t> slot_retries_;
   std::size_t retries_ = 0;
+};
+
+/// One sweep's cells as they finish, in any order. Each fresh cell is
+/// counted and journaled once. A direct sweep (threads or procs) also keeps
+/// it by slot and reports it to progress; a served job streams it to its
+/// client instead. Cells restored from a resume journal are in from the
+/// start and are neither journaled nor reported again.
+class SweepCells {
+ public:
+  SweepCells(std::size_t cells_total, std::map<std::size_t, CellResult> resumed,
+             std::optional<SweepJournal> journal, ProgressFn progress);
+
+  /// Counts and journals a fresh cell: all a served job does before it
+  /// streams the cell.
+  void count(std::uint32_t slot, const CellResult& cell);
+
+  /// count(), then keeps the cell for result() and reports it to progress.
+  void record(std::uint32_t slot, CellResult cell);
+
+  [[nodiscard]] bool has(std::uint32_t slot) const { return cells_[slot].has_value(); }
+  [[nodiscard]] std::size_t owed() const noexcept { return owed_; }  ///< fresh cells
+  [[nodiscard]] std::size_t done() const noexcept { return done_; }
+  [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
+  [[nodiscard]] std::size_t failed() const noexcept { return failed_; }
+
+  /// The kept cells in slot order, with health from the counts, \p workers
+  /// and \p retries. A sweep with fresh cells still owed was drained.
+  [[nodiscard]] ExperimentResult result(const ExperimentSpec& spec, std::size_t workers,
+                                        std::size_t retries) &&;
+
+ private:
+  std::vector<std::optional<CellResult>> cells_;
+  std::size_t resumed_;
+  std::size_t owed_;
+  std::size_t done_ = 0;
+  std::size_t completed_ = 0;
+  std::size_t failed_ = 0;
+  std::optional<SweepJournal> journal_;
+  ProgressFn progress_;
 };
 
 }  // namespace e2c::exp

@@ -205,41 +205,40 @@ std::optional<FaultSpan> FaultInjector::next(std::size_t machine, double from) {
 
 namespace {
 
-std::vector<FaultTraceEntry> trace_from_table(const util::CsvTable& table) {
-  require_input(!table.empty(),
-                "fault trace CSV: file is empty" +
-                    (table.source.empty() ? "" : " (" + table.source + ")"));
-  const auto& header = table.rows.front();
-  require_input(header.size() >= 3,
+std::vector<FaultTraceEntry> trace_from_doc(const util::CsvDoc& doc) {
+  require_input(!doc.empty(), "fault trace CSV: file is empty" +
+                                  (doc.source().empty() ? "" : " (" + doc.source() + ")"));
+  require_input(doc.row(0).size() >= 3,
                 "fault trace CSV: expected header machine,fail_time,repair_time (" +
-                    table.where(0) + ")");
+                    doc.where(0) + ")");
 
   std::vector<FaultTraceEntry> entries;
-  entries.reserve(table.row_count() - 1);
-  for (std::size_t r = 1; r < table.row_count(); ++r) {
-    const auto& row = table.rows[r];
+  entries.reserve(doc.row_count() - 1);
+  for (std::size_t r = 1; r < doc.row_count(); ++r) {
+    const auto row = doc.row(r);
     require_input(row.size() >= 3,
-                  [&] { return "fault trace CSV: too few fields at " + table.where(r); });
+                  [&] { return "fault trace CSV: too few fields at " + doc.where(r); });
     const auto machine = util::parse_int(row[0]);
     require_input(machine.has_value() && *machine >= 0, [&] {
-      return "fault trace CSV: bad machine '" + row[0] + "' at " + table.where(r);
+      return "fault trace CSV: bad machine '" + std::string(row[0]) + "' at " + doc.where(r);
     });
     const auto fail = util::parse_double(row[1]);
     require_input(fail.has_value(), [&] {
-      return "fault trace CSV: bad fail_time '" + row[1] + "' at " + table.where(r);
+      return "fault trace CSV: bad fail_time '" + std::string(row[1]) + "' at " + doc.where(r);
     });
     const auto repair = util::parse_double(row[2]);
     require_input(repair.has_value(), [&] {
-      return "fault trace CSV: bad repair_time '" + row[2] + "' at " + table.where(r);
+      return "fault trace CSV: bad repair_time '" + std::string(row[2]) + "' at " +
+             doc.where(r);
     });
     require_input(*fail >= 0.0, [&] {
-      return "fault trace CSV: fail_time must be >= 0 at " + table.where(r);
+      return "fault trace CSV: fail_time must be >= 0 at " + doc.where(r);
     });
     require_input(*repair > *fail, [&] {
-      return "fault trace CSV: repair_time must be after fail_time at " + table.where(r);
+      return "fault trace CSV: repair_time must be after fail_time at " + doc.where(r);
     });
     entries.push_back(FaultTraceEntry{static_cast<std::size_t>(*machine), *fail, *repair,
-                                      table.where(r)});
+                                      doc.where(r)});
   }
   return entries;
 }
@@ -247,11 +246,11 @@ std::vector<FaultTraceEntry> trace_from_table(const util::CsvTable& table) {
 }  // namespace
 
 std::vector<FaultTraceEntry> fault_trace_from_csv_text(const std::string& text) {
-  return trace_from_table(util::parse_csv(text));
+  return trace_from_doc(util::parse_csv_doc(text));
 }
 
 std::vector<FaultTraceEntry> load_fault_trace_csv(const std::string& path) {
-  return trace_from_table(util::read_csv_file(path));
+  return trace_from_doc(util::read_csv_doc(path));
 }
 
 }  // namespace e2c::fault

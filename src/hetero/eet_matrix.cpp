@@ -7,6 +7,7 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace e2c::hetero {
@@ -188,8 +189,7 @@ std::string EetMatrix::to_csv_text() const {
 }
 
 void EetMatrix::save_csv(const std::string& path) const {
-  std::vector<std::vector<std::string>> rows = util::parse_csv(to_csv_text()).rows;
-  util::write_csv_file(path, rows);
+  util::write_file(path, to_csv_text());
 }
 
 EetMatrix EetMatrix::homogeneous(std::vector<std::string> task_type_names,

@@ -1,123 +1,9 @@
 #include "util/csv.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace e2c::util {
-
-std::string CsvTable::where(std::size_t row_index) const {
-  const std::size_t line = row_index < row_lines.size() ? row_lines[row_index] : 0;
-  if (source.empty()) return "line " + std::to_string(line);
-  return source + ":" + std::to_string(line);
-}
-
-CsvTable parse_csv(std::string_view text, std::string source) {
-  CsvTable table;
-  table.source = std::move(source);
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  // row has at least one character/field marker
-  std::size_t line = 1;        // 1-based source line of the cursor
-  std::size_t row_line = 1;    // source line the current row started on
-
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = true;
-  };
-  auto end_row = [&] {
-    end_field();
-    // Skip rows that are entirely empty (blank line).
-    const bool blank = row.size() == 1 && row[0].empty();
-    if (!blank) {
-      table.rows.push_back(std::move(row));
-      table.row_lines.push_back(row_line);
-    }
-    row.clear();
-    field_started = false;
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    // A row starts at the first character after the previous row ended.
-    if (row.empty() && field.empty() && !field_started) row_line = line;
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        if (c == '\n') ++line;
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        field_started = true;
-        break;
-      case ',':
-        end_field();
-        break;
-      case '\r':
-        // Swallow; the following '\n' (if any) ends the row.
-        break;
-      case '\n':
-        end_row();
-        ++line;
-        break;
-      default:
-        field.push_back(c);
-        break;
-    }
-  }
-  if (in_quotes) {
-    const std::string at = table.source.empty()
-                               ? "line " + std::to_string(row_line)
-                               : table.source + ":" + std::to_string(row_line);
-    throw InputError("CSV: unterminated quoted field (" + at + ")");
-  }
-  if (field_started || !field.empty() || !row.empty()) end_row();
-  return table;
-}
-
-namespace {
-
-// Reads a whole file in one go into a size-reserved string — one read, one
-// allocation — instead of the ostringstream << rdbuf() idiom, which buffers
-// the bytes twice (stream buffer, then str() copy).
-std::string read_file_text(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open CSV file: " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  std::string text;
-  if (size > 0) {
-    text.resize(static_cast<std::size_t>(size));
-    in.seekg(0, std::ios::beg);
-    in.read(text.data(), size);
-    if (!in) throw IoError("failed reading CSV file: " + path);
-  } else if (size < 0) {
-    // Non-seekable source (pipe/special file): fall back to streaming.
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = std::move(buffer).str();
-  }
-  return text;
-}
-
-}  // namespace
-
-CsvTable read_csv_file(const std::string& path) {
-  return parse_csv(read_file_text(path), path);
-}
 
 std::string CsvDoc::where(std::size_t row_index) const {
   const std::size_t line = row_index < row_lines_.size() ? row_lines_[row_index] : 0;
@@ -132,10 +18,10 @@ CsvDoc parse_csv_doc(std::string text, std::string source) {
   const std::string& buf = *doc.text_;
   doc.row_offsets_.push_back(0);
 
-  // Same state machine as parse_csv(), but the current field is tracked as a
-  // slice [field_begin, field_begin + field_len) of the buffer for as long as
-  // its content is contiguous; the first discontinuity (escaped quote,
-  // swallowed '\r', text around quotes) demotes it to a materialized copy.
+  // The current field is tracked as a slice [field_begin, field_begin +
+  // field_len) of the buffer for as long as its content is contiguous; the
+  // first discontinuity (escaped quote, swallowed '\r', text around quotes)
+  // demotes it to a materialized copy.
   bool in_quotes = false;
   bool field_started = false;  // row has at least one character/field marker
   bool field_empty = true;     // no content characters yet in this field
@@ -242,7 +128,7 @@ CsvDoc parse_csv_doc(std::string text, std::string source) {
 }
 
 CsvDoc read_csv_doc(const std::string& path) {
-  return parse_csv_doc(read_file_text(path), path);
+  return parse_csv_doc(read_file(path), path);
 }
 
 std::string csv_escape(std::string_view field) {
@@ -272,10 +158,7 @@ std::string to_csv(const std::vector<std::vector<std::string>>& rows) {
 
 void write_csv_file(const std::string& path,
                     const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open CSV file for writing: " + path);
-  out << to_csv(rows);
-  if (!out) throw IoError("failed writing CSV file: " + path);
+  write_file(path, to_csv(rows));
 }
 
 }  // namespace e2c::util

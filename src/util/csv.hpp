@@ -18,43 +18,12 @@
 
 namespace e2c::util {
 
-/// A parsed CSV document: rows of string fields, each row tagged with the
-/// 1-based source line it started on so loaders can point error messages at
-/// the exact spot in the file the user has open.
-struct CsvTable {
-  std::vector<std::vector<std::string>> rows;
-  /// 1-based source line each row starts on (parallel to rows).
-  std::vector<std::size_t> row_lines;
-  /// File path when read from disk; empty for in-memory text.
-  std::string source;
-
-  /// Number of rows.
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows.size(); }
-
-  /// True when no rows were parsed.
-  [[nodiscard]] bool empty() const noexcept { return rows.empty(); }
-
-  /// Locator for error messages: "path:line" when the table came from a
-  /// file, "line N" for in-memory text.
-  [[nodiscard]] std::string where(std::size_t row_index) const;
-};
-
-/// Parses CSV text. Throws e2c::InputError on unterminated quotes.
-/// Trailing newline does not create an empty final row; completely blank
-/// lines are skipped (students' hand-edited files often contain them).
-/// \p source, when given, names the origin (file path) in error locators.
-[[nodiscard]] CsvTable parse_csv(std::string_view text, std::string source = {});
-
-/// Reads and parses a CSV file. Throws e2c::IoError if unreadable and
-/// e2c::InputError on malformed content. The result's locators carry \p path.
-[[nodiscard]] CsvTable read_csv_file(const std::string& path);
-
 /// A zero-copy CSV document: the raw text is read once into an owned
 /// contiguous buffer and every field is a std::string_view into it. Only
 /// fields that need unescaping (embedded "" quotes, swallowed '\r') are
-/// materialized, into a stable side arena. Grammar, blank-line skipping,
-/// line counting and error locators are identical to parse_csv()/CsvTable —
-/// the loaders' `path:line` InputError contract is unchanged.
+/// materialized, into a stable side arena. Each row is tagged with the
+/// 1-based source line it started on, so loaders can point `path:line`
+/// InputErrors at the exact spot in the file the user has open.
 ///
 /// Views stay valid for the lifetime of the document (moves included: the
 /// buffer and arena live behind stable allocations).
@@ -79,7 +48,7 @@ class CsvDoc {
   [[nodiscard]] const std::string& source() const noexcept { return source_; }
 
   /// Locator for error messages: "path:line" when the document came from a
-  /// file, "line N" for in-memory text. Same format as CsvTable::where().
+  /// file, "line N" for in-memory text.
   [[nodiscard]] std::string where(std::size_t row_index) const;
 
  private:
@@ -98,8 +67,10 @@ class CsvDoc {
 };
 
 /// Parses CSV text into a zero-copy document (takes ownership of the text).
-/// Throws e2c::InputError on unterminated quotes, with the same message and
-/// locator as parse_csv().
+/// Throws e2c::InputError on unterminated quotes. A trailing newline does not
+/// create an empty final row; completely blank lines are skipped (students'
+/// hand-edited files often contain them). \p source, when given, names the
+/// origin (file path) in error locators.
 [[nodiscard]] CsvDoc parse_csv_doc(std::string text, std::string source = {});
 
 /// Reads a CSV file once into a contiguous buffer and parses it zero-copy.

@@ -1,11 +1,11 @@
 #include "util/ini.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace e2c::util {
@@ -57,11 +57,7 @@ void IniFile::add(std::string_view section, std::string_view key, std::string va
 }
 
 IniFile IniFile::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open config file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str(), path);
+  return parse(read_file(path), path);
 }
 
 std::string IniFile::where(const std::string& section, const std::string& key) const {

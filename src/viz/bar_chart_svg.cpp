@@ -1,10 +1,10 @@
 #include "viz/bar_chart_svg.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace e2c::viz {
@@ -105,10 +105,7 @@ std::string render_bar_chart_svg(const BarChart& chart, const BarChartSvgOptions
 
 void save_bar_chart_svg(const BarChart& chart, const std::string& path,
                         const BarChartSvgOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open SVG file for writing: " + path);
-  out << render_bar_chart_svg(chart, options);
-  if (!out) throw IoError("failed writing SVG file: " + path);
+  util::write_file(path, render_bar_chart_svg(chart, options));
 }
 
 }  // namespace e2c::viz

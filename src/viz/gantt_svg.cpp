@@ -1,10 +1,9 @@
 #include "viz/gantt_svg.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
-#include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace e2c::viz {
@@ -147,10 +146,7 @@ std::string render_gantt_svg(const sched::Simulation& simulation,
 
 void save_gantt_svg(const sched::Simulation& simulation, const std::string& path,
                     const GanttOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open SVG file for writing: " + path);
-  out << render_gantt_svg(simulation, options);
-  if (!out) throw IoError("failed writing SVG file: " + path);
+  util::write_file(path, render_gantt_svg(simulation, options));
 }
 
 }  // namespace e2c::viz

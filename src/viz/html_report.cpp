@@ -1,10 +1,9 @@
 #include "viz/html_report.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "reports/report.hpp"
-#include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "viz/gantt_svg.hpp"
 
 namespace e2c::viz {
@@ -61,10 +60,7 @@ std::string render_html_report(const sched::Simulation& simulation) {
 }
 
 void save_html_report(const sched::Simulation& simulation, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open HTML file for writing: " + path);
-  out << render_html_report(simulation);
-  if (!out) throw IoError("failed writing HTML file: " + path);
+  util::write_file(path, render_html_report(simulation));
 }
 
 }  // namespace e2c::viz

@@ -6,6 +6,7 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace e2c::workload {
@@ -135,7 +136,7 @@ std::string Workload::to_csv_text(const hetero::EetMatrix& eet) const {
 }
 
 void Workload::save_csv(const std::string& path, const hetero::EetMatrix& eet) const {
-  util::write_csv_file(path, util::parse_csv(to_csv_text(eet)).rows);
+  util::write_file(path, to_csv_text(eet));
 }
 
 }  // namespace e2c::workload

@@ -83,9 +83,9 @@ TEST(Cli, GeneratesWorkloadAndWritesSummary) {
       run_command("--eet " + data("eet_heterogeneous.csv") +
                   " --generate medium --seed 3 --policy MM --summary " + out);
   EXPECT_EQ(result.exit_code, 0);
-  const auto rows = e2c::util::read_csv_file(out);
+  const auto rows = e2c::util::read_csv_doc(out);
   EXPECT_GT(rows.row_count(), 5u);
-  EXPECT_EQ(rows.rows[0][0], "metric");
+  EXPECT_EQ(rows.row(0)[0], "metric");
   std::remove(out.c_str());
 }
 

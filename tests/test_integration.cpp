@@ -46,10 +46,11 @@ TEST(Integration, StudentCsvWorkflow) {
                                 report_path);
 
   // 5. The report parses and is self-consistent.
-  const auto report = e2c::util::read_csv_file(report_path);
+  const auto report = e2c::util::read_csv_doc(report_path);
   EXPECT_GT(report.row_count(), 5u);
   bool found_total = false;
-  for (const auto& row : report.rows) {
+  for (std::size_t r = 0; r < report.row_count(); ++r) {
+    const auto row = report.row(r);
     if (row[0] == "total_tasks") {
       found_total = true;
       EXPECT_EQ(row[1], std::to_string(generated.size()));

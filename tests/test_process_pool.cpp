@@ -345,35 +345,38 @@ TEST(ProcessPool, AlwaysCrashingUnitFailsOnlyItsCell) {
 }
 
 TEST(ProcessPool, JournalResumeSkipsCompletedCells) {
-  const std::string journal_path = temp_path("resume_journal.txt");
-  exp::RunOptions options;
-  options.workers = 2;
-  options.backend = exp::Backend::kProcs;
-  options.journal_path = journal_path;
-  const auto full = exp::run_experiment(small_spec(), options);
+  for (const exp::Backend backend : {exp::Backend::kProcs, exp::Backend::kThreads}) {
+    SCOPED_TRACE(backend == exp::Backend::kProcs ? "procs" : "threads");
+    const std::string journal_path = temp_path("resume_journal.txt");
+    exp::RunOptions options;
+    options.workers = 2;
+    options.backend = backend;
+    options.journal_path = journal_path;
+    const auto full = exp::run_experiment(small_spec(), options);
 
-  // Simulate an interrupted run: keep the header and the first two cell
-  // records, as if the supervisor died mid-sweep.
-  std::ifstream in(journal_path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  in.close();
-  ASSERT_GE(lines.size(), 5u);  // header + 4 cells
-  std::ofstream out(journal_path, std::ios::trunc);
-  for (std::size_t i = 0; i < 3; ++i) out << lines[i] << "\n";
-  out.close();
+    // Simulate an interrupted run: keep the header and the first two cell
+    // records, as if the supervisor died mid-sweep.
+    std::ifstream in(journal_path);
+    ASSERT_TRUE(in.good());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    in.close();
+    ASSERT_GE(lines.size(), 5u);  // header + 4 cells
+    std::ofstream out(journal_path, std::ios::trunc);
+    for (std::size_t i = 0; i < 3; ++i) out << lines[i] << "\n";
+    out.close();
 
-  std::size_t progress_calls = 0;
-  options.resume = true;
-  options.progress = [&progress_calls](std::size_t, std::size_t,
-                                       const exp::CellResult&) { ++progress_calls; };
-  const auto resumed = exp::run_experiment(small_spec(), options);
+    std::size_t progress_calls = 0;
+    options.resume = true;
+    options.progress = [&progress_calls](std::size_t, std::size_t,
+                                         const exp::CellResult&) { ++progress_calls; };
+    const auto resumed = exp::run_experiment(small_spec(), options);
 
-  EXPECT_EQ(csv_of(resumed), csv_of(full));
-  EXPECT_EQ(resumed.health.resumed_cells, 2u);
-  EXPECT_EQ(resumed.health.completed_cells, 4u);
-  EXPECT_EQ(progress_calls, 2u);  // only the fresh cells fire progress
+    EXPECT_EQ(csv_of(resumed), csv_of(full));
+    EXPECT_EQ(resumed.health.resumed_cells, 2u);
+    EXPECT_EQ(resumed.health.completed_cells, 4u);
+    EXPECT_EQ(progress_calls, 2u);  // only the fresh cells fire progress
+  }
 }
 
 TEST(ProcessPool, ResumeRejectsJournalFromDifferentSweep) {

@@ -127,7 +127,7 @@ TEST_F(ReportsTest, BuildReportDispatch) {
 TEST_F(ReportsTest, SaveReportWritesParsableCsv) {
   const std::string path = testing::TempDir() + "/e2c_report_test.csv";
   e2c::reports::save_report_csv(*simulation_, e2c::reports::ReportKind::kTask, path);
-  const auto parsed = e2c::util::read_csv_file(path);
+  const auto parsed = e2c::util::read_csv_doc(path);
   EXPECT_EQ(parsed.row_count(), 4u);
   std::remove(path.c_str());
 }

@@ -39,11 +39,13 @@
 # service holds no more fds after both jobs (and the worker respawn) than
 # with its two idle workers, and SIGTERM drains the service with exit 0.
 #
-# The tsan suite runs only the threaded tests (thread pool and the parallel
-# substrate-combo sweep) plus the I/O-contention suite, whose event
-# re-stamping is the kind of shared-state churn tsan instruments well — the
-# rest of the suite is single-threaded by design and would only slow the job
-# down.
+# The tsan suite runs the tests that start threads: the thread pool, the
+# resident service, and the threads-backend sweeps of the experiment,
+# experiment-plane and substrate-combo tests, whose pool tasks all read one
+# job whose traces the calling thread filled. It adds the task-state and
+# I/O-contention suites, whose column and event re-stamping churn is the
+# kind tsan instruments well. The rest of the suite is single-threaded by
+# design and would only slow the job down.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -600,7 +602,7 @@ for suite in "${suites[@]}"; do
   case "${suite}" in
     asan)  run_suite asan address ;;
     ubsan) run_suite ubsan undefined ;;
-    tsan)  run_suite tsan thread 'test_thread_pool|test_substrate_combos|test_experiment_plane|test_io_contention|test_task_state|test_serve' ;;
+    tsan)  run_suite tsan thread 'test_thread_pool|test_substrate_combos|test_experiment|test_experiment_plane|test_io_contention|test_task_state|test_serve' ;;
     bench) run_bench_smoke ;;
     crash) run_crash_smoke ;;
     serve) run_serve_smoke ;;
