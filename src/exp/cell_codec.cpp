@@ -8,21 +8,12 @@ namespace e2c::exp {
 namespace {
 
 /// Bump when the payload layout changes; decode rejects other versions so a
-/// stale journal fails loudly instead of mis-parsing.
-constexpr std::uint8_t kCellCodecVersion = 1;
+/// stale journal fails loudly instead of mis-parsing. v2: one fixed-size
+/// record per run (v1 carried per-machine and per-type vectors).
+constexpr std::uint8_t kCellCodecVersion = 2;
 
-void encode_doubles(util::ByteWriter& writer, const std::vector<double>& values) {
-  writer.u32(static_cast<std::uint32_t>(values.size()));
-  for (const double value : values) writer.f64(value);
-}
-
-std::vector<double> decode_doubles(util::ByteReader& reader) {
-  const std::uint32_t count = reader.u32();
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) values.push_back(reader.f64());
-  return values;
-}
+/// Encoded size of one Metrics record: 8 u64 counters and 15 f64 values.
+constexpr std::size_t kMetricsRecordBytes = 23 * 8;
 
 void encode_metrics(util::ByteWriter& writer, const reports::Metrics& m) {
   writer.u64(m.total_tasks);
@@ -42,8 +33,6 @@ void encode_metrics(util::ByteWriter& writer, const reports::Metrics& m) {
   writer.f64(m.energy_per_completed_task);
   writer.f64(m.dynamic_energy_joules);
   writer.f64(m.dynamic_energy_per_completed_task);
-  encode_doubles(writer, m.machine_utilization);
-  encode_doubles(writer, m.type_completion_rate);
   writer.f64(m.type_fairness_jain);
   writer.f64(m.lost_work_seconds);
   writer.f64(m.checkpoint_overhead_seconds);
@@ -71,8 +60,6 @@ reports::Metrics decode_metrics(util::ByteReader& reader) {
   m.energy_per_completed_task = reader.f64();
   m.dynamic_energy_joules = reader.f64();
   m.dynamic_energy_per_completed_task = reader.f64();
-  m.machine_utilization = decode_doubles(reader);
-  m.type_completion_rate = decode_doubles(reader);
   m.type_fairness_jain = reader.f64();
   m.lost_work_seconds = reader.f64();
   m.checkpoint_overhead_seconds = reader.f64();
@@ -109,9 +96,12 @@ CellResult decode_cell(std::string_view payload) {
   cell.status = reader.u8() == 0 ? CellStatus::kOk : CellStatus::kFailed;
   cell.attempts = reader.u32();
   const std::uint32_t runs = reader.u32();
+  // Checked before the reserve, so a corrupt or hostile count cannot size
+  // an allocation: every run is one fixed-size record.
+  require_input(std::uint64_t{runs} * kMetricsRecordBytes == reader.remaining(),
+                "cell payload: run count does not match the payload size");
   cell.runs.reserve(runs);
   for (std::uint32_t i = 0; i < runs; ++i) cell.runs.push_back(decode_metrics(reader));
-  require_input(reader.exhausted(), "cell payload: trailing bytes");
   return cell;
 }
 
@@ -126,9 +116,9 @@ reports::Metrics decode_metrics_payload(std::string_view payload) {
   util::ByteReader reader(payload);
   require_input(reader.u8() == kCellCodecVersion,
                 "metrics payload: unsupported codec version");
-  reports::Metrics metrics = decode_metrics(reader);
-  require_input(reader.exhausted(), "metrics payload: trailing bytes");
-  return metrics;
+  require_input(reader.remaining() == kMetricsRecordBytes,
+                "metrics payload: wrong record size");
+  return decode_metrics(reader);
 }
 
 }  // namespace e2c::exp

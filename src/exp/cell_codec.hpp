@@ -6,6 +6,12 @@
 /// resumed sweep restores bit-exact metrics — every double travels as its
 /// raw 8 bytes, never through a decimal print, which is what keeps resumed
 /// and uninterrupted runs byte-identical in the result CSV.
+///
+/// Layout v2: a version byte, the cell header (policy, intensity, status,
+/// attempts, run count), then one fixed-size 184-byte record per run. A
+/// cell's size depends only on its run count, never on the catalog's task
+/// or machine count, and the decoder checks the run count against the bytes
+/// left before it allocates anything.
 #pragma once
 
 #include <string>
@@ -20,7 +26,8 @@ namespace e2c::exp {
 [[nodiscard]] std::string encode_cell(const CellResult& cell);
 
 /// Inverse of encode_cell. Throws e2c::InputError on a truncated, overlong,
-/// or wrong-version payload.
+/// or wrong-version payload, and on a run count the payload size does not
+/// match.
 [[nodiscard]] CellResult decode_cell(std::string_view payload);
 
 /// Encodes one replication's Metrics as a self-contained payload — the unit

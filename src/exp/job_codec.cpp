@@ -23,7 +23,7 @@ util::ByteReader open_payload(std::string_view payload, JobFrame expected,
 }
 
 void close_payload(const util::ByteReader& reader, const char* what) {
-  require_input(reader.exhausted(), std::string(what) + ": trailing bytes");
+  require_input(reader.remaining() == 0, std::string(what) + ": trailing bytes");
 }
 
 }  // namespace

@@ -17,12 +17,15 @@ namespace e2c::exp {
 
 namespace {
 
-constexpr std::string_view kHeaderTag = "e2c-sweep-journal v1 ";
+/// Bumped with the cell codec: a journal's records are encode_cell payloads,
+/// so v1 journals (codec v1 records) cannot be resumed by this build.
+constexpr unsigned kJournalVersion = 2;
+constexpr std::string_view kHeaderTag = "e2c-sweep-journal v";
 
 std::string header_line(std::uint64_t digest, std::size_t cells_total) {
   char line[96];
-  std::snprintf(line, sizeof line, "e2c-sweep-journal v1 digest=%016llx cells=%zu\n",
-                static_cast<unsigned long long>(digest), cells_total);
+  std::snprintf(line, sizeof line, "e2c-sweep-journal v%u digest=%016llx cells=%zu\n",
+                kJournalVersion, static_cast<unsigned long long>(digest), cells_total);
   return line;
 }
 
@@ -69,7 +72,14 @@ SweepJournal SweepJournal::append_to(const std::string& path, std::uint64_t dige
   if (fd < 0) {
     throw IoError("journal: cannot append to '" + path + "': " + std::strerror(errno));
   }
-  return SweepJournal(fd);
+  SweepJournal journal(fd);
+  // Cut a torn tail off before appending: a record written after it would
+  // join it into one corrupt interior line that the next resume refuses.
+  if (::ftruncate(fd, static_cast<off_t>(contents.intact_bytes)) != 0) {
+    throw IoError("journal: cannot drop the torn tail of '" + path +
+                  "': " + std::strerror(errno));
+  }
+  return journal;
 }
 
 void SweepJournal::append(std::size_t slot, const CellResult& cell) {
@@ -106,15 +116,22 @@ JournalContents read_journal(const std::string& path) {
       // journal torn inside it is unusable and reported as malformed.
       require_input(util::starts_with(line, kHeaderTag),
                     "journal '" + path + "': missing header line");
+      unsigned version = 0;
       unsigned long long digest = 0;
       std::size_t cells = 0;
-      if (std::sscanf(std::string(line).c_str(),
-                      "e2c-sweep-journal v1 digest=%llx cells=%zu", &digest,
-                      &cells) != 2) {
-        throw InputError("journal '" + path + "': malformed header line");
+      const int fields = std::sscanf(std::string(line).c_str(),
+                                     "e2c-sweep-journal v%u digest=%llx cells=%zu",
+                                     &version, &digest, &cells);
+      if (fields >= 1 && version != kJournalVersion) {
+        throw InputError("journal '" + path + "': format v" + std::to_string(version) +
+                         " is not supported (this build reads v" +
+                         std::to_string(kJournalVersion) +
+                         "); run the sweep again without --resume");
       }
+      if (fields != 3) throw InputError("journal '" + path + "': malformed header line");
       contents.digest = digest;
       contents.cells_total = cells;
+      contents.intact_bytes = next;
       saw_header = true;
       offset = next;
       continue;
@@ -142,6 +159,8 @@ JournalContents read_journal(const std::string& path) {
       // anywhere else means the file is not append-only damage.
       require_input(is_last && !complete,
                     "journal '" + path + "': corrupt record (not a torn tail)");
+    } else {
+      contents.intact_bytes = next;
     }
     offset = next;
   }

@@ -695,6 +695,7 @@ ExperimentResult submit_job(const std::string& socket_path, const std::string& i
   encode_job_submit(writer, {ini_text});
   util::write_frame_zc(fd.get(), writer.bytes());
 
+  const std::size_t cells_total = spec.policies.size() * spec.intensities.size();
   std::string frame;
   std::optional<JobAccepted> accepted;
   std::vector<std::optional<CellResult>> cells;
@@ -719,6 +720,12 @@ ExperimentResult submit_job(const std::string& socket_path, const std::string& i
                          decode_job_error(frame).message);
       case JobFrame::kAccepted: {
         accepted = decode_job_accepted(frame);
+        // The service parsed the same bytes, so its cell count must be the
+        // local spec's; checked before it sizes the result.
+        require_input(accepted->cells_total == cells_total, [&] {
+          return "--submit: service announced " + std::to_string(accepted->cells_total) +
+                 " cells for a config with " + std::to_string(cells_total);
+        });
         cells.assign(accepted->cells_total, std::nullopt);
         break;
       }

@@ -53,18 +53,7 @@ Metrics compute_metrics(const sched::Simulation& simulation) {
           ? 0.0
           : metrics.dynamic_energy_joules / static_cast<double>(counters.completed);
 
-  metrics.machine_utilization.reserve(simulation.machine_count());
-  for (std::size_t i = 0; i < simulation.machine_count(); ++i) {
-    metrics.machine_utilization.push_back(
-        simulation.machine(i).finalize_stats(horizon).utilization());
-  }
-
-  const std::size_t type_count = simulation.eet().task_type_count();
-  metrics.type_completion_rate.reserve(type_count);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    metrics.type_completion_rate.push_back(simulation.type_ontime_rate(t));
-  }
-  metrics.type_fairness_jain = util::jain_fairness(metrics.type_completion_rate);
+  metrics.type_fairness_jain = util::jain_fairness(simulation.type_ontime_rates());
 
   metrics.lost_work_seconds = simulation.lost_work_seconds();
   metrics.checkpoint_overhead_seconds = simulation.checkpoint_overhead_seconds();

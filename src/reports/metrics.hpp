@@ -4,15 +4,19 @@
 /// These are the quantities the paper's class assignment asks students to
 /// chart (completion percentage per policy and intensity) plus the
 /// energy/fairness outputs §3 advertises for researchers.
+///
+/// A Metrics is a fixed-size run summary with no per-type or per-machine
+/// member, so a sweep holds, ships and journals O(1) bytes per replication
+/// whatever the catalog size. Per-type on-time rates come from
+/// Simulation::type_ontime_rates() and per-machine utilization from
+/// Machine::finalize_stats(); the single-run Summary Report reads both there.
 #pragma once
-
-#include <vector>
 
 #include "sched/simulation.hpp"
 
 namespace e2c::reports {
 
-/// Everything the Summary Report prints, as numbers.
+/// Everything the Summary Report prints as scalars.
 struct Metrics {
   std::size_t total_tasks = 0;
   std::size_t completed = 0;
@@ -36,9 +40,7 @@ struct Metrics {
   double dynamic_energy_joules = 0.0;
   double dynamic_energy_per_completed_task = 0.0;
 
-  std::vector<double> machine_utilization;   ///< per machine instance
-  std::vector<double> type_completion_rate;  ///< per task type, in [0,1]
-  double type_fairness_jain = 1.0;           ///< Jain index over type rates
+  double type_fairness_jain = 1.0;  ///< Jain index over per-type on-time rates
 
   // Recovery waste decomposition (all zero when faults are disabled).
   double lost_work_seconds = 0.0;           ///< executed work discarded by aborts
@@ -46,11 +48,15 @@ struct Metrics {
   double cancelled_replica_seconds = 0.0;   ///< runtime of losing replicas
   std::size_t checkpoints_taken = 0;        ///< committed checkpoints
   std::size_t replicas_cancelled = 0;       ///< losing replicas cancelled
+
+  /// Field-by-field, doubles compared exactly: what a codec round trip must
+  /// preserve.
+  bool operator==(const Metrics&) const = default;
 };
 
 /// Computes metrics for \p simulation (normally after run(); partial runs
-/// yield partial numbers). Energy and utilization use the current simulated
-/// time as the horizon.
+/// yield partial numbers). Energy uses the current simulated time as the
+/// horizon.
 [[nodiscard]] Metrics compute_metrics(const sched::Simulation& simulation);
 
 }  // namespace e2c::reports

@@ -136,13 +136,16 @@ std::vector<std::vector<std::string>> summary_report(const sched::Simulation& si
   rows.push_back({"dynamic_energy_per_completed_task",
                   util::format_fixed(metrics.dynamic_energy_per_completed_task, 2)});
   rows.push_back({"type_fairness_jain", util::format_fixed(metrics.type_fairness_jain, 4)});
-  for (std::size_t t = 0; t < metrics.type_completion_rate.size(); ++t) {
+  const std::span<const double> rates = simulation.type_ontime_rates();
+  for (std::size_t t = 0; t < rates.size(); ++t) {
     rows.push_back({"completion_rate[" + simulation.eet().task_type_name(t) + "]",
-                    util::format_fixed(metrics.type_completion_rate[t], 4)});
+                    util::format_fixed(rates[t], 4)});
   }
-  for (std::size_t m = 0; m < metrics.machine_utilization.size(); ++m) {
-    rows.push_back({"utilization[" + simulation.machine(m).name() + "]",
-                    util::format_fixed(metrics.machine_utilization[m], 4)});
+  const core::SimTime horizon = simulation.engine().now();
+  for (std::size_t m = 0; m < simulation.machine_count(); ++m) {
+    const machines::Machine& machine = simulation.machine(m);
+    rows.push_back({"utilization[" + machine.name() + "]",
+                    util::format_fixed(machine.finalize_stats(horizon).utilization(), 4)});
   }
   return rows;
 }

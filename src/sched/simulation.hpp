@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -213,6 +214,14 @@ class Simulation final : public machines::MachineListener {
   /// Observed on-time completion rate of a task type (1.0 before any task of
   /// the type reached a terminal state). Drives fairness-aware policies.
   [[nodiscard]] double type_ontime_rate(hetero::TaskTypeId type) const;
+
+  /// type_ontime_rate(t) for every task type, in type order, without a copy:
+  /// the rates every terminal transition keeps current for the scheduler.
+  /// Valid outside a scheduler round (during one the buffer is lent to the
+  /// SchedulingContext); reports read it after run().
+  [[nodiscard]] std::span<const double> type_ontime_rates() const noexcept {
+    return rates_scratch_;
+  }
 
   /// Total energy (J) across machines over [0, horizon]; horizon defaults to
   /// the current simulated time.

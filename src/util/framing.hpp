@@ -54,9 +54,10 @@ class ByteReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
 
-  /// True when every byte has been consumed — decoders check this so a
-  /// frame with trailing garbage is rejected, not silently accepted.
-  [[nodiscard]] bool exhausted() const noexcept { return offset_ == bytes_.size(); }
+  /// Bytes not yet consumed. Decoders require 0 at the end, so a frame with
+  /// trailing garbage is rejected, and check a wire count against it before
+  /// sizing anything by that count.
+  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - offset_; }
 
  private:
   void raw(void* out, std::size_t size);

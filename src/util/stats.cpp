@@ -103,7 +103,7 @@ double ci95_half_width(const std::vector<double>& values) noexcept {
          std::sqrt(static_cast<double>(values.size()));
 }
 
-double jain_fairness(const std::vector<double>& values) noexcept {
+double jain_fairness(std::span<const double> values) noexcept {
   if (values.empty()) return 1.0;
   double sum = 0.0;
   double sum_sq = 0.0;

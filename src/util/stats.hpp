@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace e2c::util {
@@ -74,7 +75,7 @@ class RunningStats {
 /// (sum x)^2 / (n * sum x^2). Equals 1 for perfectly equal allocations and
 /// approaches 1/n in the most unfair case. Returns 1 for empty or all-zero
 /// input (vacuously fair).
-[[nodiscard]] double jain_fairness(const std::vector<double>& values) noexcept;
+[[nodiscard]] double jain_fairness(std::span<const double> values) noexcept;
 
 /// Relative improvement (b - a) / a as a percentage; nullopt when a == 0.
 [[nodiscard]] std::optional<double> percent_improvement(double a, double b) noexcept;

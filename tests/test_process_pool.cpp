@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -27,11 +28,14 @@
 #include "exp/scenario.hpp"
 #include "exp/spec_io.hpp"
 #include "exp/worker_pool.hpp"
+#include "hetero/eet_matrix.hpp"
 #include "hetero/pet_matrix.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/framing.hpp"
 #include "util/ini.hpp"
+#include "util/rng.hpp"
 #include "util/subprocess.hpp"
 
 namespace {
@@ -85,15 +89,47 @@ TEST(CellCodec, RoundTripsBitExactly) {
     EXPECT_EQ(decoded.intensity, cell.intensity);
     EXPECT_EQ(decoded.status, cell.status);
     EXPECT_EQ(decoded.attempts, cell.attempts);
-    ASSERT_EQ(decoded.runs.size(), cell.runs.size());
-    for (std::size_t i = 0; i < cell.runs.size(); ++i) {
-      // Bit-exact doubles are the point of the codec: mean aggregation over
-      // the decoded runs must match the original exactly, not approximately.
-      EXPECT_EQ(decoded.runs[i].total_tasks, cell.runs[i].total_tasks);
-      EXPECT_EQ(decoded.runs[i].completion_percent, cell.runs[i].completion_percent);
-      EXPECT_EQ(decoded.runs[i].total_energy_joules, cell.runs[i].total_energy_joules);
-    }
+    // Whole records, doubles compared exactly: bit-exact doubles are the
+    // point of the codec, and a field it forgets fails here.
+    EXPECT_EQ(decoded.runs, cell.runs);
   }
+}
+
+/// small_spec() reduced to one cell, on \p system.
+exp::ExperimentSpec one_cell_spec(e2c::sched::SystemConfig system) {
+  exp::ExperimentSpec spec = small_spec();
+  spec.system = std::move(system);
+  spec.policies = {"MECT"};
+  spec.intensities = {Intensity::kHigh};
+  spec.replications = 3;
+  return spec;
+}
+
+TEST(CellCodec, CellSizeDoesNotGrowWithTheCatalog) {
+  std::vector<std::string> task_names;
+  for (int t = 0; t < 1024; ++t) task_names.push_back("type-" + std::to_string(t));
+  e2c::util::Rng rng(11);
+  const auto wide = exp::run_experiment(
+      one_cell_spec(e2c::sched::make_default_system(e2c::hetero::EetMatrix::random(
+          std::move(task_names), {"m0", "m1", "m2", "m3"}, 2.0, 4.0, 4.0, true, rng))),
+      1);
+  const auto classroom = exp::run_experiment(one_cell_spec(exp::heterogeneous_classroom()), 1);
+  ASSERT_EQ(wide.cells.size(), 1u);
+  ASSERT_EQ(classroom.cells.size(), 1u);
+  ASSERT_EQ(wide.cells[0].runs.size(), 3u);
+  const std::string wide_payload = exp::encode_cell(wide.cells[0]);
+  EXPECT_EQ(wide_payload.size(), exp::encode_cell(classroom.cells[0]).size());
+  EXPECT_EQ(exp::decode_cell(wide_payload).runs, wide.cells[0].runs);
+}
+
+/// An empty cell's payload with its trailing run count (u32) set to \p runs.
+std::string cell_payload_claiming(std::uint32_t runs) {
+  exp::CellResult cell;
+  cell.policy = "FCFS";
+  cell.intensity = Intensity::kLow;
+  std::string payload = exp::encode_cell(cell);
+  std::memcpy(payload.data() + payload.size() - sizeof runs, &runs, sizeof runs);
+  return payload;
 }
 
 TEST(CellCodec, RejectsCorruptPayloads) {
@@ -105,6 +141,9 @@ TEST(CellCodec, RejectsCorruptPayloads) {
                e2c::InputError);
   EXPECT_THROW((void)exp::decode_cell(payload + "x"), e2c::InputError);
   EXPECT_THROW((void)exp::decode_cell(""), e2c::InputError);
+  // A run count the payload size does not match fails before any allocation.
+  EXPECT_THROW((void)exp::decode_cell(cell_payload_claiming(0xFFFFFFFFu)), e2c::InputError);
+  EXPECT_THROW((void)exp::decode_cell(cell_payload_claiming(1)), e2c::InputError);
 }
 
 TEST(Framing, HexArmorRoundTripsAndRejectsJunk) {
@@ -419,6 +458,54 @@ TEST(Journal, DropsTornFinalLineKeepsRest) {
   const auto contents = exp::read_journal(journal_path);
   EXPECT_EQ(contents.cells_total, 4u);
   EXPECT_EQ(contents.cells.size(), 3u);  // torn record dropped, rest intact
+}
+
+// A torn final line whose payload claims 0xFFFFFFFF runs is a torn tail like
+// any other: read_journal drops it, and a resume reruns that cell and leaves
+// a journal the next resume reads in full.
+TEST(Journal, TornTailWithHugeRunCountIsDroppedAndResumed) {
+  const std::string journal_path = temp_path("huge_count_journal.txt");
+  exp::RunOptions options;
+  options.journal_path = journal_path;
+  const std::string expected = csv_of(exp::run_experiment(small_spec(), options));
+
+  const std::string text = e2c::util::read_file(journal_path);
+  const std::size_t last_line = text.rfind('\n', text.size() - 2) + 1;
+  std::ofstream(journal_path, std::ios::trunc)
+      << text.substr(0, last_line) << "cell 3 "
+      << e2c::util::hex_encode(cell_payload_claiming(0xFFFFFFFFu));  // no newline
+
+  const auto contents = exp::read_journal(journal_path);
+  EXPECT_EQ(contents.cells.size(), 3u);
+  EXPECT_EQ(contents.intact_bytes, last_line);
+
+  options.resume = true;
+  EXPECT_EQ(csv_of(exp::run_experiment(small_spec(), options)), expected);
+  EXPECT_EQ(exp::read_journal(journal_path).cells.size(), 4u);
+}
+
+TEST(Journal, OtherVersionIsRefusedAtItsHeader) {
+  const std::string journal_path = temp_path("v1_journal.txt");
+  std::ofstream(journal_path, std::ios::trunc)
+      << "e2c-sweep-journal v1 digest=0123456789abcdef cells=4\n"
+      << "cell 0 00\n";
+  for (const bool resume : {false, true}) {
+    try {
+      if (resume) {
+        exp::RunOptions options;
+        options.journal_path = journal_path;
+        options.resume = true;
+        (void)exp::run_experiment(small_spec(), options);
+      } else {
+        (void)exp::read_journal(journal_path);
+      }
+      FAIL() << "expected InputError";
+    } catch (const e2c::InputError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("v1"), std::string::npos) << message;
+      EXPECT_EQ(message.find("corrupt record"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(Backend, ParseRejectsUnknownWithSuggestion) {

@@ -3,6 +3,7 @@
 // registry cross intensity presets.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 
 #include "exp/experiment.hpp"
@@ -174,7 +175,13 @@ TEST_P(PolicyInvariantTest, MetricsAgreeWithCounters) {
   EXPECT_NEAR(metrics.completion_percent + metrics.cancelled_percent +
                   metrics.dropped_percent,
               100.0, 1e-9);
-  EXPECT_EQ(metrics.type_completion_rate.size(), system_.eet.task_type_count());
+  // The per-type rates the Jain index is taken over: one per task type, each
+  // exactly the simulation's own on-time rate for that type.
+  const std::span<const double> rates = simulation_->type_ontime_rates();
+  ASSERT_EQ(rates.size(), system_.eet.task_type_count());
+  for (std::size_t t = 0; t < rates.size(); ++t) {
+    EXPECT_EQ(rates[t], simulation_->type_ontime_rate(t));
+  }
 }
 
 std::string case_name(const testing::TestParamInfo<PropertyCase>& info) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "reports/metrics.hpp"
 #include "sched/registry.hpp"
@@ -57,8 +59,9 @@ TEST_F(ReportsTest, MetricsHeadlineNumbers) {
   EXPECT_DOUBLE_EQ(metrics.makespan, 4.0);
   EXPECT_GT(metrics.total_energy_joules, 0.0);
   EXPECT_GT(metrics.energy_per_completed_task, 0.0);
-  ASSERT_EQ(metrics.machine_utilization.size(), 2u);
-  ASSERT_EQ(metrics.type_completion_rate.size(), 2u);
+  // Per-type and per-machine detail lives on the Simulation, not in Metrics.
+  ASSERT_EQ(simulation_->type_ontime_rates().size(), 2u);
+  ASSERT_EQ(simulation_->machine_count(), 2u);
   EXPECT_LE(metrics.type_fairness_jain, 1.0);
   EXPECT_GT(metrics.type_fairness_jain, 0.0);
 }
@@ -97,6 +100,22 @@ TEST_F(ReportsTest, SummaryReportContainsPolicyAndCounts) {
   }
   EXPECT_TRUE(saw_policy);
   EXPECT_TRUE(saw_completion);
+}
+
+// The per-type and per-machine rows close the summary, in type and machine
+// order, with the values they had when Metrics carried them: T1 met one
+// deadline of two, T2 its only one; m0 was busy 4 s and m1 2 s of 4 s.
+TEST_F(ReportsTest, SummaryReportEndsWithPerTypeAndPerMachineRows) {
+  const auto rows = e2c::reports::summary_report(*simulation_);
+  ASSERT_GE(rows.size(), 5u);
+  const std::vector<std::vector<std::string>> tail(rows.end() - 4, rows.end());
+  const std::vector<std::vector<std::string>> expected = {
+      {"completion_rate[T1]", "0.5000"},
+      {"completion_rate[T2]", "1.0000"},
+      {"utilization[m0]", "1.0000"},
+      {"utilization[m1]", "0.5000"},
+  };
+  EXPECT_EQ(tail, expected);
 }
 
 TEST_F(ReportsTest, FullReportExtendsTaskReportWithEet) {

@@ -272,12 +272,7 @@ TEST(JobCodec, MetricsPayloadRoundTripsBitExactly) {
   const auto source = exp::run_experiment(spec, 2);
   for (const auto& cell : source.cells) {
     for (const auto& metrics : cell.runs) {
-      const auto decoded =
-          exp::decode_metrics_payload(exp::encode_metrics_payload(metrics));
-      EXPECT_EQ(decoded.total_tasks, metrics.total_tasks);
-      EXPECT_EQ(decoded.completion_percent, metrics.completion_percent);
-      EXPECT_EQ(decoded.total_energy_joules, metrics.total_energy_joules);
-      EXPECT_EQ(decoded.type_fairness_jain, metrics.type_fairness_jain);
+      EXPECT_EQ(exp::decode_metrics_payload(exp::encode_metrics_payload(metrics)), metrics);
     }
   }
 }
@@ -362,6 +357,54 @@ TEST(Serve, OversizeSubmitHeaderIsDroppedWithoutAllocating) {
   EXPECT_LT(peak_kb, std::size_t{1} << 20) << "service VmHWM " << peak_kb << " kB";
 
   stop_service(service);
+}
+
+// A listener that accepts the submit and announces 0xFFFFFFFF cells: the
+// client must refuse the count against its own parse of the config before
+// it sizes anything by it.
+TEST(Serve, ClientRefusesACellCountItsConfigDoesNotHave) {
+  const std::string socket_path = temp_path("serve_fake.sock");
+  ::unlink(socket_path.c_str());
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(socket_path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  std::thread fake([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string submit;
+    if (util::read_frame_into(fd, submit, util::kMaxChannelFrame)) {
+      util::ByteWriter writer;
+      exp::encode_job_accepted(writer, {.job_id = 1,
+                                        .cells_total = 0xFFFFFFFFu,
+                                        .replications = 2,
+                                        .workers = 1});
+      util::write_frame_zc(fd, writer.bytes());
+      char byte = 0;
+      (void)::read(fd, &byte, 1);  // until the client hangs up
+    }
+    ::close(fd);
+  });
+  bool refused = false;
+  std::string message;
+  try {
+    (void)exp::submit_job(socket_path, config_text());
+  } catch (const e2c::InputError& error) {
+    refused = true;
+    message = error.what();
+  } catch (const std::exception& error) {
+    message = error.what();
+  }
+  fake.join();
+  ::close(listener);
+  ::unlink(socket_path.c_str());
+  EXPECT_TRUE(refused) << message;
+  EXPECT_NE(message.find("4294967295"), std::string::npos) << message;
 }
 
 // Units queued behind the only, busy worker must not turn the supervisor's

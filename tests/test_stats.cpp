@@ -120,11 +120,11 @@ TEST(Stats, Ci95HalfWidth) {
 }
 
 TEST(Stats, JainFairnessBounds) {
-  EXPECT_DOUBLE_EQ(e2c::util::jain_fairness({5.0, 5.0, 5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(e2c::util::jain_fairness(std::vector<double>{5.0, 5.0, 5.0}), 1.0);
   // One active out of four -> 1/4.
-  EXPECT_NEAR(e2c::util::jain_fairness({1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
+  EXPECT_NEAR(e2c::util::jain_fairness(std::vector<double>{1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
   EXPECT_DOUBLE_EQ(e2c::util::jain_fairness({}), 1.0);
-  EXPECT_DOUBLE_EQ(e2c::util::jain_fairness({0.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(e2c::util::jain_fairness(std::vector<double>{0.0, 0.0}), 1.0);
 }
 
 TEST(Stats, PercentImprovement) {

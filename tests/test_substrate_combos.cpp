@@ -179,8 +179,9 @@ TEST_P(SubstrateComboTest, MetricsPipelineHandlesEveryCombo) {
   EXPECT_NEAR(metrics.completion_percent + metrics.cancelled_percent +
                   metrics.dropped_percent,
               100.0, 1e-9);
-  EXPECT_EQ(metrics.machine_utilization.size(), simulation_->machine_count());
-  for (double utilization : metrics.machine_utilization) {
+  const e2c::core::SimTime horizon = simulation_->engine().now();
+  for (std::size_t m = 0; m < simulation_->machine_count(); ++m) {
+    const double utilization = simulation_->machine(m).finalize_stats(horizon).utilization();
     EXPECT_GE(utilization, 0.0);
     EXPECT_LE(utilization, 1.0 + 1e-9);
   }

@@ -16,7 +16,9 @@
 # baseline. It also runs the repository benchmark's self-tests and 2 s
 # `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
 # the recorded ones; the megarun run also fails above a 200 MB peak RSS (its
-# 2M-task columns make RSS deterministic for the pinned seed). The
+# 2M-task columns make RSS deterministic for the pinned seed) and the sweep
+# run above 9.5 MB (a fixed-size record per replication keeps it near 7.7 MB;
+# per-run per-type vectors would add ~4.7 MB). The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)); both are reported before either
@@ -209,15 +211,25 @@ run_bench_smoke() {
       exit 1
     }
     echo "${workload} digest ok"
-    if [[ "${workload}" == megarun ]]; then
+    local ceiling=""
+    case "${workload}" in
       # Per-task state is ~89 B over 2M tasks (~182 MB peak); the ceiling
       # is that plus ~10%, so per-task state that grows by more than ~9 B
       # (~18 MB), e.g. one lazy column going dense again, fails here.
+      megarun) ceiling=200 ;;
+      # Every replication's Metrics is a fixed-size record (~7.7 MB peak
+      # for the whole sweep); the ceiling is that plus ~20%, so per-run
+      # O(types) data coming back (~4.7 MB over 600 runs of the 1024-type
+      # catalog) fails here.
+      sweep) ceiling=9.5 ;;
+    esac
+    if [[ -n "${ceiling}" ]]; then
       python3 -c 'import json, sys
-rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]
-print("megarun peak_rss_mb %.1f (ceiling 200)" % rss)
-sys.exit(0 if rss <= 200 else 1)' "${result}" || {
-        echo "bench smoke: megarun peak RSS above the 200 MB ceiling" >&2
+workload, ceiling = sys.argv[1], float(sys.argv[2])
+rss = json.loads(sys.argv[3])["metrics"]["peak_rss_mb"]["value"]
+print("%s peak_rss_mb %.1f (ceiling %g)" % (workload, rss, ceiling))
+sys.exit(0 if rss <= ceiling else 1)' "${workload}" "${ceiling}" "${result}" || {
+        echo "bench smoke: ${workload} peak RSS above the ${ceiling} MB ceiling" >&2
         exit 1
       }
     fi
@@ -429,7 +441,7 @@ INI
     exit 1
   }
   echo "=== crash: journal must be valid and complete ==="
-  head -n1 "${work}/journal.txt" | grep -q '^e2c-sweep-journal v1 ' || {
+  head -n1 "${work}/journal.txt" | grep -q '^e2c-sweep-journal v2 ' || {
     echo "crash smoke: bad journal header" >&2
     exit 1
   }
@@ -557,7 +569,7 @@ INI
   }
   for id in 1 2; do
     local journal="${work}/journal.job${id}"
-    head -n1 "${journal}" | grep -q '^e2c-sweep-journal v1 ' || {
+    head -n1 "${journal}" | grep -q '^e2c-sweep-journal v2 ' || {
       echo "serve smoke: bad journal header in ${journal}" >&2
       exit 1
     }
