@@ -14,16 +14,18 @@ void put_header(util::ByteWriter& writer, JobFrame kind) {
 /// Consumes and validates the [version][kind] header.
 util::ByteReader open_payload(std::string_view payload, JobFrame expected,
                               const char* what) {
+  // The messages are built only on failure: a valid frame allocates nothing.
   util::ByteReader reader(payload);
   require_input(reader.u8() == kJobCodecVersion,
-                std::string(what) + ": unsupported job codec version");
+                [what] { return std::string(what) + ": unsupported job codec version"; });
   require_input(static_cast<JobFrame>(reader.u8()) == expected,
-                std::string(what) + ": unexpected frame kind");
+                [what] { return std::string(what) + ": unexpected frame kind"; });
   return reader;
 }
 
 void close_payload(const util::ByteReader& reader, const char* what) {
-  require_input(reader.remaining() == 0, std::string(what) + ": trailing bytes");
+  require_input(reader.remaining() == 0,
+                [what] { return std::string(what) + ": trailing bytes"; });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "hetero/machine_catalog.hpp"
 #include "util/error.hpp"
+#include "util/large_buffer.hpp"
 
 namespace e2c::sched {
 
@@ -139,10 +140,16 @@ void Simulation::init_tasks(const workload::Workload& workload) {
   counters_.total = workload.tasks().size();
   const fault::RecoveryConfig& recovery = cfg().faults.recovery;
   state_.bind(workload.tasks());
+  // Generated traces carry ids 0..n-1 in arrival order, so index == id and
+  // task_index() degenerates to a bounds check; arbitrary ids (hand-written
+  // CSVs, replica clones) fall back to the hash map. The Workload knows
+  // whether its ids are dense; rows the run adopts are scanned here.
+  dense_ids_ = workload.dense_ids();
   if (cfg().faults.enabled && recovery.strategy == fault::RecoveryStrategy::kReplicate &&
       recovery.replicas > 1) {
     // replicate_workload adopts the expanded clone set in place of the alias.
     replicate_workload(recovery.replicas);
+    dense_ids_ = workload::ids_dense(state_.defs);
   }
   if (injector_) state_.enable_retry_column();
   if (checkpoint_spec_) state_.enable_checkpoint_column();
@@ -150,16 +157,6 @@ void Simulation::init_tasks(const workload::Workload& workload) {
 }
 
 void Simulation::init_task_state() {
-  // Generated traces carry ids 0..n-1 in arrival order, so index == id and
-  // task_index() degenerates to a bounds check; arbitrary ids (hand-written
-  // CSVs, replica clones) fall back to the hash map.
-  dense_ids_ = true;
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    if (state_.id(i) != i) {
-      dense_ids_ = false;
-      break;
-    }
-  }
   index_map_.clear();
   if (!dense_ids_) {
     index_map_.reserve(state_.size());
@@ -169,6 +166,8 @@ void Simulation::init_task_state() {
       });
     }
   }
+  deadline_event_.clear();
+  util::reserve_large(deadline_event_, state_.size());
   deadline_event_.assign(state_.size(), core::kNoEvent);
   retry_event_.assign(injector_ ? state_.size() : 0, core::kNoEvent);
   group_of_.clear();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/large_buffer.hpp"
 #include "workload/task.hpp"
 
 namespace e2c::sched {
@@ -44,6 +45,8 @@ class TaskIndexQueue {
     require(defs.size() <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
             "TaskIndexQueue::reset: too many tasks");
     defs_ = defs;
+    node_of_.clear();
+    util::reserve_large(node_of_, defs.size());
     node_of_.assign(defs.size(), kNil);
     pool_.clear();
     free_ = kNil;

@@ -1,16 +1,9 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 namespace e2c::util {
-
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9E3779B97F4A7C15ULL;
@@ -29,26 +22,6 @@ Rng::Rng(std::uint64_t seed) noexcept : seed_(seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::next_double() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * next_double();
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
@@ -57,11 +30,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   std::uint64_t value = next_u64();
   while (value >= limit) value = next_u64();
   return lo + static_cast<std::int64_t>(value % span);
-}
-
-double Rng::exponential(double lambda) noexcept {
-  // Inverse-CDF; next_double() < 1 so the log argument is > 0.
-  return -std::log(1.0 - next_double()) / lambda;
 }
 
 double Rng::normal(double mean, double stddev) noexcept {
@@ -103,10 +71,6 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights, double total
     target -= w;
   }
   return weights.size() - 1;
-}
-
-std::size_t Rng::unit_weight_index(std::size_t n) noexcept {
-  return std::min(static_cast<std::size_t>(next_double() * static_cast<double>(n)), n - 1);
 }
 
 Rng Rng::split() noexcept {

@@ -11,7 +11,9 @@
 /// experiment replications never share a stream.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -29,21 +31,43 @@ class Rng {
   /// streams on every platform.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
 
+  // The per-task draws of trace generation (next_u64, next_double, uniform,
+  // exponential, unit_weight_index) are defined here so they inline into the
+  // generator's loop. The build is ISO C++ without fast-math, so inlining
+  // leaves every result bit-identical (test_rng pins the streams).
+
   /// Next raw 64-bit value.
-  [[nodiscard]] std::uint64_t next_u64() noexcept;
+  [[nodiscard]] std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  [[nodiscard]] double next_double() noexcept;
+  [[nodiscard]] double next_double() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  [[nodiscard]] double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * next_double();
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Exponentially distributed value with rate \p lambda (> 0).
   /// Mean is 1/lambda; used for Poisson arrival inter-times.
-  [[nodiscard]] double exponential(double lambda) noexcept;
+  [[nodiscard]] double exponential(double lambda) noexcept {
+    // Inverse-CDF; next_double() < 1 so the log argument is > 0.
+    return -std::log(1.0 - next_double()) / lambda;
+  }
 
   /// Normally distributed value (Box–Muller, deterministic two-call cache).
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
@@ -74,7 +98,9 @@ class Rng {
   /// floor(u * n). Since u < 1, the rounded product u * n is below n for
   /// every n < 2^53, so the clamp, like the scan's fall-through to the last
   /// index, never fires.
-  [[nodiscard]] std::size_t unit_weight_index(std::size_t n) noexcept;
+  [[nodiscard]] std::size_t unit_weight_index(std::size_t n) noexcept {
+    return std::min(static_cast<std::size_t>(next_double() * static_cast<double>(n)), n - 1);
+  }
 
   /// Sum of the positive entries of \p weights (what weighted_index draws
   /// against).
@@ -100,6 +126,10 @@ class Rng {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t seed_ = 0;
   double cached_normal_ = 0.0;

@@ -1,7 +1,5 @@
 #include "workload/arrival.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -25,64 +23,6 @@ ArrivalKind parse_arrival_kind(const std::string& name) {
     if (util::iequals(name, arrival_kind_name(kind))) return kind;
   }
   throw InputError("unknown arrival process: '" + name + "'");
-}
-
-std::vector<core::SimTime> generate_arrivals(ArrivalKind kind, double rate,
-                                             core::SimTime duration, util::Rng& rng) {
-  require_input(rate > 0.0, "arrivals: rate must be > 0");
-  require_input(duration > 0.0, "arrivals: duration must be > 0");
-  constexpr double kMinGap = 1e-6;  // keeps inter-arrivals strictly positive
-
-  std::vector<core::SimTime> times;
-  const double mean_gap = 1.0 / rate;
-  core::SimTime t = 0.0;
-
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-      for (t = rng.exponential(rate); t < duration; t += rng.exponential(rate)) {
-        times.push_back(t);
-      }
-      break;
-    case ArrivalKind::kUniform:
-      for (t = rng.uniform(kMinGap, 2.0 * mean_gap); t < duration;
-           t += rng.uniform(kMinGap, 2.0 * mean_gap)) {
-        times.push_back(t);
-      }
-      break;
-    case ArrivalKind::kNormal:
-      for (t = std::max(kMinGap, rng.normal(mean_gap, 0.25 * mean_gap)); t < duration;
-           t += std::max(kMinGap, rng.normal(mean_gap, 0.25 * mean_gap))) {
-        times.push_back(t);
-      }
-      break;
-    case ArrivalKind::kConstant:
-      for (t = mean_gap; t < duration; t += mean_gap) {
-        times.push_back(t);
-      }
-      break;
-    case ArrivalKind::kBurst: {
-      // On/off process tuned to preserve the requested mean rate:
-      // bursts of ~8 tasks at 4x rate, separated by quiet gaps sized so the
-      // long-run average remains `rate`.
-      constexpr double kBurstSize = 8.0;
-      constexpr double kSpeedup = 4.0;
-      const double burst_gap = mean_gap / kSpeedup;
-      const double burst_span = kBurstSize * burst_gap;
-      const double cycle_span = kBurstSize * mean_gap;  // time a burst "covers"
-      const double quiet_gap = cycle_span - burst_span;
-      while (t < duration) {
-        const auto burst_count =
-            static_cast<std::size_t>(rng.uniform_int(4, 12));
-        for (std::size_t i = 0; i < burst_count && t < duration; ++i) {
-          t += rng.exponential(1.0 / burst_gap);
-          if (t < duration) times.push_back(t);
-        }
-        t += std::max(kMinGap, rng.normal(quiet_gap, 0.25 * quiet_gap));
-      }
-      break;
-    }
-  }
-  return times;
 }
 
 }  // namespace e2c::workload

@@ -7,6 +7,16 @@
 /// load rho is the ratio of the aggregate arrival rate to the system's
 /// aggregate service capacity, so rho = 0.5 under-loads, 1.0 saturates and
 /// 2.0 over-loads any system regardless of its EET matrix.
+///
+/// Aggregate mode builds the trace in one pass: for each arrival the
+/// emitter (for_each_arrival) yields, it draws the type and the deadline
+/// factor from their own split streams and writes the finished TaskDef. A
+/// trace expected to take 32 MiB or more is written into a vector reserved
+/// ahead on huge pages (util/large_buffer); a smaller one grows as it is
+/// written and is then shrunk to its size, so the many small traces a sweep
+/// caches hold no slack. Per-type mode merges its streams with a stable sort
+/// and stamps ids and deadlines after it. Either way the Workload
+/// constructor checks the trace and learns its facts in one scan.
 #pragma once
 
 #include <cstdint>

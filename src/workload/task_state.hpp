@@ -46,6 +46,7 @@
 
 #include "core/sim_time.hpp"
 #include "hetero/types.hpp"
+#include "util/large_buffer.hpp"
 #include "workload/task.hpp"
 
 namespace e2c::workload {
@@ -103,16 +104,23 @@ struct TaskStateSoA {
   }
 
   /// Refills every mutable column with its initial value, sized to defs.
-  /// Lazy columns are dropped; callers re-enable the ones they use.
+  /// Lazy columns are dropped; callers re-enable the ones they use. A
+  /// column that has to grow is reserved on huge pages (util/large_buffer)
+  /// before its first write; one that is large enough keeps its buffer.
   void reset() {
     const std::size_t n = defs.size();
-    status.assign(n, TaskStatus::kPending);
-    machine.assign(n, kNoMachine);
-    assignment_time.assign(n, core::kTimeUnset);
-    start_time.assign(n, core::kTimeUnset);
-    end_time.assign(n, core::kTimeUnset);
-    useful_seconds.assign(n, 0.0);
-    machine_seconds.assign(n, 0.0);
+    const auto refill = [n](auto& column, auto value) {
+      column.clear();
+      util::reserve_large(column, n);
+      column.assign(n, value);
+    };
+    refill(status, TaskStatus::kPending);
+    refill(machine, kNoMachine);
+    refill(assignment_time, core::kTimeUnset);
+    refill(start_time, core::kTimeUnset);
+    refill(end_time, core::kTimeUnset);
+    refill(useful_seconds, 0.0);
+    refill(machine_seconds, 0.0);
     lost_seconds_.clear();
     retries_.clear();
     replica_of.clear();

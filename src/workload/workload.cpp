@@ -11,25 +11,44 @@
 
 namespace e2c::workload {
 
+bool ids_dense(std::span<const TaskDef> defs) noexcept {
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    if (defs[i].id != i) return false;
+  }
+  return true;
+}
+
 Workload::Workload(std::vector<TaskDef> defs) : defs_(std::move(defs)) {
   const auto by_arrival_then_id = [](const TaskDef& a, const TaskDef& b) {
     if (a.arrival != b.arrival) return a.arrival < b.arrival;
     return a.id < b.id;
   };
+  bool sorted = true;
+  bool valid = true;
+  for (std::size_t i = 0; i < defs_.size(); ++i) {
+    const TaskDef& task = defs_[i];
+    if (i != 0 && by_arrival_then_id(task, defs_[i - 1])) sorted = false;
+    valid = valid && task.deadline >= task.arrival && task.arrival >= 0.0;
+    max_type_ = std::max<hetero::TaskTypeId>(max_type_, task.type);
+    dense_ids_ = dense_ids_ && task.id == i;
+  }
   // Generators and saved traces arrive in order already; a stable sort of
   // sorted input is the identity, so skipping it changes nothing.
-  if (!std::is_sorted(defs_.begin(), defs_.end(), by_arrival_then_id)) {
+  if (!sorted) {
     std::stable_sort(defs_.begin(), defs_.end(), by_arrival_then_id);
+    dense_ids_ = ids_dense(defs_);
   }
-  for (const TaskDef& task : defs_) {
-    require_input(task.deadline >= task.arrival, [&] {
-      return "workload: task " + std::to_string(task.id) +
-             " has a deadline before its arrival";
-    });
-    require_input(task.arrival >= 0.0, [&] {
-      return "workload: task " + std::to_string(task.id) + " has a negative arrival time";
-    });
-    max_type_ = std::max<hetero::TaskTypeId>(max_type_, task.type);
+  // Rare path: name the first offender in arrival order.
+  if (!valid) {
+    for (const TaskDef& task : defs_) {
+      require_input(task.deadline >= task.arrival, [&] {
+        return "workload: task " + std::to_string(task.id) +
+               " has a deadline before its arrival";
+      });
+      require_input(task.arrival >= 0.0, [&] {
+        return "workload: task " + std::to_string(task.id) + " has a negative arrival time";
+      });
+    }
   }
 }
 

@@ -14,8 +14,14 @@
 /// std::shared_ptr<const Workload> — across every policy cell of a sweep and
 /// across thread-pool workers. Simulations keep their mutable per-run record
 /// in a TaskStateSoA whose definition span aliases the trace.
+///
+/// Construction facts are computed once and cached: the largest type id
+/// (validate_against is O(1)) and whether the ids are dense (row i has id i,
+/// so a Simulation maps id to row without a hash map). The constructor
+/// learns them in the same single scan that checks order and validity.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +30,9 @@
 
 namespace e2c::workload {
 
+/// True when row i of \p defs has id i for every row.
+[[nodiscard]] bool ids_dense(std::span<const TaskDef> defs) noexcept;
+
 /// An immutable trace of task definitions sorted by arrival time.
 class Workload {
  public:
@@ -31,9 +40,11 @@ class Workload {
 
   /// Takes ownership of the definitions, puts them in (arrival, id) order
   /// and validates that no arrival is negative and no deadline precedes its
-  /// arrival. It sorts (stably) only when the input is out of order, so a
-  /// trace that is already ordered, as generated and saved ones are, costs
-  /// one O(n) pass with no per-task allocation.
+  /// arrival; on failure the message names the first offender in (arrival,
+  /// id) order. One O(n) pass checks order and validity and finds the
+  /// largest type and whether the ids are dense. It sorts (stably) only when
+  /// the input is out of order, so a trace that is already ordered, as
+  /// generated and saved ones are, costs that one pass and no allocation.
   explicit Workload(std::vector<TaskDef> defs);
 
   /// Number of tasks.
@@ -47,6 +58,10 @@ class Workload {
 
   /// Arrival time of the last task (0 for an empty workload).
   [[nodiscard]] core::SimTime last_arrival() const noexcept;
+
+  /// True when task i has id i for every row, as in every generated trace
+  /// and in a CSV that numbers its rows 0..n-1 in arrival order.
+  [[nodiscard]] bool dense_ids() const noexcept { return dense_ids_; }
 
   /// Throws e2c::InputError if any task references a type id outside the
   /// matrix, enforcing "there can be no task type within the workload that
@@ -79,6 +94,7 @@ class Workload {
   /// Largest type id referenced (0 for an empty trace): validate_against is
   /// one comparison instead of a per-task scan.
   hetero::TaskTypeId max_type_ = 0;
+  bool dense_ids_ = true;  ///< row i has id i (true for an empty trace)
 };
 
 }  // namespace e2c::workload

@@ -3,13 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace {
 
 using e2c::util::Rng;
 using e2c::workload::ArrivalKind;
-using e2c::workload::generate_arrivals;
+
+/// Collects every instant for_each_arrival emits.
+std::vector<e2c::core::SimTime> generate_arrivals(ArrivalKind kind, double rate,
+                                                  e2c::core::SimTime duration, Rng& rng) {
+  std::vector<e2c::core::SimTime> times;
+  e2c::workload::for_each_arrival(kind, rate, duration, rng,
+                                  [&times](e2c::core::SimTime t) { times.push_back(t); });
+  return times;
+}
 
 class ArrivalKindTest : public testing::TestWithParam<ArrivalKind> {};
 

@@ -92,6 +92,40 @@ TEST(Generator, IdsSequentialFromZero) {
   for (std::size_t i = 0; i < workload.size(); ++i) {
     EXPECT_EQ(workload.tasks()[i].id, i);
   }
+  EXPECT_TRUE(workload.dense_ids());
+}
+
+TEST(Generator, SmallTracesHoldNoReservedSlack) {
+  // A sweep caches one trace per (intensity, replication); a trace under
+  // 2 MiB must hold no spare capacity, or the slack adds up in its RSS.
+  const EetMatrix eet = sample_eet();
+  for (const auto kind :
+       {e2c::workload::ArrivalKind::kPoisson, e2c::workload::ArrivalKind::kUniform,
+        e2c::workload::ArrivalKind::kNormal, e2c::workload::ArrivalKind::kConstant,
+        e2c::workload::ArrivalKind::kBurst}) {
+    GeneratorConfig config;
+    config.arrival = kind;
+    config.rate = 50.0;
+    config.duration = 200.0;
+    const auto workload = e2c::workload::generate_workload(eet, config);
+    ASSERT_LT(workload.size() * sizeof(e2c::workload::TaskDef), std::size_t{2} << 20);
+    EXPECT_EQ(workload.tasks().capacity(), workload.size())
+        << e2c::workload::arrival_kind_name(kind);
+  }
+}
+
+TEST(Generator, GeneratedTraceKnowsItsLargestType) {
+  // validate_against reads the largest type the Workload recorded.
+  const EetMatrix eet = sample_eet();
+  GeneratorConfig config;
+  config.rate = 2.0;
+  config.duration = 40.0;
+  config.type_weights = {0.0, 1.0};  // every task is T2 (type 1)
+  const auto workload = e2c::workload::generate_workload(eet, config);
+  ASSERT_FALSE(workload.empty());
+  EXPECT_NO_THROW(workload.validate_against(eet));
+  const EetMatrix one_type({"T1"}, {"m1", "m2"}, {{2.0, 4.0}});
+  EXPECT_THROW(workload.validate_against(one_type), e2c::InputError);
 }
 
 TEST(Generator, DeadlinesRespectFactors) {
@@ -212,6 +246,7 @@ TEST(Generator, PerTypeArrivalsCanMixProcessKinds) {
     EXPECT_GE(workload.tasks()[i].arrival, workload.tasks()[i - 1].arrival);
     EXPECT_EQ(workload.tasks()[i].id, i);
   }
+  EXPECT_TRUE(workload.dense_ids());
 }
 
 TEST(Generator, PerTypeArrivalsDeterministic) {

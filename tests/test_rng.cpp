@@ -190,6 +190,41 @@ TEST(Rng, ShufflePermutes) {
   EXPECT_EQ(sorted, original);  // same multiset
 }
 
+TEST(Rng, StreamGoldensForSeedOne) {
+  // The first 8 values of each hot draw for seed 1, recorded before the
+  // draws moved inline into rng.hpp. Hex floats pin every bit, so an
+  // inlining or compiler change that alters a result (contraction, a
+  // different log) fails here before it reaches a trace or a digest.
+  // Each stream starts from a fresh Rng(1).
+  const std::uint64_t u64[] = {
+      0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL, 0x92f89756082a4514ULL,
+      0x642e1c7bc266a3a7ULL, 0xb27a48e29a233673ULL, 0x24c123126ffda722ULL,
+      0x123004ef8df510e6ULL, 0x61954dcc47b1e89dULL};
+  const double unit[] = {0x1.67e55eda1f8e2p-1, 0x1.0a76ab2c8e6c9p-1, 0x1.25f12eac10548p-1,
+                         0x1.90b871ef099a8p-2, 0x1.64f491c534466p-1, 0x1.260918937fedp-3,
+                         0x1.23004ef8df51p-4,  0x1.865537311ec7ap-2};
+  const double uniform[] = {0x1.19f957b687e38p+2, 0x1.029daacb239b2p+2, 0x1.097c4bab04152p+2,
+                            0x1.e42e1c7bc266ap+1, 0x1.193d24714d11ap+2, 0x1.a4c123126ffdap+1,
+                            0x1.923004ef8df51p+1, 0x1.e1954dcc47b1ep+1};
+  const double exponential[] = {0x1.36b8f97874d67p+1, 0x1.7842169c87864p+0,
+                                0x1.b5065a117d26ep+0, 0x1.fc64659354048p-1,
+                                0x1.31d20ed7e47b1p+1, 0x1.3d68d0104d633p-2,
+                                0x1.2ddb08235e66dp-3, 0x1.eb777ecd423a6p-1};
+  const std::size_t index[] = {702, 520, 574, 391, 697, 143, 71, 381};
+  const double normal[] = {0x1.0ab45d453c884p+3, 0x1.391e5e2f410d3p+3, 0x1.0bb10356f1a96p+3,
+                           0x1.6a8afc26cb80cp+3, 0x1.61b390aa64e7cp+3, 0x1.6aa6e1324a8d3p+3,
+                           0x1.a7ebb3ae751abp+2, 0x1.a3f4107b204d8p+3};
+  Rng u64_rng(1), unit_rng(1), uniform_rng(1), exponential_rng(1), index_rng(1), normal_rng(1);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(u64_rng.next_u64(), u64[i]) << "next_u64 #" << i;
+    EXPECT_EQ(unit_rng.next_double(), unit[i]) << "next_double #" << i;
+    EXPECT_EQ(uniform_rng.uniform(3.0, 5.0), uniform[i]) << "uniform #" << i;
+    EXPECT_EQ(exponential_rng.exponential(0.5), exponential[i]) << "exponential #" << i;
+    EXPECT_EQ(index_rng.unit_weight_index(1000), index[i]) << "unit_weight_index #" << i;
+    EXPECT_EQ(normal_rng.normal(10.0, 2.0), normal[i]) << "normal #" << i;
+  }
+}
+
 TEST(Rng, Splitmix64KnownValue) {
   // Reference value from the SplitMix64 reference implementation.
   std::uint64_t state = 0;

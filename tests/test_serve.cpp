@@ -267,6 +267,30 @@ TEST(JobCodec, RejectsCorruptFrames) {
   EXPECT_THROW((void)exp::peek_job_frame(wrong_version), e2c::InputError);
 }
 
+TEST(JobCodec, DecodeErrorsPinExactText) {
+  // Each message names the frame a decoder expected and what was wrong.
+  const auto error_of = [](const auto& decode) -> std::string {
+    try {
+      (void)decode();
+    } catch (const e2c::InputError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  util::ByteWriter writer;
+  exp::encode_job_accepted(writer, {1, 2, 3, 4});
+  const std::string payload(writer.bytes());
+  std::string wrong_version = payload;
+  wrong_version[0] = static_cast<char>(0x7F);
+  EXPECT_EQ(error_of([&] { return exp::decode_job_accepted(wrong_version); }),
+            "accepted frame: unsupported job codec version");
+  EXPECT_EQ(error_of([&] { return exp::decode_job_busy(payload); }),
+            "busy frame: unexpected frame kind");
+  EXPECT_EQ(error_of([&] { return exp::decode_job_accepted(payload + "x"); }),
+            "accepted frame: trailing bytes");
+  EXPECT_EQ(error_of([&] { return exp::decode_job_accepted(payload); }), "");
+}
+
 TEST(JobCodec, MetricsPayloadRoundTripsBitExactly) {
   const auto spec = exp::spec_from_ini(util::IniFile::parse(config_text(), "t"));
   const auto source = exp::run_experiment(spec, 2);

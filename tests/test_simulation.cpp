@@ -279,6 +279,32 @@ TEST(Simulation, DuplicateTaskIdErrorPinsExactText) {
   }
 }
 
+TEST(Simulation, CsvTraceWithSparseIdsMapsById) {
+  // Ids {5, 3, 9} are neither dense nor ascending, so every assignment and
+  // missed-task lookup goes through the id -> row map.
+  const SystemConfig system = two_machine_system();
+  const Workload trace = Workload::from_csv_text(
+      "task_id,task_type,arrival_time,deadline\n"
+      "5,T1,0.0,100\n3,T2,1.0,100\n9,T1,2.0,2.5\n",
+      system.eet);
+  ASSERT_FALSE(trace.dense_ids());
+  Simulation simulation(system, e2c::sched::make_policy("MECT"));
+  simulation.load(trace);
+  simulation.run();
+  const auto& state = simulation.task_state();
+  ASSERT_EQ(state.size(), 3u);
+  EXPECT_EQ(state.id(0), 5u);
+  EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
+  EXPECT_EQ(state.machine[0], 0u);
+  EXPECT_EQ(state.id(1), 3u);
+  EXPECT_EQ(state.status[1], TaskStatus::kCompleted);
+  EXPECT_EQ(state.machine[1], 1u);
+  // Task 9 queues behind task 5 on m0 and misses its deadline there.
+  EXPECT_EQ(state.id(2), 9u);
+  EXPECT_EQ(state.status[2], TaskStatus::kDropped);
+  EXPECT_EQ(simulation.missed_tasks(), std::vector<std::size_t>{2});
+}
+
 TEST(Simulation, RejectsWorkloadOutsideEet) {
   Simulation simulation(two_machine_system(), e2c::sched::make_policy("FCFS"));
   EXPECT_THROW(simulation.load(Workload({make_task(0, 7, 0.0, 5.0)})), e2c::InputError);

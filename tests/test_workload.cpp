@@ -104,6 +104,34 @@ TEST(Workload, RejectsNegativeArrival) {
             "workload: task 1 has a negative arrival time");
 }
 
+TEST(Workload, UnsortedInvalidTraceNamesFirstOffenderInArrivalOrder) {
+  // Input order would name task 4 first; arrival order puts task 2 ahead.
+  EXPECT_EQ(input_error_of([] {
+              Workload({make_task(4, 0, 6.0, 5.0), make_task(1, 0, 2.0, 9.0),
+                        make_task(2, 0, -1.0, 3.0)});
+            }),
+            "workload: task 2 has a negative arrival time");
+  // A record that breaks both rules is reported for its deadline.
+  EXPECT_EQ(input_error_of([] {
+              Workload({make_task(5, 0, 1.0, 8.0), make_task(3, 0, -2.0, -3.0)});
+            }),
+            "workload: task 3 has a deadline before its arrival");
+}
+
+TEST(Workload, DenseIdsMeansRowIEqualsIdI) {
+  const EetMatrix eet = sample_eet();
+  const auto from_csv = [&eet](const std::string& rows) {
+    return Workload::from_csv_text("task_id,task_type,arrival_time\n" + rows, eet);
+  };
+  EXPECT_TRUE(from_csv("0,T1,0.5\n1,T2,1.0\n2,T1,1.0\n").dense_ids());
+  EXPECT_FALSE(from_csv("0,T1,0.5\n2,T2,1.0\n").dense_ids());    // gapped
+  EXPECT_FALSE(from_csv("1,T1,0.5\n0,T2,1.0\n").dense_ids());    // reordered
+  EXPECT_FALSE(from_csv("1,T1,0.5\n2,T2,1.0\n").dense_ids());    // not from 0
+  // Out-of-order input is judged after sorting.
+  EXPECT_TRUE(Workload({make_task(1, 0, 2.0, 9.0), make_task(0, 1, 1.0, 9.0)}).dense_ids());
+  EXPECT_TRUE(Workload().dense_ids());
+}
+
 TEST(Workload, ValidateAgainstEnforcesEetCompatibility) {
   const EetMatrix eet = sample_eet();
   Workload ok({make_task(1, 1, 0.0, 5.0)});

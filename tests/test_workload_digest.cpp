@@ -4,11 +4,11 @@
 // every policy cell. These FNV-1a digests pin the exact traces for fixed
 // seeds across intensities, so the share-once refactor (and any future
 // generator edit) cannot silently change what experiments run. Beyond the
-// aggregate Poisson uniform-mix presets they cover the default mix over
-// large random catalogs (1024 and 1000 task types), per-type arrival streams
-// (poisson, burst and normal merged by time), a non-uniform type mix and a
-// multi-tenant merge. An intentional generator change must update the
-// constants below.
+// aggregate Poisson uniform-mix presets they cover the other four aggregate
+// arrival processes, the default mix over large random catalogs (1024 and
+// 1000 task types), per-type arrival streams (poisson, burst and normal
+// merged by time), a non-uniform type mix and a multi-tenant merge. An
+// intentional generator change must update the constants below.
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -120,6 +120,30 @@ TEST(WorkloadDigest, DefaultMixOnLargeCatalogsMatchesGoldens) {
     EXPECT_EQ(digest_of(trace), golden.digest)
         << golden.types << " types, intensity " << workload::intensity_name(golden.intensity)
         << ", " << trace.size() << " tasks, digest 0x" << std::hex << digest_of(trace);
+  }
+}
+
+TEST(WorkloadDigest, AggregateArrivalKindsMatchGoldens) {
+  // One aggregate stream per arrival process over the uniform default mix:
+  // the non-Poisson emitters' draws, and the interleaving of arrival, type
+  // and deadline draws in one generation pass, are pinned.
+  const auto system = exp::heterogeneous_classroom();
+  const struct {
+    workload::ArrivalKind kind;
+    std::uint64_t digest;
+  } goldens[] = {
+      {workload::ArrivalKind::kUniform, 0x17238ac4362b334aULL},
+      {workload::ArrivalKind::kNormal, 0x68fd3afce468779dULL},
+      {workload::ArrivalKind::kConstant, 0x4b989a87e5c4b6bcULL},
+      {workload::ArrivalKind::kBurst, 0x4855b404026846bdULL},
+  };
+  for (const auto& golden : goldens) {
+    workload::GeneratorConfig config = classroom_config(Intensity::kHigh, 0);
+    config.arrival = golden.kind;
+    const workload::Workload trace = workload::generate_workload(system.eet, config);
+    EXPECT_EQ(digest_of(trace), golden.digest)
+        << workload::arrival_kind_name(golden.kind) << ", " << trace.size()
+        << " tasks, digest 0x" << std::hex << digest_of(trace);
   }
 }
 

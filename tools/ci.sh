@@ -18,7 +18,9 @@
 # the recorded ones; the megarun run also fails above a 200 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed) and the sweep
 # run above 9.5 MB (a fixed-size record per replication keeps it near 7.7 MB;
-# per-run per-type vectors would add ~4.7 MB). The
+# per-run per-type vectors would add ~4.7 MB). The megarun step also prints
+# its setup_s and the host's transparent-huge-page mode, for information
+# only: set-up time is mostly page faults and depends on that mode. The
 # experiment-throughput bench is gated the same way on its
 # shared/per-run plane speedup and on its 4-worker parallel efficiency
 # (speedup normalized by min(4, cpus)); both are reported before either
@@ -232,6 +234,18 @@ sys.exit(0 if rss <= ceiling else 1)' "${workload}" "${ceiling}" "${result}" || 
         echo "bench smoke: ${workload} peak RSS above the ${ceiling} MB ceiling" >&2
         exit 1
       }
+    fi
+    if [[ "${workload}" == megarun ]]; then
+      # Information only, no gate: most of megarun's set-up is first-touch
+      # page faults, so setup_s depends on whether the host grants the
+      # huge pages the trace and task columns ask for (util/large_buffer).
+      local thp="unavailable"
+      if [[ -r /sys/kernel/mm/transparent_hugepage/enabled ]]; then
+        thp="$(cat /sys/kernel/mm/transparent_hugepage/enabled)"
+      fi
+      python3 -c 'import json, sys
+setup = json.loads(sys.argv[1])["metrics"]["setup_s"]["value"]
+print("megarun setup_s %.3f (THP mode: %s)" % (setup, sys.argv[2]))' "${result}" "${thp}"
     fi
   done
 
