@@ -7,15 +7,22 @@
 
 namespace e2c::core {
 
-EventId Engine::schedule_at(SimTime time, EventPriority priority, EventLabel label,
-                            EventFn fn) {
+SimTime Engine::checked_time(SimTime time) const {
   e2c::require(time >= now_ - kTimeEpsilon, [&] {
-    return "Engine::schedule_at in the past: t=" + std::to_string(time) +
+    return "Engine: event scheduled in the past: t=" + std::to_string(time) +
            " now=" + std::to_string(now_);
   });
   // Clamp tiny negative drift so the calendar never goes backwards.
-  const SimTime when = std::max(time, now_);
-  return queue_.schedule(when, priority, label, std::move(fn));
+  return std::max(time, now_);
+}
+
+EventId Engine::schedule_at(SimTime time, EventPriority priority, EventLabel label,
+                            EventFn fn) {
+  return queue_.schedule(checked_time(time), priority, label, std::move(fn));
+}
+
+void Engine::post_at(SimTime time, EventPriority priority, EventLabel label, EventFn fn) {
+  queue_.post(checked_time(time), priority, label, std::move(fn));
 }
 
 EventId Engine::schedule_in(SimTime delay, EventPriority priority, EventLabel label,

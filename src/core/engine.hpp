@@ -34,6 +34,13 @@ class Engine {
   /// label; it is only formatted when the step UI reads it.
   EventId schedule_at(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
 
+  /// Schedules an event nobody will cancel, without an id: the next arrival
+  /// of a trace cursor, the next scheduler round. It pops exactly where
+  /// schedule_at() would have put it, and costs no heap operation while it
+  /// is the only posted event of its priority class (see EventQueue::post).
+  /// Requires time >= now().
+  void post_at(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
+
   /// Schedules \p fn at now() + delay. Requires delay >= 0.
   EventId schedule_in(SimTime delay, EventPriority priority, EventLabel label, EventFn fn);
 
@@ -61,10 +68,13 @@ class Engine {
   /// Number of pending events.
   [[nodiscard]] std::size_t pending_count() const noexcept { return queue_.size(); }
 
-  /// Metadata of the next pending event (for the step-mode UI), if any.
+  /// Metadata of the next pending event (for the step-mode UI), if any. A
+  /// posted event's id is kNoEvent.
   [[nodiscard]] std::optional<EventRecord> peek_next() const { return queue_.peek(); }
 
  private:
+  /// Checks that \p time is not in the past and clamps tiny drift to now().
+  [[nodiscard]] SimTime checked_time(SimTime time) const;
   /// Pops the earliest event, advances the clock to it and runs its callback.
   void dispatch_one();
 

@@ -41,9 +41,37 @@ EventQueue::OrderKey EventQueue::make_key(SimTime time, EventPriority priority,
          (static_cast<std::uint64_t>(priority) << kPriorityShift) | sequence;
 }
 
+std::uint64_t EventQueue::take_sequence() {
+  e2c::require(next_sequence_ < kMaxSequence, "EventQueue sequence space exhausted");
+  return next_sequence_++;
+}
+
 EventId EventQueue::schedule(SimTime time, EventPriority priority, EventLabel label,
                              EventFn fn) {
-  e2c::require(next_sequence_ < kMaxSequence, "EventQueue sequence space exhausted");
+  return insert(make_key(time, priority, take_sequence()), time, label, fn,
+                /*cancellable=*/true);
+}
+
+void EventQueue::post(SimTime time, EventPriority priority, EventLabel label, EventFn fn) {
+  const OrderKey key = make_key(time, priority, take_sequence());
+  const auto bit = static_cast<std::uint8_t>(1u << static_cast<unsigned>(priority));
+  Posted& held = posted_[static_cast<std::size_t>(priority)];
+  if ((posted_mask_ & bit) == 0) {
+    held = Posted{key, time, label, fn};
+    posted_mask_ |= bit;
+    return;
+  }
+  // The slot is taken: the later-keyed of the two events goes to the heap.
+  if (held.key < key) {
+    (void)insert(key, time, label, fn, /*cancellable=*/false);
+    return;
+  }
+  (void)insert(held.key, held.time, held.label, held.fn, /*cancellable=*/false);
+  held = Posted{key, time, label, fn};
+}
+
+EventId EventQueue::insert(OrderKey key, SimTime time, EventLabel label, EventFn fn,
+                           bool cancellable) {
   std::uint32_t slot_index;
   if (free_slots_.empty()) {
     slot_index = static_cast<std::uint32_t>(slots_.size());
@@ -56,10 +84,13 @@ EventId EventQueue::schedule(SimTime time, EventPriority priority, EventLabel la
   // The id carries its own slot reference: (generation << 32) | (slot + 1).
   // The +1 keeps the id from ever being kNoEvent (slot 0, generation 0);
   // the generation half makes ids from a recycled slot distinct, so cancel()
-  // can validate a stale id in O(1) without any id→slot lookup table.
+  // can validate a stale id in O(1) without any id→slot lookup table. A
+  // posted event's slot records kNoEvent, which no cancel() matches.
   const EventId id =
-      (static_cast<EventId>(slot.generation) << 32) | (slot_index + 1);
-  const std::size_t lane = priority == EventPriority::kDeadline ? kDeadlineLane : kMainLane;
+      cancellable ? (static_cast<EventId>(slot.generation) << 32) | (slot_index + 1)
+                  : kNoEvent;
+  const std::size_t lane =
+      priority_of(key) == EventPriority::kDeadline ? kDeadlineLane : kMainLane;
   slot.id = id;
   slot.live = true;
   slot.lane = static_cast<std::uint8_t>(lane);
@@ -67,7 +98,7 @@ EventId EventQueue::schedule(SimTime time, EventPriority priority, EventLabel la
   slot.fn = fn;
 
   Lane& heap = lanes_[lane];
-  heap.push_back(HeapNode{make_key(time, priority, next_sequence_++), time, slot_index});
+  heap.push_back(HeapNode{key, time, slot_index});
   sift_up(heap, heap.size() - 1);
   return id;
 }
@@ -85,34 +116,60 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-std::size_t EventQueue::front_lane() const noexcept {
-  const Lane& main = lanes_[kMainLane];
-  const Lane& deadlines = lanes_[kDeadlineLane];
-  if (deadlines.empty()) return kMainLane;
-  if (main.empty()) return kDeadlineLane;
-  return deadlines.front().precedes(main.front()) ? kDeadlineLane : kMainLane;
+std::size_t EventQueue::front() const noexcept {
+  // All-ones is above every real key: its time half would be a NaN.
+  OrderKey best_key = ~OrderKey{0};
+  std::size_t best = kMainLane;
+  for (std::size_t lane : {kMainLane, kDeadlineLane}) {
+    if (!lanes_[lane].empty() && lanes_[lane].front().key < best_key) {
+      best_key = lanes_[lane].front().key;
+      best = lane;
+    }
+  }
+  for (unsigned mask = posted_mask_; mask != 0; mask &= mask - 1) {
+    const auto c = static_cast<std::size_t>(std::countr_zero(mask));
+    if (posted_[c].key < best_key) {
+      best_key = posted_[c].key;
+      best = kPostedFront + c;
+    }
+  }
+  return best;
 }
 
 std::optional<SimTime> EventQueue::next_time() const noexcept {
   if (empty()) return std::nullopt;
-  return lanes_[front_lane()].front().time;
+  const std::size_t source = front();
+  if (source >= kPostedFront) return posted_[source - kPostedFront].time;
+  return lanes_[source].front().time;
 }
 
 std::optional<EventRecord> EventQueue::peek() const {
   if (empty()) return std::nullopt;
-  const HeapNode& top = lanes_[front_lane()].front();
+  const std::size_t source = front();
+  if (source >= kPostedFront) {
+    const Posted& posted = posted_[source - kPostedFront];
+    return EventRecord{kNoEvent, posted.time, priority_of(posted.key), posted.label.str()};
+  }
+  const HeapNode& top = lanes_[source].front();
   const Slot& slot = slots_[top.slot];
-  return EventRecord{slot.id, top.time, top.priority(), slot.label.str()};
+  return EventRecord{slot.id, top.time, priority_of(top.key), slot.label.str()};
 }
 
 EventQueue::DueEvent EventQueue::pop() {
   e2c::require(!empty(), "EventQueue::pop on empty queue");
-  const HeapNode top = take_front();
+  const std::size_t source = front();
+  if (source >= kPostedFront) {
+    const std::size_t c = source - kPostedFront;
+    posted_mask_ = static_cast<std::uint8_t>(posted_mask_ & ~(1u << c));
+    return DueEvent{posted_[c].time, posted_[c].fn};
+  }
+  const HeapNode top = take_root(source);
   return DueEvent{top.time, slots_[top.slot].fn};
 }
 
 void EventQueue::clear() noexcept {
   for (Lane& heap : lanes_) heap.clear();
+  posted_mask_ = 0;
   free_slots_.clear();
   // Keep the slots (the slab is the arena — reuse it across resets) but bump
   // the generation of every live one so ids handed out before the clear can
@@ -127,8 +184,7 @@ void EventQueue::clear() noexcept {
   }
 }
 
-EventQueue::HeapNode EventQueue::take_front() {
-  const std::size_t lane = front_lane();
+EventQueue::HeapNode EventQueue::take_root(std::size_t lane) {
   const HeapNode top = lanes_[lane].front();
   release(top.slot);
   remove_at(lane, 0);

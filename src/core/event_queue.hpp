@@ -1,8 +1,11 @@
 /// \file event_queue.hpp
 /// \brief Pending-event calendar: two cache-friendly d-ary heaps (deadline
-/// timers and everything else) with in-place cancellation.
+/// timers and everything else) with in-place cancellation, and one slot per
+/// priority class for posted events.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -33,6 +36,17 @@ namespace e2c::core {
 /// place (O(log n): the lane's last node fills the hole and sifts up or
 /// down) and the heaps only ever hold pending events.
 ///
+/// Posted events (post()) take a third path. They are the events the model
+/// layer never cancels and keeps at most one of per class pending: the next
+/// arrival of the shared-trace cursor and the next scheduler round. Each
+/// priority class has one slot beside the two heaps, so such an event costs
+/// a key and a copy, not a sift. A posted event draws its sequence number
+/// from the same counter as schedule(), and pop()/peek()/next_time() take
+/// the lowest key over both heap roots and the occupied slots, so the pop
+/// order is exactly the one scheduling the same events would give. When a
+/// class is posted twice, the later-keyed of the two events moves into its
+/// heap under the key it already holds.
+///
 /// Event ids encode their own slot reference — (generation << 32) |
 /// (slot + 1), never kNoEvent — so cancel() decodes and validates in O(1)
 /// with zero auxiliary lookup structure (the id→slot hash map this replaced
@@ -43,6 +57,11 @@ class EventQueue {
   /// Inserts an event; returns its unique id (never kNoEvent).
   EventId schedule(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
 
+  /// Inserts an event that is never cancelled and has no id (see the class
+  /// comment). Its place in the pop order is the one schedule() would give
+  /// it; O(1) while it is the only posted event of its class.
+  void post(SimTime time, EventPriority priority, EventLabel label, EventFn fn);
+
   /// Removes a pending event. Returns false if the id is unknown or the
   /// event already fired. O(log n) in the event's lane.
   bool cancel(EventId id);
@@ -52,6 +71,7 @@ class EventQueue {
 
   /// Metadata of the earliest pending event without removing it (the label
   /// is materialized — this is the step-mode UI path, not the hot path).
+  /// The id of a posted event is kNoEvent.
   [[nodiscard]] std::optional<EventRecord> peek() const;
 
   /// What the engine consumes of a popped event: its time and callback.
@@ -67,7 +87,8 @@ class EventQueue {
 
   /// Number of pending events.
   [[nodiscard]] std::size_t size() const noexcept {
-    return lanes_[kMainLane].size() + lanes_[kDeadlineLane].size();
+    return lanes_[kMainLane].size() + lanes_[kDeadlineLane].size() +
+           static_cast<std::size_t>(std::popcount(posted_mask_));
   }
 
   /// True when no events are pending.
@@ -102,10 +123,6 @@ class EventQueue {
     [[nodiscard]] bool precedes(const HeapNode& other) const noexcept {
       return key < other.key;
     }
-    [[nodiscard]] EventPriority priority() const noexcept {
-      return static_cast<EventPriority>(
-          static_cast<std::uint64_t>(key) >> kPriorityShift);
-    }
   };
   static_assert(sizeof(HeapNode) == 32, "two heap nodes per cache line");
 
@@ -116,6 +133,11 @@ class EventQueue {
 
   [[nodiscard]] static OrderKey make_key(SimTime time, EventPriority priority,
                                          std::uint64_t sequence) noexcept;
+  [[nodiscard]] static EventPriority priority_of(OrderKey key) noexcept {
+    return static_cast<EventPriority>(static_cast<std::uint64_t>(key) >> kPriorityShift);
+  }
+  /// Hands out the next insertion sequence number.
+  [[nodiscard]] std::uint64_t take_sequence();
 
   /// Payload storage. The generation is bumped on every release, so ids
   /// handed out for an earlier use of the slot no longer match it.
@@ -130,15 +152,31 @@ class EventQueue {
   };
   static_assert(sizeof(Slot) == 128, "slot bookkeeping fits the padding before fn");
 
+  /// A posted event waiting in its class's slot.
+  struct Posted {
+    OrderKey key;
+    SimTime time;
+    EventLabel label;
+    EventFn fn;
+  };
+
   static constexpr std::size_t kMainLane = 0;
   static constexpr std::size_t kDeadlineLane = 1;
+  /// front() codes below this are lanes; kPostedFront + c is the slot of
+  /// priority class c.
+  static constexpr std::size_t kPostedFront = 2;
+  static constexpr std::size_t kClasses = static_cast<std::size_t>(EventPriority::kControl) + 1;
   using Lane = std::vector<HeapNode>;
 
-  /// Lane whose root is the earliest pending event. Requires !empty().
-  [[nodiscard]] std::size_t front_lane() const noexcept;
-  /// Frees the earliest event's slot and unlinks its node; returns the node.
+  /// Where the earliest pending event is: a lane or a posted slot (see
+  /// kPostedFront). Requires !empty().
+  [[nodiscard]] std::size_t front() const noexcept;
+  /// Puts an event into the heap of its class under \p key; returns its id,
+  /// or kNoEvent for a posted event (\p cancellable false).
+  EventId insert(OrderKey key, SimTime time, EventLabel label, EventFn fn, bool cancellable);
+  /// Frees the root slot of \p lane and unlinks its node; returns the node.
   /// The slot's payload stays readable until the next schedule().
-  HeapNode take_front();
+  HeapNode take_root(std::size_t lane);
   /// Marks a slot free and bumps its generation.
   void release(std::uint32_t slot_index);
   /// Removes the node at \p index of \p lane: the lane's last node fills
@@ -153,6 +191,8 @@ class EventQueue {
   void sift_down(Lane& heap, std::size_t index) noexcept;
 
   Lane lanes_[2];
+  std::array<Posted, kClasses> posted_{};
+  std::uint8_t posted_mask_ = 0;  ///< bit c set: posted_[c] holds an event
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_sequence_ = 1;

@@ -111,6 +111,10 @@ Simulation::Simulation(std::shared_ptr<const SystemConfig> config,
     }
   }
 
+  // Crashes and cold starts move a completion past the instant ready_time()
+  // planned, the premise of skipping a deadline check (see unarmed_).
+  arm_every_deadline_ = injector_ != nullptr || cfg().memory.has_value();
+
   const AutoscalerConfig& scaler = cfg().autoscaler;
   if (scaler.enabled) {
     require_input(scaler.interval > 0.0, "autoscaler: interval must be > 0");
@@ -215,14 +219,16 @@ void Simulation::schedule_next_arrival() {
   // arming them all up front would: ties at one instant resolve by priority
   // first, and the next arrival's later insertion sequence only competes
   // with other arrivals — of which the cursor keeps exactly one pending.
+  // Nothing cancels an arrival, so it is posted: it waits in the calendar's
+  // arrival slot instead of a heap.
   if (arrival_cursor_ >= state_.size()) return;
   const std::size_t i = arrival_cursor_;
-  engine_.schedule_at(state_.arrival(i), core::EventPriority::kArrival,
-                      core::EventLabel("arrival task=", state_.id(i)), [this, i] {
-                        ++arrival_cursor_;
-                        schedule_next_arrival();
-                        on_arrival(i);
-                      });
+  engine_.post_at(state_.arrival(i), core::EventPriority::kArrival,
+                  core::EventLabel("arrival task=", state_.id(i)), [this, i] {
+                    ++arrival_cursor_;
+                    schedule_next_arrival();
+                    on_arrival(i);
+                  });
 }
 
 void Simulation::run() {
@@ -255,6 +261,7 @@ void Simulation::reset(std::unique_ptr<Policy> policy) {
   dense_ids_ = false;
   index_map_.clear();
   deadline_event_.clear();
+  unarmed_.clear();
   retry_event_.clear();
   group_of_.clear();
   groups_.clear();
@@ -328,13 +335,39 @@ void Simulation::on_arrival(std::size_t index) {
   batch_queue_.push_back(index);
   const core::SimTime deadline = state_.deadline(index);
   if (deadline < core::kTimeInfinity) {
-    const core::SimTime when = std::max(deadline, engine_.now());
-    deadline_event_[index] = engine_.schedule_at(
-        when, core::EventPriority::kDeadline,
-        core::EventLabel("deadline task=", state_.id(index)),
-        [this, index] { on_deadline(index); });
+    if (arm_every_deadline_ || deadline <= engine_.now()) {
+      arm_deadline(index);
+    } else {
+      unarmed_.push_back(index);  // decided at the end of this instant's round
+    }
   }
   request_schedule();
+}
+
+void Simulation::arm_deadline(std::size_t index) {
+  deadline_event_[index] = engine_.schedule_at(
+      std::max(state_.deadline(index), engine_.now()), core::EventPriority::kDeadline,
+      core::EventLabel("deadline task=", state_.id(index)),
+      [this, index] { on_deadline(index); });
+}
+
+void Simulation::arm_deadlines_that_can_fire() {
+  // Runs at the end of the round that follows the arrivals in unarmed_, at
+  // their arrival instant, so the timers enter the calendar in arrival order
+  // and pop in the order arming them at arrival would give. A task mapped
+  // straight onto a machine completes at a prefix of the float sum that
+  // ready_time() adds up, so it cannot finish after ready_time(); when that
+  // is not past the deadline, its completion (which pops before a deadline
+  // check at the same instant) would cancel the timer before it fires.
+  for (const std::size_t index : unarmed_) {
+    const workload::TaskStatus status = state_.status[index];
+    const bool mapped = status == workload::TaskStatus::kInMachineQueue ||
+                        status == workload::TaskStatus::kRunning;
+    if (!mapped || machines_[state_.machine[index]]->ready_time() > state_.deadline(index)) {
+      arm_deadline(index);
+    }
+  }
+  unarmed_.clear();
 }
 
 void Simulation::on_deadline(std::size_t index) {
@@ -395,13 +428,23 @@ void Simulation::on_deadline(std::size_t index) {
 void Simulation::request_schedule() {
   if (schedule_pending_ || batch_queue_.empty()) return;
   schedule_pending_ = true;
-  engine_.schedule_at(engine_.now(), core::EventPriority::kSchedule,
-                      core::EventLabel::join("invoke scheduler (", policy_name_.c_str(), ")"),
-                      [this] { run_scheduler(); });
+  engine_.post_at(engine_.now(), core::EventPriority::kSchedule,
+                  core::EventLabel::join("invoke scheduler (", policy_name_.c_str(), ")"),
+                  [this] { run_scheduler(); });
 }
 
 void Simulation::run_scheduler() {
   schedule_pending_ = false;
+  try {
+    map_batch_queue();
+  } catch (...) {
+    arm_deadlines_that_can_fire();
+    throw;
+  }
+  arm_deadlines_that_can_fire();
+}
+
+void Simulation::map_batch_queue() {
   if (batch_queue_.empty()) return;
   ++scheduler_invocations_;
 

@@ -287,6 +287,11 @@ class Simulation final : public machines::MachineListener {
   void schedule_control_events();
   void schedule_next_arrival();
   void on_arrival(std::size_t task_index);
+  /// Puts task \p task_index's deadline check into the calendar.
+  void arm_deadline(std::size_t task_index);
+  /// Arms the deadline checks of the tasks in unarmed_ that can still fire
+  /// (see the comment at unarmed_) and empties it.
+  void arm_deadlines_that_can_fire();
   void on_deadline(std::size_t task_index);
   void on_transfer_complete(std::size_t task_index);
   void schedule_next_failure(std::size_t machine_index, double from);
@@ -296,7 +301,10 @@ class Simulation final : public machines::MachineListener {
   void on_retry_ready(std::size_t task_index);
   [[nodiscard]] bool all_terminal() const noexcept;
   void request_schedule();
+  /// One scheduler round: map_batch_queue(), then
+  /// arm_deadlines_that_can_fire() on every exit path.
   void run_scheduler();
+  void map_batch_queue();
   void apply_assignment(const Assignment& assignment);
   void autoscaler_tick();
   void scale_out();
@@ -325,6 +333,16 @@ class Simulation final : public machines::MachineListener {
   /// of the Simulation that every run allocates; retry_event_, group_of_ and
   /// in_flight_ below exist only for the features that use them.
   std::vector<core::EventId> deadline_event_;
+  /// Tasks that arrived since the last scheduler round with a deadline after
+  /// their arrival instant. Their deadline checks are armed at the end of
+  /// that round, at the same instant, and only if they can fire: the task is
+  /// still in the batch queue or transferring, or its machine's ready_time()
+  /// is past the deadline. Any other check would be cancelled by the task's
+  /// completion first. Runs with faults or a memory model can finish a task
+  /// later than planned, so they arm every check at arrival
+  /// (arm_every_deadline_).
+  std::vector<std::size_t> unarmed_;
+  bool arm_every_deadline_ = false;
   /// Batch queue over task indices: O(1) membership/removal, per-type lists
   /// in arrival order, links in a node pool sized by the peak queue length
   /// (see TaskIndexQueue).

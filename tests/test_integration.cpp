@@ -203,6 +203,140 @@ TEST(Integration, ControllerDrivesFullClassScenario) {
   EXPECT_EQ(controller.simulation().counters().completed, first);
 }
 
+// The first \p count events a stepped run processes, one "time priority
+// label" line each, with the time printed to round-trip exactly.
+std::vector<std::string> first_steps(Simulation& simulation, std::size_t count) {
+  std::vector<std::string> lines;
+  while (lines.size() < count) {
+    const auto next = simulation.engine().peek_next();
+    if (!next) break;
+    char time[32];
+    std::snprintf(time, sizeof time, "%.17g", next->time);
+    lines.push_back(std::string(time) + " " + e2c::core::event_priority_name(next->priority) +
+                    " " + next->label);
+    if (!simulation.step()) break;
+  }
+  return lines;
+}
+
+// Compares a stepped run with its pinned record; on a mismatch prints the
+// whole actual sequence, ready to paste.
+void expect_steps(const std::vector<std::string>& actual,
+                  const std::vector<std::string>& expected) {
+  if (actual == expected) return;
+  std::string dump;
+  for (const std::string& line : actual) dump += "      \"" + line + "\",\n";
+  ADD_FAILURE() << "step sequence differs from the pinned one; actual:\n" << dump;
+}
+
+// Step mode's view of a run (the order, times, classes and labels of the
+// events the "Increment" button walks through) is pinned for two runs: the
+// examples/live_viz scenario, and ELARE under overload with deadlines tight
+// enough that many fire. Calendar changes must keep both sequences.
+TEST(Integration, StepModeGoldenLiveViz) {
+  auto system = e2c::exp::heterogeneous_classroom(/*queue=*/2);
+  const auto machine_types = e2c::exp::machine_types_of(system);
+  const auto generator = e2c::workload::config_for_intensity(
+      system.eet, machine_types, Intensity::kMedium, /*duration=*/40.0, /*seed=*/99);
+  Simulation simulation(system, e2c::sched::make_policy("MM"));
+  simulation.load(e2c::workload::generate_workload(system.eet, generator));
+  expect_steps(first_steps(simulation, 40), {
+      "0.14852482535659473 arrival arrival task=0",
+      "0.14852482535659473 schedule invoke scheduler (MM)",
+      "2.1485248253565947 completion complete task=0 machine=m3",
+      "3.1132044459386519 arrival arrival task=1",
+      "3.1132044459386519 schedule invoke scheduler (MM)",
+      "5.1132044459386519 completion complete task=1 machine=m4",
+      "5.7380380474077528 arrival arrival task=2",
+      "5.7380380474077528 schedule invoke scheduler (MM)",
+      "5.7718733525547057 arrival arrival task=3",
+      "5.7718733525547057 schedule invoke scheduler (MM)",
+      "6.7507565455325658 arrival arrival task=4",
+      "6.7507565455325658 schedule invoke scheduler (MM)",
+      "6.9718733525547059 completion complete task=3 machine=m4",
+      "7.3799656170313277 arrival arrival task=5",
+      "7.3799656170313277 schedule invoke scheduler (MM)",
+      "7.5012437536117291 arrival arrival task=6",
+      "7.5012437536117291 schedule invoke scheduler (MM)",
+      "7.7380380474077528 completion complete task=2 machine=m2",
+      "8.0316818616317249 arrival arrival task=7",
+      "8.0316818616317249 schedule invoke scheduler (MM)",
+      "8.7507565455325658 completion complete task=4 machine=m3",
+      "9.5012437536117282 completion complete task=6 machine=m4",
+      "9.948170170899953 arrival arrival task=8",
+      "9.948170170899953 schedule invoke scheduler (MM)",
+      "10.035788068692248 arrival arrival task=9",
+      "10.035788068692248 schedule invoke scheduler (MM)",
+      "10.738038047407752 completion complete task=5 machine=m2",
+      "11.797199662098102 arrival arrival task=10",
+      "11.797199662098102 schedule invoke scheduler (MM)",
+      "11.948170170899953 completion complete task=8 machine=m3",
+      "11.961785775351075 arrival arrival task=11",
+      "11.961785775351075 schedule invoke scheduler (MM)",
+      "12.149391129618731 arrival arrival task=12",
+      "12.149391129618731 schedule invoke scheduler (MM)",
+      "12.738038047407752 completion complete task=7 machine=m2",
+      "13.961785775351075 completion complete task=11 machine=m4",
+      "14.738038047407752 completion complete task=9 machine=m2",
+      "14.76064441202924 arrival arrival task=13",
+      "14.76064441202924 schedule invoke scheduler (MM)",
+      "15.161785775351074 completion complete task=12 machine=m4"
+  });
+}
+
+TEST(Integration, StepModeGoldenElareDeadlines) {
+  auto system = e2c::exp::heterogeneous_classroom(/*queue=*/2);
+  const auto machine_types = e2c::exp::machine_types_of(system);
+  auto generator = e2c::workload::config_for_offered_load(
+      system.eet, machine_types, /*rho=*/4.0, /*duration=*/20.0, /*seed=*/7);
+  generator.deadline_factor_lo = 0.02;
+  generator.deadline_factor_hi = 0.3;
+  Simulation simulation(system, e2c::sched::make_policy("ELARE"));
+  simulation.load(e2c::workload::generate_workload(system.eet, generator));
+  expect_steps(first_steps(simulation, 40), {
+      "0.15033538466258731 arrival arrival task=0",
+      "0.15033538466258731 schedule invoke scheduler (ELARE)",
+      "0.2546393357937845 arrival arrival task=1",
+      "0.2546393357937845 schedule invoke scheduler (ELARE)",
+      "0.2546393357937845 schedule invoke scheduler (ELARE)",
+      "0.73652359869738837 arrival arrival task=2",
+      "0.73652359869738837 schedule invoke scheduler (ELARE)",
+      "0.8908220457052809 deadline deadline task=2",
+      "1.1635404132165215 deadline deadline task=0",
+      "1.2483631772638435 arrival arrival task=3",
+      "1.2483631772638435 schedule invoke scheduler (ELARE)",
+      "1.4546393357937846 completion complete task=1 machine=m4",
+      "1.7449195187253923 deadline deadline task=3",
+      "1.8334861066144326 arrival arrival task=4",
+      "1.8334861066144326 schedule invoke scheduler (ELARE)",
+      "2.19040635178433 arrival arrival task=5",
+      "2.19040635178433 schedule invoke scheduler (ELARE)",
+      "2.7664052119249192 deadline deadline task=5",
+      "3.8334861066144326 completion complete task=4 machine=m2",
+      "4.3881712935315083 arrival arrival task=6",
+      "4.3881712935315083 schedule invoke scheduler (ELARE)",
+      "4.6758576353322558 arrival arrival task=7",
+      "4.6758576353322558 schedule invoke scheduler (ELARE)",
+      "4.6791575314842087 deadline deadline task=6",
+      "4.8930139387999185 arrival arrival task=8",
+      "4.8930139387999185 schedule invoke scheduler (ELARE)",
+      "4.997644455052817 arrival arrival task=9",
+      "4.997644455052817 schedule invoke scheduler (ELARE)",
+      "4.9988920481904069 arrival arrival task=10",
+      "4.9988920481904069 schedule invoke scheduler (ELARE)",
+      "5.0068356871789819 arrival arrival task=11",
+      "5.0068356871789819 schedule invoke scheduler (ELARE)",
+      "5.1892466586567814 arrival arrival task=12",
+      "5.1892466586567814 schedule invoke scheduler (ELARE)",
+      "5.468245654365588 arrival arrival task=13",
+      "5.468245654365588 schedule invoke scheduler (ELARE)",
+      "5.5196388270652337 arrival arrival task=14",
+      "5.5196388270652337 schedule invoke scheduler (ELARE)",
+      "5.6741270534010546 deadline deadline task=10",
+      "5.6958610783562964 arrival arrival task=15"
+  });
+}
+
 TEST(Integration, UmbrellaHeaderCompilesAndExposesEverything) {
   // e2c.hpp included above; touch one symbol from each major namespace.
   EXPECT_FALSE(e2c::sched::PolicyRegistry::instance().names().empty());

@@ -13,6 +13,7 @@
 
 namespace {
 
+using e2c::core::EventPriority;
 using e2c::hetero::EetMatrix;
 using e2c::sched::Simulation;
 using e2c::sched::SystemConfig;
@@ -433,6 +434,112 @@ TEST(Simulation, BatchQueueVisibleDuringStepping) {
     }
   }
   EXPECT_TRUE(saw_waiting);
+}
+
+// Deadline checks are armed at the end of the round that follows a task's
+// arrival, and only when they can fire (Simulation::unarmed_). These tests
+// pin what that skips and what it must keep.
+
+// Steps through the first scheduler round; returns the events then pending.
+std::size_t pending_after_first_round(Simulation& simulation) {
+  while (const auto next = simulation.engine().peek_next()) {
+    EXPECT_TRUE(simulation.step());
+    if (next->priority == EventPriority::kSchedule) return simulation.engine().pending_count();
+  }
+  ADD_FAILURE() << "the run ended before its first scheduler round";
+  return 0;
+}
+
+TEST(SimulationDeadlineArming, MappedTaskThatCannotMissArmsNoCheck) {
+  Simulation simulation(two_machine_system(), e2c::sched::make_policy("MECT"));
+  simulation.load(Workload({make_task(0, 0, 1.0, 100.0)}));
+  EXPECT_EQ(pending_after_first_round(simulation), 1u);  // its completion only
+  EXPECT_EQ(simulation.engine().peek_next()->priority, EventPriority::kCompletion);
+  simulation.run();
+  EXPECT_EQ(simulation.task_state().status[0], TaskStatus::kCompleted);
+  EXPECT_EQ(simulation.engine().processed_count(), 3u);  // arrival, round, completion
+}
+
+TEST(SimulationDeadlineArming, CompletionAtTheDeadlineCountsWithoutACheck) {
+  // Three 0.1 s tasks mapped onto one machine in one round complete at
+  // 0.1, 0.1 + 0.1 and (0.1 + 0.1) + 0.1 = 0.30000000000000004: the float
+  // sum ready_time() adds up after the round. A deadline at exactly that
+  // sum needs no check.
+  EetMatrix eet({"T1"}, {"m0"}, {{0.1}});
+  Simulation simulation(e2c::sched::make_default_system(std::move(eet)),
+                        e2c::sched::make_policy("MECT"));
+  const double deadline = 0.1 + 0.1 + 0.1;
+  simulation.load(Workload({make_task(0, 0, 0.0, deadline), make_task(1, 0, 0.0, deadline),
+                            make_task(2, 0, 0.0, deadline)}));
+  // Task 0's completion, and the round its start posted while tasks 1 and 2
+  // were still in the batch queue.
+  EXPECT_EQ(pending_after_first_round(simulation), 2u);
+  simulation.run();
+  const auto& state = simulation.task_state();
+  EXPECT_EQ(simulation.counters().completed, 3u);
+  EXPECT_EQ(state.completion_time(2), deadline);
+}
+
+TEST(SimulationDeadlineArming, TaskProjectedPastItsDeadlineIsDroppedAtIt) {
+  // One 4 s machine: task 0 runs 0-4, task 1 waits and would end at 8, past
+  // its deadline of 6, so its check is armed and drops it mid-run at 6.
+  EetMatrix eet({"T1"}, {"m0"}, {{4.0}});
+  Simulation simulation(e2c::sched::make_default_system(std::move(eet)),
+                        e2c::sched::make_policy("MECT"));
+  simulation.load(Workload({make_task(0, 0, 0.0, 100.0), make_task(1, 0, 0.0, 6.0)}));
+  // Task 0's completion, the round its start posted, and task 1's check.
+  EXPECT_EQ(pending_after_first_round(simulation), 3u);
+  simulation.run();
+  const auto& state = simulation.task_state();
+  EXPECT_EQ(state.status[0], TaskStatus::kCompleted);
+  EXPECT_EQ(state.status[1], TaskStatus::kDropped);
+  EXPECT_DOUBLE_EQ(state.start_time[1], 4.0);
+  EXPECT_DOUBLE_EQ(state.missed_time(1), 6.0);
+}
+
+TEST(SimulationDeadlineArming, DeadlineAtArrivalCancelsBeforeTheRound) {
+  Simulation simulation(two_machine_system(), e2c::sched::make_policy("MECT"));
+  simulation.load(Workload({make_task(0, 0, 2.0, 2.0)}));
+  std::vector<EventPriority> order;
+  while (const auto next = simulation.engine().peek_next()) {
+    order.push_back(next->priority);
+    ASSERT_TRUE(simulation.step());
+  }
+  EXPECT_EQ(order, (std::vector<EventPriority>{EventPriority::kArrival, EventPriority::kDeadline,
+                                               EventPriority::kSchedule}));
+  const auto& state = simulation.task_state();
+  EXPECT_EQ(state.status[0], TaskStatus::kCancelled);
+  EXPECT_DOUBLE_EQ(state.missed_time(0), 2.0);
+  EXPECT_EQ(state.machine[0], e2c::workload::kNoMachine);
+}
+
+TEST(SimulationDeadlineArming, RunsThatCanFinishLateArmEveryCheck) {
+  // A crash or a cold start can finish a task after ready_time() planned,
+  // and a transfer delays its enqueue: each keeps the check of a task that
+  // would otherwise complete in time. One machine, one 4 s task, deadline
+  // 100; every run below has its check pending after the round.
+  const auto one_machine = [] {
+    return e2c::sched::make_default_system(EetMatrix({"T1"}, {"m0"}, {{4.0}}), 2);
+  };
+  const Workload workload({make_task(0, 0, 0.0, 100.0)});
+
+  SystemConfig faults = one_machine();
+  faults.faults.enabled = true;
+  faults.faults.mode = e2c::fault::FaultMode::kTrace;  // no spans: nothing fails
+  SystemConfig memory = one_machine();
+  memory.memory = e2c::mem::MemoryModel{{1.0}, {0.5}, {8.0}};
+  SystemConfig transfer = one_machine();
+  transfer.comm = e2c::net::CommModel::uniform(1, 1, /*payload_mb=*/0.0,
+                                               e2c::net::LinkSpec{/*latency_seconds=*/1.0});
+
+  for (SystemConfig* system : {&faults, &memory, &transfer}) {
+    Simulation simulation(*system, e2c::sched::make_policy("MM"));
+    simulation.load(workload);
+    // Completion (or transfer) plus the deadline check.
+    EXPECT_EQ(pending_after_first_round(simulation), 2u);
+    simulation.run();
+    EXPECT_EQ(simulation.task_state().status[0], TaskStatus::kCompleted);
+  }
 }
 
 }  // namespace

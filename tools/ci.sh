@@ -13,7 +13,10 @@
 # expected keys, and fails if the fresh speedup of the production MM or ELARE
 # mapper over its full-rescan reference (the test-support oracle in
 # tests/support) drops below 70% of the committed BENCH_sched_hotpath.json
-# baseline. It also runs the repository benchmark's self-tests and 2 s
+# baseline. It also runs the repository benchmark's self-tests, the
+# self-test of tools/ab_bench.py (HEAD against itself in 7 alternating
+# pairs of 1 s runs: equal digests, and no end-to-end metric whose median
+# moved past its bound in the same direction in all 7 pairs), and 2 s
 # `overload`, `megarun`, `sweep` and `serve` runs whose digests must equal
 # the recorded ones; the megarun run also fails above a 200 MB peak RSS (its
 # 2M-task columns make RSS deterministic for the pinned seed) and the sweep
@@ -191,6 +194,8 @@ run_bench_smoke() {
   local e2cbench_dir="${BUILD_ROOT}/e2cbench"
   echo "=== bench: repository benchmark self-tests ==="
   (cd "${ROOT}" && CARGO_TARGET_DIR="${e2cbench_dir}" python3 e2cbench/run.py --selftest)
+  echo "=== bench: parent-vs-change comparison self-test (HEAD against itself) ==="
+  python3 "${ROOT}/tools/ab_bench.py" --selftest
   # Seed 1's digests (events, outcome counters, scheduler rounds), pre-
   # recorded so each run compares against them instead of recording its
   # own: a mapper or calendar change that moves any simulated output fails
